@@ -11,27 +11,23 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Callable, Mapping
+from functools import cached_property
+from typing import Any, Callable
 
 import numpy as np
-from scipy.special import logsumexp
 
-from .bounds_standard import BoundResult, _check_delta, _tail_bound_from_table
+from .engine import BoundResult, _View, _check_delta, _index, _tail_bound_from_table
 from .measures import (
-    T_INF,
-    central_moment,
     cond_alpha_mi,
     cond_maximal_leakage,
-    cond_mutual_information,
     cond_renyi_divergence,
     conditional_density,
     maximal_leakage,
-    normalize_order,
     posterior_kls_subset,
     _subset_log_arrays,
 )
 from .models import LossTable, SubsetSystem
-from .prob import NEG_INF, FiniteDistribution
+from .prob import NEG_INF, FiniteDistribution, logsumexp
 
 
 @dataclass(frozen=True)
@@ -71,126 +67,86 @@ def delta_constant(delta_fn: Callable[[Any, Any], float], pz: FiniteDistribution
     return RangeConstant(float(value), "delta-expectation")
 
 
-def _const(sys: SubsetSystem, c: RangeConstant | None) -> float:
-    return (c or range_constant(sys.loss)).value
+class _SubsetView(_View):
+    """The random-subset setting, with range constant ``c`` (default
+    (b - a)^2) and optionally an auxiliary conditional ``q_kernel``."""
 
+    def __init__(self, sys: SubsetSystem, c: RangeConstant | None = None,
+                 q_kernel=None):
+        const = (c or range_constant(sys.loss)).value
+        super().__init__(sys, const, {"C": const, "n": sys.n})
+        self.q_kernel = q_kernel
+        self.values, self.gen, self.cond = sys.genhat, sys.gen_sel, sys.cond
+        self.mass = sys.p_ztilde[:, None] * sys.p_s[None, :]
 
-def _rate(sys: SubsetSystem, c: RangeConstant | None) -> float:
-    return 2.0 * _const(sys, c) / sys.n
+    joint = property(lambda self: self.sys.joint)
+    table = cached_property(lambda self: conditional_density(self.sys, self.q_kernel))
+    kls = cached_property(lambda self: posterior_kls_subset(self.sys, self.q_kernel))
+    leakage = cached_property(lambda self: cond_maximal_leakage(self.sys))
+    _log_arrays = cached_property(lambda self: _subset_log_arrays(self.sys, self.q_kernel))
+    log_base = property(lambda self: self._log_arrays[1])
+    iota = property(lambda self: self._log_arrays[2])
 
-
-def _sqrt_bound(sys: SubsetSystem, c: RangeConstant | None, info_term: float,
-                flavor: str, scope: str, params: Mapping[str, Any]) -> BoundResult:
-    radicand = _rate(sys, c) * info_term
-    if radicand < 0.0:
-        return BoundResult(math.inf, flavor, scope, params, feasible=False,
-                           reason="negative radicand")
-    return BoundResult(math.sqrt(radicand), flavor, scope, params)
-
-
-def _base_params(sys: SubsetSystem, c: RangeConstant | None, **extra) -> dict:
-    return {"C": _const(sys, c), "n": sys.n, **extra}
+    def renyi(self, alpha: float) -> float:
+        return cond_renyi_divergence(self.sys, alpha, self.q_kernel)
 
 
 def cmi_avg_bound(sys: SubsetSystem, c: RangeConstant | None = None) -> BoundResult:
     """|E[gen(W, Z(S))]| <= sqrt(2 C/n * I(W; S | Z-tilde))."""
-    return _sqrt_bound(sys, c, cond_mutual_information(sys),
-                       "average", "data-independent", _base_params(sys, c))
+    return _SubsetView(sys, c).avg()
 
 
 def cond_pacb_bound(sys: SubsetSystem, ztilde: tuple, s: tuple, delta: float,
                     c: RangeConstant | None = None, q_kernel=None) -> BoundResult:
     """Conditional PAC-Bayesian bound at one (supersample, selector) atom."""
-    delta = _check_delta(delta)
-    zi = sys.ztildes.index(ztilde)
-    si = sys.s_vecs.index(s)
-    kl_term = float(posterior_kls_subset(sys, q_kernel)[zi, si])
-    return _sqrt_bound(sys, c, kl_term + math.log(1.0 / delta),
-                       "pac-bayes", "data-dependent",
-                       _base_params(sys, c, delta=delta))
+    view = _SubsetView(sys, c, q_kernel)
+    info = view.pacb_info(delta)[_index(sys.ztildes, ztilde), _index(sys.s_vecs, s)]
+    return view.pointwise(float(info), "pac-bayes", delta, (ztilde, s))
 
 
 def cond_pacb_moment_bound(sys: SubsetSystem, delta: float, t: Any,
                            c: RangeConstant | None = None,
                            q_kernel=None) -> BoundResult:
     """Data-independent conditional PAC-Bayesian bound from KL moments."""
-    delta = _check_delta(delta)
-    t = normalize_order(t)
-    kls = posterior_kls_subset(sys, q_kernel)
-    mass = sys.p_ztilde[:, None] * sys.p_s[None, :]
-    if t is T_INF:
-        moment_term = float(kls[mass > 0].max())
-    else:
-        moment_term = float(np.sum(mass * kls ** t)) ** (1.0 / t) / (delta / 2.0) ** (1.0 / t)
-    return _sqrt_bound(sys, c, moment_term + math.log(2.0 / delta),
-                       "pac-bayes", "data-independent",
-                       _base_params(sys, c, delta=delta, t=t))
+    return _SubsetView(sys, c, q_kernel).pacb_moment(delta, t)
 
 
 def cond_sd_density_bound(sys: SubsetSystem, w: Any, ztilde: tuple, s: tuple,
                           delta: float, c: RangeConstant | None = None,
                           q_kernel=None) -> BoundResult:
     """Conditional single-draw bound at one (w, z-tilde, s) atom."""
-    delta = _check_delta(delta)
-    _, iota = _subset_log_arrays(sys, q_kernel)
-    zi = sys.ztildes.index(ztilde)
-    si = sys.s_vecs.index(s)
-    wi = sys.w_labels.index(w)
-    value = float(iota[zi, si, wi])
-    if value == NEG_INF:
-        raise KeyError(f"atom ({w!r}, {ztilde!r}, {s!r}) not in the joint support")
-    return _sqrt_bound(sys, c, value + math.log(1.0 / delta),
-                       "single-draw", "data-dependent",
-                       _base_params(sys, c, delta=delta))
+    view = _SubsetView(sys, c, q_kernel)
+    info = view.density_info(delta)[_index(sys.ztildes, ztilde), _index(sys.s_vecs, s),
+                                    _index(sys.w_labels, w)]
+    return view.pointwise(float(info), "single-draw", delta, (w, ztilde, s))
 
 
 def cond_sd_moment_bound(sys: SubsetSystem, delta: float, t: Any,
                          c: RangeConstant | None = None,
                          q_kernel=None) -> BoundResult:
     """Conditional single-draw bound from central moments of the density."""
-    delta = _check_delta(delta)
-    t = normalize_order(t)
-    tbl = conditional_density(sys, q_kernel)
-    if t is T_INF:
-        moment_term = central_moment(tbl, T_INF)
-    else:
-        moment_term = central_moment(tbl, t) / (delta / 2.0) ** (1.0 / t)
-    return _sqrt_bound(sys, c, tbl.mean + moment_term + math.log(2.0 / delta),
-                       "single-draw", "data-independent",
-                       _base_params(sys, c, delta=delta, t=t))
+    return _SubsetView(sys, c, q_kernel).sd_moment(delta, t)
 
 
 def cond_sd_leakage_bound(sys: SubsetSystem, delta: float,
                           c: RangeConstant | None = None) -> BoundResult:
     """Conditional single-draw bound from the conditional maximal leakage."""
-    delta = _check_delta(delta)
-    info = cond_maximal_leakage(sys) + 2.0 * math.log(2.0 / delta)
-    return _sqrt_bound(sys, c, info, "single-draw", "data-independent",
-                       _base_params(sys, c, delta=delta))
+    return _SubsetView(sys, c).sd_leakage(delta)
 
 
 def cond_sd_renyi_pair_bound(sys: SubsetSystem, delta: float, alpha: float,
                              c: RangeConstant | None = None,
                              q_kernel=None) -> BoundResult:
     """Conditional single-draw bound from the conjugate Renyi pair."""
-    delta = _check_delta(delta)
-    if alpha <= 1:
-        raise ValueError("alpha must exceed 1")
-    gamma = alpha / (alpha - 1.0)
-    info = ((alpha - 1.0) / alpha * cond_renyi_divergence(sys, alpha, q_kernel)
-            + (gamma - 1.0) / gamma * cond_renyi_divergence(sys, gamma, q_kernel)
-            + 2.0 * math.log(2.0 / delta))
-    return _sqrt_bound(sys, c, info, "single-draw", "data-independent",
-                       _base_params(sys, c, delta=delta, alpha=alpha, gamma=gamma))
+    return _SubsetView(sys, c, q_kernel).sd_renyi(delta, alpha)
 
 
 def cond_tail_bound(sys: SubsetSystem, delta: float, gamma: Any = "auto",
                     c: RangeConstant | None = None, q_kernel=None) -> BoundResult:
     """Conditional single-draw bound from the exact density tail."""
     delta = _check_delta(delta)
-    tbl = conditional_density(sys, q_kernel)
-    return _tail_bound_from_table(tbl, _rate(sys, c), delta, gamma,
-                                  _base_params(sys, c))
+    view = _SubsetView(sys, c, q_kernel)
+    return _tail_bound_from_table(view.table, view.rate, delta, gamma, view.params())
 
 
 def cond_tail_relaxations(sys: SubsetSystem, delta: float, t: Any,
@@ -199,22 +155,7 @@ def cond_tail_relaxations(sys: SubsetSystem, delta: float, t: Any,
     """Moment and leakage bounds rederived through the conditional tail;
     each exceeds its direct counterpart by exactly (2 C/n) ln 2 inside the
     square."""
-    delta = _check_delta(delta)
-    t = normalize_order(t)
-    tbl = conditional_density(sys, q_kernel)
-    if t is T_INF:
-        moment_term = central_moment(tbl, T_INF)
-    else:
-        moment_term = central_moment(tbl, t) / (delta / 2.0) ** (1.0 / t)
-    eps_m = _sqrt_bound(sys, c, tbl.mean + moment_term + math.log(4.0 / delta),
-                        "single-draw", "data-independent",
-                        _base_params(sys, c, delta=delta, t=t, route="tail-moment"))
-    eps_l = _sqrt_bound(sys, c,
-                        cond_maximal_leakage(sys) + math.log(2.0)
-                        + 2.0 * math.log(2.0 / delta),
-                        "single-draw", "data-independent",
-                        _base_params(sys, c, delta=delta, route="tail-leakage"))
-    return eps_m, eps_l
+    return _SubsetView(sys, c, q_kernel).tail_relaxations(delta, t)
 
 
 def holder_event_bound(sys: SubsetSystem, event: Callable[[Any, tuple, tuple], bool],
@@ -232,7 +173,7 @@ def holder_event_bound(sys: SubsetSystem, event: Callable[[Any, tuple, tuple], b
     gamma = alpha / (alpha - 1.0)
     gamma_prime = alpha_prime / (alpha_prime - 1.0)
     tilde_gamma = tilde_alpha / (tilde_alpha - 1.0)
-    _, iota = _subset_log_arrays(sys)
+    _, _, iota = _subset_log_arrays(sys)
     with np.errstate(divide="ignore"):
         log_pzt = np.log(sys.p_ztilde)
         log_ps = np.log(sys.p_s)
@@ -257,16 +198,16 @@ def cond_alpha_mi_bound(sys: SubsetSystem, delta: float, alpha: float,
     """Conditional single-draw bound from the conditional alpha-mutual
     information; alpha = inf uses the conditional maximal leakage limit."""
     delta = _check_delta(delta)
-    if isinstance(alpha, float) and math.isinf(alpha):
-        info = cond_maximal_leakage(sys) + math.log(2.0) + math.log(1.0 / delta)
-        return _sqrt_bound(sys, c, info, "single-draw", "data-independent",
-                           _base_params(sys, c, delta=delta, alpha=math.inf))
-    if alpha <= 1:
+    view = _SubsetView(sys, c)
+    if alpha == math.inf:
+        info = view.leakage + math.log(2.0) + math.log(1.0 / delta)
+    elif not alpha > 1:
         raise ValueError("alpha must exceed 1")
-    info = (cond_alpha_mi(sys, alpha) + math.log(2.0)
-            + alpha / (alpha - 1.0) * math.log(1.0 / delta))
-    return _sqrt_bound(sys, c, info, "single-draw", "data-independent",
-                       _base_params(sys, c, delta=delta, alpha=alpha))
+    else:
+        info = (cond_alpha_mi(sys, alpha) + math.log(2.0)
+                + alpha / (alpha - 1.0) * math.log(1.0 / delta))
+    return view.sqrt_bound(info, "single-draw", "data-independent",
+                           view.params(delta=delta, alpha=alpha))
 
 
 def genhat_to_gen(eps_fn: Callable[[float], float], loss: LossTable, n: int,

@@ -18,12 +18,9 @@ from typing import Any, Mapping
 
 import numpy as np
 
-from . import bounds_standard as bstd
-from . import bounds_subset as bsub
 from . import verify as vfy
 from .measures import T_INF, cond_mutual_information
 from .models import (
-    StandardSystem,
     SubsetSystem,
     expected_gen,
     expected_gen_subset,
@@ -37,13 +34,8 @@ REPORT_COLUMNS = ("schema_version", "bound_id", "flavor", "scope", "epsilon",
                   "feasible", "delta", "t", "alpha", "gamma", "sigma", "C",
                   "n", "abs_expected_gen", "quantile")
 
-DEFAULT_STANDARD_BOUNDS = ("avg", "pacb_moment", "sd_moment", "sd_leakage",
-                           "sd_renyi", "sd_tail", "tail_relax_moment",
-                           "tail_relax_leakage")
-DEFAULT_SUBSET_BOUNDS = ("cmi", "cond_pacb_moment", "cond_sd_moment",
-                         "cond_sd_leakage", "cond_sd_renyi", "cond_tail",
-                         "cond_tail_relax_moment", "cond_tail_relax_leakage",
-                         "cond_alpha_mi", "genhat_to_gen")
+DEFAULT_STANDARD_BOUNDS = vfy.panel_ids("standard")
+DEFAULT_SUBSET_BOUNDS = vfy.panel_ids("subset")
 
 
 class ConfigError(ValueError):
@@ -65,11 +57,7 @@ def _fmt(value: Any) -> Any:
 
 def _param(result, key: str) -> Any:
     value = result.params.get(key)
-    if value is T_INF:
-        return "inf"
-    if isinstance(value, float) and math.isinf(value):
-        return "inf"
-    return value
+    return None if value is None else _fmt(value)
 
 
 def _load_config(path: str) -> dict:
@@ -87,8 +75,6 @@ def _load_system(config: Mapping[str, Any]):
         _, system = load_problem(config["problem"])
         return system
     except (KeyError, ValueError, OSError) as exc:
-        if isinstance(exc, BudgetExceededError):
-            raise
         raise ConfigError(f"invalid problem definition: {exc}")
 
 
@@ -99,64 +85,19 @@ def _deltas(config: Mapping[str, Any]) -> list[float]:
     return deltas
 
 
-def _standard_row(sys: StandardSystem, bound_id: str, delta: float,
-                  t: Any, alpha: float) -> Any:
-    if bound_id == "avg":
-        return bstd.avg_mi_bound(sys)
-    if bound_id == "pacb_moment":
-        return bstd.pacb_moment_bound(sys, delta, t)
-    if bound_id == "sd_moment":
-        return bstd.sd_moment_bound(sys, delta, t)
-    if bound_id == "sd_leakage":
-        return bstd.sd_leakage_bound(sys, delta)
-    if bound_id == "sd_renyi":
-        return bstd.sd_renyi_bound(sys, delta, alpha)
-    if bound_id == "sd_tail":
-        return bstd.sd_tail_bound(sys, delta)
-    if bound_id == "tail_relax_moment":
-        return bstd.tail_relaxations(sys, delta, t)[0]
-    if bound_id == "tail_relax_leakage":
-        return bstd.tail_relaxations(sys, delta, t)[1]
-    raise ConfigError(f"unknown standard bound id {bound_id!r}")
-
-
-def _subset_row(sys: SubsetSystem, bound_id: str, delta: float,
-                t: Any, alpha: float) -> Any:
-    if bound_id == "cmi":
-        return bsub.cmi_avg_bound(sys)
-    if bound_id == "cond_pacb_moment":
-        return bsub.cond_pacb_moment_bound(sys, delta, t)
-    if bound_id == "cond_sd_moment":
-        return bsub.cond_sd_moment_bound(sys, delta, t)
-    if bound_id == "cond_sd_leakage":
-        return bsub.cond_sd_leakage_bound(sys, delta)
-    if bound_id == "cond_sd_renyi":
-        return bsub.cond_sd_renyi_pair_bound(sys, delta, alpha)
-    if bound_id == "cond_tail":
-        return bsub.cond_tail_bound(sys, delta)
-    if bound_id == "cond_tail_relax_moment":
-        return bsub.cond_tail_relaxations(sys, delta, t)[0]
-    if bound_id == "cond_tail_relax_leakage":
-        return bsub.cond_tail_relaxations(sys, delta, t)[1]
-    if bound_id == "cond_alpha_mi":
-        return bsub.cond_alpha_mi_bound(sys, delta, alpha)
-    if bound_id == "genhat_to_gen":
-        return bsub.genhat_to_gen(
-            lambda d: bsub.cond_sd_moment_bound(sys, d, t).epsilon,
-            sys.loss, sys.n, delta)
-    raise ConfigError(f"unknown subset bound id {bound_id!r}")
-
-
 def _report_rows(system, config: Mapping[str, Any]) -> list[dict]:
-    is_standard = isinstance(system, StandardSystem)
-    defaults = DEFAULT_STANDARD_BOUNDS if is_standard else DEFAULT_SUBSET_BOUNDS
-    bounds = config.get("bounds", list(defaults))
+    panel = vfy.panel_ids(system.setting)
+    bounds = config.get("bounds", list(panel))
     if not bounds:
         raise ConfigError("empty bound selection")
+    for bound_id in bounds:
+        if bound_id not in panel:
+            raise ConfigError(f"{bound_id!r} is not a data-independent "
+                              f"{system.setting} bound id")
     t = config.get("t", 2)
     alpha = float(config.get("alpha", 2.0))
     deltas = _deltas(config)
-    if is_standard:
+    if system.setting == "standard":
         dist = vfy.exact_gen_distribution(system)
         truth = abs(expected_gen(system))
     else:
@@ -165,26 +106,13 @@ def _report_rows(system, config: Mapping[str, Any]) -> list[dict]:
     rows = []
     for delta in deltas:
         for bound_id in bounds:
-            result = (_standard_row(system, bound_id, delta, t, alpha)
-                      if is_standard else
-                      _subset_row(system, bound_id, delta, t, alpha))
-            rows.append({
-                "schema_version": SCHEMA_VERSION,
-                "bound_id": bound_id,
-                "flavor": result.flavor,
-                "scope": result.scope,
-                "epsilon": _fmt(result.epsilon),
-                "feasible": result.feasible,
-                "delta": delta,
-                "t": _param(result, "t"),
-                "alpha": _param(result, "alpha"),
-                "gamma": _param(result, "gamma"),
-                "sigma": _param(result, "sigma"),
-                "C": _param(result, "C"),
-                "n": system.n,
-                "abs_expected_gen": truth,
-                "quantile": vfy.abs_quantile(dist, 1.0 - delta),
-            })
+            result = vfy.BOUNDS[bound_id].evaluate(system, delta, t, alpha, "auto")
+            row = {k: _param(result, k) for k in ("t", "alpha", "gamma", "sigma", "C")}
+            rows.append(dict(row, schema_version=SCHEMA_VERSION, bound_id=bound_id,
+                             flavor=result.flavor, scope=result.scope,
+                             epsilon=_fmt(result.epsilon), feasible=result.feasible,
+                             delta=delta, n=system.n, abs_expected_gen=truth,
+                             quantile=vfy.abs_quantile(dist, 1.0 - delta)))
     return rows
 
 
@@ -228,48 +156,39 @@ def cmd_verify(config: Mapping[str, Any], seed: int) -> int:
 SWEEP_AXES = ("delta", "t", "alpha", "beta", "n")
 
 
-def _sweep_problem_axis(config: Mapping[str, Any], axis: str,
-                        values: list) -> list[dict]:
-    doc = config["problem"]
-    if not isinstance(doc, Mapping):
-        doc = _load_config(str(doc))
-    rows = []
-    for value in values:
-        modified = json.loads(json.dumps(doc))
-        if axis == "beta":
-            if modified.get("learner", {}).get("kind") != "gibbs":
-                raise ConfigError("beta sweep requires a gibbs learner")
-            modified["learner"]["beta"] = float(value)
-        else:
-            modified["n"] = int(value)
-        sub_config = dict(config, problem=modified)
-        system = _load_system(sub_config)
-        for row in _report_rows(system, sub_config):
-            row["axis"] = axis
-            row["axis_value"] = value
-            _augment_subset_columns(system, row)
-            rows.append(row)
-    return rows
-
-
-def _augment_subset_columns(system, row: dict) -> None:
+def _subset_columns(system) -> dict:
     """Tightness-comparison columns for subset problems: the mutual
     information between W and the supersample vs the conditional one."""
     if not isinstance(system, SubsetSystem):
-        row["mi_w_supersample"] = ""
-        row["cmi_w_selector"] = ""
-        return
-    pw = system.p_ztilde @ system.pw_given
+        return {"mi_w_supersample": "", "cmi_w_selector": ""}
+    pw_given = system.pw_given
     with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(system.pw_given > 0,
-                         np.log(np.where(system.pw_given > 0,
-                                         system.pw_given, 1.0)) - np.log(pw)[None, :],
-                         0.0)
-    mi_wzt = float(np.sum(system.p_ztilde[:, None]
-                          * np.where(system.pw_given > 0,
-                                     system.pw_given * ratio, 0.0)))
-    row["mi_w_supersample"] = mi_wzt
-    row["cmi_w_selector"] = cond_mutual_information(system)
+        terms = np.where(pw_given > 0, pw_given * (np.log(pw_given)
+                                                   - np.log(system.p_ztilde @ pw_given)), 0.0)
+    mi_wzt = float(np.sum(system.p_ztilde[:, None] * terms))
+    return {"mi_w_supersample": mi_wzt,
+            "cmi_w_selector": cond_mutual_information(system)}
+
+
+def _at(config: Mapping[str, Any], axis: str, value: Any) -> dict:
+    """The config with the swept parameter (or problem entry) set to value."""
+    if axis == "delta":
+        return dict(config, deltas=[float(value)])
+    if axis == "t":
+        return dict(config, t=value)
+    if axis == "alpha":
+        return dict(config, alpha=float(value))
+    doc = config["problem"]
+    if not isinstance(doc, Mapping):
+        doc = _load_config(str(doc))
+    doc = json.loads(json.dumps(doc))
+    if axis == "beta":
+        if doc.get("learner", {}).get("kind") != "gibbs":
+            raise ConfigError("beta sweep requires a gibbs learner")
+        doc["learner"]["beta"] = float(value)
+    else:
+        doc["n"] = int(value)
+    return dict(config, problem=doc)
 
 
 def cmd_sweep(config: Mapping[str, Any], out: str | None, fmt: str) -> int:
@@ -279,24 +198,13 @@ def cmd_sweep(config: Mapping[str, Any], out: str | None, fmt: str) -> int:
     values = config.get("values")
     if not values:
         raise ConfigError("sweep requires a nonempty 'values' list")
-    if axis in ("beta", "n"):
-        rows = _sweep_problem_axis(config, axis, values)
-    else:
-        system = _load_system(config)
-        rows = []
-        for value in values:
-            sub = dict(config)
-            if axis == "delta":
-                sub["deltas"] = [float(value)]
-            elif axis == "t":
-                sub["t"] = value
-            else:
-                sub["alpha"] = float(value)
-            for row in _report_rows(system, sub):
-                row["axis"] = axis
-                row["axis_value"] = "inf" if value == "inf" else value
-                _augment_subset_columns(system, row)
-                rows.append(row)
+    system = None if axis in ("beta", "n") else _load_system(config)
+    rows = []
+    for value in values:
+        sub = _at(config, axis, value)
+        swept = system or _load_system(sub)
+        for row in _report_rows(swept, sub):
+            rows.append(dict(row, axis=axis, axis_value=value, **_subset_columns(swept)))
     columns = REPORT_COLUMNS + ("axis", "axis_value", "mi_w_supersample",
                                 "cmi_w_selector")
     _emit(rows, columns, fmt, out)

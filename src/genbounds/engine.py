@@ -1,0 +1,207 @@
+"""The bound engine shared by both settings.
+
+Every bound of the paper comes from one exponential inequality. The
+standard and random-subset settings differ only in the density
+(information density, or conditional information density), the value
+bounded (gen, or the test-minus-train gap) and the rate (2 sigma^2 / n, or
+2C / n). A setting supplies these through a view; each bound formula is a
+method of the view, written once.
+
+Every bound evaluates to sqrt(rate * (information term)). Infeasibility (a
+negative radicand, or a tail level delta that cannot be met) is a
+first-class result carried on the flag, never an exception.
+"""
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass, field
+from typing import Any, Mapping
+
+import numpy as np
+
+from .measures import T_INF, DensityTable, central_moment, normalize_order
+
+GAMMA_STEP = 1e-9  # offset placing tail candidates just above each attained value
+
+
+@dataclass(frozen=True)
+class BoundResult:
+    """A single evaluated bound: epsilon, flavor, scope, parameters."""
+
+    epsilon: float
+    flavor: str  # average | pac-bayes | single-draw
+    scope: str  # data-dependent | data-independent
+    params: Mapping[str, Any] = field(default_factory=dict)
+    feasible: bool = True
+    reason: str = ""
+
+    def __post_init__(self):
+        if self.feasible and not math.isfinite(self.epsilon):
+            raise ValueError("feasible bound must have finite epsilon")
+
+
+def _check_delta(delta: float) -> float:
+    delta = float(delta)
+    if not 0.0 < delta < 1.0:
+        raise ValueError(f"delta must lie in (0, 1), got {delta!r}")
+    return delta
+
+
+def _index(labels: tuple, label: Any) -> int:
+    try:
+        return labels.index(label)
+    except ValueError:
+        raise KeyError(f"{label!r} is not an outcome of the system")
+
+
+def _moment_term(norm: float, delta: float, t: Any) -> float:
+    """An L_t norm inflated by Markov's inequality at level delta/2; the
+    essential supremum (t = inf) needs no inflation."""
+    return norm if t is T_INF else norm / (delta / 2.0) ** (1.0 / t)
+
+
+class _View:
+    """One setting's inputs to the bound formulas, which are its methods.
+
+    ``variance`` is sigma^2 or C and ``rate`` is 2 variance / n. A setting
+    supplies, each computed on first use where it costs a pass over the
+    atoms: ``table`` (the density over the joint support), ``iota`` and
+    ``log_base`` (the density and the log base measure on the atom grid,
+    -inf off the support), ``kls`` (the posterior relative entropies, one
+    per posterior, weighted by ``mass``), ``leakage``, ``renyi(alpha)``,
+    ``values`` (the value bounded at each atom), ``gen`` (the
+    generalization error at each atom), ``joint`` and ``cond`` (the
+    posterior rows, hypotheses on the last axis).
+    """
+
+    def __init__(self, sys, variance: float, params: Mapping[str, Any]):
+        self.sys = sys
+        self.variance = variance
+        self.rate = 2.0 * variance / sys.n
+        self._params = dict(params)
+
+    def params(self, **extra) -> dict:
+        return {**self._params, **extra}
+
+    def sqrt_bound(self, info_term: float, flavor: str, scope: str,
+                   params: Mapping[str, Any]) -> BoundResult:
+        radicand = self.rate * info_term
+        if radicand < 0.0:
+            return BoundResult(math.inf, flavor, scope, params, feasible=False,
+                               reason="negative radicand")
+        return BoundResult(math.sqrt(radicand), flavor, scope, params)
+
+    def epsilons(self, info: np.ndarray) -> np.ndarray:
+        """Data-dependent epsilons from per-posterior or per-atom information
+        terms; NaN marks a negative radicand."""
+        with np.errstate(invalid="ignore"):
+            return np.sqrt(self.rate * info)
+
+    def pointwise(self, info: float, flavor: str, delta: float,
+                  atom: tuple) -> BoundResult:
+        """A data-dependent bound from its information term at one posterior
+        or atom."""
+        if info == -math.inf:
+            raise KeyError(f"atom {atom!r} not in the joint support")
+        return self.sqrt_bound(info, flavor, "data-dependent",
+                               self.params(delta=_check_delta(delta)))
+
+    def avg(self) -> BoundResult:
+        return self.sqrt_bound(self.table.mean, "average", "data-independent",
+                               self.params())
+
+    def pacb_info(self, delta: float) -> np.ndarray:
+        """PAC-Bayesian information terms, one per posterior."""
+        return self.kls + math.log(1.0 / _check_delta(delta))
+
+    def density_info(self, delta: float) -> np.ndarray:
+        """Single-draw information terms, one per atom (-inf off the support)."""
+        return self.iota + math.log(1.0 / _check_delta(delta))
+
+    def pacb_moment(self, delta: float, t: Any) -> BoundResult:
+        delta = _check_delta(delta)
+        t = normalize_order(t)
+        kls, mass = self.kls, self.mass
+        if t is T_INF:
+            norm = float(kls[mass > 0].max())
+        else:
+            norm = float(np.sum(mass * kls ** t)) ** (1.0 / t)
+        return self.sqrt_bound(_moment_term(norm, delta, t) + math.log(2.0 / delta),
+                               "pac-bayes", "data-independent",
+                               self.params(delta=delta, t=t))
+
+    def sd_moment(self, delta: float, t: Any, relaxed: bool = False) -> BoundResult:
+        """Single-draw bound from central moments of the density; ``relaxed``
+        rederives it through the tail route, at ln 2 more inside the square."""
+        delta = _check_delta(delta)
+        t = normalize_order(t)
+        tbl = self.table
+        info = (tbl.mean + _moment_term(central_moment(tbl, t), delta, t)
+                + math.log((4.0 if relaxed else 2.0) / delta))
+        params = self.params(delta=delta, t=t)
+        if relaxed:
+            params["route"] = "tail-moment"
+        return self.sqrt_bound(info, "single-draw", "data-independent", params)
+
+    def sd_leakage(self, delta: float, relaxed: bool = False) -> BoundResult:
+        """Single-draw bound from the maximal leakage; ``relaxed`` as above."""
+        delta = _check_delta(delta)
+        info = (self.leakage + (math.log(2.0) if relaxed else 0.0)
+                + 2.0 * math.log(2.0 / delta))
+        params = self.params(delta=delta)
+        if relaxed:
+            params["route"] = "tail-leakage"
+        return self.sqrt_bound(info, "single-draw", "data-independent", params)
+
+    def tail_relaxations(self, delta: float, t: Any) -> tuple[BoundResult, BoundResult]:
+        return (self.sd_moment(delta, t, relaxed=True),
+                self.sd_leakage(delta, relaxed=True))
+
+    def sd_renyi(self, delta: float, alpha: float) -> BoundResult:
+        """Single-draw bound from the conjugate pair of Renyi divergences."""
+        delta = _check_delta(delta)
+        if not (math.isfinite(alpha) and alpha > 1):
+            raise ValueError("alpha must be finite and exceed 1")
+        gamma = alpha / (alpha - 1.0)
+        info = ((alpha - 1.0) / alpha * self.renyi(alpha)
+                + (gamma - 1.0) / gamma * self.renyi(gamma)
+                + 2.0 * math.log(2.0 / delta))
+        return self.sqrt_bound(info, "single-draw", "data-independent",
+                               self.params(delta=delta, alpha=alpha, gamma=gamma))
+
+
+def _tail_bound_from_table(tbl: DensityTable, rate: float, delta: float,
+                           gamma: Any, extra_params: Mapping[str, Any]) -> BoundResult:
+    """Shared tail-bound core: epsilon^2 = rate * (gamma + log(2/(delta - P[iota >= gamma]))).
+
+    Auto mode scans the step edges of the exact tail function: each attained
+    density value and a point just above it (where the tail drops to the
+    strict-inequality mass).
+    """
+    def infeasible(params, reason: str) -> BoundResult:
+        return BoundResult(math.inf, "single-draw", "data-independent", params,
+                           feasible=False, reason=reason)
+
+    def evaluate(g: float) -> BoundResult:
+        tail = tbl.tail_probability(g)
+        params = dict(extra_params, delta=delta, gamma=g, tail_prob=tail)
+        if tail >= delta:
+            return infeasible(params, "tail mass at or above delta")
+        radicand = rate * (g + math.log(2.0 / (delta - tail)))
+        if radicand < 0.0:
+            return infeasible(params, "negative radicand")
+        return BoundResult(math.sqrt(radicand), "single-draw",
+                           "data-independent", params)
+
+    if gamma != "auto":
+        return evaluate(float(gamma))
+    best = None
+    for v in tbl.distinct_values():
+        for g in (float(v), float(v) + GAMMA_STEP):
+            cand = evaluate(g)
+            if cand.feasible and (best is None or cand.epsilon < best.epsilon):
+                best = cand
+    if best is None:
+        return infeasible(dict(extra_params, delta=delta, gamma="auto"),
+                          "no gamma meets the tail level delta")
+    return best

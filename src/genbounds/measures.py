@@ -9,15 +9,15 @@ float smuggled through arithmetic.
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Any, Mapping, Sequence
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .models import StandardSystem, SubsetSystem
-from .prob import NEG_INF, AbsoluteContinuityViolation, FiniteDistribution
+from .prob import NEG_INF, AbsoluteContinuityViolation, FiniteDistribution, logsumexp
 
 ALPHA_ONE_TOL = 1e-6
 
@@ -113,33 +113,40 @@ def _standard_log_arrays(sys: StandardSystem,
     return log_joint, log_base, iota
 
 
+def _density_table(axes: Sequence[tuple], log_joint: np.ndarray,
+                   iota: np.ndarray) -> DensityTable:
+    """The density over the joint support of a (data axes..., w) grid; the
+    outcomes are (w, data labels...) in grid order."""
+    sup = log_joint > NEG_INF
+    outcomes = tuple((labels[-1],) + labels[:-1]
+                     for labels, keep in zip(itertools.product(*axes), sup.ravel())
+                     if keep)
+    return DensityTable(outcomes, log_joint[sup], iota[sup])
+
+
 def information_density(sys: StandardSystem,
                         q_w: FiniteDistribution | None = None) -> DensityTable:
     """Information density of (W, Z) under the system joint, optionally
     against an auxiliary hypothesis marginal Q_W."""
     log_joint, _, iota = _standard_log_arrays(sys, q_w)
-    sup = log_joint > NEG_INF
-    outcomes = tuple(
-        (w, zvec)
-        for zi, zvec in enumerate(sys.zvecs)
-        for wi, w in enumerate(sys.w_labels)
-        if sup[zi, wi]
-    )
-    return DensityTable(outcomes, log_joint[sup], iota[sup])
+    return _density_table((sys.zvecs, sys.w_labels), log_joint, iota)
 
 
 def _subset_log_arrays(sys: SubsetSystem, q_kernel=None):
-    """(log_joint, iota) over the (ztilde, s, w) grid for the conditional
-    information density; iota is -inf off the joint support."""
+    """(log_joint, log_base, iota) over the (ztilde, s, w) grid for the
+    conditional information density, whose base measure is
+    P_Ztilde P_S P_{W|Ztilde} (or the auxiliary conditional); iota is -inf
+    off the joint support."""
     with np.errstate(divide="ignore"):
         log_joint = np.log(sys.joint)
         log_cond = np.log(sys.cond)
         if q_kernel is None:
             log_w_given = np.log(sys.pw_given)
         else:
-            log_w_given = np.array(
-                [[_q_row_log(q_kernel, zt, w) for w in sys.w_labels]
-                 for zt in sys.ztildes])
+            log_w_given = np.array([[q_kernel[zt].log_mass_of(w) for w in sys.w_labels]
+                                    for zt in sys.ztildes])
+        log_base = (np.log(sys.p_ztilde)[:, None, None] + np.log(sys.p_s)[None, :, None]
+                    + log_w_given[:, None, :])
     sup = log_cond > NEG_INF
     if np.any(sup & (log_w_given[:, None, :] == NEG_INF)):
         raise AbsoluteContinuityViolation(
@@ -148,26 +155,13 @@ def _subset_log_arrays(sys: SubsetSystem, q_kernel=None):
     base = np.broadcast_to(log_w_given[:, None, :], log_cond.shape)
     iota = np.full_like(log_cond, NEG_INF)
     iota[sup] = log_cond[sup] - base[sup]
-    return log_joint, iota
-
-
-def _q_row_log(q_kernel, ztilde, w) -> float:
-    row = q_kernel[ztilde]
-    return row.log_mass_of(w)
+    return log_joint, log_base, iota
 
 
 def conditional_density(sys: SubsetSystem, q_kernel=None) -> DensityTable:
     """Conditional information density of (W, S) given the supersample."""
-    log_joint, iota = _subset_log_arrays(sys, q_kernel)
-    sup = log_joint > NEG_INF
-    outcomes = tuple(
-        (w, zt, s)
-        for zi, zt in enumerate(sys.ztildes)
-        for si, s in enumerate(sys.s_vecs)
-        for wi, w in enumerate(sys.w_labels)
-        if sup[zi, si, wi]
-    )
-    return DensityTable(outcomes, log_joint[sup], iota[sup])
+    log_joint, _, iota = _subset_log_arrays(sys, q_kernel)
+    return _density_table((sys.ztildes, sys.s_vecs, sys.w_labels), log_joint, iota)
 
 
 # -- divergences ------------------------------------------------------------
@@ -280,23 +274,15 @@ def cond_renyi_divergence(sys: SubsetSystem, alpha: float, q_kernel=None) -> flo
         raise ValueError("alpha must be positive")
     if abs(alpha - 1.0) <= ALPHA_ONE_TOL:
         return cond_mutual_information(sys, q_kernel)
-    _, iota = _subset_log_arrays(sys, q_kernel)
-    with np.errstate(divide="ignore"):
-        log_pzt = np.log(sys.p_ztilde)
-        log_ps = np.log(sys.p_s)
-        log_wg = np.log(sys.pw_given) if q_kernel is None else np.array(
-            [[_q_row_log(q_kernel, zt, w) for w in sys.w_labels]
-             for zt in sys.ztildes])
-    terms = (log_pzt[:, None, None] + log_ps[None, :, None]
-             + log_wg[:, None, :] + alpha * iota)
-    return float(logsumexp(terms) / (alpha - 1.0))
+    _, log_base, iota = _subset_log_arrays(sys, q_kernel)
+    return float(logsumexp(log_base + alpha * iota) / (alpha - 1.0))
 
 
 def cond_alpha_mi(sys: SubsetSystem, alpha: float) -> float:
     """Conditional alpha-mutual information I_alpha(W; S | Z-tilde)."""
     if alpha <= 1:
         raise ValueError("alpha must exceed 1")
-    _, iota = _subset_log_arrays(sys)
+    _, _, iota = _subset_log_arrays(sys)
     with np.errstate(divide="ignore"):
         log_pzt = np.log(sys.p_ztilde)
         log_ps = np.log(sys.p_s)
@@ -336,7 +322,7 @@ def posterior_kls_standard(sys: StandardSystem,
 
 def posterior_kls_subset(sys: SubsetSystem, q_kernel=None) -> np.ndarray:
     """KL(P_{W|ztilde,s} || P_{W|ztilde}), shape (|Ztilde|, |S|)."""
-    _, iota = _subset_log_arrays(sys, q_kernel)
+    _, _, iota = _subset_log_arrays(sys, q_kernel)
     terms = np.zeros_like(iota)
     sup = iota > NEG_INF
     terms[sup] = sys.cond[sup] * iota[sup]

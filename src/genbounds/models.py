@@ -14,7 +14,6 @@ from pathlib import Path
 from typing import Any, Mapping, Sequence
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .prob import (
     NEG_INF,
@@ -24,6 +23,7 @@ from .prob import (
     Kernel,
     check_budget,
     iid_power,
+    logsumexp,
 )
 
 
@@ -51,6 +51,9 @@ class LossTable:
         object.__setattr__(self, "instances", tuple(self.instances))
         if vals.shape != (len(self.hypotheses), len(self.instances)):
             raise ValueError("loss matrix shape mismatch")
+        if not (np.all(np.isfinite(vals)) and math.isfinite(self.a)
+                and math.isfinite(self.b)):
+            raise ValueError("loss values and range must be finite")
         if self.a > self.b:
             raise ValueError("empty loss range")
         if np.any(vals < self.a - 1e-15) or np.any(vals > self.b + 1e-15):
@@ -58,8 +61,9 @@ class LossTable:
         default_sigma = (self.b - self.a) / 2.0
         if self.sigma is None:
             object.__setattr__(self, "sigma", default_sigma)
-        elif self.sigma < default_sigma - 1e-15:
-            raise ValueError("sigma below (b-a)/2 is not sub-Gaussian for this range")
+        elif not default_sigma - 1e-15 <= self.sigma < math.inf:
+            raise ValueError("sigma must be finite and at least (b-a)/2, "
+                             "the sub-Gaussian parameter of this range")
 
     def loss(self, w: Any, z: Any) -> float:
         return float(self.values[self.hypotheses.index(w), self.instances.index(z)])
@@ -85,6 +89,7 @@ def zero_one_loss(labels: Sequence[Any]) -> LossTable:
 
 
 def _zvecs(loss: LossTable, n: int) -> list[tuple]:
+    check_budget(len(loss.instances) ** n * len(loss.hypotheses))
     return list(itertools.product(loss.instances, repeat=n))
 
 
@@ -146,6 +151,14 @@ def identity_kernel(loss: LossTable) -> Kernel:
 # -- assembled systems ------------------------------------------------------
 
 
+def _set_derived(system, **fields) -> None:
+    """Set the derived fields of a frozen system; arrays become read-only."""
+    for name, value in fields.items():
+        if isinstance(value, np.ndarray):
+            value.flags.writeable = False
+        object.__setattr__(system, name, value)
+
+
 @dataclass(frozen=True, eq=False)
 class StandardSystem:
     """The standard setting: iid data, learner kernel, derived joint and marginal.
@@ -155,6 +168,7 @@ class StandardSystem:
     error at each atom.
     """
 
+    setting = "standard"
     pz: FiniteDistribution
     n: int
     learner: Kernel
@@ -186,16 +200,8 @@ class StandardSystem:
         pop = np.array([self.loss.population_loss(w, self.pz) for w in w_labels])
         emp = np.array([[self.loss.empirical_loss(w, zvec) for zvec in zvecs]
                         for w in w_labels])
-        gen = pop[:, None] - emp
-        for arr in (pzn_mass, cond, joint, pw, gen):
-            arr.flags.writeable = False
-        object.__setattr__(self, "zvecs", zvecs)
-        object.__setattr__(self, "w_labels", tuple(w_labels))
-        object.__setattr__(self, "pzn_mass", pzn_mass)
-        object.__setattr__(self, "cond", cond)
-        object.__setattr__(self, "joint", joint)
-        object.__setattr__(self, "pw_mass", pw)
-        object.__setattr__(self, "gen_table", gen)
+        _set_derived(self, zvecs=zvecs, w_labels=tuple(w_labels), pzn_mass=pzn_mass,
+                     cond=cond, joint=joint, pw_mass=pw, gen_table=pop[:, None] - emp)
 
     @property
     def sigma(self) -> float:
@@ -233,6 +239,7 @@ class SubsetSystem:
     ordinary generalization error on the selected half.
     """
 
+    setting = "subset"
     pz: FiniteDistribution
     n: int
     learner: Kernel
@@ -277,18 +284,10 @@ class SubsetSystem:
                 test = self.loss.values[:, unsel_i].mean(axis=1)
                 genhat[zi, si, :] = test - train
                 gen_sel[zi, si, :] = pop - train
-        pw_given = cond.mean(axis=1)  # P_S is uniform
-        for arr in (p_ztilde, p_s, cond, pw_given, genhat, gen_sel):
-            arr.flags.writeable = False
-        object.__setattr__(self, "ztildes", ztildes)
-        object.__setattr__(self, "s_vecs", s_vecs)
-        object.__setattr__(self, "w_labels", tuple(w_labels))
-        object.__setattr__(self, "p_ztilde", p_ztilde)
-        object.__setattr__(self, "p_s", p_s)
-        object.__setattr__(self, "cond", cond)
-        object.__setattr__(self, "pw_given", pw_given)
-        object.__setattr__(self, "genhat", genhat)
-        object.__setattr__(self, "gen_sel", gen_sel)
+        _set_derived(self, ztildes=ztildes, s_vecs=s_vecs, w_labels=tuple(w_labels),
+                     p_ztilde=p_ztilde, p_s=p_s, cond=cond,
+                     pw_given=cond.mean(axis=1),  # P_S is uniform
+                     genhat=genhat, gen_sel=gen_sel)
 
     def select(self, ztilde: tuple, s: tuple) -> tuple:
         """Training vector z(s): the ith sample is ztilde[i + s_i * n]."""
@@ -400,12 +399,10 @@ def load_problem(path_or_doc: Any) -> tuple[str, StandardSystem | SubsetSystem]:
         pz = FiniteDistribution.uniform(instances)
     n = int(doc["n"])
     loss = _parse_loss(doc["loss"], instances)
-    # size the joint before enumerating any z-vector grid
-    n_w = len(loss.hypotheses)
-    if setting == "standard":
-        check_budget(len(instances) ** n * n_w)
-    else:
-        check_budget(len(instances) ** (2 * n) * 2 ** n * n_w)
+    if setting == "subset":
+        # every enumerator checks its own grid, but a subset joint outgrows
+        # its learner's: size it before building the learner
+        check_budget(len(instances) ** (2 * n) * 2 ** n * len(loss.hypotheses))
     learner_n = n  # subset learners act on the selected half, also length n
     learner = _parse_learner(doc["learner"], loss, learner_n)
     if setting == "standard":

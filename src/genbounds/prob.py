@@ -13,7 +13,6 @@ from decimal import Decimal
 from typing import Any, Iterable, Mapping, Sequence
 
 import numpy as np
-from scipy.special import logsumexp
 
 MASS_ATOL = 1e-12
 LOADER_NORMALIZE_ATOL = 1e-9
@@ -36,6 +35,28 @@ class BudgetExceededError(RuntimeError):
     """The requested system exceeds the exact-enumeration atom budget."""
 
 
+def logsumexp(a: Any, axis: int | None = None) -> Any:
+    """log(sum(exp(a))) along ``axis`` (all axes by default).
+
+    Every maximal term is taken out of the sum, whose m copies contribute
+    log(m) exactly: log1p(s / m) + log(m) + max, as scipy.special.logsumexp
+    computes it. An all -inf (or empty) reduction gives -inf.
+    """
+    a = np.atleast_1d(np.asarray(a, dtype=float))
+    if a.size == 0:
+        return NEG_INF
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        a_max = np.max(a, axis=axis, keepdims=True)
+        top = a == a_max
+        m = np.sum(top, axis=axis, keepdims=True, dtype=float)
+        s = np.sum(np.exp(np.where(top, NEG_INF, a) - a_max), axis=axis, keepdims=True)
+        out = np.log1p(s / m) + np.log(m) + a_max
+        edge = ~np.isfinite(out)  # infinite or NaN maximum: sum directly
+        if edge.any():
+            out = np.where(edge, np.log(np.sum(np.exp(a), axis=axis, keepdims=True)), out)
+    return np.squeeze(out, axis=axis)[()]
+
+
 def _to_log_mass(probs: Sequence[Any]) -> np.ndarray:
     p = np.asarray([float(x) for x in probs], dtype=float)
     if np.any(p < 0.0):
@@ -56,6 +77,8 @@ class FiniteDistribution:
             raise InvalidDistributionError("outcomes and log_mass length mismatch")
         if len(set(self.outcomes)) != len(self.outcomes):
             raise InvalidDistributionError("duplicate outcome labels")
+        if not np.all(lm < math.inf):
+            raise InvalidDistributionError("probability masses must be finite")
         total = math.exp(logsumexp(lm)) if lm.size else 0.0
         if abs(total - 1.0) > MASS_ATOL:
             raise InvalidDistributionError(f"masses sum to {total!r}, not 1")
@@ -123,13 +146,6 @@ class FiniteDistribution:
 
     def __repr__(self) -> str:
         return f"FiniteDistribution({len(self)} outcomes)"
-
-    def allclose(self, other: "FiniteDistribution", atol: float = MASS_ATOL) -> bool:
-        if set(self.outcomes) != set(other.outcomes):
-            return False
-        return all(
-            abs(self.mass_of(o) - other.mass_of(o)) <= atol for o in self.outcomes
-        )
 
 
 class JointTable(FiniteDistribution):
@@ -207,6 +223,7 @@ def iid_power(p: FiniteDistribution, n: int) -> FiniteDistribution:
     """Distribution of n iid draws, over length-n label tuples."""
     if n < 1:
         raise ValueError("iid_power requires n >= 1")
+    check_budget(len(p) ** n)
     outcomes = list(itertools.product(p.outcomes, repeat=n))
     lm = np.array([sum(p.log_mass_of(x) for x in vec) for vec in outcomes])
     return FiniteDistribution(outcomes, lm)

@@ -10,25 +10,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
-from scipy.special import logsumexp
 
 from . import bounds_standard as bstd
 from . import bounds_subset as bsub
-from .measures import (
-    T_INF,
-    central_moment,
-    cond_maximal_leakage,
-    conditional_density,
-    information_density,
-    max_information,
-    maximal_leakage,
-    posterior_kls_subset,
-    _standard_log_arrays,
-    _subset_log_arrays,
-)
+from .engine import BoundResult, _View
+from .measures import (T_INF, central_moment, density, information_density, max_information,
+                       maximal_leakage)
 from .models import (
     LossTable,
     StandardSystem,
@@ -37,7 +27,7 @@ from .models import (
     assemble_subset,
     gibbs_kernel,
 )
-from .prob import NEG_INF, FiniteDistribution, check_budget
+from .prob import NEG_INF, FiniteDistribution, check_budget, logsumexp
 
 COVERAGE_TOL = 1e-12
 EXP_INEQ_TOL = 1e-9
@@ -60,13 +50,31 @@ class CoverageReport:
             raise ValueError("holds flag inconsistent with violation probability")
 
 
+def _view(sys: StandardSystem | SubsetSystem) -> _View:
+    """The setting's view of ``sys``, with its default constants."""
+    view = bstd._StandardView if sys.setting == "standard" else bsub._SubsetView
+    return view(sys)
+
+
 # -- exponential inequalities ----------------------------------------------
 
 
-def _lambda_grid(scale: float, grid: Sequence[float] | None) -> np.ndarray:
-    if grid is not None:
-        return np.asarray(grid, dtype=float)
-    return np.asarray(DEFAULT_LAMBDA_SCALES) * scale
+def _exp_inequality(view: _View, variance: float,
+                    lambda_grid: Sequence[float] | None) -> float:
+    """max over lambda of E_base[exp(lambda value - lambda^2 variance/(2n))]
+    over the density's support, i.e. E[exp(lambda value - ... - iota)]."""
+    n = view.sys.n
+    if lambda_grid is None:
+        grid = np.asarray(DEFAULT_LAMBDA_SCALES) * (n / variance)
+    else:
+        grid = np.asarray(lambda_grid, dtype=float)
+    sup = view.iota > NEG_INF
+    base, values = view.log_base[sup], view.values[sup]
+    worst = -math.inf
+    for lam in grid:
+        terms = base + lam * values - lam ** 2 * variance / (2.0 * n)
+        worst = max(worst, float(math.exp(logsumexp(terms))))
+    return worst
 
 
 def check_exp_inequality_standard(sys: StandardSystem,
@@ -79,37 +87,15 @@ def check_exp_inequality_standard(sys: StandardSystem,
     sub-Gaussian assumption.
     """
     sigma = sys.sigma if sigma is None else float(sigma)
-    grid = _lambda_grid(sys.n / sigma ** 2, lambda_grid)
-    log_joint, log_base, _ = _standard_log_arrays(sys)
-    sup = log_joint > NEG_INF
-    base = log_base[sup]
-    gen = sys.gen_table.T[sup]
-    worst = -math.inf
-    for lam in grid:
-        terms = base + lam * gen - lam ** 2 * sigma ** 2 / (2.0 * sys.n)
-        worst = max(worst, float(math.exp(logsumexp(terms))))
-    return worst
+    return _exp_inequality(bstd._StandardView(sys), sigma ** 2, lambda_grid)
 
 
 def check_exp_inequality_subset(sys: SubsetSystem,
                                 lambda_grid: Sequence[float] | None = None,
                                 c: float | None = None) -> float:
     """Subset analog with the test-minus-train gap and the range constant."""
-    c = bsub.range_constant(sys.loss).value if c is None else float(c)
-    grid = _lambda_grid(sys.n / c, lambda_grid)
-    _, iota = _subset_log_arrays(sys)
-    sup = iota > NEG_INF
-    with np.errstate(divide="ignore"):
-        log_base = (np.log(sys.p_ztilde)[:, None, None]
-                    + np.log(sys.p_s)[None, :, None]
-                    + np.log(sys.pw_given)[:, None, :])
-    base = log_base[sup]
-    gap = sys.genhat[sup]
-    worst = -math.inf
-    for lam in grid:
-        terms = base + lam * gap - lam ** 2 * c / (2.0 * sys.n)
-        worst = max(worst, float(math.exp(logsumexp(terms))))
-    return worst
+    view = bsub._SubsetView(sys)
+    return _exp_inequality(view, view.variance if c is None else float(c), lambda_grid)
 
 
 # -- exact pushforward distributions ---------------------------------------
@@ -140,15 +126,19 @@ def exact_gen_hat_distribution(sys: SubsetSystem) -> FiniteDistribution:
     return _pushforward(sys.genhat, sys.joint)
 
 
-def quantile(dist: FiniteDistribution, q: float) -> float:
-    """Smallest value v with P[X <= v] >= q (values sorted ascending)."""
-    pairs = sorted((float(o), m) for o, m in zip(dist.outcomes, dist.mass))
+def _first_reaching(pairs: Iterable[tuple[float, float]], q: float) -> float:
+    """The first value, in ascending order, at which the cumulative mass reaches q."""
     acc = 0.0
     for v, m in pairs:
         acc += m
         if acc >= q - 1e-12:
             return v
-    return pairs[-1][0]
+    return v
+
+
+def quantile(dist: FiniteDistribution, q: float) -> float:
+    """Smallest value v with P[X <= v] >= q (values sorted ascending)."""
+    return _first_reaching(sorted((float(o), m) for o, m in zip(dist.outcomes, dist.mass)), q)
 
 
 def abs_quantile(dist: FiniteDistribution, q: float) -> float:
@@ -157,42 +147,95 @@ def abs_quantile(dist: FiniteDistribution, q: float) -> float:
     for o, m in zip(dist.outcomes, dist.mass):
         key = round(abs(float(o)), 12)
         groups[key] = groups.get(key, 0.0) + float(m)
-    acc = 0.0
-    for v in sorted(groups):
-        acc += groups[v]
-        if acc >= q - 1e-12:
-            return v
-    return max(groups)
+    return _first_reaching(sorted(groups.items()), q)
 
 
-# -- exact coverage ---------------------------------------------------------
+# -- the bound registry and exact coverage -----------------------------------
 
 
-def _posterior_mean_gen(sys: StandardSystem) -> np.ndarray:
-    """E_{P_W|z}[gen] per z-vector."""
-    return np.sum(sys.cond * sys.gen_table.T, axis=1)
+class Bound(NamedTuple):
+    """A registry entry.
+
+    ``evaluate(sys, delta, t, alpha, gamma)`` returns a BoundResult, or for
+    a data-dependent bound its epsilon at every posterior or atom (NaN
+    where infeasible). ``covers`` names what ``coverage`` compares epsilon
+    with: "posterior" the posterior mean of the bounded value, "atom" the
+    bounded value at each joint atom, "gen" the ordinary generalization
+    error at each joint atom, and None marks an average bound, which has no
+    coverage.
+    """
+
+    setting: str  # standard | subset
+    evaluate: Callable[..., Any]
+    covers: str | None
+    data_dependent: bool = False
 
 
-def _posterior_mean_gap(sys: SubsetSystem) -> np.ndarray:
-    """E_{P_W|zt,s}[gen-hat] per (z-tilde, s)."""
-    return np.sum(sys.cond * sys.genhat, axis=2)
+def _pointwise(info: Callable[[_View, float], np.ndarray]) -> Callable[..., np.ndarray]:
+    def evaluate(sys, delta, t, alpha, gamma):
+        view = _view(sys)
+        return view.epsilons(info(view, delta))
+    return evaluate
 
 
-def _violation_constant_standard(sys: StandardSystem, result) -> float:
-    """P[|gen| > eps] for a data-independent single-draw bound."""
-    if not result.feasible:
-        return 1.0
-    mask = np.abs(sys.gen_table.T) > result.epsilon + COVERAGE_TOL
-    return float(np.sum(sys.joint[mask]))
+# Ordered: the report panel and the coverage ids follow this order.
+BOUNDS: dict[str, Bound] = {
+    "avg": Bound("standard", lambda s, d, t, a, g: bstd.avg_mi_bound(s), None),
+    "pacb": Bound("standard", _pointwise(_View.pacb_info), "posterior", True),
+    "pacb_moment": Bound(
+        "standard", lambda s, d, t, a, g: bstd.pacb_moment_bound(s, d, t), "posterior"),
+    "sd_density": Bound("standard", _pointwise(_View.density_info), "atom", True),
+    "sd_moment": Bound(
+        "standard", lambda s, d, t, a, g: bstd.sd_moment_bound(s, d, t), "atom"),
+    "sd_leakage": Bound(
+        "standard", lambda s, d, t, a, g: bstd.sd_leakage_bound(s, d), "atom"),
+    "sd_renyi": Bound(
+        "standard", lambda s, d, t, a, g: bstd.sd_renyi_bound(s, d, a), "atom"),
+    "sd_tail": Bound(
+        "standard", lambda s, d, t, a, g: bstd.sd_tail_bound(s, d, g), "atom"),
+    "tail_relax_moment": Bound(
+        "standard", lambda s, d, t, a, g: bstd.tail_relaxations(s, d, t)[0], "atom"),
+    "tail_relax_leakage": Bound(
+        "standard", lambda s, d, t, a, g: bstd.tail_relaxations(s, d, t)[1], "atom"),
+    "cmi": Bound("subset", lambda s, d, t, a, g: bsub.cmi_avg_bound(s), None),
+    "cond_pacb": Bound("subset", _pointwise(_View.pacb_info), "posterior", True),
+    "cond_pacb_moment": Bound(
+        "subset", lambda s, d, t, a, g: bsub.cond_pacb_moment_bound(s, d, t), "posterior"),
+    "cond_sd_density": Bound("subset", _pointwise(_View.density_info), "atom", True),
+    "cond_sd_moment": Bound(
+        "subset", lambda s, d, t, a, g: bsub.cond_sd_moment_bound(s, d, t), "atom"),
+    "cond_sd_leakage": Bound(
+        "subset", lambda s, d, t, a, g: bsub.cond_sd_leakage_bound(s, d), "atom"),
+    "cond_sd_renyi": Bound(
+        "subset", lambda s, d, t, a, g: bsub.cond_sd_renyi_pair_bound(s, d, a), "atom"),
+    "cond_tail": Bound(
+        "subset", lambda s, d, t, a, g: bsub.cond_tail_bound(s, d, g), "atom"),
+    "cond_tail_relax_moment": Bound(
+        "subset", lambda s, d, t, a, g: bsub.cond_tail_relaxations(s, d, t)[0], "atom"),
+    "cond_tail_relax_leakage": Bound(
+        "subset", lambda s, d, t, a, g: bsub.cond_tail_relaxations(s, d, t)[1], "atom"),
+    "cond_alpha_mi": Bound(
+        "subset", lambda s, d, t, a, g: bsub.cond_alpha_mi_bound(s, d, a), "atom"),
+    "genhat_to_gen": Bound("subset", lambda s, d, t, a, g: bsub.genhat_to_gen(
+        lambda half: bsub.cond_sd_moment_bound(s, half, t).epsilon, s.loss, s.n, d),
+        "gen"),
+}
 
 
-def _violation_constant_subset(sys: SubsetSystem, result,
-                               values: np.ndarray | None = None) -> float:
-    if not result.feasible:
-        return 1.0
-    values = sys.genhat if values is None else values
-    mask = np.abs(values) > result.epsilon + COVERAGE_TOL
-    return float(np.sum(sys.joint[mask]))
+def panel_ids(setting: str) -> tuple:
+    """The data-independent bounds of ``setting``, in registry order."""
+    return tuple(k for k, b in BOUNDS.items()
+                 if b.setting == setting and not b.data_dependent)
+
+
+def coverage_ids(setting: str) -> tuple:
+    """The bounds of ``setting`` that ``coverage`` evaluates, in registry order."""
+    return tuple(k for k, b in BOUNDS.items()
+                 if b.setting == setting and b.covers is not None)
+
+
+STANDARD_COVERAGE_IDS = coverage_ids("standard")
+SUBSET_COVERAGE_IDS = coverage_ids("subset")
 
 
 def coverage(sys: StandardSystem | SubsetSystem, bound_id: str, delta: float,
@@ -203,112 +246,28 @@ def coverage(sys: StandardSystem | SubsetSystem, bound_id: str, delta: float,
     data-independent bound that is infeasible outright has violation
     probability 1.
     """
+    if bound_id not in coverage_ids(sys.setting):
+        raise KeyError(f"unknown bound id {bound_id!r} for a {sys.setting} system")
     params = dict(params or {})
-    t = params.get("t", 2)
-    alpha = params.get("alpha", 2.0)
-    gamma = params.get("gamma", "auto")
-    if isinstance(sys, StandardSystem):
-        viol = _coverage_standard(sys, bound_id, delta, t, alpha, gamma)
-    else:
-        viol = _coverage_subset(sys, bound_id, delta, t, alpha, gamma)
+    entry = BOUNDS[bound_id]
+    eps = entry.evaluate(sys, delta, params.get("t", 2), params.get("alpha", 2.0),
+                         params.get("gamma", "auto"))
+    viol = _violation(_view(sys), entry.covers, eps)
     return CoverageReport(bound_id, delta, viol, viol <= delta + COVERAGE_TOL)
 
 
-def _coverage_standard(sys: StandardSystem, bound_id: str, delta: float,
-                       t: Any, alpha: float, gamma: Any) -> float:
-    if bound_id == "pacb":
-        pg = _posterior_mean_gen(sys)
-        viol = 0.0
-        for zi, zvec in enumerate(sys.zvecs):
-            if sys.pzn_mass[zi] <= 0.0:
-                continue
-            res = bstd.pacb_bound(sys, zvec, delta)
-            if not res.feasible or abs(pg[zi]) > res.epsilon + COVERAGE_TOL:
-                viol += float(sys.pzn_mass[zi])
-        return viol
-    if bound_id == "pacb_moment":
-        res = bstd.pacb_moment_bound(sys, delta, t)
-        if not res.feasible:
+def _violation(view: _View, covers: str, eps: BoundResult | np.ndarray) -> float:
+    """Exact mass of the posteriors or atoms where epsilon (a constant, or
+    one per posterior or atom) fails to bound the absolute value."""
+    if isinstance(eps, BoundResult):
+        if not eps.feasible:
             return 1.0
-        pg = _posterior_mean_gen(sys)
-        mask = np.abs(pg) > res.epsilon + COVERAGE_TOL
-        return float(np.sum(sys.pzn_mass[mask]))
-    if bound_id == "sd_density":
-        tbl = information_density(sys)
-        rate = 2.0 * sys.sigma ** 2 / sys.n
-        viol = 0.0
-        for (w, zvec), lp, iota in zip(tbl.outcomes, tbl.log_p, tbl.iota):
-            radicand = rate * (iota + math.log(1.0 / delta))
-            atom_gen = sys.gen_table[sys.w_labels.index(w), sys.zvecs.index(zvec)]
-            if radicand < 0.0 or abs(atom_gen) > math.sqrt(radicand) + COVERAGE_TOL:
-                viol += math.exp(lp)
-        return viol
-    makers = {
-        "sd_moment": lambda: bstd.sd_moment_bound(sys, delta, t),
-        "sd_leakage": lambda: bstd.sd_leakage_bound(sys, delta),
-        "sd_renyi": lambda: bstd.sd_renyi_bound(sys, delta, alpha),
-        "sd_tail": lambda: bstd.sd_tail_bound(sys, delta, gamma),
-        "tail_relax_moment": lambda: bstd.tail_relaxations(sys, delta, t)[0],
-        "tail_relax_leakage": lambda: bstd.tail_relaxations(sys, delta, t)[1],
-    }
-    if bound_id not in makers:
-        raise KeyError(f"unknown bound id {bound_id!r} for a standard system")
-    return _violation_constant_standard(sys, makers[bound_id]())
-
-
-def _coverage_subset(sys: SubsetSystem, bound_id: str, delta: float,
-                     t: Any, alpha: float, gamma: Any) -> float:
-    mass_zs = sys.p_ztilde[:, None] * sys.p_s[None, :]
-    if bound_id == "cond_pacb":
-        pg = _posterior_mean_gap(sys)
-        kls = posterior_kls_subset(sys)
-        rate = 2.0 * bsub.range_constant(sys.loss).value / sys.n
-        eps = np.sqrt(rate * (kls + math.log(1.0 / delta)))
-        mask = np.abs(pg) > eps + COVERAGE_TOL
-        return float(np.sum(mass_zs[mask]))
-    if bound_id == "cond_pacb_moment":
-        res = bsub.cond_pacb_moment_bound(sys, delta, t)
-        if not res.feasible:
-            return 1.0
-        pg = _posterior_mean_gap(sys)
-        mask = np.abs(pg) > res.epsilon + COVERAGE_TOL
-        return float(np.sum(mass_zs[mask]))
-    if bound_id == "cond_sd_density":
-        _, iota = _subset_log_arrays(sys)
-        rate = 2.0 * bsub.range_constant(sys.loss).value / sys.n
-        radicand = rate * (iota + math.log(1.0 / delta))
-        joint = sys.joint
-        sup = joint > 0.0
-        eps = np.sqrt(np.where(radicand >= 0.0, radicand, 0.0))
-        bad = (radicand < 0.0) | (np.abs(sys.genhat) > eps + COVERAGE_TOL)
-        return float(np.sum(joint[sup & bad]))
-    if bound_id == "genhat_to_gen":
-        res = bsub.genhat_to_gen(
-            lambda d: bsub.cond_sd_moment_bound(sys, d, t).epsilon,
-            sys.loss, sys.n, delta)
-        return _violation_constant_subset(sys, res, values=sys.gen_sel)
-    makers = {
-        "cond_sd_moment": lambda: bsub.cond_sd_moment_bound(sys, delta, t),
-        "cond_sd_leakage": lambda: bsub.cond_sd_leakage_bound(sys, delta),
-        "cond_sd_renyi": lambda: bsub.cond_sd_renyi_pair_bound(sys, delta, alpha),
-        "cond_tail": lambda: bsub.cond_tail_bound(sys, delta, gamma),
-        "cond_tail_relax_moment": lambda: bsub.cond_tail_relaxations(sys, delta, t)[0],
-        "cond_tail_relax_leakage": lambda: bsub.cond_tail_relaxations(sys, delta, t)[1],
-        "cond_alpha_mi": lambda: bsub.cond_alpha_mi_bound(sys, delta, alpha),
-    }
-    if bound_id not in makers:
-        raise KeyError(f"unknown bound id {bound_id!r} for a subset system")
-    return _violation_constant_subset(sys, makers[bound_id]())
-
-
-STANDARD_COVERAGE_IDS = ("pacb", "pacb_moment", "sd_density", "sd_moment",
-                         "sd_leakage", "sd_renyi", "sd_tail",
-                         "tail_relax_moment", "tail_relax_leakage")
-SUBSET_COVERAGE_IDS = ("cond_pacb", "cond_pacb_moment", "cond_sd_density",
-                       "cond_sd_moment", "cond_sd_leakage", "cond_sd_renyi",
-                       "cond_tail", "cond_tail_relax_moment",
-                       "cond_tail_relax_leakage", "cond_alpha_mi",
-                       "genhat_to_gen")
+        eps = eps.epsilon
+    if covers == "posterior":
+        values, mass = np.sum(view.cond * view.values, axis=-1), view.mass
+    else:
+        values, mass = (view.gen if covers == "gen" else view.values), view.joint
+    return float(np.sum(mass[~(np.abs(values) <= eps + COVERAGE_TOL)]))
 
 
 # -- classical helpers ------------------------------------------------------
@@ -323,16 +282,8 @@ def strong_converse_check(p: FiniteDistribution, q: FiniteDistribution,
                   if lm > NEG_INF and member(o))
     q_event = sum(math.exp(lm) for o, lm in zip(q.outcomes, q.log_mass)
                   if lm > NEG_INF and member(o))
-    tail = 0.0
-    for o, lm in zip(p.outcomes, p.log_mass):
-        if lm == NEG_INF:
-            continue
-        lq = q.log_mass_of(o) if o in q._index else NEG_INF
-        if lq == NEG_INF:
-            from .prob import AbsoluteContinuityViolation
-            raise AbsoluteContinuityViolation(f"P-atom {o!r} has zero Q-mass")
-        if lm - lq > gamma:
-            tail += math.exp(lm)
+    tbl = density(p, q)
+    tail = sum((math.exp(lp) for lp, i in zip(tbl.log_p, tbl.iota) if i > gamma), 0.0)
     rhs = tail + math.exp(gamma) * q_event
     return {"p_event": p_event, "density_tail": tail, "q_event": q_event,
             "rhs": rhs, "holds": p_event <= rhs + COVERAGE_TOL}
@@ -415,61 +366,53 @@ def run_verification_suite(seed: int = 0, n_instances: int = 50,
     failures: list[str] = []
     checks = 0
     rng = np.random.default_rng(seed)
-    standard = [load_fixture("inst_a")[1], load_fixture("inst_c")[1]]
-    subset = [load_fixture("inst_b")[1]]
+    systems = {"standard": [load_fixture("inst_a")[1], load_fixture("inst_c")[1]],
+               "subset": [load_fixture("inst_b")[1]]}
     for _ in range(n_instances):
-        standard.append(random_standard_system(rng))
-        subset.append(random_subset_system(rng))
-
-    for i, sys in enumerate(standard):
-        checks += 1
-        worst = check_exp_inequality_standard(sys, sigma=sys.sigma * sigma_scale)
-        if worst > 1.0 + EXP_INEQ_TOL:
-            failures.append(f"exp-inequality standard[{i}]: worst={worst:.6g}")
-        tbl = information_density(sys)
-        leak, imax = maximal_leakage(sys), max_information(sys)
-        checks += 1
-        if not (leak <= imax + 1e-9
-                and imax <= tbl.mean + central_moment(tbl, T_INF) + 1e-9):
-            failures.append(f"chain violated on standard[{i}]")
-        for delta in deltas:
-            eps_m, _ = bstd.tail_relaxations(sys, delta, 2)
-            direct = bstd.sd_moment_bound(sys, delta, 2)
-            gap = eps_m.epsilon ** 2 - direct.epsilon ** 2
-            checks += 1
-            if abs(gap - 2.0 * sys.sigma ** 2 / sys.n * math.log(2.0)) > 1e-12:
-                failures.append(f"gap identity violated on standard[{i}] delta={delta}")
-            for bound_id in STANDARD_COVERAGE_IDS:
+        systems["standard"].append(random_standard_system(rng))
+        systems["subset"].append(random_subset_system(rng))
+    # per setting: exponential check, ordering check, (relaxed, direct) moment bounds
+    suites = {
+        "standard": (
+            lambda sys: check_exp_inequality_standard(sys, sigma=sys.sigma * sigma_scale),
+            ("chain", _chain_holds), ("tail_relax_moment", "sd_moment")),
+        "subset": (
+            lambda sys: check_exp_inequality_subset(
+                sys, c=bsub.range_constant(sys.loss).value * sigma_scale ** 2),
+            ("leakage ordering", lambda sys: bsub.leakage_ordering_check(sys)["holds"]),
+            ("cond_tail_relax_moment", "cond_sd_moment")),
+    }
+    for setting, (exp_check, (order_name, order_holds), pair) in suites.items():
+        for i, sys in enumerate(systems[setting]):
+            name = f"{setting}[{i}]"
+            checks += 2
+            worst = exp_check(sys)
+            if worst > 1.0 + EXP_INEQ_TOL:
+                failures.append(f"exp-inequality {name}: worst={worst:.6g}")
+            if not order_holds(sys):
+                failures.append(f"{order_name} violated on {name}")
+            rate = _view(sys).rate
+            for delta in deltas:
+                relaxed, direct = (BOUNDS[k].evaluate(sys, delta, 2, 2.0, "auto")
+                                   for k in pair)
                 checks += 1
-                rep = coverage(sys, bound_id, delta)
-                if not rep.holds:
-                    failures.append(
-                        f"coverage {bound_id} standard[{i}] delta={delta}: "
-                        f"viol={rep.exact_violation_prob:.6g}")
-
-    for i, sys in enumerate(subset):
-        checks += 1
-        c_val = bsub.range_constant(sys.loss).value
-        worst = check_exp_inequality_subset(sys, c=c_val * sigma_scale ** 2)
-        if worst > 1.0 + EXP_INEQ_TOL:
-            failures.append(f"exp-inequality subset[{i}]: worst={worst:.6g}")
-        checks += 1
-        if not bsub.leakage_ordering_check(sys)["holds"]:
-            failures.append(f"leakage ordering violated on subset[{i}]")
-        for delta in deltas:
-            eps_m, _ = bsub.cond_tail_relaxations(sys, delta, 2)
-            direct = bsub.cond_sd_moment_bound(sys, delta, 2)
-            gap = eps_m.epsilon ** 2 - direct.epsilon ** 2
-            checks += 1
-            if abs(gap - 2.0 * c_val / sys.n * math.log(2.0)) > 1e-12:
-                failures.append(f"gap identity violated on subset[{i}] delta={delta}")
-            for bound_id in SUBSET_COVERAGE_IDS:
-                checks += 1
-                rep = coverage(sys, bound_id, delta)
-                if not rep.holds:
-                    failures.append(
-                        f"coverage {bound_id} subset[{i}] delta={delta}: "
-                        f"viol={rep.exact_violation_prob:.6g}")
+                if abs(relaxed.epsilon ** 2 - direct.epsilon ** 2
+                       - rate * math.log(2.0)) > 1e-12:
+                    failures.append(f"gap identity violated on {name} delta={delta}")
+                for bound_id in coverage_ids(setting):
+                    checks += 1
+                    rep = coverage(sys, bound_id, delta)
+                    if not rep.holds:
+                        failures.append(
+                            f"coverage {bound_id} {name} delta={delta}: "
+                            f"viol={rep.exact_violation_prob:.6g}")
 
     return {"passed": not failures, "checks": checks, "failures": failures,
             "seed": seed}
+
+
+def _chain_holds(sys: StandardSystem) -> bool:
+    """maximal leakage <= max-information <= I + M_inf."""
+    tbl = information_density(sys)
+    leak, imax = maximal_leakage(sys), max_information(sys)
+    return leak <= imax + 1e-9 and imax <= tbl.mean + central_moment(tbl, T_INF) + 1e-9

@@ -284,6 +284,12 @@ class TestCondAlphaMiBound:
         with pytest.raises(ValueError):
             cond_alpha_mi_bound(inst_b, 0.1, 0.9)
 
+    @pytest.mark.parametrize("alpha", [-math.inf, math.nan])
+    def test_minus_inf_and_nan_alpha_rejected(self, inst_b, alpha):
+        # -inf is not the alpha -> inf leakage limit
+        with pytest.raises(ValueError, match="alpha must exceed 1"):
+            cond_alpha_mi_bound(inst_b, 0.1, alpha)
+
 
 class TestGenhatToGen:
     def test_composition_value(self, inst_b):

@@ -204,3 +204,38 @@ class TestSweep:
                            {"problem": STANDARD_PROBLEM,
                             "axis": "zeta", "values": [1]})
         assert main(["sweep", "--config", cfg]) == 2
+
+
+class TestNonFiniteConfig:
+    @pytest.mark.parametrize("problem", [
+        dict(STANDARD_PROBLEM, loss={"hypotheses": [0, 1],
+                                     "matrix": [[float("nan"), 1], [1, 0]],
+                                     "range": [0, 1]}),
+        dict(STANDARD_PROBLEM, pz=[float("nan"), 1.0]),
+    ], ids=["nan-loss", "nan-pz"])
+    def test_report_exits_2_without_traceback(self, tmp_path, capsys, problem):
+        cfg = write_config(tmp_path, "cfg.json", {"problem": problem})
+        assert main(["report", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid problem definition")
+        assert "Traceback" not in err
+
+
+class TestInfiniteAlpha:
+    def _sweep(self, tmp_path, **extra):
+        cfg = write_config(tmp_path, "cfg.json",
+                           dict({"problem": SUBSET_PROBLEM, "deltas": [0.1],
+                                 "axis": "alpha", "values": [2.0, "inf"]}, **extra))
+        return main(["sweep", "--config", cfg, "--out", str(tmp_path / "out.csv")])
+
+    def test_renyi_pair_refuses_infinite_alpha(self, tmp_path, capsys):
+        import warnings
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert self._sweep(tmp_path) == 2
+        assert capsys.readouterr().err == "error: alpha must be finite and exceed 1\n"
+
+    def test_alpha_mi_bound_takes_infinite_alpha(self, tmp_path):
+        assert self._sweep(tmp_path, bounds=["cond_alpha_mi"]) == 0
+        rows = read_csv(tmp_path / "out.csv")
+        assert [r["alpha"] for r in rows] == ["2.0", "inf"]

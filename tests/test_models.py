@@ -37,6 +37,20 @@ class TestLossTable:
         with pytest.raises(ValueError):
             LossTable((0,), (0, 1), np.array([[0.0, 1.0]]), 0.0, 1.0, sigma=0.25)
 
+    @pytest.mark.parametrize("matrix, a, b", [
+        ([[math.nan, 1.0]], 0.0, 1.0),
+        ([[0.0, math.inf]], 0.0, math.inf),
+        ([[0.0, 1.0]], -math.inf, 1.0),
+    ])
+    def test_non_finite_values_or_range_rejected(self, matrix, a, b):
+        with pytest.raises(ValueError):
+            LossTable((0,), (0, 1), np.array(matrix), a, b)
+
+    def test_non_finite_sigma_rejected(self):
+        for sigma in (math.nan, math.inf):
+            with pytest.raises(ValueError):
+                LossTable((0,), (0, 1), np.array([[0.0, 1.0]]), 0.0, 1.0, sigma=sigma)
+
     def test_population_and_empirical_loss(self):
         loss = zero_one_loss([0, 1])
         pz = FiniteDistribution.from_probs([0, 1], [0.25, 0.75])
@@ -45,6 +59,15 @@ class TestLossTable:
 
 
 class TestLearnerKernels:
+    @pytest.mark.parametrize("make", [
+        lambda loss: gibbs_kernel(loss, 40, 1.0),
+        lambda loss: erm_kernel(loss, 40),
+        lambda loss: constant_kernel(loss, 40),
+    ])
+    def test_budget_checked_before_enumerating(self, make):
+        with pytest.raises(BudgetExceededError):
+            make(zero_one_loss([0, 1]))
+
     def test_gibbs_beta_zero_is_uniform(self):
         k = gibbs_kernel(zero_one_loss([0, 1, 2]), 2, 0.0)
         for zvec in k.input_labels:

@@ -189,3 +189,76 @@ def test_budget_guard():
     check_budget(5_000_000)
     with pytest.raises(BudgetExceededError):
         check_budget(5_000_001)
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("probs", [[math.nan, 1.0], [math.inf, 0.0],
+                                       [0.5, math.nan]])
+    def test_from_probs_refuses(self, probs):
+        with pytest.raises(InvalidDistributionError):
+            FiniteDistribution.from_probs([0, 1], probs)
+
+    def test_log_masses_refuse_nan_and_plus_inf(self):
+        for lm in ([math.nan, 0.0], [math.inf, -math.inf]):
+            with pytest.raises(InvalidDistributionError):
+                FiniteDistribution([0, 1], lm)
+
+    def test_loader_refuses_nan(self):
+        with pytest.raises(InvalidDistributionError):
+            FiniteDistribution.from_json({"outcomes": [0, 1], "probs": [math.nan, 1.0]})
+
+
+def test_iid_power_checks_budget_before_enumerating():
+    with pytest.raises(BudgetExceededError):
+        iid_power(FiniteDistribution.bernoulli(0.5), 40)
+
+
+def _logsumexp_cases(rng):
+    """Arrays with ties, -inf entries, all -inf slices and +inf / NaN."""
+    for _ in range(300):
+        shape = tuple(int(k) for k in rng.integers(1, 5, size=int(rng.integers(1, 4))))
+        a = rng.normal(0.0, 30.0, size=shape)
+        a = np.round(a, int(rng.integers(0, 3)))  # rounding makes ties common
+        a[rng.uniform(size=shape) < 0.3] = -math.inf
+        yield a
+    yield np.full((3, 2), -math.inf)
+    yield np.array([0.0, math.inf, 1.0])
+    yield np.array([[0.0, math.nan], [1.0, 2.0]])
+    yield np.array([-745.0, -745.0, -1e300])
+
+
+def test_logsumexp_matches_scipy_bitwise(rng):
+    special = pytest.importorskip("scipy.special")
+    from genbounds.prob import logsumexp
+    with np.errstate(all="ignore"):
+        for a in _logsumexp_cases(rng):
+            for axis in [None] + list(range(a.ndim)):
+                ours = np.asarray(logsumexp(a, axis=axis))
+                theirs = np.asarray(special.logsumexp(a, axis=axis))
+                assert ours.shape == theirs.shape
+                assert ours.tobytes() == theirs.tobytes(), (a, axis)
+
+
+def test_logsumexp_of_nothing_is_minus_inf():
+    from genbounds.prob import logsumexp
+    assert logsumexp(np.array([])) == -math.inf
+    assert logsumexp(np.full(4, -math.inf)) == -math.inf
+
+
+def test_import_without_scipy(tmp_path):
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import genbounds
+    code = ("import sys; sys.modules['scipy'] = None\n"
+            "import genbounds\n"
+            "from genbounds.cli import main\n"
+            "assert 'scipy' not in {m.split('.')[0] for m in sys.modules if sys.modules[m]}\n"
+            "rep = genbounds.run_verification_suite(seed=1, n_instances=1)\n"
+            "assert rep['passed'], rep\n")
+    env = {"PYTHONPATH": str(Path(genbounds.__file__).resolve().parents[1]),
+           "PATH": "/usr/bin:/bin"}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=120, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
