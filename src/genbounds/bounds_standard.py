@@ -11,7 +11,7 @@ import math
 from functools import cached_property
 from typing import Any
 
-from .engine import BoundResult, _View, _check_delta, _index, _tail_bound_from_table
+from .engine import BoundResult, _View, _check_delta, _lookup, _tail_bound_from_table
 from .measures import (
     T_INF,
     central_moment,
@@ -56,7 +56,7 @@ def pacb_bound(sys: StandardSystem, zvec: tuple, delta: float,
                q_w: FiniteDistribution | None = None) -> BoundResult:
     """Data-dependent PAC-Bayesian bound at one training set."""
     view = _StandardView(sys, q_w)
-    info = view.pacb_info(delta)[_index(sys.zvecs, zvec)]
+    info = view.pacb_info(delta)[_lookup(sys.z_grid.code, zvec)]
     return view.pointwise(float(info), "pac-bayes", delta, (zvec,))
 
 
@@ -70,19 +70,24 @@ def sd_density_bound(sys: StandardSystem, w: Any, zvec: tuple, delta: float,
                      q_w: FiniteDistribution | None = None) -> BoundResult:
     """Single-draw bound at one (hypothesis, training set) atom."""
     view = _StandardView(sys, q_w)
-    info = view.density_info(delta)[_index(sys.zvecs, zvec), _index(sys.w_labels, w)]
+    info = view.density_info(delta)[_lookup(sys.z_grid.code, zvec),
+                                    _lookup(sys.w_labels.index, w)]
     return view.pointwise(float(info), "single-draw", delta, (w, zvec))
 
 
 def sd_moment_bound(sys: StandardSystem, delta: float, t: Any,
-                    q_w: FiniteDistribution | None = None) -> BoundResult:
-    """Single-draw bound from central moments of the information density."""
-    return _StandardView(sys, q_w).sd_moment(delta, t)
+                    q_w: FiniteDistribution | None = None,
+                    relaxed: bool = False) -> BoundResult:
+    """Single-draw bound from central moments of the information density;
+    ``relaxed`` rederives it through the tail route."""
+    return _StandardView(sys, q_w).sd_moment(delta, t, relaxed)
 
 
-def sd_leakage_bound(sys: StandardSystem, delta: float) -> BoundResult:
-    """Single-draw bound from the maximal leakage."""
-    return _StandardView(sys).sd_leakage(delta)
+def sd_leakage_bound(sys: StandardSystem, delta: float,
+                     relaxed: bool = False) -> BoundResult:
+    """Single-draw bound from the maximal leakage; ``relaxed`` rederives it
+    through the tail route."""
+    return _StandardView(sys).sd_leakage(delta, relaxed)
 
 
 def sd_renyi_bound(sys: StandardSystem, delta: float, alpha: float,

@@ -16,7 +16,7 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .engine import BoundResult, _View, _check_delta, _index, _tail_bound_from_table
+from .engine import BoundResult, _View, _check_delta, _lookup, _tail_bound_from_table
 from .measures import (
     cond_alpha_mi,
     cond_maximal_leakage,
@@ -100,7 +100,8 @@ def cond_pacb_bound(sys: SubsetSystem, ztilde: tuple, s: tuple, delta: float,
                     c: RangeConstant | None = None, q_kernel=None) -> BoundResult:
     """Conditional PAC-Bayesian bound at one (supersample, selector) atom."""
     view = _SubsetView(sys, c, q_kernel)
-    info = view.pacb_info(delta)[_index(sys.ztildes, ztilde), _index(sys.s_vecs, s)]
+    info = view.pacb_info(delta)[_lookup(sys.zt_grid.code, ztilde),
+                                 _lookup(sys.s_grid.code, s)]
     return view.pointwise(float(info), "pac-bayes", delta, (ztilde, s))
 
 
@@ -116,22 +117,26 @@ def cond_sd_density_bound(sys: SubsetSystem, w: Any, ztilde: tuple, s: tuple,
                           q_kernel=None) -> BoundResult:
     """Conditional single-draw bound at one (w, z-tilde, s) atom."""
     view = _SubsetView(sys, c, q_kernel)
-    info = view.density_info(delta)[_index(sys.ztildes, ztilde), _index(sys.s_vecs, s),
-                                    _index(sys.w_labels, w)]
+    info = view.density_info(delta)[_lookup(sys.zt_grid.code, ztilde),
+                                    _lookup(sys.s_grid.code, s),
+                                    _lookup(sys.w_labels.index, w)]
     return view.pointwise(float(info), "single-draw", delta, (w, ztilde, s))
 
 
 def cond_sd_moment_bound(sys: SubsetSystem, delta: float, t: Any,
                          c: RangeConstant | None = None,
-                         q_kernel=None) -> BoundResult:
-    """Conditional single-draw bound from central moments of the density."""
-    return _SubsetView(sys, c, q_kernel).sd_moment(delta, t)
+                         q_kernel=None, relaxed: bool = False) -> BoundResult:
+    """Conditional single-draw bound from central moments of the density;
+    ``relaxed`` rederives it through the conditional tail."""
+    return _SubsetView(sys, c, q_kernel).sd_moment(delta, t, relaxed)
 
 
 def cond_sd_leakage_bound(sys: SubsetSystem, delta: float,
-                          c: RangeConstant | None = None) -> BoundResult:
-    """Conditional single-draw bound from the conditional maximal leakage."""
-    return _SubsetView(sys, c).sd_leakage(delta)
+                          c: RangeConstant | None = None,
+                          relaxed: bool = False) -> BoundResult:
+    """Conditional single-draw bound from the conditional maximal leakage;
+    ``relaxed`` rederives it through the conditional tail."""
+    return _SubsetView(sys, c).sd_leakage(delta, relaxed)
 
 
 def cond_sd_renyi_pair_bound(sys: SubsetSystem, delta: float, alpha: float,

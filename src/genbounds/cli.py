@@ -74,7 +74,7 @@ def _load_system(config: Mapping[str, Any]):
     try:
         _, system = load_problem(config["problem"])
         return system
-    except (KeyError, ValueError, OSError) as exc:
+    except (KeyError, TypeError, ValueError, OSError) as exc:
         raise ConfigError(f"invalid problem definition: {exc}")
 
 
@@ -85,7 +85,15 @@ def _deltas(config: Mapping[str, Any]) -> list[float]:
     return deltas
 
 
-def _report_rows(system, config: Mapping[str, Any]) -> list[dict]:
+def _ground_truth(system) -> tuple:
+    """The exact pushforward of the bounded value and |E[gen]| of a system."""
+    if system.setting == "standard":
+        return vfy.exact_gen_distribution(system), abs(expected_gen(system))
+    return vfy.exact_gen_hat_distribution(system), abs(expected_gen_subset(system))
+
+
+def _report_rows(system, config: Mapping[str, Any], truth: tuple) -> list[dict]:
+    """Report rows of ``system``; ``truth`` is its ``_ground_truth``."""
     panel = vfy.panel_ids(system.setting)
     bounds = config.get("bounds", list(panel))
     if not bounds:
@@ -97,12 +105,7 @@ def _report_rows(system, config: Mapping[str, Any]) -> list[dict]:
     t = config.get("t", 2)
     alpha = float(config.get("alpha", 2.0))
     deltas = _deltas(config)
-    if system.setting == "standard":
-        dist = vfy.exact_gen_distribution(system)
-        truth = abs(expected_gen(system))
-    else:
-        dist = vfy.exact_gen_hat_distribution(system)
-        truth = abs(expected_gen_subset(system))
+    dist, abs_gen = truth
     rows = []
     for delta in deltas:
         for bound_id in bounds:
@@ -111,7 +114,7 @@ def _report_rows(system, config: Mapping[str, Any]) -> list[dict]:
             rows.append(dict(row, schema_version=SCHEMA_VERSION, bound_id=bound_id,
                              flavor=result.flavor, scope=result.scope,
                              epsilon=_fmt(result.epsilon), feasible=result.feasible,
-                             delta=delta, n=system.n, abs_expected_gen=truth,
+                             delta=delta, n=system.n, abs_expected_gen=abs_gen,
                              quantile=vfy.abs_quantile(dist, 1.0 - delta)))
     return rows
 
@@ -134,7 +137,7 @@ def _emit(rows: list[dict], columns: tuple, fmt: str, out: str | None) -> None:
 
 def cmd_report(config: Mapping[str, Any], out: str | None, fmt: str) -> int:
     system = _load_system(config)
-    rows = _report_rows(system, config)
+    rows = _report_rows(system, config, _ground_truth(system))
     _emit(rows, REPORT_COLUMNS, fmt, out)
     return 0
 
@@ -198,13 +201,17 @@ def cmd_sweep(config: Mapping[str, Any], out: str | None, fmt: str) -> int:
     values = config.get("values")
     if not values:
         raise ConfigError("sweep requires a nonempty 'values' list")
-    system = None if axis in ("beta", "n") else _load_system(config)
+    # the delta, t and alpha axes keep one system: its ground truth and
+    # tightness columns are computed once
+    fixed = None if axis in ("beta", "n") else _load_system(config)
+    shared = fixed and (_ground_truth(fixed), _subset_columns(fixed))
     rows = []
     for value in values:
         sub = _at(config, axis, value)
-        swept = system or _load_system(sub)
-        for row in _report_rows(swept, sub):
-            rows.append(dict(row, axis=axis, axis_value=value, **_subset_columns(swept)))
+        system = fixed or _load_system(sub)
+        truth, extra = shared or (_ground_truth(system), _subset_columns(system))
+        for row in _report_rows(system, sub, truth):
+            rows.append(dict(row, axis=axis, axis_value=value, **extra))
     columns = REPORT_COLUMNS + ("axis", "axis_value", "mi_w_supersample",
                                 "cmi_w_selector")
     _emit(rows, columns, fmt, out)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Mapping
+from typing import Any, Callable, Mapping
 
 import numpy as np
 
@@ -47,11 +47,13 @@ def _check_delta(delta: float) -> float:
     return delta
 
 
-def _index(labels: tuple, label: Any) -> int:
+def _lookup(find: Callable[[Any], int], label: Any) -> int:
+    """``find(label)``: a vector's code on its grid, or a hypothesis's
+    index; an unknown label raises a KeyError naming it."""
     try:
-        return labels.index(label)
-    except ValueError:
-        raise KeyError(f"{label!r} is not an outcome of the system")
+        return find(label)
+    except (KeyError, ValueError, TypeError):
+        raise KeyError(f"{label!r} is not an outcome of the system") from None
 
 
 def _moment_term(norm: float, delta: float, t: Any) -> float:

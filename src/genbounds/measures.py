@@ -11,8 +11,9 @@ from __future__ import annotations
 import enum
 import itertools
 import math
-from dataclasses import dataclass
-from typing import Any, Mapping, Sequence
+from dataclasses import dataclass, field
+from functools import cached_property
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -45,17 +46,21 @@ class DensityTable:
 
     ``log_p`` are the natural-log masses of the reference measure at the
     support atoms; ``iota`` the log ratio against the base measure there.
+    ``build_outcomes`` makes the atoms' labels, ``outcomes``, on first
+    access.
     """
 
-    outcomes: tuple
     log_p: np.ndarray
     iota: np.ndarray
+    build_outcomes: Callable[[], tuple] = field(repr=False)
 
     def __post_init__(self):
         for arr in (self.log_p, self.iota):
             arr.flags.writeable = False
         if self.log_p.shape != self.iota.shape:
             raise ValueError("log_p and iota shape mismatch")
+
+    outcomes = cached_property(lambda self: self.build_outcomes())
 
     @property
     def mean(self) -> float:
@@ -89,7 +94,7 @@ def density(p: FiniteDistribution, q: FiniteDistribution) -> DensityTable:
         outcomes.append(o)
         log_p.append(lm)
         iota.append(lm - q.log_mass_of(o))
-    return DensityTable(tuple(outcomes), np.asarray(log_p), np.asarray(iota))
+    return DensityTable(np.asarray(log_p), np.asarray(iota), lambda: tuple(outcomes))
 
 
 def _standard_log_arrays(sys: StandardSystem,
@@ -113,15 +118,19 @@ def _standard_log_arrays(sys: StandardSystem,
     return log_joint, log_base, iota
 
 
-def _density_table(axes: Sequence[tuple], log_joint: np.ndarray,
+def _density_table(axes: Callable[[], Sequence[tuple]], log_joint: np.ndarray,
                    iota: np.ndarray) -> DensityTable:
-    """The density over the joint support of a (data axes..., w) grid; the
-    outcomes are (w, data labels...) in grid order."""
+    """The density over the joint support of a (data axes..., w) grid. The
+    outcomes, built on first access from the label axes that ``axes``
+    returns, are (w, data labels...) in grid order."""
     sup = log_joint > NEG_INF
-    outcomes = tuple((labels[-1],) + labels[:-1]
-                     for labels, keep in zip(itertools.product(*axes), sup.ravel())
+
+    def outcomes() -> tuple:
+        return tuple((labels[-1],) + labels[:-1]
+                     for labels, keep in zip(itertools.product(*axes()), sup.ravel())
                      if keep)
-    return DensityTable(outcomes, log_joint[sup], iota[sup])
+
+    return DensityTable(log_joint[sup], iota[sup], outcomes)
 
 
 def information_density(sys: StandardSystem,
@@ -129,7 +138,7 @@ def information_density(sys: StandardSystem,
     """Information density of (W, Z) under the system joint, optionally
     against an auxiliary hypothesis marginal Q_W."""
     log_joint, _, iota = _standard_log_arrays(sys, q_w)
-    return _density_table((sys.zvecs, sys.w_labels), log_joint, iota)
+    return _density_table(lambda: (sys.zvecs, sys.w_labels), log_joint, iota)
 
 
 def _subset_log_arrays(sys: SubsetSystem, q_kernel=None):
@@ -143,8 +152,7 @@ def _subset_log_arrays(sys: SubsetSystem, q_kernel=None):
         if q_kernel is None:
             log_w_given = np.log(sys.pw_given)
         else:
-            log_w_given = np.array([[q_kernel[zt].log_mass_of(w) for w in sys.w_labels]
-                                    for zt in sys.ztildes])
+            log_w_given = _kernel_log_mass(q_kernel, sys.zt_grid, sys.w_labels)
         log_base = (np.log(sys.p_ztilde)[:, None, None] + np.log(sys.p_s)[None, :, None]
                     + log_w_given[:, None, :])
     sup = log_cond > NEG_INF
@@ -158,10 +166,22 @@ def _subset_log_arrays(sys: SubsetSystem, q_kernel=None):
     return log_joint, log_base, iota
 
 
+def _kernel_log_mass(kernel, grid, w_labels: tuple) -> np.ndarray:
+    """Log masses of ``kernel`` at every vector of ``grid`` (rows, in code
+    order) and every hypothesis label (columns)."""
+    rows = kernel.rows_on(grid)
+    undefined = np.flatnonzero(rows < 0)
+    if undefined.size:
+        raise KeyError(grid.vector(undefined[0]))
+    column = {w: i for i, w in enumerate(kernel.output_outcomes)}
+    return kernel.log_mass[rows][:, [column[w] for w in w_labels]]
+
+
 def conditional_density(sys: SubsetSystem, q_kernel=None) -> DensityTable:
     """Conditional information density of (W, S) given the supersample."""
     log_joint, _, iota = _subset_log_arrays(sys, q_kernel)
-    return _density_table((sys.ztildes, sys.s_vecs, sys.w_labels), log_joint, iota)
+    return _density_table(lambda: (sys.ztildes, sys.s_vecs, sys.w_labels),
+                          log_joint, iota)
 
 
 # -- divergences ------------------------------------------------------------
@@ -316,7 +336,7 @@ def posterior_kls_standard(sys: StandardSystem,
     sup = log_cond > NEG_INF
     if np.any(sup & (log_w[None, :] == NEG_INF) & (sys.pzn_mass > 0)[:, None]):
         raise AbsoluteContinuityViolation("posterior atom with zero marginal mass")
-    ratio = np.where(sup, log_cond - log_w[None, :], 0.0)
+    ratio = np.subtract(log_cond, log_w[None, :], out=np.zeros_like(log_cond), where=sup)
     return np.sum(np.where(sup, sys.cond * ratio, 0.0), axis=1)
 
 

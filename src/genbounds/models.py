@@ -6,10 +6,10 @@ Everything is exact: systems precompute the complete joint table over
 """
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Any, Mapping, Sequence
 
@@ -18,13 +18,16 @@ import numpy as np
 from .prob import (
     NEG_INF,
     FiniteDistribution,
-    InvalidDistributionError,
     JointTable,
     Kernel,
+    ProductGrid,
     check_budget,
-    iid_power,
     logsumexp,
+    power_log_mass,
 )
+
+# Elements of the (|W|, vectors, n) gather that empirical losses build per chunk.
+_GATHER_CHUNK = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -68,10 +71,39 @@ class LossTable:
     def loss(self, w: Any, z: Any) -> float:
         return float(self.values[self.hypotheses.index(w), self.instances.index(z)])
 
+    def population_losses(self, pz: FiniteDistribution) -> np.ndarray:
+        """The population loss of every hypothesis under ``pz``: one pass
+        over Z, in the order of its outcomes."""
+        total = 0.0
+        for z, lm in zip(pz.outcomes, pz.log_mass):
+            total = total + math.exp(lm) * self.values[:, self.instances.index(z)]
+        return total
+
     def population_loss(self, w: Any, pz: FiniteDistribution) -> float:
-        wi = self.hypotheses.index(w)
-        return float(sum(pz.mass_of(z) * self.values[wi, self.instances.index(z)]
-                         for z in pz.outcomes))
+        return float(self.population_losses(pz)[self.hypotheses.index(w)])
+
+    def _columns(self, grid: ProductGrid) -> np.ndarray:
+        return np.array([self.instances.index(z) for z in grid.labels], dtype=np.int64)
+
+    def totals(self, grid: ProductGrid) -> np.ndarray:
+        """The total loss of every hypothesis on every vector of ``grid``,
+        shape (|grid|, |W|): each vector's losses summed left to right from
+        0, the order of a sum over a (|W|, n) gather's n axis."""
+        return grid.fold(self.values.T[self._columns(grid)], np.add, 0.0)
+
+    def empirical_losses(self, grid: ProductGrid) -> np.ndarray:
+        """The empirical loss of every hypothesis on every vector of
+        ``grid``, shape (|W|, |grid|): each as ``np.mean`` of the vector's
+        losses computes it (pairwise summation, so for n >= 8 not the order
+        of ``totals``), over chunks of vectors."""
+        cols = self._columns(grid)
+        out = np.empty((len(self.hypotheses), grid.size))
+        step = max(1, _GATHER_CHUNK // max(1, len(self.hypotheses) * grid.n))
+        for start in range(0, grid.size, step):
+            codes = np.arange(start, min(start + step, grid.size))
+            out[:, start:start + len(codes)] = np.take(
+                self.values, cols[grid.digits(codes)], axis=1).sum(axis=-1)
+        return out / grid.n
 
     def empirical_loss(self, w: Any, zvec: Sequence[Any]) -> float:
         wi = self.hypotheses.index(w)
@@ -88,9 +120,9 @@ def zero_one_loss(labels: Sequence[Any]) -> LossTable:
 # -- learner kernels --------------------------------------------------------
 
 
-def _zvecs(loss: LossTable, n: int) -> list[tuple]:
+def _learner_grid(loss: LossTable, n: int) -> ProductGrid:
     check_budget(len(loss.instances) ** n * len(loss.hypotheses))
-    return list(itertools.product(loss.instances, repeat=n))
+    return ProductGrid(loss.instances, n)
 
 
 def gibbs_kernel(loss: LossTable, n: int, beta: float) -> Kernel:
@@ -101,31 +133,26 @@ def gibbs_kernel(loss: LossTable, n: int, beta: float) -> Kernel:
     """
     if not math.isfinite(beta):
         raise ValueError("beta must be finite")
-    rows = {}
-    for zvec in _zvecs(loss, n):
-        zi = [loss.instances.index(z) for z in zvec]
-        totals = loss.values[:, zi].sum(axis=1)
-        logits = -beta * totals
-        rows[zvec] = FiniteDistribution(loss.hypotheses, logits - logsumexp(logits))
-    return Kernel(rows)
+    grid = _learner_grid(loss, n)
+    logits = -beta * loss.totals(grid)
+    return Kernel.on_grid(logits - logsumexp(logits, axis=1)[:, None],
+                          loss.hypotheses, grid)
 
 
 def erm_kernel(loss: LossTable, n: int, tie: str = "lowest-index") -> Kernel:
     """Empirical risk minimization with an explicit tie rule."""
     if tie not in ("lowest-index", "uniform-over-argmin"):
         raise ValueError(f"unknown tie rule {tie!r}")
-    rows = {}
-    for zvec in _zvecs(loss, n):
-        zi = [loss.instances.index(z) for z in zvec]
-        totals = loss.values[:, zi].sum(axis=1)
-        argmins = np.flatnonzero(totals <= totals.min() + 1e-12)
-        lm = np.full(len(loss.hypotheses), NEG_INF)
-        if tie == "lowest-index":
-            lm[argmins[0]] = 0.0
-        else:
-            lm[argmins] = -math.log(len(argmins))
-        rows[zvec] = FiniteDistribution(loss.hypotheses, lm)
-    return Kernel(rows)
+    grid = _learner_grid(loss, n)
+    totals = loss.totals(grid)
+    argmin = totals <= totals.min(axis=1, keepdims=True) + 1e-12
+    if tie == "lowest-index":
+        argmin = np.arange(argmin.shape[1]) == argmin.argmax(axis=1)[:, None]
+        share = np.zeros((len(totals), 1))
+    else:
+        log_share = np.array([0.0] + [-math.log(k) for k in range(1, argmin.shape[1] + 1)])
+        share = log_share[argmin.sum(axis=1)][:, None]
+    return Kernel.on_grid(np.where(argmin, share, NEG_INF), loss.hypotheses, grid)
 
 
 def constant_kernel(loss: LossTable, n: int,
@@ -135,17 +162,18 @@ def constant_kernel(loss: LossTable, n: int,
         row = FiniteDistribution.uniform(loss.hypotheses)
     else:
         row = FiniteDistribution.from_probs(loss.hypotheses, weights)
-    return Kernel({zvec: row for zvec in _zvecs(loss, n)})
+    grid = _learner_grid(loss, n)
+    return Kernel.on_grid(np.broadcast_to(row.log_mass, (grid.size, len(row))),
+                          loss.hypotheses, grid)
 
 
 def identity_kernel(loss: LossTable) -> Kernel:
     """The n=1 learner that outputs its single training sample (W = Z)."""
     if loss.hypotheses != loss.instances:
         raise ValueError("identity learner needs matching hypothesis/instance labels")
-    return Kernel({
-        (z,): FiniteDistribution.point_mass(loss.hypotheses, z)
-        for z in loss.instances
-    })
+    eye = np.eye(len(loss.instances), dtype=bool)
+    return Kernel.on_grid(np.where(eye, 0.0, NEG_INF), loss.hypotheses,
+                          _learner_grid(loss, 1))
 
 
 # -- assembled systems ------------------------------------------------------
@@ -165,7 +193,7 @@ class StandardSystem:
 
     Arrays: ``pzn_mass`` over z-vectors, ``cond[z, w]`` = P(w | z-vector),
     ``joint[z, w]``, ``pw_mass`` over W, ``gen[w, z]`` the generalization
-    error at each atom.
+    error at each atom. The z axis is in code order of ``z_grid``.
     """
 
     setting = "standard"
@@ -173,7 +201,7 @@ class StandardSystem:
     n: int
     learner: Kernel
     loss: LossTable
-    zvecs: tuple = field(init=False)
+    z_grid: ProductGrid = field(init=False)
     w_labels: tuple = field(init=False)
     pzn_mass: np.ndarray = field(init=False)
     cond: np.ndarray = field(init=False)
@@ -182,26 +210,25 @@ class StandardSystem:
     gen_table: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("n must be >= 1")
-        w_labels = self.learner.output_outcomes
-        if tuple(w_labels) != self.loss.hypotheses:
-            raise ValueError("learner output labels do not match loss hypotheses")
-        check_budget(len(self.pz) ** self.n * len(w_labels))
-        pzn = iid_power(self.pz, self.n)
-        zvecs = pzn.outcomes
-        for zvec in zvecs:
-            if zvec not in self.learner:
-                raise ValueError(f"learner undefined on z-vector {zvec!r}")
-        pzn_mass = pzn.mass
-        cond = np.array([self.learner[zvec].mass for zvec in zvecs])
+        w_labels = _check_system(self)
+        grid = ProductGrid(self.pz.outcomes, self.n)
+        rows = self.learner.rows_on(grid)
+        undefined = np.flatnonzero(rows < 0)
+        if undefined.size:
+            raise ValueError(f"learner undefined on z-vector {grid.vector(undefined[0])!r}")
+        pzn_mass = np.exp(power_log_mass(self.pz.log_mass, grid))
+        cond = np.exp(self.learner.log_mass[rows])
         joint = pzn_mass[:, None] * cond
-        pw = joint.sum(axis=0)
-        pop = np.array([self.loss.population_loss(w, self.pz) for w in w_labels])
-        emp = np.array([[self.loss.empirical_loss(w, zvec) for zvec in zvecs]
-                        for w in w_labels])
-        _set_derived(self, zvecs=zvecs, w_labels=tuple(w_labels), pzn_mass=pzn_mass,
-                     cond=cond, joint=joint, pw_mass=pw, gen_table=pop[:, None] - emp)
+        pop = self.loss.population_losses(self.pz)
+        emp = self.loss.empirical_losses(grid)
+        _set_derived(self, z_grid=grid, w_labels=w_labels, pzn_mass=pzn_mass,
+                     cond=cond, joint=joint, pw_mass=joint.sum(axis=0),
+                     gen_table=pop[:, None] - emp)
+
+    @cached_property
+    def zvecs(self) -> tuple:
+        """The z-vector labels, in code order."""
+        return self.z_grid.vectors()
 
     @property
     def sigma(self) -> float:
@@ -213,14 +240,27 @@ class StandardSystem:
             return FiniteDistribution(self.w_labels, np.log(self.pw_mass))
 
     def joint_table(self) -> JointTable:
-        outcomes = [(w, zvec) for zi, zvec in enumerate(self.zvecs)
-                    for w in self.w_labels]
+        outcomes = [(w, zvec) for zvec in self.zvecs for w in self.w_labels]
         with np.errstate(divide="ignore"):
             lm = np.log(self.joint.ravel())
         return JointTable(outcomes, lm)
 
     def posterior(self, zvec: tuple) -> FiniteDistribution:
         return self.learner[zvec]
+
+
+def _check_system(sys) -> tuple:
+    """Checks common to both settings, the budget before any enumeration;
+    returns the hypothesis labels."""
+    if sys.n < 1:
+        raise ValueError("n must be >= 1")
+    w_labels = tuple(sys.learner.output_outcomes)
+    if w_labels != sys.loss.hypotheses:
+        raise ValueError("learner output labels do not match loss hypotheses")
+    k = len(sys.pz)
+    data = k ** sys.n if sys.setting == "standard" else k ** (2 * sys.n) * 2 ** sys.n
+    check_budget(data * len(w_labels))
+    return w_labels
 
 
 def assemble_standard(pz: FiniteDistribution, n: int, learner: Kernel,
@@ -236,7 +276,8 @@ class SubsetSystem:
     Arrays: ``p_ztilde`` over 2n-tuples, ``cond[zt, s, w]`` = P(w | z(s)),
     ``pw_given[zt, w]`` = P(w | z-tilde) by marginalizing out S,
     ``genhat[zt, s, w]`` the test-minus-train gap, ``gen_sel[zt, s, w]`` the
-    ordinary generalization error on the selected half.
+    ordinary generalization error on the selected half. The zt and s axes
+    are in code order of ``zt_grid`` and ``s_grid``.
     """
 
     setting = "subset"
@@ -244,8 +285,8 @@ class SubsetSystem:
     n: int
     learner: Kernel
     loss: LossTable
-    ztildes: tuple = field(init=False)
-    s_vecs: tuple = field(init=False)
+    zt_grid: ProductGrid = field(init=False)
+    s_grid: ProductGrid = field(init=False)
     w_labels: tuple = field(init=False)
     p_ztilde: np.ndarray = field(init=False)
     p_s: np.ndarray = field(init=False)
@@ -255,39 +296,36 @@ class SubsetSystem:
     gen_sel: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("n must be >= 1")
-        w_labels = self.learner.output_outcomes
-        if tuple(w_labels) != self.loss.hypotheses:
-            raise ValueError("learner output labels do not match loss hypotheses")
-        check_budget(len(self.pz) ** (2 * self.n) * 2 ** self.n * len(w_labels))
-        p2n = iid_power(self.pz, 2 * self.n)
-        ztildes = p2n.outcomes
-        s_vecs = tuple(itertools.product((0, 1), repeat=self.n))
-        p_ztilde = p2n.mass
-        p_s = np.full(len(s_vecs), 0.5 ** self.n)
-        li = {z: i for i, z in enumerate(self.loss.instances)}
-        cond = np.empty((len(ztildes), len(s_vecs), len(w_labels)))
-        genhat = np.empty_like(cond)
-        gen_sel = np.empty_like(cond)
-        pop = np.array([self.loss.population_loss(w, self.pz) for w in w_labels])
-        for zi, zt in enumerate(ztildes):
-            for si, s in enumerate(s_vecs):
-                sel = self.select(zt, s)
-                unsel = self.select(zt, tuple(1 - b for b in s))
-                if sel not in self.learner:
-                    raise ValueError(f"learner undefined on selected vector {sel!r}")
-                cond[zi, si, :] = self.learner[sel].mass
-                sel_i = [li[z] for z in sel]
-                unsel_i = [li[z] for z in unsel]
-                train = self.loss.values[:, sel_i].mean(axis=1)
-                test = self.loss.values[:, unsel_i].mean(axis=1)
-                genhat[zi, si, :] = test - train
-                gen_sel[zi, si, :] = pop - train
-        _set_derived(self, ztildes=ztildes, s_vecs=s_vecs, w_labels=tuple(w_labels),
-                     p_ztilde=p_ztilde, p_s=p_s, cond=cond,
+        w_labels = _check_system(self)
+        n = self.n
+        z_grid = ProductGrid(self.pz.outcomes, n)
+        zt_grid = ProductGrid(self.pz.outcomes, 2 * n)
+        s_grid = ProductGrid((0, 1), n)
+        sel, unsel = _halves(zt_grid, s_grid)
+        rows = self.learner.rows_on(z_grid)[sel]
+        undefined = np.flatnonzero(rows < 0)
+        if undefined.size:
+            raise ValueError("learner undefined on selected vector "
+                             f"{z_grid.vector(sel.flat[undefined[0]])!r}")
+        cond = np.exp(self.learner.log_mass[rows])
+        pop = self.loss.population_losses(self.pz)
+        emp = self.loss.totals(z_grid) / n
+        train, test = emp[sel], emp[unsel]
+        _set_derived(self, zt_grid=zt_grid, s_grid=s_grid, w_labels=w_labels,
+                     p_ztilde=np.exp(power_log_mass(self.pz.log_mass, zt_grid)),
+                     p_s=np.full(s_grid.size, 0.5 ** n), cond=cond,
                      pw_given=cond.mean(axis=1),  # P_S is uniform
-                     genhat=genhat, gen_sel=gen_sel)
+                     genhat=test - train, gen_sel=pop - train)
+
+    @cached_property
+    def ztildes(self) -> tuple:
+        """The supersample labels, in code order."""
+        return self.zt_grid.vectors()
+
+    @cached_property
+    def s_vecs(self) -> tuple:
+        """The selector labels, in code order."""
+        return self.s_grid.vectors()
 
     def select(self, ztilde: tuple, s: tuple) -> tuple:
         """Training vector z(s): the ith sample is ztilde[i + s_i * n]."""
@@ -304,6 +342,20 @@ class SubsetSystem:
         return StandardSystem(self.pz, self.n, self.learner, self.loss)
 
 
+def _halves(zt_grid: ProductGrid, s_grid: ProductGrid) -> tuple[np.ndarray, np.ndarray]:
+    """Codes of the selected and the unselected half of every (z-tilde, s)
+    pair, shape (|Zt|, |S|), on the grid of length-n vectors: the ith
+    sample of z(s) is ztilde[i + s_i n]."""
+    n, k = s_grid.n, len(zt_grid.labels)
+    zt = zt_grid.digits(np.arange(zt_grid.size))
+    s = s_grid.digits(np.arange(s_grid.size))
+    sel = unsel = np.zeros((zt_grid.size, s_grid.size), dtype=np.int64)
+    for i in range(n):
+        sel = sel * k + zt[:, i + n * s[:, i]]
+        unsel = unsel * k + zt[:, i + n * (1 - s[:, i])]
+    return sel, unsel
+
+
 def assemble_subset(pz: FiniteDistribution, n: int, learner: Kernel,
                     loss: LossTable) -> SubsetSystem:
     return SubsetSystem(pz, n, learner, loss)
@@ -314,9 +366,7 @@ def assemble_subset(pz: FiniteDistribution, n: int, learner: Kernel,
 
 def gen(sys: StandardSystem, w: Any, zvec: tuple) -> float:
     """Population loss minus empirical loss at one (hypothesis, data) atom."""
-    wi = sys.w_labels.index(w)
-    zi = sys.zvecs.index(zvec)
-    return float(sys.gen_table[wi, zi])
+    return float(sys.gen_table[sys.w_labels.index(w), sys.z_grid.code(zvec)])
 
 
 def expected_gen(sys: StandardSystem) -> float:
@@ -325,8 +375,7 @@ def expected_gen(sys: StandardSystem) -> float:
 
 def gen_hat(sys: SubsetSystem, w: Any, ztilde: tuple, s: tuple) -> float:
     """Mean loss on the unselected half minus mean loss on the selected half."""
-    return float(sys.genhat[sys.ztildes.index(ztilde),
-                            sys.s_vecs.index(s),
+    return float(sys.genhat[sys.zt_grid.code(ztilde), sys.s_grid.code(s),
                             sys.w_labels.index(w)])
 
 
@@ -367,19 +416,35 @@ def _parse_learner(doc: Mapping[str, Any], loss: LossTable, n: int) -> Kernel:
     if kind == "identity":
         return identity_kernel(loss)
     if kind == "custom-kernel":
-        rows = {}
-        for key, row in doc["rows"].items():
-            zvec = tuple(_coerce(tok, loss.instances) for tok in key.split(","))
-            rows[zvec] = FiniteDistribution.from_json(row)
-        return Kernel(rows)
+        return _custom_kernel(doc["rows"], loss.instances)
     raise ValueError(f"unknown learner kind {kind!r}")
 
 
-def _coerce(token: str, labels: Sequence[Any]) -> Any:
-    for lab in labels:
-        if str(lab) == token:
-            return lab
-    raise ValueError(f"unknown instance label {token!r}")
+def _custom_kernel(rows: Any, instances: Sequence[Any]) -> Kernel:
+    """A kernel from rows keyed by z-vectors written as their labels' text
+    joined by ','; instance labels that this syntax cannot express are
+    refused."""
+    if not isinstance(rows, Mapping):
+        raise ValueError("custom-kernel rows must map z-vector keys to distributions")
+    by_text = {}
+    for lab in instances:
+        text = str(lab)
+        if "," in text:
+            raise ValueError(f"instance label {lab!r} cannot be written in a "
+                             f"custom-kernel key: its text {text!r} contains ','")
+        if text in by_text:
+            raise ValueError(f"instance labels {by_text[text]!r} and {lab!r} are both "
+                             f"written {text!r} in custom-kernel keys")
+        by_text[text] = lab
+
+    def zvec(key: str) -> tuple:
+        tokens = key.split(",")
+        unknown = [tok for tok in tokens if tok not in by_text]
+        if unknown:
+            raise ValueError(f"unknown instance label {unknown[0]!r}")
+        return tuple(by_text[tok] for tok in tokens)
+
+    return Kernel({zvec(key): FiniteDistribution.from_json(row) for key, row in rows.items()})
 
 
 def load_problem(path_or_doc: Any) -> tuple[str, StandardSystem | SubsetSystem]:

@@ -10,7 +10,7 @@ import itertools
 import json
 import math
 from decimal import Decimal
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Mapping, Sequence
 
 import numpy as np
 
@@ -134,9 +134,6 @@ class FiniteDistribution:
     def log_mass_of(self, label: Any) -> float:
         return float(self.log_mass[self._index[label]])
 
-    def index_of(self, label: Any) -> int:
-        return self._index[label]
-
     @property
     def support(self) -> tuple:
         return tuple(o for o, lm in zip(self.outcomes, self.log_mass) if lm > NEG_INF)
@@ -166,13 +163,65 @@ class JointTable(FiniteDistribution):
         return len(self.outcomes[0]) if self.outcomes else 0
 
 
-class Kernel:
-    """A conditional distribution: input label -> FiniteDistribution.
+class ProductGrid:
+    """The n-fold product of a label tuple. Its vectors are numbered by
+    base-k codes (k labels, the first coordinate most significant), which is
+    ``itertools.product`` order; label tuples are built only on request."""
 
-    All rows must share the same output outcome labels.
+    __slots__ = ("labels", "n", "size", "_position")
+
+    def __init__(self, labels: Sequence[Any], n: int):
+        if n < 0:
+            raise ValueError("vector length must be nonnegative")
+        self.labels = tuple(labels)
+        self.n = n
+        self.size = len(self.labels) ** n
+        self._position = {lab: i for i, lab in enumerate(self.labels)}
+
+    def code(self, vec: Any) -> int:
+        """The code of a vector; KeyError if it is not a vector of the grid."""
+        if not isinstance(vec, tuple) or len(vec) != self.n:
+            raise KeyError(vec)
+        code = 0
+        for lab in vec:
+            code = code * len(self.labels) + self._position[lab]
+        return code
+
+    def vector(self, code: int) -> tuple:
+        return tuple(self.labels[d] for d in self.digits(np.array([code]))[0])
+
+    def vectors(self) -> tuple:
+        return tuple(itertools.product(self.labels, repeat=self.n))
+
+    def digits(self, codes: np.ndarray) -> np.ndarray:
+        """The label indices of each code's vector, shape (len(codes), n)."""
+        k = len(self.labels)
+        powers = k ** np.arange(self.n - 1, -1, -1, dtype=np.int64)
+        return (np.asarray(codes, dtype=np.int64)[:, None] // powers) % k
+
+    def fold(self, per_label: np.ndarray, combine, start: Any) -> np.ndarray:
+        """``combine`` applied over each vector's labels, left to right from
+        ``start``, as one array over codes; ``per_label[d]`` stands for label
+        d and may be an array, whose shape the result keeps per code."""
+        per_label = np.asarray(per_label)
+        acc = np.full((1,) + per_label.shape[1:], start, dtype=per_label.dtype)
+        for _ in range(self.n):
+            acc = combine(acc[:, None], per_label[None, :]).reshape(
+                (-1,) + per_label.shape[1:])
+        return acc
+
+
+class Kernel:
+    """A conditional distribution: input label -> distribution over the
+    output labels, stored as one ``(rows, outputs)`` array of log masses.
+
+    The inputs are either the vectors of a ``ProductGrid`` (the kernel
+    builders of ``models``), whose row r is the vector of code r, or an
+    explicit label tuple (a mapping of rows, converted once). Rows are built
+    as ``FiniteDistribution`` objects only when indexed.
     """
 
-    __slots__ = ("rows", "output_outcomes")
+    __slots__ = ("log_mass", "output_outcomes", "grid", "_labels", "_row")
 
     def __init__(self, rows: Mapping[Any, FiniteDistribution]):
         rows = dict(rows)
@@ -181,18 +230,76 @@ class Kernel:
         outputs = {d.outcomes for d in rows.values()}
         if len(outputs) != 1:
             raise InvalidDistributionError("kernel rows disagree on output labels")
-        self.rows = rows
-        self.output_outcomes = next(iter(outputs))
+        self._set(np.array([d.log_mass for d in rows.values()]), next(iter(outputs)),
+                  None, tuple(rows))
+
+    @classmethod
+    def on_grid(cls, log_mass: np.ndarray, output_outcomes: Sequence[Any],
+                grid: ProductGrid) -> "Kernel":
+        """A kernel whose row r is the distribution at the vector of code r;
+        every row must be finite and sum to 1 within 1e-12."""
+        if grid.size == 0:
+            raise InvalidDistributionError("empty kernel")
+        if not np.all(log_mass < math.inf):
+            raise InvalidDistributionError("probability masses must be finite")
+        totals = np.exp(logsumexp(log_mass, axis=1))
+        bad = np.flatnonzero(np.abs(totals - 1.0) > MASS_ATOL)
+        if bad.size:
+            raise InvalidDistributionError(
+                f"row {grid.vector(int(bad[0]))!r}: masses sum to {totals[bad[0]]!r}, not 1")
+        kernel = object.__new__(cls)
+        kernel._set(log_mass, tuple(output_outcomes), grid, None)
+        return kernel
+
+    def _set(self, log_mass, output_outcomes, grid, labels) -> None:
+        log_mass.flags.writeable = False
+        self.log_mass = log_mass
+        self.output_outcomes = output_outcomes
+        self.grid = grid
+        self._labels = labels
+        self._row = None if labels is None else {lab: i for i, lab in enumerate(labels)}
+
+    def _row_of(self, label: Any) -> int:
+        return self._row[label] if self.grid is None else self.grid.code(label)
 
     def __getitem__(self, label: Any) -> FiniteDistribution:
-        return self.rows[label]
+        return FiniteDistribution(self.output_outcomes, self.log_mass[self._row_of(label)])
 
     def __contains__(self, label: Any) -> bool:
-        return label in self.rows
+        try:
+            self._row_of(label)
+        except KeyError:
+            return False
+        return True
+
+    def __len__(self) -> int:
+        return self.log_mass.shape[0]
+
+    def __iter__(self):
+        return iter(self.input_labels)
+
+    @property
+    def rows(self) -> "Kernel":
+        """The rows by input label: the kernel itself, whose length is the
+        row count."""
+        return self
 
     @property
     def input_labels(self) -> tuple:
-        return tuple(self.rows)
+        return self._labels if self.grid is None else self.grid.vectors()
+
+    def rows_on(self, grid: ProductGrid) -> np.ndarray:
+        """The row of every vector of ``grid``, in code order; -1 where the
+        kernel is undefined."""
+        if self.grid is None:
+            return np.array([self._row.get(v, -1) for v in grid.vectors()], dtype=np.int64)
+        if self.grid.n != grid.n:
+            return np.full(grid.size, -1, dtype=np.int64)
+        pos = np.array([self.grid._position.get(z, -1) for z in grid.labels], dtype=np.int64)
+        k = len(self.grid.labels)
+        rows = grid.fold(pos, lambda acc, p: acc * k + p, 0)
+        rows[grid.fold(pos < 0, np.logical_or, False)] = -1
+        return rows
 
     @classmethod
     def from_json(cls, doc: Mapping[str, Any]) -> "Kernel":
@@ -224,9 +331,14 @@ def iid_power(p: FiniteDistribution, n: int) -> FiniteDistribution:
     if n < 1:
         raise ValueError("iid_power requires n >= 1")
     check_budget(len(p) ** n)
-    outcomes = list(itertools.product(p.outcomes, repeat=n))
-    lm = np.array([sum(p.log_mass_of(x) for x in vec) for vec in outcomes])
-    return FiniteDistribution(outcomes, lm)
+    grid = ProductGrid(p.outcomes, n)
+    return FiniteDistribution(grid.vectors(), power_log_mass(p.log_mass, grid))
+
+
+def power_log_mass(log_mass: np.ndarray, grid: ProductGrid) -> np.ndarray:
+    """Log masses of iid draws over the vectors of ``grid``, in code order:
+    each vector's label log masses summed left to right."""
+    return grid.fold(np.asarray(log_mass, dtype=float), np.add, 0.0)
 
 
 def marginalize(j: JointTable, keep: Sequence[int]) -> FiniteDistribution:

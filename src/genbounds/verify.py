@@ -194,9 +194,11 @@ BOUNDS: dict[str, Bound] = {
     "sd_tail": Bound(
         "standard", lambda s, d, t, a, g: bstd.sd_tail_bound(s, d, g), "atom"),
     "tail_relax_moment": Bound(
-        "standard", lambda s, d, t, a, g: bstd.tail_relaxations(s, d, t)[0], "atom"),
+        "standard", lambda s, d, t, a, g: bstd.sd_moment_bound(s, d, t, relaxed=True),
+        "atom"),
     "tail_relax_leakage": Bound(
-        "standard", lambda s, d, t, a, g: bstd.tail_relaxations(s, d, t)[1], "atom"),
+        "standard", lambda s, d, t, a, g: bstd.sd_leakage_bound(s, d, relaxed=True),
+        "atom"),
     "cmi": Bound("subset", lambda s, d, t, a, g: bsub.cmi_avg_bound(s), None),
     "cond_pacb": Bound("subset", _pointwise(_View.pacb_info), "posterior", True),
     "cond_pacb_moment": Bound(
@@ -211,9 +213,11 @@ BOUNDS: dict[str, Bound] = {
     "cond_tail": Bound(
         "subset", lambda s, d, t, a, g: bsub.cond_tail_bound(s, d, g), "atom"),
     "cond_tail_relax_moment": Bound(
-        "subset", lambda s, d, t, a, g: bsub.cond_tail_relaxations(s, d, t)[0], "atom"),
+        "subset", lambda s, d, t, a, g: bsub.cond_sd_moment_bound(s, d, t, relaxed=True),
+        "atom"),
     "cond_tail_relax_leakage": Bound(
-        "subset", lambda s, d, t, a, g: bsub.cond_tail_relaxations(s, d, t)[1], "atom"),
+        "subset", lambda s, d, t, a, g: bsub.cond_sd_leakage_bound(s, d, relaxed=True),
+        "atom"),
     "cond_alpha_mi": Bound(
         "subset", lambda s, d, t, a, g: bsub.cond_alpha_mi_bound(s, d, a), "atom"),
     "genhat_to_gen": Bound("subset", lambda s, d, t, a, g: bsub.genhat_to_gen(

@@ -3,11 +3,17 @@
 Deliberately written with plain dict/loop arithmetic (no numpy, no shared
 code with the package) so that agreement between the two implementations is
 meaningful evidence of correctness. Only suitable for desk-scale instances.
+
+The exception is the loop reference at the end: it builds the system arrays
+atom by atom with the same per-row numpy operations the array core must
+reproduce, so the two can be compared bit for bit.
 """
 from __future__ import annotations
 
 import itertools
 import math
+
+import numpy as np
 
 
 def zvectors(z_labels, n):
@@ -239,3 +245,85 @@ def gibbs_learner(loss_matrix, w_labels, z_labels, beta):
         norm = sum(weights.values())
         return {w: v / norm for w, v in weights.items()}
     return learner
+
+
+# -- loop reference of the array core --------------------------------------
+# Row by row, in the arithmetic the array core must match bit for bit: each
+# kernel row and each half's mean from its own gather, iid log masses and
+# population losses as Python sums, empirical losses as np.mean of a list.
+
+
+def _logsumexp_row(a):
+    a_max = np.max(a)
+    top = a == a_max
+    m = float(np.sum(top))
+    s = np.sum(np.exp(np.where(top, -math.inf, a) - a_max))
+    return np.log1p(s / m) + np.log(m) + a_max
+
+
+def loop_kernel_rows(values, n, kind, beta=0.0, tie="lowest-index", weights=None):
+    """{z-vector of instance indices: log-mass row} for a kernel builder."""
+    n_w, n_z = values.shape
+    rows = {}
+    for zvec in itertools.product(range(n_z), repeat=n):
+        totals = values[:, list(zvec)].sum(axis=1)
+        if kind == "gibbs":
+            logits = -beta * totals
+            rows[zvec] = logits - _logsumexp_row(logits)
+            continue
+        lm = np.full(n_w, -math.inf)
+        if kind == "erm":
+            argmins = np.flatnonzero(totals <= totals.min() + 1e-12)
+            if tie == "lowest-index":
+                lm[argmins[0]] = 0.0
+            else:
+                lm[argmins] = -math.log(len(argmins))
+        elif kind == "constant" and weights is None:
+            lm = np.full(n_w, -math.log(n_w))
+        elif kind == "constant":
+            lm = np.log(np.asarray([float(x) for x in weights]))
+        else:  # identity
+            lm[zvec[0]] = 0.0
+        rows[zvec] = lm
+    return rows
+
+
+def loop_standard_arrays(pz_labels, pz_log_mass, n, rows, values, instances):
+    """The standard system's arrays; ``rows`` maps z-vectors of labels to
+    log-mass rows over the hypotheses."""
+    zvecs = list(itertools.product(pz_labels, repeat=n))
+    lm_of = dict(zip(pz_labels, pz_log_mass))
+    col = {z: instances.index(z) for z in pz_labels}
+    pzn = np.exp(np.array([sum(float(lm_of[z]) for z in v) for v in zvecs]))
+    cond = np.array([np.exp(rows[v]) for v in zvecs])
+    joint = pzn[:, None] * cond
+    pop = np.array([sum(math.exp(lm_of[z]) * values[w, col[z]] for z in pz_labels)
+                    for w in range(values.shape[0])])
+    emp = np.array([[float(np.mean([values[w, col[z]] for z in v])) for v in zvecs]
+                    for w in range(values.shape[0])])
+    return {"pzn_mass": pzn, "cond": cond, "joint": joint, "pw_mass": joint.sum(axis=0),
+            "gen_table": pop[:, None] - emp}
+
+
+def loop_subset_arrays(pz_labels, pz_log_mass, n, rows, values, instances):
+    """The random-subset system's arrays, by a double loop over (z-tilde, s)."""
+    ztildes = list(itertools.product(pz_labels, repeat=2 * n))
+    svecs = list(itertools.product((0, 1), repeat=n))
+    lm_of = dict(zip(pz_labels, pz_log_mass))
+    col = {z: instances.index(z) for z in pz_labels}
+    pop = np.array([sum(math.exp(lm_of[z]) * values[w, col[z]] for z in pz_labels)
+                    for w in range(values.shape[0])])
+    shape = (len(ztildes), len(svecs), values.shape[0])
+    cond, genhat, gen_sel = np.empty(shape), np.empty(shape), np.empty(shape)
+    for zi, zt in enumerate(ztildes):
+        for si, s in enumerate(svecs):
+            sel = [zt[i + s[i] * n] for i in range(n)]
+            unsel = [zt[i + (1 - s[i]) * n] for i in range(n)]
+            cond[zi, si] = np.exp(rows[tuple(sel)])
+            train = values[:, [col[z] for z in sel]].mean(axis=1)
+            test = values[:, [col[z] for z in unsel]].mean(axis=1)
+            genhat[zi, si] = test - train
+            gen_sel[zi, si] = pop - train
+    p_zt = np.exp(np.array([sum(float(lm_of[z]) for z in v) for v in ztildes]))
+    return {"p_ztilde": p_zt, "p_s": np.full(len(svecs), 0.5 ** n), "cond": cond,
+            "pw_given": cond.mean(axis=1), "genhat": genhat, "gen_sel": gen_sel}

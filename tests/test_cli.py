@@ -1,8 +1,10 @@
 import csv
 import json
+import warnings
 
 import pytest
 
+from genbounds import cli
 from genbounds.cli import main
 
 
@@ -156,6 +158,21 @@ class TestSweep:
         assert eps[0] <= eps[1] <= eps[2]  # smaller delta, larger epsilon
         assert all(r["axis"] == "delta" for r in rows)
 
+    def test_delta_axis_computes_the_pushforward_once(self, tmp_path, monkeypatch):
+        calls = []
+        pushforward = cli.vfy.exact_gen_distribution
+
+        def counted(system):
+            calls.append(system)
+            return pushforward(system)
+
+        monkeypatch.setattr(cli.vfy, "exact_gen_distribution", counted)
+        cfg = write_config(tmp_path, "cfg.json",
+                           {"problem": STANDARD_PROBLEM, "axis": "delta",
+                            "values": [0.3, 0.1, 0.05]})
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "s.csv")]) == 0
+        assert len(calls) == 1
+
     def test_t_axis_with_inf(self, tmp_path):
         cfg = write_config(tmp_path, "cfg.json",
                            {"problem": STANDARD_PROBLEM, "deltas": [0.1],
@@ -239,3 +256,26 @@ class TestInfiniteAlpha:
         assert self._sweep(tmp_path, bounds=["cond_alpha_mi"]) == 0
         rows = read_csv(tmp_path / "out.csv")
         assert [r["alpha"] for r in rows] == ["2.0", "inf"]
+
+
+class TestNoSpuriousWarnings:
+    # hypothesis 2 is never an empirical risk minimizer: zero marginal mass
+    PROBLEM = {"setting": "standard", "instances": [0, 1, 2], "n": 2,
+               "learner": {"kind": "erm"},
+               "loss": {"hypotheses": [0, 1, 2], "range": [0, 1],
+                        "matrix": [[0.0, 1.0, 0.5], [1.0, 0.0, 0.5], [1.0, 1.0, 1.0]]}}
+    EPSILONS = {  # the report before posterior KLs skipped off-support atoms
+        "avg": "0.39890919025976734", "pacb_moment": "1.244535539333425",
+        "sd_moment": "1.1284424004696783", "sd_leakage": "1.2927308041185457",
+        "sd_renyi": "1.2927308041185457", "sd_tail": "1.0117243403247376",
+        "tail_relax_moment": "1.2027755594115455",
+        "tail_relax_leakage": "1.3581015157406195"}
+
+    def test_erm_report_with_an_unused_hypothesis(self, tmp_path):
+        cfg = write_config(tmp_path, "cfg.json",
+                           {"problem": self.PROBLEM, "deltas": [0.1]})
+        out = tmp_path / "report.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["report", "--config", cfg, "--out", str(out)]) == 0
+        assert {r["bound_id"]: r["epsilon"] for r in read_csv(out)} == self.EPSILONS

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from genbounds import bounds_standard as bstd
+from genbounds import bounds_subset as bsub
 from genbounds import cli, verify
 from genbounds.verify import BOUNDS, Bound, coverage
 
@@ -72,3 +73,21 @@ def test_coverage_refuses_average_and_cross_setting_ids(inst_a, inst_b):
                           (inst_b, "cmi"), (inst_b, "sd_moment")):
         with pytest.raises(KeyError):
             coverage(sys, bound_id, 0.1)
+
+
+@pytest.mark.parametrize("module, name, leakage, moment", [
+    (bstd, "information_density", "tail_relax_leakage", "tail_relax_moment"),
+    (bsub, "conditional_density", "cond_tail_relax_leakage", "cond_tail_relax_moment"),
+])
+def test_leakage_relaxation_builds_no_density_table(monkeypatch, inst_a, inst_b,
+                                                    module, name, leakage, moment):
+    sys = inst_a if module is bstd else inst_b
+    expected = BOUNDS[leakage].evaluate(sys, 0.1, 2, 2.0, "auto")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("density table built")
+
+    monkeypatch.setattr(module, name, refuse)
+    assert BOUNDS[leakage].evaluate(sys, 0.1, 2, 2.0, "auto") == expected
+    with pytest.raises(AssertionError, match="density table built"):
+        BOUNDS[moment].evaluate(sys, 0.1, 2, 2.0, "auto")
