@@ -11,15 +11,15 @@ import math
 from functools import cached_property
 from typing import Any
 
-from .engine import BoundResult, _View, _check_delta, _lookup, _tail_bound_from_table
+from .engine import (BoundResult, _View, _check_delta, _lookup, _tail_bound_from_table,
+                     view_of)
 from .measures import (
     T_INF,
     central_moment,
     information_density,
-    max_information,
     maximal_leakage,
     posterior_kls_standard,
-    system_renyi,
+    _joint_renyi,
     _standard_log_arrays,
 )
 from .models import StandardSystem
@@ -28,6 +28,8 @@ from .prob import FiniteDistribution
 
 class _StandardView(_View):
     """The standard setting, optionally against an auxiliary marginal Q_W."""
+
+    setting = "standard"
 
     def __init__(self, sys: StandardSystem, q_w: FiniteDistribution | None = None):
         super().__init__(sys, sys.sigma ** 2, {"sigma": sys.sigma, "n": sys.n})
@@ -39,23 +41,19 @@ class _StandardView(_View):
     kls = cached_property(lambda self: posterior_kls_standard(self.sys, self.q_w))
     leakage = cached_property(lambda self: maximal_leakage(self.sys))
     _log_arrays = cached_property(lambda self: _standard_log_arrays(self.sys, self.q_w))
-    log_base = property(lambda self: self._log_arrays[1])
-    iota = property(lambda self: self._log_arrays[2])
-
-    def renyi(self, alpha: float) -> float:
-        return system_renyi(self.sys, alpha, self.q_w)
+    _renyi = staticmethod(_joint_renyi)
 
 
 def avg_mi_bound(sys: StandardSystem,
                  q_w: FiniteDistribution | None = None) -> BoundResult:
     """|E[gen]| <= sqrt(2 sigma^2/n * I(W;Z))."""
-    return _StandardView(sys, q_w).avg()
+    return view_of(sys, q_w).avg()
 
 
 def pacb_bound(sys: StandardSystem, zvec: tuple, delta: float,
                q_w: FiniteDistribution | None = None) -> BoundResult:
     """Data-dependent PAC-Bayesian bound at one training set."""
-    view = _StandardView(sys, q_w)
+    view = view_of(sys, q_w)
     info = view.pacb_info(delta)[_lookup(sys.z_grid.code, zvec)]
     return view.pointwise(float(info), "pac-bayes", delta, (zvec,))
 
@@ -63,13 +61,13 @@ def pacb_bound(sys: StandardSystem, zvec: tuple, delta: float,
 def pacb_moment_bound(sys: StandardSystem, delta: float, t: Any,
                       q_w: FiniteDistribution | None = None) -> BoundResult:
     """Data-independent PAC-Bayesian bound from moments of the posterior KL."""
-    return _StandardView(sys, q_w).pacb_moment(delta, t)
+    return view_of(sys, q_w).pacb_moment(delta, t)
 
 
 def sd_density_bound(sys: StandardSystem, w: Any, zvec: tuple, delta: float,
                      q_w: FiniteDistribution | None = None) -> BoundResult:
     """Single-draw bound at one (hypothesis, training set) atom."""
-    view = _StandardView(sys, q_w)
+    view = view_of(sys, q_w)
     info = view.density_info(delta)[_lookup(sys.z_grid.code, zvec),
                                     _lookup(sys.w_labels.index, w)]
     return view.pointwise(float(info), "single-draw", delta, (w, zvec))
@@ -80,27 +78,27 @@ def sd_moment_bound(sys: StandardSystem, delta: float, t: Any,
                     relaxed: bool = False) -> BoundResult:
     """Single-draw bound from central moments of the information density;
     ``relaxed`` rederives it through the tail route."""
-    return _StandardView(sys, q_w).sd_moment(delta, t, relaxed)
+    return view_of(sys, q_w).sd_moment(delta, t, relaxed)
 
 
 def sd_leakage_bound(sys: StandardSystem, delta: float,
                      relaxed: bool = False) -> BoundResult:
     """Single-draw bound from the maximal leakage; ``relaxed`` rederives it
     through the tail route."""
-    return _StandardView(sys).sd_leakage(delta, relaxed)
+    return view_of(sys).sd_leakage(delta, relaxed)
 
 
 def sd_renyi_bound(sys: StandardSystem, delta: float, alpha: float,
                    q_w: FiniteDistribution | None = None) -> BoundResult:
     """Single-draw bound from the conjugate pair of Renyi divergences."""
-    return _StandardView(sys, q_w).sd_renyi(delta, alpha)
+    return view_of(sys, q_w).sd_renyi(delta, alpha)
 
 
 def sd_tail_bound(sys: StandardSystem, delta: float, gamma: Any = "auto",
                   q_w: FiniteDistribution | None = None) -> BoundResult:
     """Single-draw bound from the exact tail of the information density."""
     delta = _check_delta(delta)
-    view = _StandardView(sys, q_w)
+    view = view_of(sys, q_w)
     return _tail_bound_from_table(view.table, view.rate, delta, gamma, view.params())
 
 
@@ -111,20 +109,22 @@ def tail_relaxations(sys: StandardSystem, delta: float, t: Any,
     Each exceeds its direct counterpart by exactly (2 sigma^2/n) ln 2 inside
     the square.
     """
-    return _StandardView(sys, q_w).tail_relaxations(delta, t)
+    return view_of(sys, q_w).tail_relaxations(delta, t)
 
 
 def chain_report(sys: StandardSystem, delta: float) -> dict:
-    """The leakage <= max-information <= I + M_inf chain, plus the regime
-    test for when the leakage bound is the tighter single-draw choice."""
+    """The leakage <= max-information <= I + M_inf chain (``holds``, to
+    1e-9), plus the regime test for when the leakage bound is the tighter
+    single-draw choice."""
     delta = _check_delta(delta)
-    tbl = information_density(sys)
-    leakage = maximal_leakage(sys)
-    i_max = max_information(sys)
+    view = view_of(sys)
+    tbl, leakage = view.table, view.leakage
+    i_max = float(tbl.iota.max())
     mi_plus_dev = tbl.mean + central_moment(tbl, T_INF)
     return {
         "maximal_leakage": leakage,
         "max_information": i_max,
         "mi_plus_max_deviation": mi_plus_dev,
+        "holds": leakage <= i_max + 1e-9 and i_max <= mi_plus_dev + 1e-9,
         "leakage_preferable": leakage <= i_max + math.log(2.0 / delta),
     }

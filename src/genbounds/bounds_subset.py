@@ -16,14 +16,15 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .engine import BoundResult, _View, _check_delta, _lookup, _tail_bound_from_table
+from .engine import (BoundResult, _View, _check_delta, _lookup, _tail_bound_from_table,
+                     view_of)
 from .measures import (
-    cond_alpha_mi,
     cond_maximal_leakage,
-    cond_renyi_divergence,
     conditional_density,
     maximal_leakage,
-    posterior_kls_subset,
+    _cond_alpha_mi,
+    _cond_renyi,
+    _subset_kls,
     _subset_log_arrays,
 )
 from .models import LossTable, SubsetSystem
@@ -71,6 +72,8 @@ class _SubsetView(_View):
     """The random-subset setting, with range constant ``c`` (default
     (b - a)^2) and optionally an auxiliary conditional ``q_kernel``."""
 
+    setting = "subset"
+
     def __init__(self, sys: SubsetSystem, c: RangeConstant | None = None,
                  q_kernel=None):
         const = (c or range_constant(sys.loss)).value
@@ -81,25 +84,21 @@ class _SubsetView(_View):
 
     joint = property(lambda self: self.sys.joint)
     table = cached_property(lambda self: conditional_density(self.sys, self.q_kernel))
-    kls = cached_property(lambda self: posterior_kls_subset(self.sys, self.q_kernel))
+    kls = cached_property(lambda self: _subset_kls(self.cond, self.iota))
     leakage = cached_property(lambda self: cond_maximal_leakage(self.sys))
     _log_arrays = cached_property(lambda self: _subset_log_arrays(self.sys, self.q_kernel))
-    log_base = property(lambda self: self._log_arrays[1])
-    iota = property(lambda self: self._log_arrays[2])
-
-    def renyi(self, alpha: float) -> float:
-        return cond_renyi_divergence(self.sys, alpha, self.q_kernel)
+    _renyi = staticmethod(_cond_renyi)
 
 
 def cmi_avg_bound(sys: SubsetSystem, c: RangeConstant | None = None) -> BoundResult:
     """|E[gen(W, Z(S))]| <= sqrt(2 C/n * I(W; S | Z-tilde))."""
-    return _SubsetView(sys, c).avg()
+    return view_of(sys, c).avg()
 
 
 def cond_pacb_bound(sys: SubsetSystem, ztilde: tuple, s: tuple, delta: float,
                     c: RangeConstant | None = None, q_kernel=None) -> BoundResult:
     """Conditional PAC-Bayesian bound at one (supersample, selector) atom."""
-    view = _SubsetView(sys, c, q_kernel)
+    view = view_of(sys, c, q_kernel)
     info = view.pacb_info(delta)[_lookup(sys.zt_grid.code, ztilde),
                                  _lookup(sys.s_grid.code, s)]
     return view.pointwise(float(info), "pac-bayes", delta, (ztilde, s))
@@ -109,14 +108,14 @@ def cond_pacb_moment_bound(sys: SubsetSystem, delta: float, t: Any,
                            c: RangeConstant | None = None,
                            q_kernel=None) -> BoundResult:
     """Data-independent conditional PAC-Bayesian bound from KL moments."""
-    return _SubsetView(sys, c, q_kernel).pacb_moment(delta, t)
+    return view_of(sys, c, q_kernel).pacb_moment(delta, t)
 
 
 def cond_sd_density_bound(sys: SubsetSystem, w: Any, ztilde: tuple, s: tuple,
                           delta: float, c: RangeConstant | None = None,
                           q_kernel=None) -> BoundResult:
     """Conditional single-draw bound at one (w, z-tilde, s) atom."""
-    view = _SubsetView(sys, c, q_kernel)
+    view = view_of(sys, c, q_kernel)
     info = view.density_info(delta)[_lookup(sys.zt_grid.code, ztilde),
                                     _lookup(sys.s_grid.code, s),
                                     _lookup(sys.w_labels.index, w)]
@@ -128,7 +127,7 @@ def cond_sd_moment_bound(sys: SubsetSystem, delta: float, t: Any,
                          q_kernel=None, relaxed: bool = False) -> BoundResult:
     """Conditional single-draw bound from central moments of the density;
     ``relaxed`` rederives it through the conditional tail."""
-    return _SubsetView(sys, c, q_kernel).sd_moment(delta, t, relaxed)
+    return view_of(sys, c, q_kernel).sd_moment(delta, t, relaxed)
 
 
 def cond_sd_leakage_bound(sys: SubsetSystem, delta: float,
@@ -136,21 +135,21 @@ def cond_sd_leakage_bound(sys: SubsetSystem, delta: float,
                           relaxed: bool = False) -> BoundResult:
     """Conditional single-draw bound from the conditional maximal leakage;
     ``relaxed`` rederives it through the conditional tail."""
-    return _SubsetView(sys, c).sd_leakage(delta, relaxed)
+    return view_of(sys, c).sd_leakage(delta, relaxed)
 
 
 def cond_sd_renyi_pair_bound(sys: SubsetSystem, delta: float, alpha: float,
                              c: RangeConstant | None = None,
                              q_kernel=None) -> BoundResult:
     """Conditional single-draw bound from the conjugate Renyi pair."""
-    return _SubsetView(sys, c, q_kernel).sd_renyi(delta, alpha)
+    return view_of(sys, c, q_kernel).sd_renyi(delta, alpha)
 
 
 def cond_tail_bound(sys: SubsetSystem, delta: float, gamma: Any = "auto",
                     c: RangeConstant | None = None, q_kernel=None) -> BoundResult:
     """Conditional single-draw bound from the exact density tail."""
     delta = _check_delta(delta)
-    view = _SubsetView(sys, c, q_kernel)
+    view = view_of(sys, c, q_kernel)
     return _tail_bound_from_table(view.table, view.rate, delta, gamma, view.params())
 
 
@@ -160,7 +159,7 @@ def cond_tail_relaxations(sys: SubsetSystem, delta: float, t: Any,
     """Moment and leakage bounds rederived through the conditional tail;
     each exceeds its direct counterpart by exactly (2 C/n) ln 2 inside the
     square."""
-    return _SubsetView(sys, c, q_kernel).tail_relaxations(delta, t)
+    return view_of(sys, c, q_kernel).tail_relaxations(delta, t)
 
 
 def holder_event_bound(sys: SubsetSystem, event: Callable[[Any, tuple, tuple], bool],
@@ -178,7 +177,7 @@ def holder_event_bound(sys: SubsetSystem, event: Callable[[Any, tuple, tuple], b
     gamma = alpha / (alpha - 1.0)
     gamma_prime = alpha_prime / (alpha_prime - 1.0)
     tilde_gamma = tilde_alpha / (tilde_alpha - 1.0)
-    _, _, iota = _subset_log_arrays(sys)
+    iota = view_of(sys).iota
     with np.errstate(divide="ignore"):
         log_pzt = np.log(sys.p_ztilde)
         log_ps = np.log(sys.p_s)
@@ -203,13 +202,13 @@ def cond_alpha_mi_bound(sys: SubsetSystem, delta: float, alpha: float,
     """Conditional single-draw bound from the conditional alpha-mutual
     information; alpha = inf uses the conditional maximal leakage limit."""
     delta = _check_delta(delta)
-    view = _SubsetView(sys, c)
+    view = view_of(sys, c)
     if alpha == math.inf:
         info = view.leakage + math.log(2.0) + math.log(1.0 / delta)
     elif not alpha > 1:
         raise ValueError("alpha must exceed 1")
     else:
-        info = (cond_alpha_mi(sys, alpha) + math.log(2.0)
+        info = (_cond_alpha_mi(sys, view.iota, alpha) + math.log(2.0)
                 + alpha / (alpha - 1.0) * math.log(1.0 / delta))
     return view.sqrt_bound(info, "single-draw", "data-independent",
                            view.params(delta=delta, alpha=alpha))
@@ -232,7 +231,7 @@ def genhat_to_gen(eps_fn: Callable[[float], float], loss: LossTable, n: int,
 
 def leakage_ordering_check(sys: SubsetSystem) -> dict:
     """Conditional leakage vs the leakage of the induced standard system."""
-    cond_leak = cond_maximal_leakage(sys)
+    cond_leak = view_of(sys).leakage
     std_leak = maximal_leakage(sys.induced_standard())
     return {
         "cond_maximal_leakage": cond_leak,

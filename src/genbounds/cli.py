@@ -19,7 +19,8 @@ from typing import Any, Mapping
 import numpy as np
 
 from . import verify as vfy
-from .measures import T_INF, cond_mutual_information
+from .engine import view_of
+from .measures import T_INF
 from .models import (
     SubsetSystem,
     expected_gen,
@@ -108,6 +109,7 @@ def _report_rows(system, config: Mapping[str, Any], truth: tuple) -> list[dict]:
     dist, abs_gen = truth
     rows = []
     for delta in deltas:
+        quantile = vfy.abs_quantile(dist, 1.0 - delta)
         for bound_id in bounds:
             result = vfy.BOUNDS[bound_id].evaluate(system, delta, t, alpha, "auto")
             row = {k: _param(result, k) for k in ("t", "alpha", "gamma", "sigma", "C")}
@@ -115,7 +117,7 @@ def _report_rows(system, config: Mapping[str, Any], truth: tuple) -> list[dict]:
                              flavor=result.flavor, scope=result.scope,
                              epsilon=_fmt(result.epsilon), feasible=result.feasible,
                              delta=delta, n=system.n, abs_expected_gen=abs_gen,
-                             quantile=vfy.abs_quantile(dist, 1.0 - delta)))
+                             quantile=quantile))
     return rows
 
 
@@ -170,7 +172,7 @@ def _subset_columns(system) -> dict:
                                                    - np.log(system.p_ztilde @ pw_given)), 0.0)
     mi_wzt = float(np.sum(system.p_ztilde[:, None] * terms))
     return {"mi_w_supersample": mi_wzt,
-            "cmi_w_selector": cond_mutual_information(system)}
+            "cmi_w_selector": view_of(system).table.mean}
 
 
 def _at(config: Mapping[str, Any], axis: str, value: Any) -> dict:

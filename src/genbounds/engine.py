@@ -7,6 +7,11 @@ bounded (gen, or the test-minus-train gap) and the rate (2 sigma^2 / n, or
 2C / n). A setting supplies these through a view; each bound formula is a
 method of the view, written once.
 
+A system's default view is one object, built on first use and kept while
+the system lives, so its bounds, coverage and checks read one set of
+density arrays; a view with an auxiliary measure or range constant is built
+per call and never kept.
+
 Every bound evaluates to sqrt(rate * (information term)). Infeasibility (a
 negative radicand, or a tail level delta that cannot be met) is a
 first-class result carried on the flag, never an exception.
@@ -14,12 +19,13 @@ first-class result carried on the flag, never an exception.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping
 
 import numpy as np
 
-from .measures import T_INF, DensityTable, central_moment, normalize_order
+from .measures import T_INF, DensityTable, _near_one, central_moment, normalize_order
 
 GAMMA_STEP = 1e-9  # offset placing tail candidates just above each attained value
 
@@ -62,25 +68,50 @@ def _moment_term(norm: float, delta: float, t: Any) -> float:
     return norm if t is T_INF else norm / (delta / 2.0) ** (1.0 / t)
 
 
+_VIEWS: dict = {}  # setting -> its view class
+_DEFAULT_VIEWS = weakref.WeakKeyDictionary()  # system -> its default view
+
+
+def view_of(sys, *aux) -> "_View":
+    """The default view of ``sys`` when every auxiliary input in ``aux`` is
+    None, else a fresh view over them. A view refers to its system weakly,
+    so the system and its default view are freed by reference counting."""
+    make = _VIEWS[sys.setting]
+    if any(a is not None for a in aux):
+        return make(sys, *aux)
+    view = _DEFAULT_VIEWS.get(sys)
+    if view is None:
+        view = _DEFAULT_VIEWS[sys] = make(sys)
+    return view
+
+
 class _View:
     """One setting's inputs to the bound formulas, which are its methods.
 
     ``variance`` is sigma^2 or C and ``rate`` is 2 variance / n. A setting
     supplies, each computed on first use where it costs a pass over the
-    atoms: ``table`` (the density over the joint support), ``iota`` and
-    ``log_base`` (the density and the log base measure on the atom grid,
-    -inf off the support), ``kls`` (the posterior relative entropies, one
-    per posterior, weighted by ``mass``), ``leakage``, ``renyi(alpha)``,
-    ``values`` (the value bounded at each atom), ``gen`` (the
-    generalization error at each atom), ``joint`` and ``cond`` (the
-    posterior rows, hypotheses on the last axis).
+    atoms: ``table`` (the density over the joint support), ``_log_arrays``
+    (the log joint, the log base measure and the density ``iota`` on the
+    atom grid, -inf off the support), ``kls`` (the posterior relative
+    entropies, one per posterior, weighted by ``mass``), ``leakage``,
+    ``_renyi`` (the Renyi divergence from ``_log_arrays``), ``values`` (the
+    value bounded at each atom), ``gen`` (the generalization error at each
+    atom), ``joint`` and ``cond`` (the posterior rows, hypotheses on the
+    last axis).
     """
 
+    def __init_subclass__(cls):
+        _VIEWS[cls.setting] = cls
+
     def __init__(self, sys, variance: float, params: Mapping[str, Any]):
-        self.sys = sys
+        self._sys = weakref.ref(sys)
         self.variance = variance
         self.rate = 2.0 * variance / sys.n
         self._params = dict(params)
+
+    sys = property(lambda self: self._sys())
+    log_base = property(lambda self: self._log_arrays[1])
+    iota = property(lambda self: self._log_arrays[2])
 
     def params(self, **extra) -> dict:
         return {**self._params, **extra}
@@ -154,6 +185,10 @@ class _View:
         if relaxed:
             params["route"] = "tail-leakage"
         return self.sqrt_bound(info, "single-draw", "data-independent", params)
+
+    def renyi(self, alpha: float) -> float:
+        """Renyi divergence of order alpha of the joint against the base."""
+        return self.table.mean if _near_one(alpha) else self._renyi(self._log_arrays, alpha)
 
     def tail_relaxations(self, delta: float, t: Any) -> tuple[BoundResult, BoundResult]:
         return (self.sd_moment(delta, t, relaxed=True),

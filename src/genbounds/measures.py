@@ -18,7 +18,8 @@ from typing import Any, Callable, Sequence
 import numpy as np
 
 from .models import StandardSystem, SubsetSystem
-from .prob import NEG_INF, AbsoluteContinuityViolation, FiniteDistribution, logsumexp
+from .prob import (NEG_INF, AbsoluteContinuityViolation, FiniteDistribution, ProductGrid,
+                   logsumexp)
 
 ALPHA_ONE_TOL = 1e-6
 
@@ -38,6 +39,13 @@ def normalize_order(t: Any) -> float | MomentOrder:
     if t <= 0:
         raise ValueError("moment order must be positive")
     return t
+
+
+def _near_one(alpha: float) -> bool:
+    """Whether the positive order alpha takes the KL/mutual-information limit."""
+    if alpha <= 0:
+        raise ValueError("alpha must be positive")
+    return abs(alpha - 1.0) <= ALPHA_ONE_TOL
 
 
 @dataclass(frozen=True)
@@ -118,16 +126,17 @@ def _standard_log_arrays(sys: StandardSystem,
     return log_joint, log_base, iota
 
 
-def _density_table(axes: Callable[[], Sequence[tuple]], log_joint: np.ndarray,
-                   iota: np.ndarray) -> DensityTable:
-    """The density over the joint support of a (data axes..., w) grid. The
-    outcomes, built on first access from the label axes that ``axes``
-    returns, are (w, data labels...) in grid order."""
+def _density_table(grids: Sequence[ProductGrid], w_labels: tuple,
+                   log_joint: np.ndarray, iota: np.ndarray) -> DensityTable:
+    """The density over the joint support of a (data grids..., w) grid. The
+    outcomes, built on first access, are (w, data labels...) in grid order;
+    they are made from the grids, so the table holds no system."""
     sup = log_joint > NEG_INF
 
     def outcomes() -> tuple:
+        axes = [g.vectors() for g in grids] + [w_labels]
         return tuple((labels[-1],) + labels[:-1]
-                     for labels, keep in zip(itertools.product(*axes()), sup.ravel())
+                     for labels, keep in zip(itertools.product(*axes), sup.ravel())
                      if keep)
 
     return DensityTable(log_joint[sup], iota[sup], outcomes)
@@ -138,14 +147,15 @@ def information_density(sys: StandardSystem,
     """Information density of (W, Z) under the system joint, optionally
     against an auxiliary hypothesis marginal Q_W."""
     log_joint, _, iota = _standard_log_arrays(sys, q_w)
-    return _density_table(lambda: (sys.zvecs, sys.w_labels), log_joint, iota)
+    return _density_table((sys.z_grid,), sys.w_labels, log_joint, iota)
 
 
 def _subset_log_arrays(sys: SubsetSystem, q_kernel=None):
     """(log_joint, log_base, iota) over the (ztilde, s, w) grid for the
     conditional information density, whose base measure is
-    P_Ztilde P_S P_{W|Ztilde} (or the auxiliary conditional); iota is -inf
-    off the joint support."""
+    P_Ztilde P_S P_{W|Ztilde} (or the auxiliary conditional). The base must
+    charge every atom of the joint support; iota is -inf where P(w | z(s))
+    or the base conditional is 0."""
     with np.errstate(divide="ignore"):
         log_joint = np.log(sys.joint)
         log_cond = np.log(sys.cond)
@@ -155,12 +165,12 @@ def _subset_log_arrays(sys: SubsetSystem, q_kernel=None):
             log_w_given = _kernel_log_mass(q_kernel, sys.zt_grid, sys.w_labels)
         log_base = (np.log(sys.p_ztilde)[:, None, None] + np.log(sys.p_s)[None, :, None]
                     + log_w_given[:, None, :])
-    sup = log_cond > NEG_INF
-    if np.any(sup & (log_w_given[:, None, :] == NEG_INF)):
+    base = np.broadcast_to(log_w_given[:, None, :], log_cond.shape)
+    if np.any((log_joint > NEG_INF) & (base == NEG_INF)):
         raise AbsoluteContinuityViolation(
             "conditional joint atom outside the auxiliary conditional support")
     # log(P(w,zt,s) / (P(w|zt) P(zt) P(s))) reduces to log(P(w|z(s)) / P(w|zt))
-    base = np.broadcast_to(log_w_given[:, None, :], log_cond.shape)
+    sup = (log_cond > NEG_INF) & (base > NEG_INF)
     iota = np.full_like(log_cond, NEG_INF)
     iota[sup] = log_cond[sup] - base[sup]
     return log_joint, log_base, iota
@@ -180,8 +190,7 @@ def _kernel_log_mass(kernel, grid, w_labels: tuple) -> np.ndarray:
 def conditional_density(sys: SubsetSystem, q_kernel=None) -> DensityTable:
     """Conditional information density of (W, S) given the supersample."""
     log_joint, _, iota = _subset_log_arrays(sys, q_kernel)
-    return _density_table(lambda: (sys.ztildes, sys.s_vecs, sys.w_labels),
-                          log_joint, iota)
+    return _density_table((sys.zt_grid, sys.s_grid), sys.w_labels, log_joint, iota)
 
 
 # -- divergences ------------------------------------------------------------
@@ -196,9 +205,7 @@ def kl(p: FiniteDistribution, q: FiniteDistribution) -> float:
 def renyi_divergence(p: FiniteDistribution, q: FiniteDistribution,
                      alpha: float) -> float:
     """Renyi divergence of order alpha; dispatches to KL near alpha = 1."""
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
-    if abs(alpha - 1.0) <= ALPHA_ONE_TOL:
+    if _near_one(alpha):
         return kl(p, q)
     terms = []
     for o, lm in zip(p.outcomes, p.log_mass):
@@ -226,11 +233,14 @@ def mutual_information(sys: StandardSystem,
 def system_renyi(sys: StandardSystem, alpha: float,
                  q_w: FiniteDistribution | None = None) -> float:
     """Renyi divergence of the joint against the (auxiliary) product."""
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
-    if abs(alpha - 1.0) <= ALPHA_ONE_TOL:
+    if _near_one(alpha):
         return mutual_information(sys, q_w)
-    log_joint, log_base, _ = _standard_log_arrays(sys, q_w)
+    return _joint_renyi(_standard_log_arrays(sys, q_w), alpha)
+
+
+def _joint_renyi(log_arrays, alpha: float) -> float:
+    """Renyi divergence of order alpha from the arrays of ``_standard_log_arrays``."""
+    log_joint, log_base, _ = log_arrays
     sup = log_joint > NEG_INF
     terms = alpha * log_joint[sup] + (1.0 - alpha) * log_base[sup]
     return float(logsumexp(terms) / (alpha - 1.0))
@@ -238,9 +248,7 @@ def system_renyi(sys: StandardSystem, alpha: float,
 
 def alpha_mi(sys: StandardSystem, alpha: float) -> float:
     """alpha-mutual information I_alpha(Z; W); near alpha = 1 this is I(W; Z)."""
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
-    if abs(alpha - 1.0) <= ALPHA_ONE_TOL:
+    if _near_one(alpha):
         return mutual_information(sys)
     log_joint, _, iota = _standard_log_arrays(sys)
     with np.errstate(divide="ignore"):
@@ -290,11 +298,15 @@ def cond_mutual_information(sys: SubsetSystem, q_kernel=None) -> float:
 def cond_renyi_divergence(sys: SubsetSystem, alpha: float, q_kernel=None) -> float:
     """Conditional Renyi divergence of order alpha, with the outer
     expectation under P_Ztilde P_{W|Ztilde} P_S."""
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
-    if abs(alpha - 1.0) <= ALPHA_ONE_TOL:
+    if _near_one(alpha):
         return cond_mutual_information(sys, q_kernel)
-    _, log_base, iota = _subset_log_arrays(sys, q_kernel)
+    return _cond_renyi(_subset_log_arrays(sys, q_kernel), alpha)
+
+
+def _cond_renyi(log_arrays, alpha: float) -> float:
+    """Conditional Renyi divergence of order alpha from the arrays of
+    ``_subset_log_arrays``."""
+    _, log_base, iota = log_arrays
     return float(logsumexp(log_base + alpha * iota) / (alpha - 1.0))
 
 
@@ -302,7 +314,11 @@ def cond_alpha_mi(sys: SubsetSystem, alpha: float) -> float:
     """Conditional alpha-mutual information I_alpha(W; S | Z-tilde)."""
     if alpha <= 1:
         raise ValueError("alpha must exceed 1")
-    _, _, iota = _subset_log_arrays(sys)
+    return _cond_alpha_mi(sys, _subset_log_arrays(sys)[2], alpha)
+
+
+def _cond_alpha_mi(sys: SubsetSystem, iota: np.ndarray, alpha: float) -> float:
+    """Conditional alpha-mutual information from the density of ``_subset_log_arrays``."""
     with np.errstate(divide="ignore"):
         log_pzt = np.log(sys.p_ztilde)
         log_ps = np.log(sys.p_s)
@@ -340,10 +356,10 @@ def posterior_kls_standard(sys: StandardSystem,
     return np.sum(np.where(sup, sys.cond * ratio, 0.0), axis=1)
 
 
-def posterior_kls_subset(sys: SubsetSystem, q_kernel=None) -> np.ndarray:
-    """KL(P_{W|ztilde,s} || P_{W|ztilde}), shape (|Ztilde|, |S|)."""
-    _, _, iota = _subset_log_arrays(sys, q_kernel)
+def _subset_kls(cond: np.ndarray, iota: np.ndarray) -> np.ndarray:
+    """KL(P_{W|ztilde,s} || P_{W|ztilde}), shape (|Ztilde|, |S|), from the
+    posterior rows and the conditional density of ``_subset_log_arrays``."""
     terms = np.zeros_like(iota)
     sup = iota > NEG_INF
-    terms[sup] = sys.cond[sup] * iota[sup]
+    terms[sup] = cond[sup] * iota[sup]
     return np.sum(terms, axis=2)

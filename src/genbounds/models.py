@@ -257,10 +257,14 @@ def _check_system(sys) -> tuple:
     w_labels = tuple(sys.learner.output_outcomes)
     if w_labels != sys.loss.hypotheses:
         raise ValueError("learner output labels do not match loss hypotheses")
-    k = len(sys.pz)
-    data = k ** sys.n if sys.setting == "standard" else k ** (2 * sys.n) * 2 ** sys.n
-    check_budget(data * len(w_labels))
+    check_budget(_atoms(sys.setting, len(sys.pz), sys.n, len(w_labels)))
     return w_labels
+
+
+def _atoms(setting: str, k: int, n: int, n_w: int) -> int:
+    """The atom count of a system's joint over k instances and n_w
+    hypotheses: (z-vector, w), or (z-tilde, s, w) in the subset setting."""
+    return (k ** n if setting == "standard" else k ** (2 * n) * 2 ** n) * n_w
 
 
 def assemble_standard(pz: FiniteDistribution, n: int, learner: Kernel,
@@ -464,15 +468,11 @@ def load_problem(path_or_doc: Any) -> tuple[str, StandardSystem | SubsetSystem]:
         pz = FiniteDistribution.uniform(instances)
     n = int(doc["n"])
     loss = _parse_loss(doc["loss"], instances)
-    if setting == "subset":
-        # every enumerator checks its own grid, but a subset joint outgrows
-        # its learner's: size it before building the learner
-        check_budget(len(instances) ** (2 * n) * 2 ** n * len(loss.hypotheses))
-    learner_n = n  # subset learners act on the selected half, also length n
-    learner = _parse_learner(doc["learner"], loss, learner_n)
-    if setting == "standard":
-        return setting, assemble_standard(pz, n, learner, loss)
-    return setting, assemble_subset(pz, n, learner, loss)
+    # a subset joint outgrows its learner's grid: size it before the learner,
+    # which acts on the selected half, also of length n
+    check_budget(_atoms(setting, len(instances), n, len(loss.hypotheses)))
+    assemble = assemble_standard if setting == "standard" else assemble_subset
+    return setting, assemble(pz, n, _parse_learner(doc["learner"], loss, n), loss)
 
 
 def fixture_path(name: str) -> Path:

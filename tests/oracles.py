@@ -327,3 +327,18 @@ def loop_subset_arrays(pz_labels, pz_log_mass, n, rows, values, instances):
     p_zt = np.exp(np.array([sum(float(lm_of[z]) for z in v) for v in ztildes]))
     return {"p_ztilde": p_zt, "p_s": np.full(len(svecs), 0.5 ** n), "cond": cond,
             "pw_given": cond.mean(axis=1), "genhat": genhat, "gen_sel": gen_sel}
+
+
+def pushforward(values, masses):
+    """The loop reference of ``verify._pushforward``: (sorted labels, log
+    masses), each atom of positive mass adding its mass, in atom order, to
+    its value rounded to 12 places."""
+    groups = {}
+    for v, m in zip(values.ravel(), masses.ravel()):
+        if m <= 0.0:
+            continue
+        key = round(float(v), 12)
+        groups[key] = groups.get(key, 0.0) + float(m)
+    labels = sorted(groups)
+    with np.errstate(divide="ignore"):
+        return labels, np.log(np.array([groups[k] for k in labels]))

@@ -1,0 +1,155 @@
+"""One view per system: the bounds, coverage and checks of a system read one
+default view, kept with the system and freed with it by reference counting;
+auxiliary measures and range constants get views of their own."""
+import gc
+import pickle
+import weakref
+
+import numpy as np
+import pytest
+
+from genbounds import (FiniteDistribution, Kernel, LossTable, SubsetSystem, cli,
+                       cond_mutual_information, cond_renyi_divergence, gibbs_kernel,
+                       load_fixture)
+from genbounds import bounds_standard as bstd
+from genbounds import bounds_subset as bsub
+from genbounds import verify
+from genbounds.engine import view_of
+
+SETTINGS = {"standard": "inst_a", "subset": "inst_b"}
+
+
+def _report(sys):
+    cli._report_rows(sys, {"deltas": [0.3, 0.1]}, cli._ground_truth(sys))
+
+
+def _coverage(sys):
+    for bound_id in verify.coverage_ids(sys.setting):
+        verify.coverage(sys, bound_id, 0.1)
+
+
+def _exp_inequality(sys):
+    if sys.setting == "standard":
+        verify.check_exp_inequality_standard(sys)
+    else:
+        verify.check_exp_inequality_subset(sys)
+
+
+def _orderings(sys):
+    if sys.setting == "standard":
+        bstd.chain_report(sys, 0.1)
+    else:
+        bsub.leakage_ordering_check(sys)
+    view_of(sys).table.outcomes  # the labels are built from the grids
+
+
+def _counted(monkeypatch, module, name):
+    """The argument tuples of every call of ``module.name`` from now on."""
+    builds = []
+    build = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *a: builds.append(a) or build(*a))
+    return builds
+
+
+@pytest.mark.parametrize("use", [_report, _coverage, _exp_inequality, _orderings])
+@pytest.mark.parametrize("setting", list(SETTINGS))
+def test_a_used_system_is_freed_by_reference_counting(setting, use):
+    gc.collect()
+    gc.disable()
+    try:
+        sys = load_fixture(SETTINGS[setting])[1]
+        use(sys)
+        assert view_of(sys) is view_of(sys)
+        ref = weakref.ref(sys)
+        del sys
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("setting", list(SETTINGS))
+def test_a_system_with_a_view_still_pickles(setting):
+    sys = load_fixture(SETTINGS[setting])[1]
+    _report(sys)
+    copy = pickle.loads(pickle.dumps(sys))
+    assert view_of(copy) is not view_of(sys)
+    assert view_of(copy).table.mean == view_of(sys).table.mean
+
+
+@pytest.mark.parametrize("setting", list(SETTINGS))
+def test_bounds_coverage_and_checks_build_one_density(monkeypatch, setting):
+    builds = _counted(monkeypatch, *((bstd, "information_density") if setting == "standard"
+                                     else (bsub, "conditional_density")))
+    sys = load_fixture(SETTINGS[setting])[1]
+    for use in (_report, _coverage, _exp_inequality, _orderings):
+        use(sys)
+    assert len(builds) == 1
+
+
+def test_an_auxiliary_marginal_gets_its_own_view(monkeypatch):
+    builds = _counted(monkeypatch, bstd, "information_density")
+    sys = load_fixture("inst_a")[1]
+    default = bstd.sd_tail_bound(sys, 0.1)
+    shared = view_of(sys)
+    aux = bstd.sd_tail_bound(sys, 0.1, q_w=sys.pw)  # equal to the default marginal
+    assert len(builds) == 2
+    assert view_of(sys) is shared and shared.q_w is None
+    assert aux.epsilon == pytest.approx(default.epsilon, abs=1e-12)
+    assert bstd.sd_tail_bound(sys, 0.1) == default
+    assert len(builds) == 2
+
+
+def _conditional_kernel(sys):
+    """A kernel over the supersamples equal to P_{W|Z-tilde}."""
+    return Kernel({zt: FiniteDistribution.from_probs(sys.w_labels, row)
+                   for zt, row in zip(sys.ztildes, sys.pw_given)})
+
+
+def test_an_auxiliary_conditional_gets_its_own_view(monkeypatch):
+    builds = _counted(monkeypatch, bsub, "conditional_density")
+    sys = load_fixture("inst_b")[1]
+    q = _conditional_kernel(sys)
+    for bound in (lambda **kw: bsub.cond_tail_bound(sys, 0.1, **kw),
+                  lambda **kw: bsub.cond_sd_moment_bound(sys, 0.1, 2, **kw),
+                  lambda **kw: bsub.cond_pacb_moment_bound(sys, 0.1, 2, **kw),
+                  lambda **kw: bsub.cond_sd_renyi_pair_bound(sys, 0.1, 3.0, **kw)):
+        default = bound()
+        assert bound(q_kernel=q).epsilon == pytest.approx(default.epsilon, abs=1e-12)
+        assert view_of(sys).q_kernel is None
+        assert bound() == default
+    # the default view builds its table once; each call with q_kernel that
+    # reads a table (tail and moment) builds its own
+    assert len(builds) == 3
+
+
+def test_a_range_constant_gets_its_own_view(monkeypatch):
+    builds = _counted(monkeypatch, bsub, "conditional_density")
+    sys = load_fixture("inst_b")[1]
+    # 0/1 loss: Delta(z1, z2) = [z1 != z2] dominates, and E[Delta^2] = 1/2
+    c = bsub.delta_constant(lambda z1, z2: float(z1 != z2), sys.pz, sys.loss)
+    default = bsub.cond_sd_moment_bound(sys, 0.1, 2)
+    halved = bsub.cond_sd_moment_bound(sys, 0.1, 2, c=c)
+    assert halved.epsilon ** 2 == pytest.approx(default.epsilon ** 2 / 2, abs=1e-12)
+    assert view_of(sys).variance == 1.0
+    assert bsub.cond_sd_moment_bound(sys, 0.1, 2) == default
+    assert len(builds) == 2
+
+
+def test_an_auxiliary_conditional_is_checked_on_the_joint_support_only():
+    # instance 2 has no mass: the supersamples that hold it have none either,
+    # and there the auxiliary conditional need not charge the posterior
+    loss = LossTable((0, 1), (0, 1, 2), np.array([[0.0, 1.0, 0.5], [1.0, 0.0, 0.5]]),
+                     0.0, 1.0)
+    pz = FiniteDistribution.from_probs((0, 1, 2), (0.5, 0.5, 0.0))
+    sys = SubsetSystem(pz, 1, gibbs_kernel(loss, 1, 2.0), loss)
+    rows = {zt: (FiniteDistribution.from_probs(sys.w_labels, row) if mass > 0
+                 else FiniteDistribution.point_mass(sys.w_labels, 0))
+            for zt, row, mass in zip(sys.ztildes, sys.pw_given, sys.p_ztilde)}
+    q = Kernel(rows)
+    assert np.all(sys.cond > 0)
+    assert cond_mutual_information(sys, q) == pytest.approx(
+        cond_mutual_information(sys), abs=1e-12)
+    assert cond_renyi_divergence(sys, 2.0, q) == pytest.approx(
+        cond_renyi_divergence(sys, 2.0), abs=1e-12)
+    assert bsub.cond_pacb_moment_bound(sys, 0.1, 2, q_kernel=q).epsilon == pytest.approx(
+        bsub.cond_pacb_moment_bound(sys, 0.1, 2).epsilon, abs=1e-12)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import oracles
 from genbounds import (
     FiniteDistribution,
     assemble_standard,
@@ -11,6 +12,7 @@ from genbounds import (
 )
 from genbounds.verify import (
     CoverageReport,
+    _pushforward,
     abs_quantile,
     check_exp_inequality_standard,
     check_exp_inequality_subset,
@@ -87,6 +89,28 @@ class TestPushforwards:
         assert quantile(d, 0.9) == 2.0
         assert abs_quantile(d, 0.75) == 1.0
         assert abs_quantile(d, 0.8) == 2.0
+
+    @staticmethod
+    def _assert_matches_loop(values, masses):
+        dist = _pushforward(values, masses)
+        labels, log_mass = oracles.pushforward(values, masses)
+        assert np.array(dist.outcomes).tobytes() == np.array(labels).tobytes()
+        assert dist.log_mass.tobytes() == log_mass.tobytes()
+
+    def test_matches_the_loop_reference_bitwise(self, inst_a, inst_b, inst_c):
+        rng = np.random.default_rng(7)
+        for sys in [inst_a, inst_c] + [random_standard_system(rng) for _ in range(25)]:
+            self._assert_matches_loop(sys.gen_table.T, sys.joint)
+        for sys in [inst_b] + [random_subset_system(rng) for _ in range(25)]:
+            self._assert_matches_loop(sys.genhat, sys.joint)
+
+    def test_rounded_groups_keep_the_first_atom_key(self):
+        # -1e-17 and 1e-17 both round to a zero, whose sign the first atom sets;
+        # 0.1 + 0.2 and 0.3 share a key; zero masses are dropped
+        values = np.array([0.3, -1e-17, 0.0, 1e-17, 0.1 + 0.2, 2.0, -0.0])
+        masses = np.array([0.1, 0.2, 0.05, 0.15, 0.3, 0.0, 0.2])
+        self._assert_matches_loop(values, masses)
+        self._assert_matches_loop(values[::-1].copy(), masses[::-1].copy())
 
 
 class TestCoverageReport:
