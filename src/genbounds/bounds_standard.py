@@ -53,9 +53,9 @@ def avg_mi_bound(sys: StandardSystem,
 def pacb_bound(sys: StandardSystem, zvec: tuple, delta: float,
                q_w: FiniteDistribution | None = None) -> BoundResult:
     """Data-dependent PAC-Bayesian bound at one training set."""
-    view = view_of(sys, q_w)
-    info = view.pacb_info(delta)[_lookup(sys.z_grid.code, zvec)]
-    return view.pointwise(float(info), "pac-bayes", delta, (zvec,))
+    view, delta = view_of(sys, q_w), _check_delta(delta)
+    return view.pointwise(view.kls[_lookup(sys.z_grid.code, zvec)], "pac-bayes", delta,
+                          (zvec,))
 
 
 def pacb_moment_bound(sys: StandardSystem, delta: float, t: Any,
@@ -67,10 +67,9 @@ def pacb_moment_bound(sys: StandardSystem, delta: float, t: Any,
 def sd_density_bound(sys: StandardSystem, w: Any, zvec: tuple, delta: float,
                      q_w: FiniteDistribution | None = None) -> BoundResult:
     """Single-draw bound at one (hypothesis, training set) atom."""
-    view = view_of(sys, q_w)
-    info = view.density_info(delta)[_lookup(sys.z_grid.code, zvec),
-                                    _lookup(sys.w_labels.index, w)]
-    return view.pointwise(float(info), "single-draw", delta, (w, zvec))
+    view, delta = view_of(sys, q_w), _check_delta(delta)
+    term = view.iota[_lookup(sys.z_grid.code, zvec), _lookup(sys.w_labels.index, w)]
+    return view.pointwise(term, "single-draw", delta, (w, zvec))
 
 
 def sd_moment_bound(sys: StandardSystem, delta: float, t: Any,

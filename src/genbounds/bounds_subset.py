@@ -21,14 +21,14 @@ from .engine import (BoundResult, _View, _check_delta, _lookup, _tail_bound_from
 from .measures import (
     cond_maximal_leakage,
     conditional_density,
-    maximal_leakage,
     _cond_alpha_mi,
     _cond_renyi,
+    _leakage,
     _subset_kls,
     _subset_log_arrays,
 )
 from .models import LossTable, SubsetSystem
-from .prob import NEG_INF, FiniteDistribution, logsumexp
+from .prob import NEG_INF, FiniteDistribution, ProductGrid, logsumexp, power_log_mass
 
 
 @dataclass(frozen=True)
@@ -98,10 +98,9 @@ def cmi_avg_bound(sys: SubsetSystem, c: RangeConstant | None = None) -> BoundRes
 def cond_pacb_bound(sys: SubsetSystem, ztilde: tuple, s: tuple, delta: float,
                     c: RangeConstant | None = None, q_kernel=None) -> BoundResult:
     """Conditional PAC-Bayesian bound at one (supersample, selector) atom."""
-    view = view_of(sys, c, q_kernel)
-    info = view.pacb_info(delta)[_lookup(sys.zt_grid.code, ztilde),
-                                 _lookup(sys.s_grid.code, s)]
-    return view.pointwise(float(info), "pac-bayes", delta, (ztilde, s))
+    view, delta = view_of(sys, c, q_kernel), _check_delta(delta)
+    term = view.kls[_lookup(sys.zt_grid.code, ztilde), _lookup(sys.s_grid.code, s)]
+    return view.pointwise(term, "pac-bayes", delta, (ztilde, s))
 
 
 def cond_pacb_moment_bound(sys: SubsetSystem, delta: float, t: Any,
@@ -115,11 +114,10 @@ def cond_sd_density_bound(sys: SubsetSystem, w: Any, ztilde: tuple, s: tuple,
                           delta: float, c: RangeConstant | None = None,
                           q_kernel=None) -> BoundResult:
     """Conditional single-draw bound at one (w, z-tilde, s) atom."""
-    view = view_of(sys, c, q_kernel)
-    info = view.density_info(delta)[_lookup(sys.zt_grid.code, ztilde),
-                                    _lookup(sys.s_grid.code, s),
-                                    _lookup(sys.w_labels.index, w)]
-    return view.pointwise(float(info), "single-draw", delta, (w, ztilde, s))
+    view, delta = view_of(sys, c, q_kernel), _check_delta(delta)
+    term = view.iota[_lookup(sys.zt_grid.code, ztilde), _lookup(sys.s_grid.code, s),
+                     _lookup(sys.w_labels.index, w)]
+    return view.pointwise(term, "single-draw", delta, (w, ztilde, s))
 
 
 def cond_sd_moment_bound(sys: SubsetSystem, delta: float, t: Any,
@@ -230,9 +228,11 @@ def genhat_to_gen(eps_fn: Callable[[float], float], loss: LossTable, n: int,
 
 
 def leakage_ordering_check(sys: SubsetSystem) -> dict:
-    """Conditional leakage vs the leakage of the induced standard system."""
+    """Conditional leakage vs that of the induced standard system, unassembled."""
     cond_leak = view_of(sys).leakage
-    std_leak = maximal_leakage(sys.induced_standard())
+    grid = ProductGrid(sys.pz.outcomes, sys.n)
+    std_leak = _leakage(np.exp(power_log_mass(sys.pz.log_mass, grid)),
+                        np.exp(sys.learner.log_mass[sys.learner.rows_on(grid)]))
     return {
         "cond_maximal_leakage": cond_leak,
         "induced_maximal_leakage": std_leak,

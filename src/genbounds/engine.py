@@ -130,26 +130,22 @@ class _View:
         with np.errstate(invalid="ignore"):
             return np.sqrt(self.rate * info)
 
-    def pointwise(self, info: float, flavor: str, delta: float,
+    def info(self, terms, delta: float):
+        """Information terms of the data-dependent bounds: ``kls`` (one per
+        posterior) or ``iota`` (one per atom), or an entry of either, + log(1/delta)."""
+        return terms + math.log(1.0 / _check_delta(delta))
+
+    def pointwise(self, term: float, flavor: str, delta: float,
                   atom: tuple) -> BoundResult:
-        """A data-dependent bound from its information term at one posterior
-        or atom."""
+        """A data-dependent bound from one entry of ``kls`` or ``iota``."""
+        info = float(self.info(term, delta))
         if info == -math.inf:
             raise KeyError(f"atom {atom!r} not in the joint support")
-        return self.sqrt_bound(info, flavor, "data-dependent",
-                               self.params(delta=_check_delta(delta)))
+        return self.sqrt_bound(info, flavor, "data-dependent", self.params(delta=delta))
 
     def avg(self) -> BoundResult:
         return self.sqrt_bound(self.table.mean, "average", "data-independent",
                                self.params())
-
-    def pacb_info(self, delta: float) -> np.ndarray:
-        """PAC-Bayesian information terms, one per posterior."""
-        return self.kls + math.log(1.0 / _check_delta(delta))
-
-    def density_info(self, delta: float) -> np.ndarray:
-        """Single-draw information terms, one per atom (-inf off the support)."""
-        return self.iota + math.log(1.0 / _check_delta(delta))
 
     def pacb_moment(self, delta: float, t: Any) -> BoundResult:
         delta = _check_delta(delta)
@@ -213,7 +209,11 @@ def _tail_bound_from_table(tbl: DensityTable, rate: float, delta: float,
 
     Auto mode scans the step edges of the exact tail function: each attained
     density value and a point just above it (where the tail drops to the
-    strict-inequality mass).
+    strict-inequality mass). Every candidate is screened from the table's
+    sorted tails (one O(N log N) sort per table, then O(V) per delta); only
+    those whose rounding could cross delta (tail within 1e-9 delta of it) or
+    rank first (radicand within about 1e-9 of the least) are evaluated
+    exactly, in scan order, keeping the first strict minimum as a full scan does.
     """
     def infeasible(params, reason: str) -> BoundResult:
         return BoundResult(math.inf, "single-draw", "data-independent", params,
@@ -232,12 +232,23 @@ def _tail_bound_from_table(tbl: DensityTable, rate: float, delta: float,
 
     if gamma != "auto":
         return evaluate(float(gamma))
+    values = tbl.distinct_values()
+    cands = np.column_stack((values, values + GAMMA_STEP)).ravel()
+    tails = tbl.tail_probabilities(cands)
+    near = np.abs(tails - delta) <= 1e-9 * delta
+    with np.errstate(all="ignore"):
+        log_term = np.log(2.0 / (delta - tails))
+        radicand = rate * (cands + log_term)
+        slack = 1e-9 * rate * (np.abs(cands) + log_term + tails / (delta - tails))
+        low, high = radicand - slack, radicand + slack
+    below = ~near & (tails < delta)
+    least = np.min(high[below & (low >= 0.0)], initial=math.inf)
+    confirm = near | (below & (high >= 0.0) & ~(low > least))  # NaN: not ruled out
     best = None
-    for v in tbl.distinct_values():
-        for g in (float(v), float(v) + GAMMA_STEP):
-            cand = evaluate(g)
-            if cand.feasible and (best is None or cand.epsilon < best.epsilon):
-                best = cand
+    for g in cands[confirm].tolist():
+        cand = evaluate(g)
+        if cand.feasible and (best is None or cand.epsilon < best.epsilon):
+            best = cand
     if best is None:
         return infeasible(dict(extra_params, delta=delta, gamma="auto"),
                           "no gamma meets the tail level delta")

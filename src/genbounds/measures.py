@@ -83,6 +83,18 @@ class DensityTable:
             return 0.0
         return float(math.exp(logsumexp(self.log_p[mask])))
 
+    @cached_property
+    def _sorted_tails(self) -> tuple[np.ndarray, np.ndarray]:
+        """Sorted iota, and the log mass from each position on (-inf at the end)."""
+        order = np.argsort(self.iota, kind="stable")
+        log_tails = np.logaddexp.accumulate(self.log_p[order][::-1])[::-1]
+        return self.iota[order], np.append(log_tails, NEG_INF)
+
+    def tail_probabilities(self, gammas: np.ndarray) -> np.ndarray:
+        """P[iota >= gamma] at every gamma, to rounding; see ``tail_probability``."""
+        values, log_tails = self._sorted_tails
+        return np.exp(log_tails[np.searchsorted(values, gammas, side="left")])
+
     def distinct_values(self) -> np.ndarray:
         return np.unique(self.iota)
 
@@ -262,8 +274,12 @@ def alpha_mi(sys: StandardSystem, alpha: float) -> float:
 
 def maximal_leakage(sys: StandardSystem) -> float:
     """log sum_w max_{z in supp} P(w | z-vector)."""
-    mask = sys.pzn_mass > 0
-    return float(math.log(np.sum(sys.cond[mask].max(axis=0))))
+    return _leakage(sys.pzn_mass, sys.cond)
+
+
+def _leakage(pzn_mass: np.ndarray, cond: np.ndarray) -> float:
+    """Maximal leakage from the z-vector masses and the posterior rows."""
+    return float(math.log(np.sum(cond[pzn_mass > 0].max(axis=0))))
 
 
 def max_information(sys: StandardSystem) -> float:

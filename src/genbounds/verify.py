@@ -25,6 +25,7 @@ from .models import (
     assemble_standard,
     assemble_subset,
     gibbs_kernel,
+    load_fixture,
 )
 from .prob import NEG_INF, FiniteDistribution, logsumexp
 
@@ -167,20 +168,20 @@ class Bound(NamedTuple):
     data_dependent: bool = False
 
 
-def _pointwise(info: Callable[[_View, float], np.ndarray]) -> Callable[..., np.ndarray]:
+def _pointwise(terms: str) -> Callable[..., np.ndarray]:
     def evaluate(sys, delta, t, alpha, gamma):
         view = view_of(sys)
-        return view.epsilons(info(view, delta))
+        return view.epsilons(view.info(getattr(view, terms), delta))
     return evaluate
 
 
 # Ordered: the report panel and the coverage ids follow this order.
 BOUNDS: dict[str, Bound] = {
     "avg": Bound("standard", lambda s, d, t, a, g: bstd.avg_mi_bound(s), None),
-    "pacb": Bound("standard", _pointwise(_View.pacb_info), "posterior", True),
+    "pacb": Bound("standard", _pointwise("kls"), "posterior", True),
     "pacb_moment": Bound(
         "standard", lambda s, d, t, a, g: bstd.pacb_moment_bound(s, d, t), "posterior"),
-    "sd_density": Bound("standard", _pointwise(_View.density_info), "atom", True),
+    "sd_density": Bound("standard", _pointwise("iota"), "atom", True),
     "sd_moment": Bound(
         "standard", lambda s, d, t, a, g: bstd.sd_moment_bound(s, d, t), "atom"),
     "sd_leakage": Bound(
@@ -196,10 +197,10 @@ BOUNDS: dict[str, Bound] = {
         "standard", lambda s, d, t, a, g: bstd.sd_leakage_bound(s, d, relaxed=True),
         "atom"),
     "cmi": Bound("subset", lambda s, d, t, a, g: bsub.cmi_avg_bound(s), None),
-    "cond_pacb": Bound("subset", _pointwise(_View.pacb_info), "posterior", True),
+    "cond_pacb": Bound("subset", _pointwise("kls"), "posterior", True),
     "cond_pacb_moment": Bound(
         "subset", lambda s, d, t, a, g: bsub.cond_pacb_moment_bound(s, d, t), "posterior"),
-    "cond_sd_density": Bound("subset", _pointwise(_View.density_info), "atom", True),
+    "cond_sd_density": Bound("subset", _pointwise("iota"), "atom", True),
     "cond_sd_moment": Bound(
         "subset", lambda s, d, t, a, g: bsub.cond_sd_moment_bound(s, d, t), "atom"),
     "cond_sd_leakage": Bound(
@@ -361,16 +362,6 @@ def run_verification_suite(seed: int = 0, n_instances: int = 50,
     ``sigma_scale`` rescales the sub-Gaussian parameter in the exponential
     checks (values below 1 inject a deliberate fault).
     """
-    from .models import load_fixture
-
-    failures: list[str] = []
-    checks = 0
-    rng = np.random.default_rng(seed)
-    systems = {"standard": [load_fixture("inst_a")[1], load_fixture("inst_c")[1]],
-               "subset": [load_fixture("inst_b")[1]]}
-    for _ in range(n_instances):
-        systems["standard"].append(random_standard_system(rng))
-        systems["subset"].append(random_subset_system(rng))
     # per setting: exponential check, ordering check, (relaxed, direct) moment bounds
     suites = {
         "standard": (
@@ -383,31 +374,44 @@ def run_verification_suite(seed: int = 0, n_instances: int = 50,
             ("leakage ordering", lambda sys: bsub.leakage_ordering_check(sys)["holds"]),
             ("cond_tail_relax_moment", "cond_sd_moment")),
     }
-    for setting, (exp_check, (order_name, order_holds), pair) in suites.items():
-        for i, sys in enumerate(systems[setting]):
-            name = f"{setting}[{i}]"
-            checks += 2
-            worst = exp_check(sys)
-            if worst > 1.0 + EXP_INEQ_TOL:
-                failures.append(f"exp-inequality {name}: worst={worst:.6g}")
-            if not order_holds(sys):
-                failures.append(f"{order_name} violated on {name}")
-            rate = view_of(sys).rate
-            for delta in deltas:
-                relaxed, direct = (BOUNDS[k].evaluate(sys, delta, 2, 2.0, "auto")
-                                   for k in pair)
-                checks += 1
-                if abs(relaxed.epsilon ** 2 - direct.epsilon ** 2
-                       - rate * math.log(2.0)) > 1e-12:
-                    failures.append(f"gap identity violated on {name} delta={delta}")
-                for bound_id in coverage_ids(setting):
-                    checks += 1
-                    rep = coverage(sys, bound_id, delta)
-                    if not rep.holds:
-                        failures.append(
-                            f"coverage {bound_id} {name} delta={delta}: "
-                            f"viol={rep.exact_violation_prob:.6g}")
 
-    return {"passed": not failures, "checks": checks, "failures": failures,
+    def systems():
+        """Each system with its index in its setting, drawn only when needed."""
+        for name, i in (("inst_a", 0), ("inst_c", 1), ("inst_b", 0)):
+            yield load_fixture(name)[1], i
+        rng = np.random.default_rng(seed)
+        for i in range(n_instances):
+            yield random_standard_system(rng), i + 2
+            yield random_subset_system(rng), i + 1
+
+    # Each system is checked when drawn, then let go; standard failures list first.
+    failures: dict[str, list[str]] = {"standard": [], "subset": []}
+    checks = 0
+    for sys, i in systems():
+        exp_check, (order_name, order_holds), pair = suites[sys.setting]
+        name, found = f"{sys.setting}[{i}]", failures[sys.setting]
+        checks += 2
+        worst = exp_check(sys)
+        if worst > 1.0 + EXP_INEQ_TOL:
+            found.append(f"exp-inequality {name}: worst={worst:.6g}")
+        if not order_holds(sys):
+            found.append(f"{order_name} violated on {name}")
+        rate = view_of(sys).rate
+        for delta in deltas:
+            relaxed, direct = (BOUNDS[k].evaluate(sys, delta, 2, 2.0, "auto")
+                               for k in pair)
+            checks += 1
+            if abs(relaxed.epsilon ** 2 - direct.epsilon ** 2
+                   - rate * math.log(2.0)) > 1e-12:
+                found.append(f"gap identity violated on {name} delta={delta}")
+            for bound_id in coverage_ids(sys.setting):
+                checks += 1
+                rep = coverage(sys, bound_id, delta)
+                if not rep.holds:
+                    found.append(f"coverage {bound_id} {name} delta={delta}: "
+                                 f"viol={rep.exact_violation_prob:.6g}")
+        del sys  # before the next one is drawn
+    listed = failures["standard"] + failures["subset"]
+    return {"passed": not listed, "checks": checks, "failures": listed,
             "seed": seed}
 

@@ -4,9 +4,11 @@ Deliberately written with plain dict/loop arithmetic (no numpy, no shared
 code with the package) so that agreement between the two implementations is
 meaningful evidence of correctness. Only suitable for desk-scale instances.
 
-The exception is the loop reference at the end: it builds the system arrays
-atom by atom with the same per-row numpy operations the array core must
-reproduce, so the two can be compared bit for bit.
+The exceptions are the loop reference at the end, which builds the system
+arrays atom by atom with the same per-row numpy operations the array core
+must reproduce, and the full auto-gamma tail scan, which evaluates every
+candidate exactly through the package's own tail function; both are
+compared with the package bit for bit.
 """
 from __future__ import annotations
 
@@ -342,3 +344,34 @@ def pushforward(values, masses):
     labels = sorted(groups)
     with np.errstate(divide="ignore"):
         return labels, np.log(np.array([groups[k] for k in labels]))
+
+
+def tail_scan(tbl, rate, delta, extra_params, step=1e-9):
+    """The full auto-gamma tail scan: every attained density value and the
+    value plus ``step``, each evaluated exactly, the first strict minimum of
+    epsilon kept; the reference of the screened scan in ``engine``."""
+    from genbounds.engine import BoundResult
+
+    def evaluate(g):
+        tail = tbl.tail_probability(g)
+        params = dict(extra_params, delta=delta, gamma=g, tail_prob=tail)
+        if tail >= delta:
+            return BoundResult(math.inf, "single-draw", "data-independent", params,
+                               feasible=False, reason="tail mass at or above delta")
+        radicand = rate * (g + math.log(2.0 / (delta - tail)))
+        if radicand < 0.0:
+            return BoundResult(math.inf, "single-draw", "data-independent", params,
+                               feasible=False, reason="negative radicand")
+        return BoundResult(math.sqrt(radicand), "single-draw", "data-independent", params)
+
+    best = None
+    for v in tbl.distinct_values():
+        for g in (float(v), float(v) + step):
+            cand = evaluate(g)
+            if cand.feasible and (best is None or cand.epsilon < best.epsilon):
+                best = cand
+    if best is None:
+        return BoundResult(math.inf, "single-draw", "data-independent",
+                           dict(extra_params, delta=delta, gamma="auto"), feasible=False,
+                           reason="no gamma meets the tail level delta")
+    return best

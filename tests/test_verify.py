@@ -1,9 +1,14 @@
+import gc
+import json
 import math
+import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import oracles
+from genbounds import verify
 from genbounds import (
     FiniteDistribution,
     assemble_standard,
@@ -220,3 +225,33 @@ class TestSuiteRunner:
         rep = run_verification_suite(seed=3, n_instances=2, sigma_scale=0.25)
         assert not rep["passed"]
         assert any("exp-inequality" in f for f in rep["failures"])
+
+    @pytest.mark.parametrize("seed,sigma_scale", [(0, 1.0), (0, 0.5), (3, 1.0), (3, 0.5)])
+    def test_equals_the_recorded_suite(self, seed, sigma_scale):
+        """The dicts the suite returned when it held every system until the
+        end (50 instances each); seed 3 with the fault fails a subset system
+        drawn after most standard ones, so the order of the list shows."""
+        expected = json.loads((Path(__file__).parent / "suite_expected.json").read_text())
+        rep = run_verification_suite(seed=seed, n_instances=50, sigma_scale=sigma_scale)
+        assert rep == expected[f"{seed}_{sigma_scale}"]
+
+    def test_lets_each_system_go(self, monkeypatch):
+        drawn = []
+
+        def draw(make):
+            def tracked(rng):
+                assert all(ref() is None for ref in drawn), "an earlier system is alive"
+                sys = make(rng)
+                drawn.append(weakref.ref(sys))
+                return sys
+            return tracked
+
+        for name in ("random_standard_system", "random_subset_system"):
+            monkeypatch.setattr(verify, name, draw(getattr(verify, name)))
+        gc.collect()
+        gc.disable()
+        try:
+            assert run_verification_suite(seed=1, n_instances=3)["passed"]
+        finally:
+            gc.enable()
+        assert len(drawn) == 6
