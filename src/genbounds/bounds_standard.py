@@ -7,15 +7,13 @@ z-vectors, and the rate 2 sigma^2 / n.
 """
 from __future__ import annotations
 
-import math
 from functools import cached_property
 from typing import Any
 
-from .engine import (BoundResult, _View, _check_delta, _lookup, _tail_bound_from_table,
-                     view_of)
+from .engine import (BoundResult, _View, _check_delta, _log_ratio, _lookup,
+                     _tail_bound_from_table, view_of)
 from .measures import (
     T_INF,
-    central_moment,
     information_density,
     maximal_leakage,
     posterior_kls_standard,
@@ -119,11 +117,11 @@ def chain_report(sys: StandardSystem, delta: float) -> dict:
     view = view_of(sys)
     tbl, leakage = view.table, view.leakage
     i_max = float(tbl.iota.max())
-    mi_plus_dev = tbl.mean + central_moment(tbl, T_INF)
+    mi_plus_dev = tbl.mean + view.moment(T_INF)
     return {
         "maximal_leakage": leakage,
         "max_information": i_max,
         "mi_plus_max_deviation": mi_plus_dev,
         "holds": leakage <= i_max + 1e-9 and i_max <= mi_plus_dev + 1e-9,
-        "leakage_preferable": leakage <= i_max + math.log(2.0 / delta),
+        "leakage_preferable": leakage <= i_max + _log_ratio(2.0, delta),
     }

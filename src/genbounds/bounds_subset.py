@@ -16,8 +16,8 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .engine import (BoundResult, _View, _check_delta, _lookup, _tail_bound_from_table,
-                     view_of)
+from .engine import (BoundResult, _View, _check_delta, _log_ratio, _lookup,
+                     _tail_bound_from_table, view_of)
 from .measures import (
     cond_maximal_leakage,
     conditional_density,
@@ -82,7 +82,7 @@ class _SubsetView(_View):
         self.values, self.gen, self.cond = sys.genhat, sys.gen_sel, sys.cond
         self.mass = sys.p_ztilde[:, None] * sys.p_s[None, :]
 
-    joint = property(lambda self: self.sys.joint)
+    joint = cached_property(lambda self: self.sys.joint)
     table = cached_property(lambda self: conditional_density(self.sys, self.q_kernel))
     kls = cached_property(lambda self: _subset_kls(self.cond, self.iota))
     leakage = cached_property(lambda self: cond_maximal_leakage(self.sys))
@@ -202,12 +202,13 @@ def cond_alpha_mi_bound(sys: SubsetSystem, delta: float, alpha: float,
     delta = _check_delta(delta)
     view = view_of(sys, c)
     if alpha == math.inf:
-        info = view.leakage + math.log(2.0) + math.log(1.0 / delta)
+        info = view.leakage + math.log(2.0) + _log_ratio(1.0, delta)
     elif not alpha > 1:
         raise ValueError("alpha must exceed 1")
     else:
-        info = (_cond_alpha_mi(sys, view.iota, alpha) + math.log(2.0)
-                + alpha / (alpha - 1.0) * math.log(1.0 / delta))
+        info = (view.memoised(("alpha_mi", alpha),
+                              lambda: _cond_alpha_mi(sys, view.iota, alpha))
+                + math.log(2.0) + alpha / (alpha - 1.0) * _log_ratio(1.0, delta))
     return view.sqrt_bound(info, "single-draw", "data-independent",
                            view.params(delta=delta, alpha=alpha))
 
@@ -217,8 +218,9 @@ def genhat_to_gen(eps_fn: Callable[[float], float], loss: LossTable, n: int,
     """Convert a bound on the test-minus-train gap into one on the ordinary
     generalization error via the delta-dependent penalty term."""
     delta = _check_delta(delta)
-    penalty = math.sqrt((loss.b - loss.a) ** 2 / (2.0 * n) * math.log(4.0 / delta))
-    base = float(eps_fn(delta / 2.0))
+    penalty = math.sqrt((loss.b - loss.a) ** 2 / (2.0 * n) * _log_ratio(4.0, delta))
+    # the gap bound's level delta/2 rounds to 0 at the least subnormal delta
+    base = float(eps_fn(delta / 2.0)) if delta / 2.0 > 0.0 else math.inf
     if not math.isfinite(base):
         return BoundResult(math.inf, "single-draw", "data-independent",
                            {"delta": delta, "n": n}, feasible=False,

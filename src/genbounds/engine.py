@@ -9,12 +9,12 @@ method of the view, written once.
 
 A system's default view is one object, built on first use and kept while
 the system lives, so its bounds, coverage and checks read one set of
-density arrays; a view with an auxiliary measure or range constant is built
-per call and never kept.
+density arrays and compute each delta-independent term once; a view with an
+auxiliary measure or range constant is built per call and never kept.
 
 Every bound evaluates to sqrt(rate * (information term)). Infeasibility (a
-negative radicand, or a tail level delta that cannot be met) is a
-first-class result carried on the flag, never an exception.
+negative, NaN or overflowing radicand, or a tail level delta that cannot be
+met) is a first-class result carried on the flag, never an exception.
 """
 from __future__ import annotations
 
@@ -62,10 +62,25 @@ def _lookup(find: Callable[[Any], int], label: Any) -> int:
         raise KeyError(f"{label!r} is not an outcome of the system") from None
 
 
+def _log_ratio(c: float, d: float) -> float:
+    """log(c / d), taken as log(c) - log(d) only where c / d overflows (a
+    tiny d), so that every representable quotient keeps its rounding."""
+    ratio = c / d
+    return math.log(ratio) if ratio < math.inf else math.log(c) - math.log(d)
+
+
 def _moment_term(norm: float, delta: float, t: Any) -> float:
-    """An L_t norm inflated by Markov's inequality at level delta/2; the
-    essential supremum (t = inf) needs no inflation."""
-    return norm if t is T_INF else norm / (delta / 2.0) ** (1.0 / t)
+    """An L_t norm inflated by Markov's inequality at level delta/2 (none for
+    t = inf); an inflation (delta/2)^(-1/t) that overflows is taken in logs."""
+    if t is T_INF or norm == 0.0:
+        return norm
+    scale = (delta / 2.0) ** (1.0 / t)
+    if scale > 0.0:
+        return norm / scale
+    try:
+        return math.exp(math.log(norm) + _log_ratio(2.0, delta) / t)
+    except OverflowError:
+        return math.inf
 
 
 _VIEWS: dict = {}  # setting -> its view class
@@ -98,6 +113,12 @@ class _View:
     value bounded at each atom), ``gen`` (the generalization error at each
     atom), ``joint`` and ``cond`` (the posterior rows, hypotheses on the
     last axis).
+
+    Each delta-independent term is computed once, into the view's own memo
+    (``memoised``) keyed by (quantity, order): the central moment of iota and
+    the posterior-KL L_t norm per normalized t, the Renyi divergence and the
+    conditional alpha-MI per alpha, and the |value| arrays of ``coverage``
+    per ``covers`` kind.
     """
 
     def __init_subclass__(cls):
@@ -108,6 +129,7 @@ class _View:
         self.variance = variance
         self.rate = 2.0 * variance / sys.n
         self._params = dict(params)
+        self._memo: dict = {}
 
     sys = property(lambda self: self._sys())
     log_base = property(lambda self: self._log_arrays[1])
@@ -116,13 +138,23 @@ class _View:
     def params(self, **extra) -> dict:
         return {**self._params, **extra}
 
+    def memoised(self, key: tuple, compute: Callable[[], Any]) -> Any:
+        """The term named by ``key``, computed by ``compute`` on first use."""
+        if key not in self._memo:
+            self._memo[key] = compute()
+        return self._memo[key]
+
+    def moment(self, t: Any) -> float:
+        """The t-th central moment of the density (t normalized)."""
+        return self.memoised(("moment", t), lambda: central_moment(self.table, t))
+
     def sqrt_bound(self, info_term: float, flavor: str, scope: str,
                    params: Mapping[str, Any]) -> BoundResult:
         radicand = self.rate * info_term
-        if radicand < 0.0:
-            return BoundResult(math.inf, flavor, scope, params, feasible=False,
-                               reason="negative radicand")
-        return BoundResult(math.sqrt(radicand), flavor, scope, params)
+        if 0.0 <= radicand < math.inf:
+            return BoundResult(math.sqrt(radicand), flavor, scope, params)
+        reason = "negative radicand" if radicand < 0.0 else "radicand is NaN or overflows"
+        return BoundResult(math.inf, flavor, scope, params, feasible=False, reason=reason)
 
     def epsilons(self, info: np.ndarray) -> np.ndarray:
         """Data-dependent epsilons from per-posterior or per-atom information
@@ -133,7 +165,7 @@ class _View:
     def info(self, terms, delta: float):
         """Information terms of the data-dependent bounds: ``kls`` (one per
         posterior) or ``iota`` (one per atom), or an entry of either, + log(1/delta)."""
-        return terms + math.log(1.0 / _check_delta(delta))
+        return terms + _log_ratio(1.0, _check_delta(delta))
 
     def pointwise(self, term: float, flavor: str, delta: float,
                   atom: tuple) -> BoundResult:
@@ -150,23 +182,25 @@ class _View:
     def pacb_moment(self, delta: float, t: Any) -> BoundResult:
         delta = _check_delta(delta)
         t = normalize_order(t)
-        kls, mass = self.kls, self.mass
-        if t is T_INF:
-            norm = float(kls[mass > 0].max())
-        else:
-            norm = float(np.sum(mass * kls ** t)) ** (1.0 / t)
-        return self.sqrt_bound(_moment_term(norm, delta, t) + math.log(2.0 / delta),
+        norm = self.memoised(("kl_norm", t), lambda: self._kl_norm(t))
+        return self.sqrt_bound(_moment_term(norm, delta, t) + _log_ratio(2.0, delta),
                                "pac-bayes", "data-independent",
                                self.params(delta=delta, t=t))
+
+    def _kl_norm(self, t: Any) -> float:
+        """L_t norm of the posterior KL; |KL| guards a rounded -1e-16 at fractional t."""
+        kls, mass = self.kls, self.mass
+        if t is T_INF:
+            return float(kls[mass > 0].max())
+        return float(np.sum(mass * np.abs(kls) ** t)) ** (1.0 / t)
 
     def sd_moment(self, delta: float, t: Any, relaxed: bool = False) -> BoundResult:
         """Single-draw bound from central moments of the density; ``relaxed``
         rederives it through the tail route, at ln 2 more inside the square."""
         delta = _check_delta(delta)
         t = normalize_order(t)
-        tbl = self.table
-        info = (tbl.mean + _moment_term(central_moment(tbl, t), delta, t)
-                + math.log((4.0 if relaxed else 2.0) / delta))
+        info = (self.table.mean + _moment_term(self.moment(t), delta, t)
+                + _log_ratio(4.0 if relaxed else 2.0, delta))
         params = self.params(delta=delta, t=t)
         if relaxed:
             params["route"] = "tail-moment"
@@ -176,7 +210,7 @@ class _View:
         """Single-draw bound from the maximal leakage; ``relaxed`` as above."""
         delta = _check_delta(delta)
         info = (self.leakage + (math.log(2.0) if relaxed else 0.0)
-                + 2.0 * math.log(2.0 / delta))
+                + 2.0 * _log_ratio(2.0, delta))
         params = self.params(delta=delta)
         if relaxed:
             params["route"] = "tail-leakage"
@@ -184,7 +218,8 @@ class _View:
 
     def renyi(self, alpha: float) -> float:
         """Renyi divergence of order alpha of the joint against the base."""
-        return self.table.mean if _near_one(alpha) else self._renyi(self._log_arrays, alpha)
+        return self.table.mean if _near_one(alpha) else self.memoised(
+            ("renyi", alpha), lambda: self._renyi(self._log_arrays, alpha))
 
     def tail_relaxations(self, delta: float, t: Any) -> tuple[BoundResult, BoundResult]:
         return (self.sd_moment(delta, t, relaxed=True),
@@ -198,7 +233,7 @@ class _View:
         gamma = alpha / (alpha - 1.0)
         info = ((alpha - 1.0) / alpha * self.renyi(alpha)
                 + (gamma - 1.0) / gamma * self.renyi(gamma)
-                + 2.0 * math.log(2.0 / delta))
+                + 2.0 * _log_ratio(2.0, delta))
         return self.sqrt_bound(info, "single-draw", "data-independent",
                                self.params(delta=delta, alpha=alpha, gamma=gamma))
 
@@ -224,7 +259,7 @@ def _tail_bound_from_table(tbl: DensityTable, rate: float, delta: float,
         params = dict(extra_params, delta=delta, gamma=g, tail_prob=tail)
         if tail >= delta:
             return infeasible(params, "tail mass at or above delta")
-        radicand = rate * (g + math.log(2.0 / (delta - tail)))
+        radicand = rate * (g + _log_ratio(2.0, delta - tail))
         if radicand < 0.0:
             return infeasible(params, "negative radicand")
         return BoundResult(math.sqrt(radicand), "single-draw",
@@ -237,7 +272,9 @@ def _tail_bound_from_table(tbl: DensityTable, rate: float, delta: float,
     tails = tbl.tail_probabilities(cands)
     near = np.abs(tails - delta) <= 1e-9 * delta
     with np.errstate(all="ignore"):
-        log_term = np.log(2.0 / (delta - tails))
+        ratio = 2.0 / (delta - tails)  # as in _log_ratio where it overflows
+        log_term = np.where(np.isinf(ratio), math.log(2.0) - np.log(delta - tails),
+                            np.log(ratio))
         radicand = rate * (cands + log_term)
         slack = 1e-9 * rate * (np.abs(cands) + log_term + tails / (delta - tails))
         low, high = radicand - slack, radicand + slack

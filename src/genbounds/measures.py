@@ -70,7 +70,7 @@ class DensityTable:
 
     outcomes = cached_property(lambda self: self.build_outcomes())
 
-    @property
+    @cached_property
     def mean(self) -> float:
         """E_P[iota] (the mutual/conditional mutual information when the
         base measure is the matching product)."""
@@ -95,8 +95,10 @@ class DensityTable:
         values, log_tails = self._sorted_tails
         return np.exp(log_tails[np.searchsorted(values, gammas, side="left")])
 
+    _distinct_values = cached_property(lambda self: np.unique(self.iota))
+
     def distinct_values(self) -> np.ndarray:
-        return np.unique(self.iota)
+        return self._distinct_values
 
 
 # -- densities --------------------------------------------------------------

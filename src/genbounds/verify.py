@@ -247,10 +247,10 @@ def coverage(sys: StandardSystem | SubsetSystem, bound_id: str, delta: float,
     data-independent bound that is infeasible outright has violation
     probability 1.
     """
-    if bound_id not in coverage_ids(sys.setting):
+    entry = BOUNDS.get(bound_id)
+    if entry is None or entry.setting != sys.setting or entry.covers is None:
         raise KeyError(f"unknown bound id {bound_id!r} for a {sys.setting} system")
     params = dict(params or {})
-    entry = BOUNDS[bound_id]
     eps = entry.evaluate(sys, delta, params.get("t", 2), params.get("alpha", 2.0),
                          params.get("gamma", "auto"))
     viol = _violation(view_of(sys), entry.covers, eps)
@@ -264,11 +264,11 @@ def _violation(view: _View, covers: str, eps: BoundResult | np.ndarray) -> float
         if not eps.feasible:
             return 1.0
         eps = eps.epsilon
-    if covers == "posterior":
-        values, mass = np.sum(view.cond * view.values, axis=-1), view.mass
-    else:
-        values, mass = (view.gen if covers == "gen" else view.values), view.joint
-    return float(np.sum(mass[~(np.abs(values) <= eps + COVERAGE_TOL)]))
+    abs_values = view.memoised(("abs", covers), lambda: np.abs(
+        np.sum(view.cond * view.values, axis=-1) if covers == "posterior"
+        else view.gen if covers == "gen" else view.values))
+    mass = view.mass if covers == "posterior" else view.joint
+    return float(np.sum(mass[~(abs_values <= eps + COVERAGE_TOL)]))
 
 
 # -- classical helpers ------------------------------------------------------
@@ -396,7 +396,7 @@ def run_verification_suite(seed: int = 0, n_instances: int = 50,
             found.append(f"exp-inequality {name}: worst={worst:.6g}")
         if not order_holds(sys):
             found.append(f"{order_name} violated on {name}")
-        rate = view_of(sys).rate
+        rate, ids = view_of(sys).rate, coverage_ids(sys.setting)
         for delta in deltas:
             relaxed, direct = (BOUNDS[k].evaluate(sys, delta, 2, 2.0, "auto")
                                for k in pair)
@@ -404,7 +404,7 @@ def run_verification_suite(seed: int = 0, n_instances: int = 50,
             if abs(relaxed.epsilon ** 2 - direct.epsilon ** 2
                    - rate * math.log(2.0)) > 1e-12:
                 found.append(f"gap identity violated on {name} delta={delta}")
-            for bound_id in coverage_ids(sys.setting):
+            for bound_id in ids:
                 checks += 1
                 rep = coverage(sys, bound_id, delta)
                 if not rep.holds:

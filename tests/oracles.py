@@ -358,7 +358,9 @@ def tail_scan(tbl, rate, delta, extra_params, step=1e-9):
         if tail >= delta:
             return BoundResult(math.inf, "single-draw", "data-independent", params,
                                feasible=False, reason="tail mass at or above delta")
-        radicand = rate * (g + math.log(2.0 / (delta - tail)))
+        ratio = 2.0 / (delta - tail)  # overflows for a subnormal delta - tail
+        log_ratio = math.log(ratio) if ratio < math.inf else math.log(2.0) - math.log(delta - tail)
+        radicand = rate * (g + log_ratio)
         if radicand < 0.0:
             return BoundResult(math.inf, "single-draw", "data-independent", params,
                                feasible=False, reason="negative radicand")
