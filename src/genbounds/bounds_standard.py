@@ -18,7 +18,6 @@ from .measures import (
     maximal_leakage,
     posterior_kls_standard,
     _joint_renyi,
-    _standard_log_arrays,
 )
 from .models import StandardSystem
 from .prob import FiniteDistribution
@@ -38,7 +37,6 @@ class _StandardView(_View):
     table = cached_property(lambda self: information_density(self.sys, self.q_w))
     kls = cached_property(lambda self: posterior_kls_standard(self.sys, self.q_w))
     leakage = cached_property(lambda self: maximal_leakage(self.sys))
-    _log_arrays = cached_property(lambda self: _standard_log_arrays(self.sys, self.q_w))
     _renyi = staticmethod(_joint_renyi)
 
 

@@ -25,7 +25,6 @@ from .measures import (
     _cond_renyi,
     _leakage,
     _subset_kls,
-    _subset_log_arrays,
 )
 from .models import LossTable, SubsetSystem
 from .prob import NEG_INF, FiniteDistribution, ProductGrid, logsumexp, power_log_mass
@@ -86,7 +85,6 @@ class _SubsetView(_View):
     table = cached_property(lambda self: conditional_density(self.sys, self.q_kernel))
     kls = cached_property(lambda self: _subset_kls(self.cond, self.iota))
     leakage = cached_property(lambda self: cond_maximal_leakage(self.sys))
-    _log_arrays = cached_property(lambda self: _subset_log_arrays(self.sys, self.q_kernel))
     _renyi = staticmethod(_cond_renyi)
 
 

@@ -14,13 +14,13 @@ import json
 import math
 import sys as _sys
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any, Callable, Mapping
 
 import numpy as np
 
 from . import verify as vfy
 from .engine import view_of
-from .measures import T_INF
+from .measures import T_INF, normalize_order
 from .models import (
     SubsetSystem,
     expected_gen,
@@ -64,9 +64,21 @@ def _param(result, key: str) -> Any:
 def _load_config(path: str) -> dict:
     try:
         with open(path) as fh:
-            return json.load(fh)
+            config = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path!r}: {exc}")
+    if not isinstance(config, dict):
+        raise ConfigError(f"config {path!r} is not a JSON object")
+    return config
+
+
+def _typed(key: str, value: Any, convert: Callable[[Any], Any]) -> Any:
+    """``convert(value)``, where ``value`` is read from the config field
+    ``key``; a value of the wrong type or form is a ConfigError naming it."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"config field {key!r}: {exc}") from None
 
 
 def _load_system(config: Mapping[str, Any]):
@@ -80,7 +92,10 @@ def _load_system(config: Mapping[str, Any]):
 
 
 def _deltas(config: Mapping[str, Any]) -> list[float]:
-    deltas = [float(d) for d in config.get("deltas", [0.1])]
+    deltas = config.get("deltas", [0.1])
+    if not isinstance(deltas, list):
+        raise ConfigError("config field 'deltas' must be a list of levels")
+    deltas = [_typed("deltas", d, float) for d in deltas]
     if not deltas or any(not 0.0 < d < 1.0 for d in deltas):
         raise ConfigError("deltas must be a nonempty subset of (0, 1)")
     return deltas
@@ -97,14 +112,16 @@ def _report_rows(system, config: Mapping[str, Any], truth: tuple) -> list[dict]:
     """Report rows of ``system``; ``truth`` is its ``_ground_truth``."""
     panel = vfy.panel_ids(system.setting)
     bounds = config.get("bounds", list(panel))
+    if not isinstance(bounds, list):
+        raise ConfigError("config field 'bounds' must be a list of bound ids")
     if not bounds:
         raise ConfigError("empty bound selection")
     for bound_id in bounds:
         if bound_id not in panel:
             raise ConfigError(f"{bound_id!r} is not a data-independent "
                               f"{system.setting} bound id")
-    t = config.get("t", 2)
-    alpha = float(config.get("alpha", 2.0))
+    t = _typed("t", config.get("t", 2), normalize_order)
+    alpha = _typed("alpha", config.get("alpha", 2.0), float)
     deltas = _deltas(config)
     dist, abs_gen = truth
     rows = []
@@ -147,9 +164,9 @@ def cmd_report(config: Mapping[str, Any], out: str | None, fmt: str) -> int:
 def cmd_verify(config: Mapping[str, Any], seed: int) -> int:
     result = vfy.run_verification_suite(
         seed=seed,
-        n_instances=int(config.get("instances", 50)),
+        n_instances=_typed("instances", config.get("instances", 50), int),
         deltas=tuple(_deltas(config)) if "deltas" in config else (0.3, 0.1, 0.05),
-        sigma_scale=float(config.get("sigma_scale", 1.0)),
+        sigma_scale=_typed("sigma_scale", config.get("sigma_scale", 1.0), float),
     )
     for failure in result["failures"]:
         print(f"FAIL {failure}")
@@ -177,22 +194,24 @@ def _subset_columns(system) -> dict:
 
 def _at(config: Mapping[str, Any], axis: str, value: Any) -> dict:
     """The config with the swept parameter (or problem entry) set to value."""
-    if axis == "delta":
-        return dict(config, deltas=[float(value)])
     if axis == "t":
         return dict(config, t=value)
+    value = _typed("values", value, int if axis == "n" else float)
+    if axis == "delta":
+        return dict(config, deltas=[value])
     if axis == "alpha":
-        return dict(config, alpha=float(value))
+        return dict(config, alpha=value)
     doc = config["problem"]
     if not isinstance(doc, Mapping):
         doc = _load_config(str(doc))
     doc = json.loads(json.dumps(doc))
     if axis == "beta":
-        if doc.get("learner", {}).get("kind") != "gibbs":
+        learner = doc.get("learner")
+        if not isinstance(learner, Mapping) or learner.get("kind") != "gibbs":
             raise ConfigError("beta sweep requires a gibbs learner")
-        doc["learner"]["beta"] = float(value)
+        learner["beta"] = value
     else:
-        doc["n"] = int(value)
+        doc["n"] = value
     return dict(config, problem=doc)
 
 
@@ -201,7 +220,7 @@ def cmd_sweep(config: Mapping[str, Any], out: str | None, fmt: str) -> int:
     if axis not in SWEEP_AXES:
         raise ConfigError(f"sweep axis must be one of {SWEEP_AXES}")
     values = config.get("values")
-    if not values:
+    if not isinstance(values, list) or not values:
         raise ConfigError("sweep requires a nonempty 'values' list")
     # the delta, t and alpha axes keep one system: its ground truth and
     # tightness columns are computed once

@@ -105,14 +105,14 @@ class _View:
 
     ``variance`` is sigma^2 or C and ``rate`` is 2 variance / n. A setting
     supplies, each computed on first use where it costs a pass over the
-    atoms: ``table`` (the density over the joint support), ``_log_arrays``
-    (the log joint, the log base measure and the density ``iota`` on the
-    atom grid, -inf off the support), ``kls`` (the posterior relative
-    entropies, one per posterior, weighted by ``mass``), ``leakage``,
-    ``_renyi`` (the Renyi divergence from ``_log_arrays``), ``values`` (the
-    value bounded at each atom), ``gen`` (the generalization error at each
-    atom), ``joint`` and ``cond`` (the posterior rows, hypotheses on the
-    last axis).
+    atoms: ``table`` (the density table over the joint support, whose
+    ``arrays`` the view reads as ``_log_arrays``: the log joint, the log
+    base measure and the density ``iota`` on the atom grid, -inf off the
+    support), ``kls`` (the posterior relative entropies, one per posterior,
+    weighted by ``mass``), ``leakage``, ``_renyi`` (the Renyi divergence
+    from ``_log_arrays``), ``values`` (the value bounded at each atom),
+    ``gen`` (the generalization error at each atom), ``joint`` and ``cond``
+    (the posterior rows, hypotheses on the last axis).
 
     Each delta-independent term is computed once, into the view's own memo
     (``memoised``) keyed by (quantity, order): the central moment of iota and
@@ -132,6 +132,7 @@ class _View:
         self._memo: dict = {}
 
     sys = property(lambda self: self._sys())
+    _log_arrays = property(lambda self: self.table.arrays)
     log_base = property(lambda self: self._log_arrays[1])
     iota = property(lambda self: self._log_arrays[2])
 

@@ -55,15 +55,17 @@ class DensityTable:
     ``log_p`` are the natural-log masses of the reference measure at the
     support atoms; ``iota`` the log ratio against the base measure there.
     ``build_outcomes`` makes the atoms' labels, ``outcomes``, on first
-    access.
+    access; ``arrays`` is the (log joint, log base, iota) grid the table was
+    cut from, iota -inf off the support (empty for ``density(p, q)``).
     """
 
     log_p: np.ndarray
     iota: np.ndarray
     build_outcomes: Callable[[], tuple] = field(repr=False)
+    arrays: tuple = field(default=(), repr=False)
 
     def __post_init__(self):
-        for arr in (self.log_p, self.iota):
+        for arr in (self.log_p, self.iota, *self.arrays):
             arr.flags.writeable = False
         if self.log_p.shape != self.iota.shape:
             raise ValueError("log_p and iota shape mismatch")
@@ -95,7 +97,10 @@ class DensityTable:
         values, log_tails = self._sorted_tails
         return np.exp(log_tails[np.searchsorted(values, gammas, side="left")])
 
-    _distinct_values = cached_property(lambda self: np.unique(self.iota))
+    @cached_property
+    def _distinct_values(self) -> np.ndarray:  # cut from the one sort of iota
+        values = self._sorted_tails[0]
+        return values[np.append(True, values[1:] != values[:-1])]
 
     def distinct_values(self) -> np.ndarray:
         return self._distinct_values
@@ -119,10 +124,27 @@ def density(p: FiniteDistribution, q: FiniteDistribution) -> DensityTable:
     return DensityTable(np.asarray(log_p), np.asarray(iota), lambda: tuple(outcomes))
 
 
-def _standard_log_arrays(sys: StandardSystem,
-                         q_w: FiniteDistribution | None = None):
-    """(log_joint, log_base, iota) over the (zvec, w) grid; iota is -inf off
-    the joint support."""
+def _density_table(grids: Sequence[ProductGrid], w_labels: tuple,
+                   arrays: tuple) -> DensityTable:
+    """The density over the joint support of a (data grids..., w) grid, from
+    its (log_joint, log_base, iota) arrays, which the table keeps. The
+    outcomes, built on first access, are (w, data labels...) in grid order;
+    they are made from the grids, so the table holds no system."""
+    sup = arrays[0] > NEG_INF
+
+    def outcomes() -> tuple:
+        axes = [g.vectors() for g in grids] + [w_labels]
+        return tuple((labels[-1],) + labels[:-1]
+                     for labels, keep in zip(itertools.product(*axes), sup.ravel())
+                     if keep)
+
+    return DensityTable(arrays[0][sup], arrays[2][sup], outcomes, arrays)
+
+
+def information_density(sys: StandardSystem,
+                        q_w: FiniteDistribution | None = None) -> DensityTable:
+    """Information density of (W, Z) under the system joint, optionally
+    against an auxiliary hypothesis marginal Q_W, over the (zvec, w) grid."""
     with np.errstate(divide="ignore"):
         log_joint = np.log(sys.joint)
         log_pzn = np.log(sys.pzn_mass)
@@ -137,39 +159,26 @@ def _standard_log_arrays(sys: StandardSystem,
             "joint atom outside the support of the base measure")
     iota = np.full_like(log_joint, NEG_INF)
     iota[sup] = log_joint[sup] - log_base[sup]
-    return log_joint, log_base, iota
+    return _density_table((sys.z_grid,), sys.w_labels, (log_joint, log_base, iota))
 
 
-def _density_table(grids: Sequence[ProductGrid], w_labels: tuple,
-                   log_joint: np.ndarray, iota: np.ndarray) -> DensityTable:
-    """The density over the joint support of a (data grids..., w) grid. The
-    outcomes, built on first access, are (w, data labels...) in grid order;
-    they are made from the grids, so the table holds no system."""
-    sup = log_joint > NEG_INF
-
-    def outcomes() -> tuple:
-        axes = [g.vectors() for g in grids] + [w_labels]
-        return tuple((labels[-1],) + labels[:-1]
-                     for labels, keep in zip(itertools.product(*axes), sup.ravel())
-                     if keep)
-
-    return DensityTable(log_joint[sup], iota[sup], outcomes)
+def _kernel_log_mass(kernel, grid, w_labels: tuple) -> np.ndarray:
+    """Log masses of ``kernel`` at every vector of ``grid`` (rows, in code
+    order) and every hypothesis label (columns)."""
+    rows = kernel.rows_on(grid)
+    undefined = np.flatnonzero(rows < 0)
+    if undefined.size:
+        raise KeyError(grid.vector(undefined[0]))
+    column = {w: i for i, w in enumerate(kernel.output_outcomes)}
+    return kernel.log_mass[rows][:, [column[w] for w in w_labels]]
 
 
-def information_density(sys: StandardSystem,
-                        q_w: FiniteDistribution | None = None) -> DensityTable:
-    """Information density of (W, Z) under the system joint, optionally
-    against an auxiliary hypothesis marginal Q_W."""
-    log_joint, _, iota = _standard_log_arrays(sys, q_w)
-    return _density_table((sys.z_grid,), sys.w_labels, log_joint, iota)
-
-
-def _subset_log_arrays(sys: SubsetSystem, q_kernel=None):
-    """(log_joint, log_base, iota) over the (ztilde, s, w) grid for the
-    conditional information density, whose base measure is
-    P_Ztilde P_S P_{W|Ztilde} (or the auxiliary conditional). The base must
-    charge every atom of the joint support; iota is -inf where P(w | z(s))
-    or the base conditional is 0."""
+def conditional_density(sys: SubsetSystem, q_kernel=None) -> DensityTable:
+    """Conditional information density of (W, S) given the supersample, over
+    the (ztilde, s, w) grid. Its base measure is P_Ztilde P_S P_{W|Ztilde}
+    (or the auxiliary conditional), which must charge every atom of the
+    joint support; iota is -inf where P(w | z(s)) or the base conditional
+    is 0."""
     with np.errstate(divide="ignore"):
         log_joint = np.log(sys.joint)
         log_cond = np.log(sys.cond)
@@ -187,24 +196,8 @@ def _subset_log_arrays(sys: SubsetSystem, q_kernel=None):
     sup = (log_cond > NEG_INF) & (base > NEG_INF)
     iota = np.full_like(log_cond, NEG_INF)
     iota[sup] = log_cond[sup] - base[sup]
-    return log_joint, log_base, iota
-
-
-def _kernel_log_mass(kernel, grid, w_labels: tuple) -> np.ndarray:
-    """Log masses of ``kernel`` at every vector of ``grid`` (rows, in code
-    order) and every hypothesis label (columns)."""
-    rows = kernel.rows_on(grid)
-    undefined = np.flatnonzero(rows < 0)
-    if undefined.size:
-        raise KeyError(grid.vector(undefined[0]))
-    column = {w: i for i, w in enumerate(kernel.output_outcomes)}
-    return kernel.log_mass[rows][:, [column[w] for w in w_labels]]
-
-
-def conditional_density(sys: SubsetSystem, q_kernel=None) -> DensityTable:
-    """Conditional information density of (W, S) given the supersample."""
-    log_joint, _, iota = _subset_log_arrays(sys, q_kernel)
-    return _density_table((sys.zt_grid, sys.s_grid), sys.w_labels, log_joint, iota)
+    return _density_table((sys.zt_grid, sys.s_grid), sys.w_labels,
+                          (log_joint, log_base, iota))
 
 
 # -- divergences ------------------------------------------------------------
@@ -249,11 +242,12 @@ def system_renyi(sys: StandardSystem, alpha: float,
     """Renyi divergence of the joint against the (auxiliary) product."""
     if _near_one(alpha):
         return mutual_information(sys, q_w)
-    return _joint_renyi(_standard_log_arrays(sys, q_w), alpha)
+    return _joint_renyi(information_density(sys, q_w).arrays, alpha)
 
 
 def _joint_renyi(log_arrays, alpha: float) -> float:
-    """Renyi divergence of order alpha from the arrays of ``_standard_log_arrays``."""
+    """Renyi divergence of order alpha from the ``arrays`` of an information
+    density table."""
     log_joint, log_base, _ = log_arrays
     sup = log_joint > NEG_INF
     terms = alpha * log_joint[sup] + (1.0 - alpha) * log_base[sup]
@@ -264,7 +258,7 @@ def alpha_mi(sys: StandardSystem, alpha: float) -> float:
     """alpha-mutual information I_alpha(Z; W); near alpha = 1 this is I(W; Z)."""
     if _near_one(alpha):
         return mutual_information(sys)
-    log_joint, _, iota = _standard_log_arrays(sys)
+    iota = information_density(sys).arrays[2]
     with np.errstate(divide="ignore"):
         log_pzn = np.log(sys.pzn_mass)
         log_pw = np.log(sys.pw_mass)
@@ -296,10 +290,11 @@ def central_moment(tbl: DensityTable, t: Any) -> float:
     dev = np.abs(tbl.iota - tbl.mean)
     if t is T_INF:
         return float(dev.max())
-    # accumulate in log space so atoms with tiny mass cannot underflow
+    # in log space, in the deviation buffer (log 0 = -inf): tiny masses cannot underflow
     with np.errstate(divide="ignore"):
-        log_dev = np.where(dev > 0, np.log(np.where(dev > 0, dev, 1.0)), NEG_INF)
-    terms = tbl.log_p + t * log_dev
+        terms = np.log(dev, out=dev)
+    terms *= t
+    terms += tbl.log_p
     if np.all(terms == NEG_INF):
         return 0.0
     return float(math.exp(logsumexp(terms) / t))
@@ -318,12 +313,12 @@ def cond_renyi_divergence(sys: SubsetSystem, alpha: float, q_kernel=None) -> flo
     expectation under P_Ztilde P_{W|Ztilde} P_S."""
     if _near_one(alpha):
         return cond_mutual_information(sys, q_kernel)
-    return _cond_renyi(_subset_log_arrays(sys, q_kernel), alpha)
+    return _cond_renyi(conditional_density(sys, q_kernel).arrays, alpha)
 
 
 def _cond_renyi(log_arrays, alpha: float) -> float:
-    """Conditional Renyi divergence of order alpha from the arrays of
-    ``_subset_log_arrays``."""
+    """Conditional Renyi divergence of order alpha from the ``arrays`` of a
+    conditional density table."""
     _, log_base, iota = log_arrays
     return float(logsumexp(log_base + alpha * iota) / (alpha - 1.0))
 
@@ -332,11 +327,12 @@ def cond_alpha_mi(sys: SubsetSystem, alpha: float) -> float:
     """Conditional alpha-mutual information I_alpha(W; S | Z-tilde)."""
     if alpha <= 1:
         raise ValueError("alpha must exceed 1")
-    return _cond_alpha_mi(sys, _subset_log_arrays(sys)[2], alpha)
+    return _cond_alpha_mi(sys, conditional_density(sys).arrays[2], alpha)
 
 
 def _cond_alpha_mi(sys: SubsetSystem, iota: np.ndarray, alpha: float) -> float:
-    """Conditional alpha-mutual information from the density of ``_subset_log_arrays``."""
+    """Conditional alpha-mutual information from the grid iota of a
+    conditional density table."""
     with np.errstate(divide="ignore"):
         log_pzt = np.log(sys.p_ztilde)
         log_ps = np.log(sys.p_s)
@@ -376,7 +372,7 @@ def posterior_kls_standard(sys: StandardSystem,
 
 def _subset_kls(cond: np.ndarray, iota: np.ndarray) -> np.ndarray:
     """KL(P_{W|ztilde,s} || P_{W|ztilde}), shape (|Ztilde|, |S|), from the
-    posterior rows and the conditional density of ``_subset_log_arrays``."""
+    posterior rows and the grid iota of a conditional density table."""
     terms = np.zeros_like(iota)
     sup = iota > NEG_INF
     terms[sup] = cond[sup] * iota[sup]

@@ -6,9 +6,10 @@ meaningful evidence of correctness. Only suitable for desk-scale instances.
 
 The exceptions are the loop reference at the end, which builds the system
 arrays atom by atom with the same per-row numpy operations the array core
-must reproduce, and the full auto-gamma tail scan, which evaluates every
-candidate exactly through the package's own tail function; both are
-compared with the package bit for bit.
+must reproduce, the full auto-gamma tail scan, which evaluates every
+candidate exactly through the package's own tail function, and the
+out-of-place central moment; all three are compared with the package bit
+for bit.
 """
 from __future__ import annotations
 
@@ -377,3 +378,21 @@ def tail_scan(tbl, rate, delta, extra_params, step=1e-9):
                            dict(extra_params, delta=delta, gamma="auto"), feasible=False,
                            reason="no gamma meets the tail level delta")
     return best
+
+
+def central_moment_out_of_place(tbl, t):
+    """The reference of ``measures.central_moment`` at a float t (or inf):
+    the same log-space reduction through the package's ``logsumexp``, with
+    each intermediate in an array of its own and each zero deviation masked
+    to -inf before the log is taken."""
+    from genbounds.prob import logsumexp
+
+    dev = np.abs(tbl.iota - tbl.mean)
+    if t == math.inf:
+        return float(dev.max())
+    with np.errstate(divide="ignore"):
+        log_dev = np.where(dev > 0, np.log(np.where(dev > 0, dev, 1.0)), -math.inf)
+    terms = tbl.log_p + t * log_dev
+    if np.all(terms == -math.inf):
+        return 0.0
+    return float(math.exp(logsumexp(terms) / t))

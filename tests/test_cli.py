@@ -216,11 +216,59 @@ class TestSweep:
                             "axis": "beta", "values": [0.0, 1.0]})
         assert main(["sweep", "--config", cfg]) == 2
 
+    def test_beta_axis_refuses_a_learner_that_is_not_an_object(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "cfg.json",
+                           {"problem": dict(STANDARD_PROBLEM, learner=[1]),
+                            "axis": "beta", "values": [0.0, 1.0]})
+        assert main(["sweep", "--config", cfg]) == 2
+        assert "requires a gibbs learner" in capsys.readouterr().err
+
     def test_unknown_axis(self, tmp_path):
         cfg = write_config(tmp_path, "cfg.json",
                            {"problem": STANDARD_PROBLEM,
                             "axis": "zeta", "values": [1]})
         assert main(["sweep", "--config", cfg]) == 2
+
+
+class TestIllTypedConfig:
+    """A run-level field of the wrong type exits 2 with an error naming the
+    field, never 1 (verification failure) with a traceback."""
+
+    @pytest.mark.parametrize("command, config, field", [
+        ("report", {"problem": STANDARD_PROBLEM, "deltas": 0.1}, "deltas"),
+        ("report", {"problem": STANDARD_PROBLEM, "deltas": [[0.1]]}, "deltas"),
+        ("report", {"problem": STANDARD_PROBLEM, "alpha": [2]}, "alpha"),
+        ("report", {"problem": STANDARD_PROBLEM, "t": [2]}, "t"),
+        ("report", {"problem": STANDARD_PROBLEM, "t": None}, "t"),
+        ("report", {"problem": STANDARD_PROBLEM, "bounds": 5}, "bounds"),
+        ("verify", {"deltas": 0.1}, "deltas"),
+        ("verify", {"instances": [3]}, "instances"),
+        ("verify", {"instances": float("inf")}, "instances"),
+        ("verify", {"sigma_scale": [1]}, "sigma_scale"),
+        ("sweep", {"problem": STANDARD_PROBLEM, "axis": "n", "values": 5}, "values"),
+        ("sweep", {"problem": STANDARD_PROBLEM, "axis": "n", "values": [[1]]}, "values"),
+        ("sweep", {"problem": STANDARD_PROBLEM, "axis": "n", "values": [float("inf")]},
+         "values"),
+        ("sweep", {"problem": STANDARD_PROBLEM, "axis": "delta", "values": [[1]]},
+         "values"),
+        ("sweep", {"problem": STANDARD_PROBLEM, "axis": "alpha", "values": [None]},
+         "values"),
+        ("sweep", {"problem": dict(STANDARD_PROBLEM, learner={"kind": "gibbs", "beta": 1.0}),
+                   "axis": "beta", "values": [[1]]}, "values"),
+        ("sweep", {"problem": STANDARD_PROBLEM, "axis": "t", "values": [[1]]}, "t"),
+    ])
+    def test_exits_2_naming_the_field(self, tmp_path, capsys, command, config, field):
+        cfg = write_config(tmp_path, "cfg.json", config)
+        assert main([command, "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and repr(field) in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["report", "verify", "sweep"])
+    def test_a_config_that_is_not_an_object(self, tmp_path, capsys, command):
+        cfg = write_config(tmp_path, "cfg.json", [{"instances": 3}])
+        assert main([command, "--config", cfg]) == 2
+        assert "is not a JSON object" in capsys.readouterr().err
 
 
 class TestNonFiniteConfig:

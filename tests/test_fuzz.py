@@ -39,6 +39,13 @@ def learners(draw, instances, hypotheses, n):
     return doc
 
 
+# run-level fields of the wrong type or form, one per draw
+RUN_FIELD_DEFECTS = [("deltas", 0.1), ("deltas", [[0.1]]), ("deltas", "0.1"),
+                     ("deltas", None), ("alpha", [2]), ("alpha", None), ("alpha", "two"),
+                     ("t", [2]), ("t", None), ("t", {}), ("t", -1), ("bounds", 5),
+                     ("bounds", None), ("bounds", "avg"), ("bounds", [[1]])]
+
+
 def _mutate(draw, config):
     """At most one defect, so that most configs get past the first check."""
     problem = config["problem"]
@@ -48,7 +55,8 @@ def _mutate(draw, config):
         "bad tie", "nan beta", "bad weights", "nan pz", "short pz", "bad deltas",
         "wrong shape", "unknown kind", "unknown setting", "reversed range",
         "key extra token", "key unknown label", "key dropped", "rows not a map",
-        "row outcomes", "comma label", "colliding labels", "string n"]))
+        "row outcomes", "comma label", "colliding labels", "string n",
+        "ill-typed run field"]))
     if mutation == "nan loss":
         loss["matrix"][0][0] = math.nan
     elif mutation == "inf loss":
@@ -86,6 +94,9 @@ def _mutate(draw, config):
         loss["range"] = [1, 0]
     elif mutation == "string n":
         problem["n"] = "two"
+    elif mutation == "ill-typed run field":
+        key, value = draw(st.sampled_from(RUN_FIELD_DEFECTS))
+        config[key] = value
     elif learner["kind"] == "custom-kernel" and mutation.startswith("key"):
         key = draw(st.sampled_from(sorted(learner["rows"])))
         row = learner["rows"].pop(key)

@@ -93,7 +93,7 @@ def test_one_conditional_alpha_mi_per_order(monkeypatch):
 
 def test_one_subset_joint_per_view(monkeypatch):
     sys = _fresh("inst_b")
-    view_of(sys).table, view_of(sys)._log_arrays  # each reads the joint on its own
+    view_of(sys).table  # the density table reads the joint on its own, once
     calls = []
     joint = SubsetSystem.joint
     monkeypatch.setattr(SubsetSystem, "joint",

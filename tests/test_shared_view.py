@@ -1,13 +1,18 @@
 """One view per system: the bounds, coverage and checks of a system read one
 default view, kept with the system and freed with it by reference counting;
-auxiliary measures and range constants get views of their own."""
+auxiliary measures and range constants get views of their own. The view's
+grid arrays are those its one density table was cut from, and that table's
+one sort of iota gives both its tails and its distinct values."""
 import gc
+import math
 import pickle
 import weakref
+from collections import Counter
 
 import numpy as np
 import pytest
 
+import oracles
 from genbounds import (FiniteDistribution, Kernel, LossTable, SubsetSystem, cli,
                        cond_mutual_information, cond_renyi_divergence, gibbs_kernel,
                        load_fixture)
@@ -15,6 +20,8 @@ from genbounds import bounds_standard as bstd
 from genbounds import bounds_subset as bsub
 from genbounds import verify
 from genbounds.engine import view_of
+from genbounds.measures import central_moment
+from genbounds.verify import random_standard_system, random_subset_system
 
 SETTINGS = {"standard": "inst_a", "subset": "inst_b"}
 
@@ -84,6 +91,57 @@ def test_bounds_coverage_and_checks_build_one_density(monkeypatch, setting):
     for use in (_report, _coverage, _exp_inequality, _orderings):
         use(sys)
     assert len(builds) == 1
+    # the view's grid arrays are those its one table was cut from
+    view = view_of(sys)
+    tbl = view.table
+    assert view._log_arrays is tbl.arrays
+    assert view.iota is tbl.arrays[2] and view.log_base is tbl.arrays[1]
+    assert not any(arr.flags.writeable for arr in tbl.arrays)
+    sup = tbl.arrays[0] > -math.inf
+    assert np.array_equal(tbl.log_p, tbl.arrays[0][sup])
+    assert np.array_equal(tbl.iota, view.iota[sup])
+
+
+@pytest.mark.parametrize("setting", list(SETTINGS))
+def test_the_tail_scan_sorts_iota_once(monkeypatch, setting):
+    sys = load_fixture(SETTINGS[setting])[1]
+    calls = Counter()
+    for name in ("argsort", "sort", "unique"):
+        fn = getattr(np, name)
+        monkeypatch.setattr(np, name, lambda *a, _fn=fn, _name=name, **kw:
+                            calls.update([_name]) or _fn(*a, **kw))
+    tail = bstd.sd_tail_bound if setting == "standard" else bsub.cond_tail_bound
+    for delta in (0.5, 0.3, 0.1, 0.05):
+        tail(sys, delta)
+    view_of(sys).table.distinct_values()
+    assert calls == {"argsort": 1}
+
+
+@pytest.fixture(scope="module")
+def tables():
+    """Density tables of the fixtures and of random systems of both settings."""
+    rng = np.random.default_rng(2718)
+    systems = [load_fixture(name)[1] for name in ("inst_a", "inst_b", "inst_c")]
+    systems += [random_standard_system(rng) for _ in range(40)]
+    systems += [random_subset_system(rng) for _ in range(40)]
+    return [view_of(s).table for s in systems]
+
+
+def test_distinct_values_are_those_of_np_unique(tables):
+    for tbl in tables:
+        got, expected = tbl.distinct_values(), np.unique(tbl.iota)
+        assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("t", [0.5, 1.0, 1.5, 2.0, 3.0, math.inf])
+def test_central_moment_matches_the_out_of_place_formula(tables, t):
+    for tbl in tables:
+        got = central_moment(tbl, t)
+        assert got.hex() == oracles.central_moment_out_of_place(tbl, t).hex()
+    constant = load_fixture("inst_c")[1]  # W independent of Z: iota is 0 everywhere
+    tbl = view_of(constant).table
+    assert np.all(tbl.iota == tbl.mean)
+    assert central_moment(tbl, t) == oracles.central_moment_out_of_place(tbl, t) == 0.0
 
 
 def test_an_auxiliary_marginal_gets_its_own_view(monkeypatch):
@@ -117,9 +175,10 @@ def test_an_auxiliary_conditional_gets_its_own_view(monkeypatch):
         assert bound(q_kernel=q).epsilon == pytest.approx(default.epsilon, abs=1e-12)
         assert view_of(sys).q_kernel is None
         assert bound() == default
-    # the default view builds its table once; each call with q_kernel that
-    # reads a table (tail and moment) builds its own
-    assert len(builds) == 3
+    # the default view builds its table once; each call with q_kernel builds
+    # its own, and the table is the only source of the grid arrays that the
+    # posterior KLs and the Renyi pair read
+    assert len(builds) == 5
 
 
 def test_a_range_constant_gets_its_own_view(monkeypatch):
