@@ -81,6 +81,13 @@ def _typed(key: str, value: Any, convert: Callable[[Any], Any]) -> Any:
         raise ConfigError(f"config field {key!r}: {exc}") from None
 
 
+def _integer(value: Any) -> int:
+    """An integral number as an int; a bool or a fractional value is refused."""
+    if isinstance(value, bool) or not float(value).is_integer():
+        raise ValueError(f"{value!r} is not an integer")
+    return int(value)
+
+
 def _load_system(config: Mapping[str, Any]):
     if "problem" not in config:
         raise ConfigError("config lacks a 'problem' entry")
@@ -164,7 +171,7 @@ def cmd_report(config: Mapping[str, Any], out: str | None, fmt: str) -> int:
 def cmd_verify(config: Mapping[str, Any], seed: int) -> int:
     result = vfy.run_verification_suite(
         seed=seed,
-        n_instances=_typed("instances", config.get("instances", 50), int),
+        n_instances=_typed("instances", config.get("instances", 50), _integer),
         deltas=tuple(_deltas(config)) if "deltas" in config else (0.3, 0.1, 0.05),
         sigma_scale=_typed("sigma_scale", config.get("sigma_scale", 1.0), float),
     )
@@ -196,7 +203,7 @@ def _at(config: Mapping[str, Any], axis: str, value: Any) -> dict:
     """The config with the swept parameter (or problem entry) set to value."""
     if axis == "t":
         return dict(config, t=value)
-    value = _typed("values", value, int if axis == "n" else float)
+    value = _typed("values", value, _integer if axis == "n" else float)
     if axis == "delta":
         return dict(config, deltas=[value])
     if axis == "alpha":

@@ -78,13 +78,6 @@ class DensityTable:
         base measure is the matching product)."""
         return float(np.sum(np.exp(self.log_p) * self.iota))
 
-    def tail_probability(self, gamma: float) -> float:
-        """P[iota >= gamma] under the reference measure."""
-        mask = self.iota >= gamma
-        if not np.any(mask):
-            return 0.0
-        return float(math.exp(logsumexp(self.log_p[mask])))
-
     @cached_property
     def _sorted_tails(self) -> tuple[np.ndarray, np.ndarray]:
         """Sorted iota, and the log mass from each position on (-inf at the end)."""
@@ -92,10 +85,12 @@ class DensityTable:
         log_tails = np.logaddexp.accumulate(self.log_p[order][::-1])[::-1]
         return self.iota[order], np.append(log_tails, NEG_INF)
 
-    def tail_probabilities(self, gammas: np.ndarray) -> np.ndarray:
-        """P[iota >= gamma] at every gamma, to rounding; see ``tail_probability``."""
+    def tail_probability(self, gamma):
+        """P[iota > gamma] under the reference measure, at a float gamma or
+        at each entry of an array of them, read from the one sort of iota."""
         values, log_tails = self._sorted_tails
-        return np.exp(log_tails[np.searchsorted(values, gammas, side="left")])
+        tails = np.exp(log_tails[np.searchsorted(values, gamma, side="right")])
+        return tails if np.ndim(gamma) else float(tails)
 
     @cached_property
     def _distinct_values(self) -> np.ndarray:  # cut from the one sort of iota

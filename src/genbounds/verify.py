@@ -283,8 +283,7 @@ def strong_converse_check(p: FiniteDistribution, q: FiniteDistribution,
                   if lm > NEG_INF and member(o))
     q_event = sum(math.exp(lm) for o, lm in zip(q.outcomes, q.log_mass)
                   if lm > NEG_INF and member(o))
-    tbl = density(p, q)
-    tail = sum((math.exp(lp) for lp, i in zip(tbl.log_p, tbl.iota) if i > gamma), 0.0)
+    tail = density(p, q).tail_probability(gamma)
     rhs = tail + math.exp(gamma) * q_event
     return {"p_event": p_event, "density_tail": tail, "q_event": q_event,
             "rhs": rhs, "holds": p_event <= rhs + COVERAGE_TOL}
@@ -359,9 +358,13 @@ def run_verification_suite(seed: int = 0, n_instances: int = 50,
     """Run the exponential-inequality, coverage, chain, ordering, and
     gap-identity suites; returns pass/fail with a failure list.
 
-    ``sigma_scale`` rescales the sub-Gaussian parameter in the exponential
-    checks (values below 1 inject a deliberate fault).
+    ``sigma_scale`` (finite, > 0) rescales the sub-Gaussian parameter in the
+    exponential checks (values below 1 inject a deliberate fault).
     """
+    if not (math.isfinite(sigma_scale) and sigma_scale > 0.0):
+        raise ValueError(f"sigma_scale must be finite and positive, got {sigma_scale!r}")
+    if n_instances < 1:
+        raise ValueError(f"n_instances must be at least 1, got {n_instances!r}")
     # per setting: exponential check, ordering check, (relaxed, direct) moment bounds
     suites = {
         "standard": (

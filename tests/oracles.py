@@ -6,10 +6,11 @@ meaningful evidence of correctness. Only suitable for desk-scale instances.
 
 The exceptions are the loop reference at the end, which builds the system
 arrays atom by atom with the same per-row numpy operations the array core
-must reproduce, the full auto-gamma tail scan, which evaluates every
-candidate exactly through the package's own tail function, and the
-out-of-place central moment; all three are compared with the package bit
-for bit.
+must reproduce, the two auto-gamma tail scans, and the out-of-place
+central moment. The strict scan evaluates every attained density value
+through the package's own explicit-gamma path and is compared with auto
+mode bit for bit; the earlier non-strict scan computes its own tails and
+is the baseline the exact rule must never lose to.
 """
 from __future__ import annotations
 
@@ -347,14 +348,51 @@ def pushforward(values, masses):
         return labels, np.log(np.array([groups[k] for k in labels]))
 
 
-def tail_scan(tbl, rate, delta, extra_params, step=1e-9):
-    """The full auto-gamma tail scan: every attained density value and the
-    value plus ``step``, each evaluated exactly, the first strict minimum of
-    epsilon kept; the reference of the screened scan in ``engine``."""
+def _no_gamma(extra_params, delta):
     from genbounds.engine import BoundResult
 
+    return BoundResult(math.inf, "single-draw", "data-independent",
+                       dict(extra_params, delta=delta, gamma="auto"), feasible=False,
+                       reason="no gamma meets the tail level delta")
+
+
+def _first_least(candidates):
+    """The first feasible candidate of least epsilon, or None."""
+    best = None
+    for cand in candidates:
+        if cand.feasible and (best is None or cand.epsilon < best.epsilon):
+            best = cand
+    return best
+
+
+def tail_scan_strict(tbl, rate, delta, extra_params):
+    """The exact auto-gamma tail rule: every attained density value
+    evaluated as an explicit gamma (strict tail P[iota > gamma]), the first
+    strict minimum of epsilon kept."""
+    from genbounds.engine import _tail_bound_from_table
+
+    best = _first_least(_tail_bound_from_table(tbl, rate, delta, v, extra_params)
+                        for v in tbl.distinct_values().tolist())
+    return best or _no_gamma(extra_params, delta)
+
+
+_AT_LEAST: dict = {}  # (id(table), gamma) -> (table, P[iota >= gamma])
+
+
+def tail_scan(tbl, rate, delta, extra_params, step=1e-9):
+    """The earlier auto-gamma rule: every attained density value and the
+    value plus ``step``, each with the non-strict tail P[iota >= gamma] as
+    a masked logsumexp (memoised across calls), the first strict minimum of
+    epsilon kept."""
+    from genbounds.engine import BoundResult
+    from genbounds.prob import logsumexp
+
     def evaluate(g):
-        tail = tbl.tail_probability(g)
+        key = (id(tbl), g)
+        if key not in _AT_LEAST:  # the table stays alive with its key
+            mask = tbl.iota >= g
+            _AT_LEAST[key] = (tbl, math.exp(logsumexp(tbl.log_p[mask])) if mask.any() else 0.0)
+        tail = _AT_LEAST[key][1]
         params = dict(extra_params, delta=delta, gamma=g, tail_prob=tail)
         if tail >= delta:
             return BoundResult(math.inf, "single-draw", "data-independent", params,
@@ -367,17 +405,9 @@ def tail_scan(tbl, rate, delta, extra_params, step=1e-9):
                                feasible=False, reason="negative radicand")
         return BoundResult(math.sqrt(radicand), "single-draw", "data-independent", params)
 
-    best = None
-    for v in tbl.distinct_values():
-        for g in (float(v), float(v) + step):
-            cand = evaluate(g)
-            if cand.feasible and (best is None or cand.epsilon < best.epsilon):
-                best = cand
-    if best is None:
-        return BoundResult(math.inf, "single-draw", "data-independent",
-                           dict(extra_params, delta=delta, gamma="auto"), feasible=False,
-                           reason="no gamma meets the tail level delta")
-    return best
+    best = _first_least(evaluate(g) for v in tbl.distinct_values().tolist()
+                        for g in (v, v + step))
+    return best or _no_gamma(extra_params, delta)
 
 
 def central_moment_out_of_place(tbl, t):

@@ -226,6 +226,15 @@ class TestSuiteRunner:
         assert not rep["passed"]
         assert any("exp-inequality" in f for f in rep["failures"])
 
+    @pytest.mark.parametrize("options, name", [
+        ({"sigma_scale": math.nan}, "sigma_scale"), ({"sigma_scale": -1.0}, "sigma_scale"),
+        ({"sigma_scale": 0.0}, "sigma_scale"), ({"sigma_scale": math.inf}, "sigma_scale"),
+        ({"n_instances": 0}, "n_instances"), ({"n_instances": -1}, "n_instances"),
+    ])
+    def test_refuses_an_out_of_range_option(self, options, name):
+        with pytest.raises(ValueError, match=name):
+            run_verification_suite(**options)
+
     @pytest.mark.parametrize("seed,sigma_scale", [(0, 1.0), (0, 0.5), (3, 1.0), (3, 0.5)])
     def test_equals_the_recorded_suite(self, seed, sigma_scale):
         """The dicts the suite returned when it held every system until the
