@@ -12,13 +12,7 @@ from typing import Any
 
 from .engine import (BoundResult, _View, _check_delta, _log_ratio, _lookup,
                      _tail_bound_from_table, view_of)
-from .measures import (
-    T_INF,
-    information_density,
-    maximal_leakage,
-    posterior_kls_standard,
-    _joint_renyi,
-)
+from .measures import T_INF, information_density
 from .models import StandardSystem
 from .prob import FiniteDistribution
 
@@ -35,9 +29,6 @@ class _StandardView(_View):
         self.mass, self.joint, self.cond = sys.pzn_mass, sys.joint, sys.cond
 
     table = cached_property(lambda self: information_density(self.sys, self.q_w))
-    kls = cached_property(lambda self: posterior_kls_standard(self.sys, self.q_w))
-    leakage = cached_property(lambda self: maximal_leakage(self.sys))
-    _renyi = staticmethod(_joint_renyi)
 
 
 def avg_mi_bound(sys: StandardSystem,

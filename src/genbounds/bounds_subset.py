@@ -18,14 +18,7 @@ import numpy as np
 
 from .engine import (BoundResult, _View, _check_delta, _log_ratio, _lookup,
                      _tail_bound_from_table, view_of)
-from .measures import (
-    cond_maximal_leakage,
-    conditional_density,
-    _cond_alpha_mi,
-    _cond_renyi,
-    _leakage,
-    _subset_kls,
-)
+from .measures import _cond_alpha_mi, _leakage, conditional_density
 from .models import LossTable, SubsetSystem
 from .prob import NEG_INF, FiniteDistribution, ProductGrid, logsumexp, power_log_mass
 
@@ -83,9 +76,6 @@ class _SubsetView(_View):
 
     joint = cached_property(lambda self: self.sys.joint)
     table = cached_property(lambda self: conditional_density(self.sys, self.q_kernel))
-    kls = cached_property(lambda self: _subset_kls(self.cond, self.iota))
-    leakage = cached_property(lambda self: cond_maximal_leakage(self.sys))
-    _renyi = staticmethod(_cond_renyi)
 
 
 def cmi_avg_bound(sys: SubsetSystem, c: RangeConstant | None = None) -> BoundResult:

@@ -14,7 +14,7 @@ import json
 import math
 import sys as _sys
 from pathlib import Path
-from typing import Any, Callable, Mapping
+from typing import Any, Mapping
 
 import numpy as np
 
@@ -23,6 +23,8 @@ from .engine import view_of
 from .measures import T_INF, normalize_order
 from .models import (
     SubsetSystem,
+    _integral,
+    _number,
     expected_gen,
     expected_gen_subset,
     load_problem,
@@ -72,22 +74,6 @@ def _load_config(path: str) -> dict:
     return config
 
 
-def _typed(key: str, value: Any, convert: Callable[[Any], Any]) -> Any:
-    """``convert(value)``, where ``value`` is read from the config field
-    ``key``; a value of the wrong type or form is a ConfigError naming it."""
-    try:
-        return convert(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"config field {key!r}: {exc}") from None
-
-
-def _integer(value: Any) -> int:
-    """An integral number as an int; a bool or a fractional value is refused."""
-    if isinstance(value, bool) or not float(value).is_integer():
-        raise ValueError(f"{value!r} is not an integer")
-    return int(value)
-
-
 def _load_system(config: Mapping[str, Any]):
     if "problem" not in config:
         raise ConfigError("config lacks a 'problem' entry")
@@ -102,7 +88,7 @@ def _deltas(config: Mapping[str, Any]) -> list[float]:
     deltas = config.get("deltas", [0.1])
     if not isinstance(deltas, list):
         raise ConfigError("config field 'deltas' must be a list of levels")
-    deltas = [_typed("deltas", d, float) for d in deltas]
+    deltas = [_number("deltas", d) for d in deltas]
     if not deltas or any(not 0.0 < d < 1.0 for d in deltas):
         raise ConfigError("deltas must be a nonempty subset of (0, 1)")
     return deltas
@@ -127,8 +113,8 @@ def _report_rows(system, config: Mapping[str, Any], truth: tuple) -> list[dict]:
         if bound_id not in panel:
             raise ConfigError(f"{bound_id!r} is not a data-independent "
                               f"{system.setting} bound id")
-    t = _typed("t", config.get("t", 2), normalize_order)
-    alpha = _typed("alpha", config.get("alpha", 2.0), float)
+    t = _number("t", config.get("t", 2), normalize_order)
+    alpha = _number("alpha", config.get("alpha", 2.0))
     deltas = _deltas(config)
     dist, abs_gen = truth
     rows = []
@@ -171,9 +157,9 @@ def cmd_report(config: Mapping[str, Any], out: str | None, fmt: str) -> int:
 def cmd_verify(config: Mapping[str, Any], seed: int) -> int:
     result = vfy.run_verification_suite(
         seed=seed,
-        n_instances=_typed("instances", config.get("instances", 50), _integer),
+        n_instances=_number("instances", config.get("instances", 50), _integral),
         deltas=tuple(_deltas(config)) if "deltas" in config else (0.3, 0.1, 0.05),
-        sigma_scale=_typed("sigma_scale", config.get("sigma_scale", 1.0), float),
+        sigma_scale=_number("sigma_scale", config.get("sigma_scale", 1.0)),
     )
     for failure in result["failures"]:
         print(f"FAIL {failure}")
@@ -203,7 +189,7 @@ def _at(config: Mapping[str, Any], axis: str, value: Any) -> dict:
     """The config with the swept parameter (or problem entry) set to value."""
     if axis == "t":
         return dict(config, t=value)
-    value = _typed("values", value, _integer if axis == "n" else float)
+    value = _number("values", value, _integral if axis == "n" else float)
     if axis == "delta":
         return dict(config, deltas=[value])
     if axis == "alpha":

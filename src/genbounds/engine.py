@@ -21,11 +21,13 @@ from __future__ import annotations
 import math
 import weakref
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Callable, Mapping
 
 import numpy as np
 
-from .measures import T_INF, DensityTable, _near_one, central_moment, normalize_order
+from .measures import (T_INF, DensityTable, _leakage, _near_one, _posterior_kls, _renyi,
+                       central_moment, normalize_order)
 
 
 @dataclass(frozen=True)
@@ -111,15 +113,14 @@ class _View:
     """One setting's inputs to the bound formulas, which are its methods.
 
     ``variance`` is sigma^2 or C and ``rate`` is 2 variance / n. A setting
-    supplies, each computed on first use where it costs a pass over the
-    atoms: ``table`` (the density table over the joint support, whose
-    ``arrays`` the view reads as ``_log_arrays``: the log joint, the log
-    base measure and the density ``iota`` on the atom grid, -inf off the
-    support), ``kls`` (the posterior relative entropies, one per posterior,
-    weighted by ``mass``), ``leakage``, ``_renyi`` (the Renyi divergence
-    from ``_log_arrays``), ``values`` (the value bounded at each atom),
-    ``gen`` (the generalization error at each atom), ``joint`` and ``cond``
-    (the posterior rows, hypotheses on the last axis).
+    supplies, on its (context..., data, w) grid: ``table`` (the density
+    table, computed on first use, whose ``arrays`` the view reads as
+    ``_log_arrays``: the log joint, the log base measure and the density
+    ``iota``), ``values`` (the value bounded at each atom), ``gen`` (the
+    generalization error at each atom), ``mass`` (of each context and data),
+    ``joint`` and ``cond`` (the posterior rows). From these the view
+    computes ``kls`` (one posterior relative entropy per context and data),
+    ``leakage`` and the Renyi divergences, by the formulas of ``measures``.
 
     Each delta-independent term is computed once, into the view's own memo
     (``memoised``) keyed by (quantity, order): the central moment of iota and
@@ -142,6 +143,9 @@ class _View:
     _log_arrays = property(lambda self: self.table.arrays)
     log_base = property(lambda self: self._log_arrays[1])
     iota = property(lambda self: self._log_arrays[2])
+    kls = cached_property(lambda self: _posterior_kls(self.cond, self.iota))
+    leakage = cached_property(lambda self: _leakage(self.mass, self.cond))
+    _renyi = staticmethod(_renyi)
 
     def params(self, **extra) -> dict:
         return {**self._params, **extra}
@@ -176,7 +180,8 @@ class _View:
         """A data-dependent bound from one entry of ``kls`` or ``iota``."""
         info = float(self.info(term, delta))
         if info == -math.inf:
-            raise KeyError(f"atom {atom!r} not in the joint support")
+            raise KeyError(f"atom {atom!r} is outside the density's support: "
+                           "P(w | data) or its base conditional is 0")
         return self.sqrt_bound(info, flavor, "data-dependent", self.params(delta=delta))
 
     def avg(self) -> BoundResult:
@@ -192,11 +197,12 @@ class _View:
                                self.params(delta=delta, t=t))
 
     def _kl_norm(self, t: Any) -> float:
-        """L_t norm of the posterior KL; |KL| guards a rounded -1e-16 at fractional t."""
+        """L_t norm of the positive-mass posteriors' KL; |KL| guards a -1e-16."""
         kls, mass = self.kls, self.mass
         if t is T_INF:
             return float(kls[mass > 0].max())
-        return float(np.sum(mass * np.abs(kls) ** t)) ** (1.0 / t)
+        terms = np.multiply(mass, np.abs(kls) ** t, out=np.zeros_like(mass), where=mass > 0)
+        return float(np.sum(terms)) ** (1.0 / t)
 
     def sd_moment(self, delta: float, t: Any, relaxed: bool = False) -> BoundResult:
         """Single-draw bound from central moments of the density; ``relaxed``

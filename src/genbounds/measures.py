@@ -56,7 +56,8 @@ class DensityTable:
     support atoms; ``iota`` the log ratio against the base measure there.
     ``build_outcomes`` makes the atoms' labels, ``outcomes``, on first
     access; ``arrays`` is the (log joint, log base, iota) grid the table was
-    cut from, iota -inf off the support (empty for ``density(p, q)``).
+    cut from, iota -inf where P(w | data) or the base conditional is 0
+    (empty for ``density(p, q)``).
     """
 
     log_p: np.ndarray
@@ -119,21 +120,36 @@ def density(p: FiniteDistribution, q: FiniteDistribution) -> DensityTable:
     return DensityTable(np.asarray(log_p), np.asarray(iota), lambda: tuple(outcomes))
 
 
-def _density_table(grids: Sequence[ProductGrid], w_labels: tuple,
-                   arrays: tuple) -> DensityTable:
-    """The density over the joint support of a (data grids..., w) grid, from
-    its (log_joint, log_base, iota) arrays, which the table keeps. The
-    outcomes, built on first access, are (w, data labels...) in grid order;
-    they are made from the grids, so the table holds no system."""
-    sup = arrays[0] > NEG_INF
+def _density(grids: Sequence[ProductGrid], w_labels: tuple, joint: np.ndarray,
+             log_mass: np.ndarray, cond: np.ndarray, log_q: np.ndarray) -> DensityTable:
+    """The density of ``joint`` on a (context..., data, w) grid, for both
+    settings: iota = log P(w | data) - log Q(w | context) where both are
+    positive, else -inf, from the posterior rows ``cond`` and the base
+    conditional ``log_q`` (broadcast over data). The base measure, log mass
+    + log Q, must charge the joint's support. The table keeps the (log joint,
+    log base, iota) grid; its outcomes, built on first access, are (w, data
+    labels...) in grid order, made from the grids, so it holds no system."""
+    with np.errstate(divide="ignore"):
+        log_joint = np.log(joint)
+        iota = np.log(cond)
+    log_q = np.broadcast_to(log_q, iota.shape)
+    if np.any((log_joint > NEG_INF) & (log_q == NEG_INF)):
+        raise AbsoluteContinuityViolation(
+            "joint atom outside the support of the base measure")
+    sup = (iota > NEG_INF) & (log_q > NEG_INF)
+    np.subtract(iota, log_q, out=iota, where=sup)
+    iota[~sup] = NEG_INF
+    log_base = log_mass[..., None] + log_q
+    joint_sup = log_joint > NEG_INF
 
     def outcomes() -> tuple:
         axes = [g.vectors() for g in grids] + [w_labels]
         return tuple((labels[-1],) + labels[:-1]
-                     for labels, keep in zip(itertools.product(*axes), sup.ravel())
+                     for labels, keep in zip(itertools.product(*axes), joint_sup.ravel())
                      if keep)
 
-    return DensityTable(arrays[0][sup], arrays[2][sup], outcomes, arrays)
+    return DensityTable(log_joint[joint_sup], iota[joint_sup], outcomes,
+                        (log_joint, log_base, iota))
 
 
 def information_density(sys: StandardSystem,
@@ -141,20 +157,10 @@ def information_density(sys: StandardSystem,
     """Information density of (W, Z) under the system joint, optionally
     against an auxiliary hypothesis marginal Q_W, over the (zvec, w) grid."""
     with np.errstate(divide="ignore"):
-        log_joint = np.log(sys.joint)
-        log_pzn = np.log(sys.pzn_mass)
-        if q_w is None:
-            log_w = np.log(sys.pw_mass)
-        else:
-            log_w = np.array([q_w.log_mass_of(w) for w in sys.w_labels])
-    log_base = log_pzn[:, None] + log_w[None, :]
-    sup = log_joint > NEG_INF
-    if np.any(sup & (log_base == NEG_INF)):
-        raise AbsoluteContinuityViolation(
-            "joint atom outside the support of the base measure")
-    iota = np.full_like(log_joint, NEG_INF)
-    iota[sup] = log_joint[sup] - log_base[sup]
-    return _density_table((sys.z_grid,), sys.w_labels, (log_joint, log_base, iota))
+        log_q = (np.log(sys.pw_mass) if q_w is None
+                 else np.array([q_w.log_mass_of(w) for w in sys.w_labels]))
+        log_mass = np.log(sys.pzn_mass)
+    return _density((sys.z_grid,), sys.w_labels, sys.joint, log_mass, sys.cond, log_q)
 
 
 def _kernel_log_mass(kernel, grid, w_labels: tuple) -> np.ndarray:
@@ -170,29 +176,14 @@ def _kernel_log_mass(kernel, grid, w_labels: tuple) -> np.ndarray:
 
 def conditional_density(sys: SubsetSystem, q_kernel=None) -> DensityTable:
     """Conditional information density of (W, S) given the supersample, over
-    the (ztilde, s, w) grid. Its base measure is P_Ztilde P_S P_{W|Ztilde}
-    (or the auxiliary conditional), which must charge every atom of the
-    joint support; iota is -inf where P(w | z(s)) or the base conditional
-    is 0."""
+    the (ztilde, s, w) grid, against P_{W|Ztilde} (or the auxiliary
+    conditional): log(P(w,zt,s) / (P(w|zt) P(zt) P(s))) = log(P(w|z(s)) / P(w|zt))."""
     with np.errstate(divide="ignore"):
-        log_joint = np.log(sys.joint)
-        log_cond = np.log(sys.cond)
-        if q_kernel is None:
-            log_w_given = np.log(sys.pw_given)
-        else:
-            log_w_given = _kernel_log_mass(q_kernel, sys.zt_grid, sys.w_labels)
-        log_base = (np.log(sys.p_ztilde)[:, None, None] + np.log(sys.p_s)[None, :, None]
-                    + log_w_given[:, None, :])
-    base = np.broadcast_to(log_w_given[:, None, :], log_cond.shape)
-    if np.any((log_joint > NEG_INF) & (base == NEG_INF)):
-        raise AbsoluteContinuityViolation(
-            "conditional joint atom outside the auxiliary conditional support")
-    # log(P(w,zt,s) / (P(w|zt) P(zt) P(s))) reduces to log(P(w|z(s)) / P(w|zt))
-    sup = (log_cond > NEG_INF) & (base > NEG_INF)
-    iota = np.full_like(log_cond, NEG_INF)
-    iota[sup] = log_cond[sup] - base[sup]
-    return _density_table((sys.zt_grid, sys.s_grid), sys.w_labels,
-                          (log_joint, log_base, iota))
+        log_q = (np.log(sys.pw_given) if q_kernel is None
+                 else _kernel_log_mass(q_kernel, sys.zt_grid, sys.w_labels))
+        log_mass = np.log(sys.p_ztilde)[:, None] + np.log(sys.p_s)[None, :]
+    return _density((sys.zt_grid, sys.s_grid), sys.w_labels, sys.joint, log_mass,
+                    sys.cond, log_q[:, None, :])
 
 
 # -- divergences ------------------------------------------------------------
@@ -222,6 +213,47 @@ def renyi_divergence(p: FiniteDistribution, q: FiniteDistribution,
     return float(logsumexp(np.asarray(terms)) / (alpha - 1.0))
 
 
+# -- one formula per quantity, over a (context..., data, w) grid -----------
+#
+# The standard grid is (z-vector, w), with no context; the subset grid is
+# (z-tilde, s, w). iota is a density table's grid iota, ``cond`` the
+# posterior rows P(w | data) and ``mass`` the mass of each (context, data).
+
+
+def _posterior_kls(cond: np.ndarray, iota: np.ndarray) -> np.ndarray:
+    """KL(P(. | data) || Q(. | context)) at every (context..., data):
+    sum_w cond iota over the support, +inf where the posterior charges a
+    hypothesis that Q does not (possible only at data of zero mass)."""
+    sup = iota > NEG_INF
+    kls = np.multiply(cond, iota, out=np.zeros_like(iota), where=sup).sum(axis=-1)
+    kls[np.any((cond > 0) & ~sup, axis=-1)] = math.inf
+    return kls
+
+
+def _renyi(log_arrays, alpha: float) -> float:
+    """Renyi divergence of order alpha of the joint against the base measure,
+    from the ``arrays`` of a density table: log E_base[e^(alpha iota)] / (alpha - 1)."""
+    _, log_base, iota = log_arrays
+    return float(logsumexp(log_base + alpha * iota) / (alpha - 1.0))
+
+
+def _alpha_mi(log_ctx: np.ndarray, log_data: np.ndarray, log_q: np.ndarray,
+              iota: np.ndarray, alpha: float) -> float:
+    """alpha-mutual information from the grid iota over (context, data, w),
+    the context's and the data's log masses and log Q(w | context):
+    log E_ctx[E_{Q(w|ctx)}[E_data[e^(alpha iota)]^(1/alpha)]^alpha] / (alpha - 1)."""
+    inner = logsumexp(log_data[:, None] + alpha * iota, axis=-2) / alpha
+    mid = logsumexp(log_q + inner, axis=-1)  # log E_{Q(w|ctx)}[...], per context
+    return float(logsumexp(log_ctx + alpha * mid) / (alpha - 1.0))
+
+
+def _leakage(mass: np.ndarray, cond: np.ndarray) -> float:
+    """Maximal leakage, log max over contexts of sum_w max over the
+    positive-mass data of P(w | data)."""
+    peaks = np.max(cond, axis=-2, where=(mass > 0)[..., None], initial=0.0)
+    return float(math.log(np.max(peaks.sum(axis=-1))))
+
+
 # -- standard-setting quantities -------------------------------------------
 
 
@@ -237,40 +269,22 @@ def system_renyi(sys: StandardSystem, alpha: float,
     """Renyi divergence of the joint against the (auxiliary) product."""
     if _near_one(alpha):
         return mutual_information(sys, q_w)
-    return _joint_renyi(information_density(sys, q_w).arrays, alpha)
-
-
-def _joint_renyi(log_arrays, alpha: float) -> float:
-    """Renyi divergence of order alpha from the ``arrays`` of an information
-    density table."""
-    log_joint, log_base, _ = log_arrays
-    sup = log_joint > NEG_INF
-    terms = alpha * log_joint[sup] + (1.0 - alpha) * log_base[sup]
-    return float(logsumexp(terms) / (alpha - 1.0))
+    return _renyi(information_density(sys, q_w).arrays, alpha)
 
 
 def alpha_mi(sys: StandardSystem, alpha: float) -> float:
-    """alpha-mutual information I_alpha(Z; W); near alpha = 1 this is I(W; Z)."""
+    """alpha-mutual information I_alpha(Z; W), the conditional formula with a
+    one-point context; near alpha = 1 this is I(W; Z)."""
     if _near_one(alpha):
         return mutual_information(sys)
-    iota = information_density(sys).arrays[2]
     with np.errstate(divide="ignore"):
-        log_pzn = np.log(sys.pzn_mass)
-        log_pw = np.log(sys.pw_mass)
-    # inner(w) = (1/alpha) log E_{P_Z}[exp(alpha * iota)]
-    inner = logsumexp(log_pzn[:, None] + alpha * iota, axis=0) / alpha
-    outer = logsumexp(log_pw + inner)
-    return float(alpha / (alpha - 1.0) * outer)
+        return _alpha_mi(np.zeros(1), np.log(sys.pzn_mass), np.log(sys.pw_mass),
+                         information_density(sys).arrays[2][None], alpha)
 
 
 def maximal_leakage(sys: StandardSystem) -> float:
     """log sum_w max_{z in supp} P(w | z-vector)."""
     return _leakage(sys.pzn_mass, sys.cond)
-
-
-def _leakage(pzn_mass: np.ndarray, cond: np.ndarray) -> float:
-    """Maximal leakage from the z-vector masses and the posterior rows."""
-    return float(math.log(np.sum(cond[pzn_mass > 0].max(axis=0))))
 
 
 def max_information(sys: StandardSystem) -> float:
@@ -308,14 +322,7 @@ def cond_renyi_divergence(sys: SubsetSystem, alpha: float, q_kernel=None) -> flo
     expectation under P_Ztilde P_{W|Ztilde} P_S."""
     if _near_one(alpha):
         return cond_mutual_information(sys, q_kernel)
-    return _cond_renyi(conditional_density(sys, q_kernel).arrays, alpha)
-
-
-def _cond_renyi(log_arrays, alpha: float) -> float:
-    """Conditional Renyi divergence of order alpha from the ``arrays`` of a
-    conditional density table."""
-    _, log_base, iota = log_arrays
-    return float(logsumexp(log_base + alpha * iota) / (alpha - 1.0))
+    return _renyi(conditional_density(sys, q_kernel).arrays, alpha)
 
 
 def cond_alpha_mi(sys: SubsetSystem, alpha: float) -> float:
@@ -329,46 +336,10 @@ def _cond_alpha_mi(sys: SubsetSystem, iota: np.ndarray, alpha: float) -> float:
     """Conditional alpha-mutual information from the grid iota of a
     conditional density table."""
     with np.errstate(divide="ignore"):
-        log_pzt = np.log(sys.p_ztilde)
-        log_ps = np.log(sys.p_s)
-        log_wg = np.log(sys.pw_given)
-    # innermost: log E_{P_S}^{1/alpha}[exp(alpha iota)], per (ztilde, w)
-    inner = logsumexp(log_ps[None, :, None] + alpha * iota, axis=1) / alpha
-    mid = logsumexp(log_wg + inner, axis=1)  # log E_{P_{W|zt}}[...]
-    outer = logsumexp(log_pzt + alpha * mid)
-    return float(outer / (alpha - 1.0))
+        return _alpha_mi(np.log(sys.p_ztilde), np.log(sys.p_s), np.log(sys.pw_given),
+                         iota, alpha)
 
 
 def cond_maximal_leakage(sys: SubsetSystem) -> float:
     """log max_{ztilde in supp} sum_w max_s P(w | ztilde, s)."""
-    mask = sys.p_ztilde > 0
-    per_zt = sys.cond[mask].max(axis=1).sum(axis=1)
-    return float(math.log(per_zt.max()))
-
-
-# -- posterior relative entropies (inputs to the PAC-Bayesian bounds) -------
-
-
-def posterior_kls_standard(sys: StandardSystem,
-                           q_w: FiniteDistribution | None = None) -> np.ndarray:
-    """KL(P_{W|z} || P_W) (or against Q_W) for every z-vector, in z order."""
-    with np.errstate(divide="ignore"):
-        if q_w is None:
-            log_w = np.log(sys.pw_mass)
-        else:
-            log_w = np.array([q_w.log_mass_of(w) for w in sys.w_labels])
-        log_cond = np.log(sys.cond)
-    sup = log_cond > NEG_INF
-    if np.any(sup & (log_w[None, :] == NEG_INF) & (sys.pzn_mass > 0)[:, None]):
-        raise AbsoluteContinuityViolation("posterior atom with zero marginal mass")
-    ratio = np.subtract(log_cond, log_w[None, :], out=np.zeros_like(log_cond), where=sup)
-    return np.sum(np.where(sup, sys.cond * ratio, 0.0), axis=1)
-
-
-def _subset_kls(cond: np.ndarray, iota: np.ndarray) -> np.ndarray:
-    """KL(P_{W|ztilde,s} || P_{W|ztilde}), shape (|Ztilde|, |S|), from the
-    posterior rows and the grid iota of a conditional density table."""
-    terms = np.zeros_like(iota)
-    sup = iota > NEG_INF
-    terms[sup] = cond[sup] * iota[sup]
-    return np.sum(terms, axis=2)
+    return _leakage(sys.p_ztilde[:, None] * sys.p_s[None, :], sys.cond)

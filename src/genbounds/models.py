@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
-from typing import Any, Mapping, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -397,22 +397,40 @@ def expected_gen_hat(sys: SubsetSystem) -> float:
 _FIXTURE_DIR = Path(__file__).parent / "fixtures"
 
 
+def _integral(value: Any) -> int:
+    """An integral number as an int; a fractional value is refused."""
+    if not float(value).is_integer():
+        raise ValueError(f"{value!r} is not an integer")
+    return int(value)
+
+
+def _number(key: str, value: Any, convert: Callable[[Any], Any] = float) -> Any:
+    """``convert(value)`` for the number ``value`` of the field ``key``; a
+    bool, or a value of the wrong type or form, is a ValueError naming it."""
+    try:
+        if isinstance(value, bool):
+            raise TypeError(f"{value!r} is not a number")
+        return convert(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"field {key!r}: {exc}") from None
+
+
 def _parse_loss(doc: Mapping[str, Any], instances: Sequence[Any]) -> LossTable:
-    a, b = (float(x) for x in doc["range"])
+    a, b = (_number("range", x) for x in doc["range"])
     return LossTable(
         hypotheses=tuple(doc["hypotheses"]),
         instances=tuple(instances),
         values=np.asarray(doc["matrix"], dtype=float),
         a=a,
         b=b,
-        sigma=float(doc["sigma"]) if "sigma" in doc else None,
+        sigma=_number("sigma", doc["sigma"]) if "sigma" in doc else None,
     )
 
 
 def _parse_learner(doc: Mapping[str, Any], loss: LossTable, n: int) -> Kernel:
     kind = doc["kind"]
     if kind == "gibbs":
-        return gibbs_kernel(loss, n, float(doc["beta"]))
+        return gibbs_kernel(loss, n, _number("beta", doc["beta"]))
     if kind == "erm":
         return erm_kernel(loss, n, doc.get("tie", "lowest-index"))
     if kind == "constant":
@@ -462,11 +480,12 @@ def load_problem(path_or_doc: Any) -> tuple[str, StandardSystem | SubsetSystem]:
     if setting not in ("standard", "subset"):
         raise ValueError(f"unknown setting {setting!r}")
     instances = [tuple(o) if isinstance(o, list) else o for o in doc["instances"]]
-    if "pz" in doc:
-        pz = FiniteDistribution.from_json({"outcomes": instances, "probs": doc["pz"]})
+    if "pz" in doc:  # a probability may be a decimal string
+        probs = [_number("pz", p, lambda p: p) for p in doc["pz"]]
+        pz = FiniteDistribution.from_json({"outcomes": instances, "probs": probs})
     else:
         pz = FiniteDistribution.uniform(instances)
-    n = int(doc["n"])
+    n = _number("n", doc["n"], _integral)
     loss = _parse_loss(doc["loss"], instances)
     # a subset joint outgrows its learner's grid: size it before the learner,
     # which acts on the selected half, also of length n

@@ -6,8 +6,10 @@ meaningful evidence of correctness. Only suitable for desk-scale instances.
 
 The exceptions are the loop reference at the end, which builds the system
 arrays atom by atom with the same per-row numpy operations the array core
-must reproduce, the two auto-gamma tail scans, and the out-of-place
-central moment. The strict scan evaluates every attained density value
+must reproduce, the two auto-gamma tail scans, the out-of-place central
+moment, and the per-setting information measures (density, posterior KLs,
+Renyi divergence, alpha-MI, leakage) that the package's shared formulas
+replaced. The strict scan evaluates every attained density value
 through the package's own explicit-gamma path and is compared with auto
 mode bit for bit; the earlier non-strict scan computes its own tails and
 is the baseline the exact rule must never lose to.
@@ -426,3 +428,88 @@ def central_moment_out_of_place(tbl, t):
     if np.all(terms == -math.inf):
         return 0.0
     return float(math.exp(logsumexp(terms) / t))
+
+
+# -- the per-setting information measures the shared formulas replaced -------
+
+
+def density_arrays(sys, q_w=None):
+    """(log joint, log base, iota) of a system's density grid, each setting
+    by its own formula: the standard iota in joint form, log(P_Z^n P(w|z)) -
+    (log P_Z^n + log Q_W), -inf off the joint support; the subset iota
+    log P(w|z(s)) - log P(w|zt) where both are positive."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_joint = np.log(sys.joint)
+        if sys.setting == "standard":
+            log_w = (np.log(sys.pw_mass) if q_w is None
+                     else np.array([q_w.log_mass_of(w) for w in sys.w_labels]))
+            log_base = np.log(sys.pzn_mass)[:, None] + log_w[None, :]
+            sup = log_joint > -math.inf
+            diff = log_joint - log_base
+        else:
+            log_cond, log_w_given = np.log(sys.cond), np.log(sys.pw_given)
+            log_base = (np.log(sys.p_ztilde)[:, None, None] + np.log(sys.p_s)[None, :, None]
+                        + log_w_given[:, None, :])
+            base = np.broadcast_to(log_w_given[:, None, :], log_cond.shape)
+            sup = (log_cond > -math.inf) & (base > -math.inf)
+            diff = log_cond - base
+    iota = np.full_like(log_joint, -math.inf)
+    iota[sup] = diff[sup]
+    return log_joint, log_base, iota
+
+
+def posterior_kls(sys, iota, q_w=None):
+    """Posterior KLs: the standard ones in ratio form, sum_w P(w|z) (log
+    P(w|z) - log Q_W(w)); the subset ones as sum_w P(w|z(s)) iota."""
+    if sys.setting == "subset":
+        terms = np.zeros_like(iota)
+        sup = iota > -math.inf
+        terms[sup] = sys.cond[sup] * iota[sup]
+        return np.sum(terms, axis=2)
+    with np.errstate(divide="ignore"):
+        log_w = (np.log(sys.pw_mass) if q_w is None
+                 else np.array([q_w.log_mass_of(w) for w in sys.w_labels]))
+        log_cond = np.log(sys.cond)
+    sup = log_cond > -math.inf
+    ratio = np.subtract(log_cond, log_w[None, :], out=np.zeros_like(log_cond), where=sup)
+    return np.sum(np.where(sup, sys.cond * ratio, 0.0), axis=1)
+
+
+def renyi_from_arrays(setting, arrays, alpha):
+    """Renyi divergence of order alpha: the standard one as
+    alpha log P + (1 - alpha) log base over the joint support, the subset
+    one as log E_base[e^(alpha iota)]."""
+    from genbounds.prob import logsumexp
+
+    log_joint, log_base, iota = arrays
+    if setting == "subset":
+        return float(logsumexp(log_base + alpha * iota) / (alpha - 1.0))
+    sup = log_joint > -math.inf
+    terms = alpha * log_joint[sup] + (1.0 - alpha) * log_base[sup]
+    return float(logsumexp(terms) / (alpha - 1.0))
+
+
+def alpha_mi_from_iota(sys, iota, alpha):
+    """alpha-MI of each setting by its own formula: the standard
+    alpha/(alpha-1) log E_W[E_Z^(1/alpha)[e^(alpha iota)]], the subset one
+    with the supersample as the outer expectation."""
+    from genbounds.prob import logsumexp
+
+    with np.errstate(divide="ignore"):
+        if sys.setting == "standard":
+            log_pzn, log_pw = np.log(sys.pzn_mass), np.log(sys.pw_mass)
+            inner = logsumexp(log_pzn[:, None] + alpha * iota, axis=0) / alpha
+            return float(alpha / (alpha - 1.0) * logsumexp(log_pw + inner))
+        log_pzt, log_ps, log_wg = np.log(sys.p_ztilde), np.log(sys.p_s), np.log(sys.pw_given)
+    inner = logsumexp(log_ps[None, :, None] + alpha * iota, axis=1) / alpha
+    mid = logsumexp(log_wg + inner, axis=1)
+    return float(logsumexp(log_pzt + alpha * mid) / (alpha - 1.0))
+
+
+def leakage_from_rows(sys):
+    """Maximal leakage from the posterior rows of the positive-mass data,
+    ``cond[pzn > 0]`` (of the positive-mass supersamples in the subset setting)."""
+    if sys.setting == "standard":
+        return float(math.log(np.sum(sys.cond[sys.pzn_mass > 0].max(axis=0))))
+    per_zt = sys.cond[sys.p_ztilde > 0].max(axis=1).sum(axis=1)
+    return float(math.log(per_zt.max()))

@@ -255,8 +255,9 @@ class TestSweep:
 
 
 class TestIllTypedConfig:
-    """A run-level field of the wrong type or form (a fractional or boolean
-    count) exits 2 with an error naming the field, never 1 (verification
+    """A run-level or problem field of the wrong type or form (a fractional
+    count, or a bool where a number belongs) exits 2 with an error naming
+    the field, never 0 with the bool read as 1.0 or 0.0, nor 1 (verification
     failure) with a traceback."""
 
     @pytest.mark.parametrize("command, config, field", [
@@ -285,6 +286,23 @@ class TestIllTypedConfig:
         ("verify", {"instances": True}, "instances"),
         ("sweep", {"problem": STANDARD_PROBLEM, "axis": "n", "values": [1, 1.7]}, "values"),
         ("sweep", {"problem": STANDARD_PROBLEM, "axis": "n", "values": [True]}, "values"),
+        ("report", {"problem": STANDARD_PROBLEM, "t": True}, "t"),
+        ("report", {"problem": STANDARD_PROBLEM, "alpha": False}, "alpha"),
+        ("report", {"problem": STANDARD_PROBLEM, "deltas": [True]}, "deltas"),
+        ("verify", {"sigma_scale": True}, "sigma_scale"),
+        ("verify", {"deltas": [False]}, "deltas"),
+        ("sweep", {"problem": STANDARD_PROBLEM, "axis": "delta", "values": [True]},
+         "values"),
+        ("sweep", {"problem": STANDARD_PROBLEM, "axis": "t", "values": [True]}, "t"),
+        ("sweep", {"problem": STANDARD_PROBLEM, "axis": "alpha", "values": [True]},
+         "values"),
+        ("sweep", {"problem": dict(STANDARD_PROBLEM, learner={"kind": "gibbs", "beta": 1.0}),
+                   "axis": "beta", "values": [True]}, "values"),
+        ("report", {"problem": dict(STANDARD_PROBLEM, n=1.7)}, "n"),
+        ("report", {"problem": dict(STANDARD_PROBLEM, n=True)}, "n"),
+        ("report", {"problem": dict(STANDARD_PROBLEM, pz=[True, False])}, "pz"),
+        ("report", {"problem": dict(STANDARD_PROBLEM,
+                                    learner={"kind": "gibbs", "beta": True})}, "beta"),
     ])
     def test_exits_2_naming_the_field(self, tmp_path, capsys, command, config, field):
         cfg = write_config(tmp_path, "cfg.json", config)

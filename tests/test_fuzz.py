@@ -43,7 +43,8 @@ def learners(draw, instances, hypotheses, n):
 RUN_FIELD_DEFECTS = [("deltas", 0.1), ("deltas", [[0.1]]), ("deltas", "0.1"),
                      ("deltas", None), ("alpha", [2]), ("alpha", None), ("alpha", "two"),
                      ("t", [2]), ("t", None), ("t", {}), ("t", -1), ("bounds", 5),
-                     ("bounds", None), ("bounds", "avg"), ("bounds", [[1]])]
+                     ("bounds", None), ("bounds", "avg"), ("bounds", [[1]]),
+                     ("t", True), ("alpha", True), ("deltas", [True])]
 
 
 def _mutate(draw, config):
@@ -56,7 +57,7 @@ def _mutate(draw, config):
         "wrong shape", "unknown kind", "unknown setting", "reversed range",
         "key extra token", "key unknown label", "key dropped", "rows not a map",
         "row outcomes", "comma label", "colliding labels", "string n",
-        "ill-typed run field"]))
+        "ill-typed run field", "bool or fractional n", "bool number"]))
     if mutation == "nan loss":
         loss["matrix"][0][0] = math.nan
     elif mutation == "inf loss":
@@ -94,6 +95,16 @@ def _mutate(draw, config):
         loss["range"] = [1, 0]
     elif mutation == "string n":
         problem["n"] = "two"
+    elif mutation == "bool or fractional n":
+        problem["n"] = draw(st.sampled_from([True, 1.7]))
+    elif mutation == "bool number":
+        target = draw(st.sampled_from(["beta", "sigma", "range", "pz"]))
+        if target == "beta":
+            problem["learner"] = {"kind": "gibbs", "beta": True}
+        elif target == "pz":
+            problem["pz"] = [True] + [False] * (len(problem["instances"]) - 1)
+        else:
+            loss[target] = True if target == "sigma" else [False, True]
     elif mutation == "ill-typed run field":
         key, value = draw(st.sampled_from(RUN_FIELD_DEFECTS))
         config[key] = value

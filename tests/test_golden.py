@@ -4,7 +4,11 @@ byte-identical, and exact coverage probabilities must agree to 1e-12.
 Re-record (only when an output change is intended) with
 
     PYTHONPATH=src python3 tests/test_golden.py
+
+which prints every cell it changes: file, row key, column, old -> new.
 """
+import csv
+import io
 import json
 import sys
 from pathlib import Path
@@ -90,14 +94,47 @@ def test_fixture_coverage_probabilities():
             assert abs(got[name][key] - viol) <= COVERAGE_TOL, (name, key)
 
 
+KEY_COLUMNS = ("fixture", "bound_id", "delta", "axis_value")
+
+
+def _cells(filename, data):
+    """{(row key, column): text} of a golden output's bytes; a row is keyed
+    by its fixture, bound id, delta and axis value, where it has them."""
+    if not data:
+        return {}
+    if filename.endswith(".csv"):
+        rows = list(csv.DictReader(io.StringIO(data.decode())))
+    else:
+        doc = json.loads(data)
+        rows = doc if isinstance(doc, list) else [dict(table, fixture=name)
+                                                  for name, table in doc.items()]
+    cells = {}
+    for row in rows:
+        key = ", ".join(f"{c}={row[c]}" for c in KEY_COLUMNS if c in row)
+        cells.update({(key, column): str(value) for column, value in row.items()})
+    return cells
+
+
 def record():
+    """Re-record every golden output, printing each changed cell."""
     import tempfile
     GOLDEN.mkdir(exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
-        for filename, command, fmt, config in _cases():
-            (GOLDEN / filename).write_bytes(_run(tmp, command, fmt, config))
-    (GOLDEN / "coverage.json").write_text(
-        json.dumps(_coverage_table(), indent=2, sort_keys=True) + "\n")
+        outputs = {filename: _run(tmp, command, fmt, config)
+                   for filename, command, fmt, config in _cases()}
+    outputs["coverage.json"] = (json.dumps(_coverage_table(), indent=2, sort_keys=True)
+                                + "\n").encode()
+    for filename, data in outputs.items():
+        path = GOLDEN / filename
+        old = path.read_bytes() if path.exists() else b""
+        if old == data:
+            continue
+        before, after = _cells(filename, old), _cells(filename, data)
+        for key, column in sorted(before.keys() | after.keys()):
+            if before.get((key, column)) != after.get((key, column)):
+                print(f"{filename} [{key}] {column}: "
+                      f"{before.get((key, column))} -> {after.get((key, column))}")
+        path.write_bytes(data)
 
 
 if __name__ == "__main__":

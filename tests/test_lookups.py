@@ -51,7 +51,7 @@ def test_standard_lookups_equal_the_array_entries(pools):
                 _same(bstd.pacb_bound(sys, zvec, delta), pacb[zi], view.rate)
                 for wi, w in enumerate(sys.w_labels):
                     if dens[zi, wi] == -math.inf:
-                        with pytest.raises(KeyError, match="not in the joint support"):
+                        with pytest.raises(KeyError, match="outside the density's support"):
                             bstd.sd_density_bound(sys, w, zvec, delta)
                     else:
                         _same(bstd.sd_density_bound(sys, w, zvec, delta), dens[zi, wi],
@@ -69,7 +69,7 @@ def test_subset_lookups_equal_the_array_entries(pools):
                 zt, s, w = sys.ztildes[zi], sys.s_vecs[si], sys.w_labels[wi]
                 _same(bsub.cond_pacb_bound(sys, zt, s, delta), pacb[zi, si], view.rate)
                 if dens[zi, si, wi] == -math.inf:
-                    with pytest.raises(KeyError, match="not in the joint support"):
+                    with pytest.raises(KeyError, match="outside the density's support"):
                         bsub.cond_sd_density_bound(sys, w, zt, s, delta)
                 else:
                     _same(bsub.cond_sd_density_bound(sys, w, zt, s, delta),

@@ -65,10 +65,10 @@ def test_one_central_moment_per_order(monkeypatch, name):
 
 @pytest.mark.parametrize("setting", ["standard", "subset"])
 def test_one_renyi_divergence_per_order(monkeypatch, setting):
-    view_cls = bstd._StandardView if setting == "standard" else bsub._SubsetView
+    # both settings' views inherit the one Renyi formula from the base view
     counts = Counter()
-    renyi = view_cls._renyi
-    monkeypatch.setattr(view_cls, "_renyi", staticmethod(
+    renyi = engine._View._renyi
+    monkeypatch.setattr(engine._View, "_renyi", staticmethod(
         lambda arrays, alpha: counts.update([alpha]) or renyi(arrays, alpha)))
     sys = _fresh(FIXTURES[setting][0])
     bound = bstd.sd_renyi_bound if setting == "standard" else bsub.cond_sd_renyi_pair_bound

@@ -234,6 +234,22 @@ class TestProblemFiles:
         assert setting == "standard"
         assert sys.cond[sys.zvecs.index((1,))][1] == pytest.approx(0.8)
 
+    @pytest.mark.parametrize("field, edit", [
+        ("n", lambda doc: doc.update(n=1.7)),
+        ("n", lambda doc: doc.update(n=True)),
+        ("beta", lambda doc: doc.update(learner={"kind": "gibbs", "beta": True})),
+        ("sigma", lambda doc: doc["loss"].update(sigma=True)),
+        ("range", lambda doc: doc["loss"].update(range=[False, 1])),
+        ("pz", lambda doc: doc.update(pz=[True, False])),
+    ])
+    def test_a_bool_or_fractional_number_is_refused_naming_its_field(self, field, edit):
+        doc = {"setting": "standard", "instances": [0, 1], "n": 2,
+               "loss": {"hypotheses": [0, 1], "matrix": [[0, 1], [1, 0]], "range": [0, 1]},
+               "learner": {"kind": "erm"}}
+        edit(doc)
+        with pytest.raises(ValueError, match=f"field {field!r}"):
+            load_problem(doc)
+
     def test_oracle_agreement_on_fixture_joint(self, inst_a):
         joint = oracles.standard_joint({0: 0.5, 1: 0.5}, 2,
                                        oracles.erm_learner_01([0, 1]))
