@@ -19,8 +19,8 @@ import numpy as np
 from .engine import (BoundResult, _View, _check_delta, _log_ratio, _lookup,
                      _tail_bound_from_table, view_of)
 from .measures import _cond_alpha_mi, _leakage, conditional_density
-from .models import LossTable, SubsetSystem
-from .prob import NEG_INF, FiniteDistribution, ProductGrid, logsumexp, power_log_mass
+from .models import LossTable, SubsetSystem, _data_grid
+from .prob import NEG_INF, FiniteDistribution, logsumexp, power_log_mass
 
 
 @dataclass(frozen=True)
@@ -220,7 +220,7 @@ def genhat_to_gen(eps_fn: Callable[[float], float], loss: LossTable, n: int,
 def leakage_ordering_check(sys: SubsetSystem) -> dict:
     """Conditional leakage vs that of the induced standard system, unassembled."""
     cond_leak = view_of(sys).leakage
-    grid = ProductGrid(sys.pz.outcomes, sys.n)
+    grid = _data_grid(sys.learner, sys.pz.outcomes, sys.n)
     std_leak = _leakage(np.exp(power_log_mass(sys.pz.log_mass, grid)),
                         np.exp(sys.learner.log_mass[sys.learner.rows_on(grid)]))
     return {

@@ -19,7 +19,7 @@ import numpy as np
 
 from .models import StandardSystem, SubsetSystem
 from .prob import (NEG_INF, AbsoluteContinuityViolation, FiniteDistribution, ProductGrid,
-                   logsumexp)
+                   TypeGrid, logsumexp)
 
 ALPHA_ONE_TOL = 1e-6
 
@@ -120,7 +120,7 @@ def density(p: FiniteDistribution, q: FiniteDistribution) -> DensityTable:
     return DensityTable(np.asarray(log_p), np.asarray(iota), lambda: tuple(outcomes))
 
 
-def _density(grids: Sequence[ProductGrid], w_labels: tuple, joint: np.ndarray,
+def _density(grids: Sequence[ProductGrid | TypeGrid], w_labels: tuple, joint: np.ndarray,
              log_mass: np.ndarray, cond: np.ndarray, log_q: np.ndarray) -> DensityTable:
     """The density of ``joint`` on a (context..., data, w) grid, for both
     settings: iota = log P(w | data) - log Q(w | context) where both are
@@ -128,7 +128,8 @@ def _density(grids: Sequence[ProductGrid], w_labels: tuple, joint: np.ndarray,
     conditional ``log_q`` (broadcast over data). The base measure, log mass
     + log Q, must charge the joint's support. The table keeps the (log joint,
     log base, iota) grid; its outcomes, built on first access, are (w, data
-    labels...) in grid order, made from the grids, so it holds no system."""
+    labels...) in grid order (a type's representative on a ``TypeGrid``),
+    made from the grids, so it holds no system."""
     with np.errstate(divide="ignore"):
         log_joint = np.log(joint)
         iota = np.log(cond)

@@ -21,14 +21,11 @@ from .prob import (
     JointTable,
     Kernel,
     ProductGrid,
+    TypeGrid,
     check_budget,
     logsumexp,
     power_log_mass,
 )
-
-# Elements of the (|W|, vectors, n) gather that empirical losses build per chunk.
-_GATHER_CHUNK = 1 << 20
-
 
 @dataclass(frozen=True)
 class LossTable:
@@ -82,28 +79,11 @@ class LossTable:
     def population_loss(self, w: Any, pz: FiniteDistribution) -> float:
         return float(self.population_losses(pz)[self.hypotheses.index(w)])
 
-    def _columns(self, grid: ProductGrid) -> np.ndarray:
-        return np.array([self.instances.index(z) for z in grid.labels], dtype=np.int64)
-
-    def totals(self, grid: ProductGrid) -> np.ndarray:
-        """The total loss of every hypothesis on every vector of ``grid``,
-        shape (|grid|, |W|): each vector's losses summed left to right from
-        0, the order of a sum over a (|W|, n) gather's n axis."""
-        return grid.fold(self.values.T[self._columns(grid)], np.add, 0.0)
-
-    def empirical_losses(self, grid: ProductGrid) -> np.ndarray:
-        """The empirical loss of every hypothesis on every vector of
-        ``grid``, shape (|W|, |grid|): each as ``np.mean`` of the vector's
-        losses computes it (pairwise summation, so for n >= 8 not the order
-        of ``totals``), over chunks of vectors."""
-        cols = self._columns(grid)
-        out = np.empty((len(self.hypotheses), grid.size))
-        step = max(1, _GATHER_CHUNK // max(1, len(self.hypotheses) * grid.n))
-        for start in range(0, grid.size, step):
-            codes = np.arange(start, min(start + step, grid.size))
-            out[:, start:start + len(codes)] = np.take(
-                self.values, cols[grid.digits(codes)], axis=1).sum(axis=-1)
-        return out / grid.n
+    def totals(self, grid: ProductGrid | TypeGrid) -> np.ndarray:
+        """The total loss of every hypothesis on every code of ``grid``,
+        shape (|grid|, |W|), summed as ``grid.sums`` sums."""
+        cols = [self.instances.index(z) for z in grid.labels]
+        return grid.sums(self.values.T[cols])
 
     def empirical_loss(self, w: Any, zvec: Sequence[Any]) -> float:
         wi = self.hypotheses.index(w)
@@ -120,9 +100,12 @@ def zero_one_loss(labels: Sequence[Any]) -> LossTable:
 # -- learner kernels --------------------------------------------------------
 
 
-def _learner_grid(loss: LossTable, n: int) -> ProductGrid:
-    check_budget(len(loss.instances) ** n * len(loss.hypotheses))
-    return ProductGrid(loss.instances, n)
+def _learner_grid(loss: LossTable, n: int, kind=TypeGrid) -> ProductGrid | TypeGrid:
+    """The grid of a learner's rows, the budget checked before it is built;
+    a learner that sees its data only through the counts of each instance
+    has one row per type."""
+    check_budget(kind.count(len(loss.instances), n) * len(loss.hypotheses))
+    return kind(loss.instances, n)
 
 
 def gibbs_kernel(loss: LossTable, n: int, beta: float) -> Kernel:
@@ -173,7 +156,7 @@ def identity_kernel(loss: LossTable) -> Kernel:
         raise ValueError("identity learner needs matching hypothesis/instance labels")
     eye = np.eye(len(loss.instances), dtype=bool)
     return Kernel.on_grid(np.where(eye, 0.0, NEG_INF), loss.hypotheses,
-                          _learner_grid(loss, 1))
+                          _learner_grid(loss, 1, ProductGrid))
 
 
 # -- assembled systems ------------------------------------------------------
@@ -193,7 +176,10 @@ class StandardSystem:
 
     Arrays: ``pzn_mass`` over z-vectors, ``cond[z, w]`` = P(w | z-vector),
     ``joint[z, w]``, ``pw_mass`` over W, ``gen[w, z]`` the generalization
-    error at each atom. The z axis is in code order of ``z_grid``.
+    error at each atom. The z axis is in code order of ``z_grid``, the grid
+    kind of the learner: for a learner on a ``TypeGrid`` an atom is a type
+    class, every vector of which has the same row, gen and density, and
+    ``pzn_mass`` is the mass of the whole class.
     """
 
     setting = "standard"
@@ -211,7 +197,7 @@ class StandardSystem:
 
     def __post_init__(self):
         w_labels = _check_system(self)
-        grid = ProductGrid(self.pz.outcomes, self.n)
+        grid = _data_grid(self.learner, self.pz.outcomes, self.n)
         rows = self.learner.rows_on(grid)
         undefined = np.flatnonzero(rows < 0)
         if undefined.size:
@@ -220,14 +206,15 @@ class StandardSystem:
         cond = np.exp(self.learner.log_mass[rows])
         joint = pzn_mass[:, None] * cond
         pop = self.loss.population_losses(self.pz)
-        emp = self.loss.empirical_losses(grid)
+        emp = self.loss.totals(grid) / self.n
         _set_derived(self, z_grid=grid, w_labels=w_labels, pzn_mass=pzn_mass,
                      cond=cond, joint=joint, pw_mass=joint.sum(axis=0),
-                     gen_table=pop[:, None] - emp)
+                     gen_table=np.ascontiguousarray((pop - emp).T))
 
     @cached_property
     def zvecs(self) -> tuple:
-        """The z-vector labels, in code order."""
+        """The z-vector labels, in code order: on a ``TypeGrid``, one sorted
+        representative per type."""
         return self.z_grid.vectors()
 
     @property
@@ -240,6 +227,7 @@ class StandardSystem:
             return FiniteDistribution(self.w_labels, np.log(self.pw_mass))
 
     def joint_table(self) -> JointTable:
+        """The joint over (w, z-vector) atoms, one per code of ``z_grid``."""
         outcomes = [(w, zvec) for zvec in self.zvecs for w in self.w_labels]
         with np.errstate(divide="ignore"):
             lm = np.log(self.joint.ravel())
@@ -257,14 +245,30 @@ def _check_system(sys) -> tuple:
     w_labels = tuple(sys.learner.output_outcomes)
     if w_labels != sys.loss.hypotheses:
         raise ValueError("learner output labels do not match loss hypotheses")
-    check_budget(_atoms(sys.setting, len(sys.pz), sys.n, len(w_labels)))
+    check_budget(_atoms(sys.setting, _grid_kind(sys.learner), len(sys.pz), sys.n,
+                        len(w_labels)))
     return w_labels
 
 
-def _atoms(setting: str, k: int, n: int, n_w: int) -> int:
+def _atoms(setting: str, kind, k: int, n: int, n_w: int) -> int:
     """The atom count of a system's joint over k instances and n_w
-    hypotheses: (z-vector, w), or (z-tilde, s, w) in the subset setting."""
-    return (k ** n if setting == "standard" else k ** (2 * n) * 2 ** n) * n_w
+    hypotheses: (z-vector or type, w) on the learner's grid ``kind``, or
+    (z-tilde, s, w) in the subset setting."""
+    return (kind.count(k, n) if setting == "standard" else k ** (2 * n) * 2 ** n) * n_w
+
+
+def _grid_kind(learner: Kernel) -> type:
+    """The grid class of a learner's rows: a label-form kernel's are vectors."""
+    return ProductGrid if learner.grid is None else type(learner.grid)
+
+
+def _data_grid(learner: Kernel, labels: Sequence[Any], n: int) -> ProductGrid | TypeGrid:
+    """The grid of a standard system's data axis: of the learner's kind, and
+    the learner's own grid where that is over the same labels and length."""
+    grid = learner.grid
+    if grid is not None and grid.labels == tuple(labels) and grid.n == n:
+        return grid
+    return _grid_kind(learner)(labels, n)
 
 
 def assemble_standard(pz: FiniteDistribution, n: int, learner: Kernel,
@@ -417,14 +421,18 @@ def _number(key: str, value: Any, convert: Callable[[Any], Any] = float) -> Any:
 
 def _parse_loss(doc: Mapping[str, Any], instances: Sequence[Any]) -> LossTable:
     a, b = (_number("range", x) for x in doc["range"])
+    matrix = np.asarray(doc["matrix"], dtype=object)
     return LossTable(
         hypotheses=tuple(doc["hypotheses"]),
         instances=tuple(instances),
-        values=np.asarray(doc["matrix"], dtype=float),
+        values=np.array([_number("matrix", x) for x in matrix.ravel()]).reshape(matrix.shape),
         a=a,
         b=b,
         sigma=_number("sigma", doc["sigma"]) if "sigma" in doc else None,
     )
+
+
+_TYPE_LEARNERS = ("gibbs", "erm", "constant")  # the kinds built on a TypeGrid
 
 
 def _parse_learner(doc: Mapping[str, Any], loss: LossTable, n: int) -> Kernel:
@@ -434,7 +442,9 @@ def _parse_learner(doc: Mapping[str, Any], loss: LossTable, n: int) -> Kernel:
     if kind == "erm":
         return erm_kernel(loss, n, doc.get("tie", "lowest-index"))
     if kind == "constant":
-        return constant_kernel(loss, n, doc.get("weights"))
+        weights = doc.get("weights")
+        return constant_kernel(loss, n, weights if weights is None
+                               else [_number("weights", w) for w in weights])
     if kind == "identity":
         return identity_kernel(loss)
     if kind == "custom-kernel":
@@ -466,7 +476,11 @@ def _custom_kernel(rows: Any, instances: Sequence[Any]) -> Kernel:
             raise ValueError(f"unknown instance label {unknown[0]!r}")
         return tuple(by_text[tok] for tok in tokens)
 
-    return Kernel({zvec(key): FiniteDistribution.from_json(row) for key, row in rows.items()})
+    def row(doc: Mapping[str, Any]) -> FiniteDistribution:  # a probability may be a decimal string
+        probs = [_number("probs", p, lambda p: p) for p in doc["probs"]]
+        return FiniteDistribution.from_json(dict(doc, probs=probs))
+
+    return Kernel({zvec(key): row(doc) for key, doc in rows.items()})
 
 
 def load_problem(path_or_doc: Any) -> tuple[str, StandardSystem | SubsetSystem]:
@@ -487,9 +501,9 @@ def load_problem(path_or_doc: Any) -> tuple[str, StandardSystem | SubsetSystem]:
         pz = FiniteDistribution.uniform(instances)
     n = _number("n", doc["n"], _integral)
     loss = _parse_loss(doc["loss"], instances)
-    # a subset joint outgrows its learner's grid: size it before the learner,
-    # which acts on the selected half, also of length n
-    check_budget(_atoms(setting, len(instances), n, len(loss.hypotheses)))
+    # size the joint before the learner, whose grid it is at least as large as
+    kind = TypeGrid if doc["learner"]["kind"] in _TYPE_LEARNERS else ProductGrid
+    check_budget(_atoms(setting, kind, len(instances), n, len(loss.hypotheses)))
     assemble = assemble_standard if setting == "standard" else assemble_subset
     return setting, assemble(pz, n, _parse_learner(doc["learner"], loss, n), loss)
 

@@ -166,7 +166,8 @@ class JointTable(FiniteDistribution):
 class ProductGrid:
     """The n-fold product of a label tuple. Its vectors are numbered by
     base-k codes (k labels, the first coordinate most significant), which is
-    ``itertools.product`` order; label tuples are built only on request."""
+    ``itertools.product`` order; label tuples are built only on request.
+    Every code is one vector: its log multiplicity is 0."""
 
     __slots__ = ("labels", "n", "size", "_position")
 
@@ -175,8 +176,15 @@ class ProductGrid:
             raise ValueError("vector length must be nonnegative")
         self.labels = tuple(labels)
         self.n = n
-        self.size = len(self.labels) ** n
+        self.size = self.count(len(self.labels), n)
         self._position = {lab: i for i, lab in enumerate(self.labels)}
+
+    @staticmethod
+    def count(k: int, n: int) -> int:
+        """The number of codes over k labels, without building the grid."""
+        return k ** n
+
+    log_multiplicity = property(lambda self: np.zeros(self.size))
 
     def code(self, vec: Any) -> int:
         """The code of a vector; KeyError if it is not a vector of the grid."""
@@ -199,6 +207,11 @@ class ProductGrid:
         powers = k ** np.arange(self.n - 1, -1, -1, dtype=np.int64)
         return (np.asarray(codes, dtype=np.int64)[:, None] // powers) % k
 
+    @property
+    def counts(self) -> np.ndarray:
+        """How often each label occurs in each vector, shape (size, k)."""
+        return self.fold(np.eye(len(self.labels), dtype=np.int64), np.add, 0)
+
     def fold(self, per_label: np.ndarray, combine, start: Any) -> np.ndarray:
         """``combine`` applied over each vector's labels, left to right from
         ``start``, as one array over codes; ``per_label[d]`` stands for label
@@ -210,15 +223,122 @@ class ProductGrid:
                 (-1,) + per_label.shape[1:])
         return acc
 
+    def sums(self, per_label: np.ndarray) -> np.ndarray:
+        """The sum of ``per_label`` over each vector's labels, left to right
+        from 0, as one array over codes."""
+        return self.fold(np.asarray(per_label, dtype=float), np.add, 0.0)
+
+
+_comb = np.frompyfunc(math.comb, 2, 1)  # elementwise, to Python ints
+
+
+class TypeGrid:
+    """The types of the length-n vectors over a label tuple (the method of
+    types): code c stands for every vector in which label d occurs
+    ``counts[c, d]`` times, and its log multiplicity is the log of their
+    number, a multinomial coefficient computed as a Python int and logged
+    once. Codes follow the ``ProductGrid`` order of each type's sorted
+    representative (the first label's count descending, then the next...),
+    and ``vector``/``vectors`` give that representative."""
+
+    __slots__ = ("labels", "n", "size", "counts", "log_multiplicity", "_position",
+                 "_before")
+
+    def __init__(self, labels: Sequence[Any], n: int):
+        if n < 0:
+            raise ValueError("vector length must be nonnegative")
+        self.labels = tuple(labels)
+        k = len(self.labels)
+        if not k:
+            raise ValueError("a type grid needs at least one label")
+        self.n = n
+        self.size = self.count(k, n)
+        check_budget(self.size)
+        self._position = {lab: i for i, lab in enumerate(self.labels)}
+        # stars and bars: a type is where its k - 1 bars stand among n + k - 1
+        # places, and the combinations of places run in reverse code order
+        bars = np.fromiter(itertools.chain.from_iterable(
+            itertools.combinations(range(n + k - 1), k - 1)), np.int64,
+            count=self.size * (k - 1)).reshape(self.size, k - 1)[::-1]
+        edges = np.empty((self.size, k + 1), dtype=np.int64)
+        edges[:, 0], edges[:, 1:k], edges[:, k] = -1, bars, n + k - 1
+        self.counts = edges[:, 1:] - edges[:, :-1] - 1
+        # the multinomial coefficient as a product of binomials, in Python ints
+        mult, total = np.ones(self.size, dtype=object), np.cumsum(self.counts, axis=1)
+        for d in range(1, k):
+            mult = mult * _comb(total[:, d], self.counts[:, d])
+        self.log_multiplicity = np.fromiter(map(math.log, mult), float, self.size)
+        # _before[d, r]: the types that share a type's counts before label d
+        # and count d more often, where it leaves r after d: C(r + k - d - 2, k - d - 1)
+        self._before = np.array([[math.comb(r + k - d - 2, k - d - 1) for r in range(n + 1)]
+                                 for d in range(k - 1)], dtype=np.int64)
+
+    @staticmethod
+    def count(k: int, n: int) -> int:
+        """The number of types of length-n vectors over k labels,
+        C(n + k - 1, k - 1), without building the grid."""
+        return math.comb(n + k - 1, k - 1) if k else int(n == 0)
+
+    def _codes(self, counts: np.ndarray) -> np.ndarray:
+        """The code of each row of ``counts`` (label counts summing to n):
+        the number of types before it."""
+        rest = self.n - np.cumsum(counts[:, :-1], axis=1)
+        codes = np.zeros(len(counts), dtype=np.int64)
+        for d in range(len(self.labels) - 1):
+            codes += self._before[d, rest[:, d]]
+        return codes
+
+    def code(self, vec: Any) -> int:
+        """The code of a vector's type; KeyError if it is not a vector of the grid."""
+        if not isinstance(vec, tuple) or len(vec) != self.n:
+            raise KeyError(vec)
+        positions = np.array([self._position[lab] for lab in vec], dtype=np.int64)
+        return int(self._codes(np.bincount(positions, minlength=len(self.labels))[None])[0])
+
+    def vector(self, code: int) -> tuple:
+        return tuple(lab for lab, c in zip(self.labels, self.counts[code].tolist())
+                     for _ in range(c))
+
+    def vectors(self) -> tuple:
+        return tuple(self.vector(c) for c in range(self.size))
+
+    def codes_on(self, grid: "ProductGrid | TypeGrid") -> np.ndarray:
+        """The code of the type of every vector of ``grid``, in its code
+        order; -1 where a vector has another length or a label not here."""
+        if grid.n != self.n:
+            return np.full(grid.size, -1, dtype=np.int64)
+        k, theirs = len(self.labels), grid.counts
+        counts = np.zeros((grid.size, k + 1), dtype=np.int64)  # column k: labels not here
+        for j, lab in enumerate(grid.labels):
+            counts[:, self._position.get(lab, k)] += theirs[:, j]
+        codes = self._codes(counts[:, :k])
+        codes[counts[:, k] > 0] = -1
+        return codes
+
+    def sums(self, per_label: np.ndarray) -> np.ndarray:
+        """The sum of ``per_label`` over each type's labels: count times
+        value per label, added elementwise in label order from 0 (a label
+        that does not occur adds 0)."""
+        per_label = np.asarray(per_label, dtype=float)
+        acc = np.zeros((self.size,) + per_label.shape[1:])
+        shape = (-1,) + (1,) * (per_label.ndim - 1)
+        with np.errstate(invalid="ignore"):  # 0 * -inf, not added
+            for d in range(len(self.labels)):
+                counts = self.counts[:, d].reshape(shape)
+                np.add(acc, counts * per_label[d], out=acc, where=counts > 0)
+        return acc
+
 
 class Kernel:
     """A conditional distribution: input label -> distribution over the
     output labels, stored as one ``(rows, outputs)`` array of log masses.
 
-    The inputs are either the vectors of a ``ProductGrid`` (the kernel
-    builders of ``models``), whose row r is the vector of code r, or an
-    explicit label tuple (a mapping of rows, converted once). Rows are built
-    as ``FiniteDistribution`` objects only when indexed.
+    The inputs are either the codes of a grid (the kernel builders of
+    ``models``): the vectors of a ``ProductGrid``, or the types of a
+    ``TypeGrid``, whose row is shared by every vector of the type; or an
+    explicit label tuple (a mapping of rows, converted once). Row r is the
+    code r, and rows are built as ``FiniteDistribution`` objects only when
+    indexed.
     """
 
     __slots__ = ("log_mass", "output_outcomes", "grid", "_labels", "_row")
@@ -235,8 +355,8 @@ class Kernel:
 
     @classmethod
     def on_grid(cls, log_mass: np.ndarray, output_outcomes: Sequence[Any],
-                grid: ProductGrid) -> "Kernel":
-        """A kernel whose row r is the distribution at the vector of code r;
+                grid: ProductGrid | TypeGrid) -> "Kernel":
+        """A kernel whose row r is the distribution at the vector (or type) of code r;
         every row must be finite and sum to 1 within 1e-12."""
         if grid.size == 0:
             raise InvalidDistributionError("empty kernel")
@@ -288,18 +408,15 @@ class Kernel:
     def input_labels(self) -> tuple:
         return self._labels if self.grid is None else self.grid.vectors()
 
-    def rows_on(self, grid: ProductGrid) -> np.ndarray:
-        """The row of every vector of ``grid``, in code order; -1 where the
-        kernel is undefined."""
-        if self.grid is None:
-            return np.array([self._row.get(v, -1) for v in grid.vectors()], dtype=np.int64)
-        if self.grid.n != grid.n:
-            return np.full(grid.size, -1, dtype=np.int64)
-        pos = np.array([self.grid._position.get(z, -1) for z in grid.labels], dtype=np.int64)
-        k = len(self.grid.labels)
-        rows = grid.fold(pos, lambda acc, p: acc * k + p, 0)
-        rows[grid.fold(pos < 0, np.logical_or, False)] = -1
-        return rows
+    def rows_on(self, grid: ProductGrid | TypeGrid) -> np.ndarray:
+        """The row of every vector (or type) of ``grid``, in code order; -1
+        where the kernel is undefined."""
+        if grid is self.grid:
+            return np.arange(grid.size)
+        if isinstance(self.grid, TypeGrid):
+            return self.grid.codes_on(grid)
+        return np.array([self._row_of(v) if v in self else -1 for v in grid.vectors()],
+                        dtype=np.int64)
 
     @classmethod
     def from_json(cls, doc: Mapping[str, Any]) -> "Kernel":
@@ -335,10 +452,11 @@ def iid_power(p: FiniteDistribution, n: int) -> FiniteDistribution:
     return FiniteDistribution(grid.vectors(), power_log_mass(p.log_mass, grid))
 
 
-def power_log_mass(log_mass: np.ndarray, grid: ProductGrid) -> np.ndarray:
-    """Log masses of iid draws over the vectors of ``grid``, in code order:
-    each vector's label log masses summed left to right."""
-    return grid.fold(np.asarray(log_mass, dtype=float), np.add, 0.0)
+def power_log_mass(log_mass: np.ndarray, grid: ProductGrid | TypeGrid) -> np.ndarray:
+    """Log masses of iid draws over the codes of ``grid``: each vector's
+    label log masses summed, plus the code's log multiplicity (0 for a
+    vector, the log count of its vectors for a type)."""
+    return grid.sums(log_mass) + grid.log_multiplicity
 
 
 def marginalize(j: JointTable, keep: Sequence[int]) -> FiniteDistribution:

@@ -9,10 +9,12 @@ arrays atom by atom with the same per-row numpy operations the array core
 must reproduce, the two auto-gamma tail scans, the out-of-place central
 moment, and the per-setting information measures (density, posterior KLs,
 Renyi divergence, alpha-MI, leakage) that the package's shared formulas
-replaced. The strict scan evaluates every attained density value
-through the package's own explicit-gamma path and is compared with auto
-mode bit for bit; the earlier non-strict scan computes its own tails and
-is the baseline the exact rule must never lose to.
+replaced, and ``product_twin``, which rebuilds a system with every z-vector
+an atom of its own through the package's label-form kernel. The strict scan
+evaluates every attained density value through the package's own
+explicit-gamma path and is compared with auto mode bit for bit; the earlier
+non-strict scan computes its own tails and is the baseline the exact rule
+must never lose to.
 """
 from __future__ import annotations
 
@@ -513,3 +515,22 @@ def leakage_from_rows(sys):
         return float(math.log(np.sum(sys.cond[sys.pzn_mass > 0].max(axis=0))))
     per_zt = sys.cond[sys.p_ztilde > 0].max(axis=1).sum(axis=1)
     return float(math.log(per_zt.max()))
+
+
+# -- the per-vector enumeration that type grids replace ---------------------
+
+
+def product_twin(sys):
+    """``sys`` rebuilt with its learner as a label-form kernel over every
+    z-vector, so that each vector is an atom of its own (a ``ProductGrid``
+    system, whatever grid the learner of ``sys`` uses)."""
+    from genbounds import Kernel
+
+    rows = {v: sys.learner[v] for v in zvectors(sys.pz.outcomes, sys.n)}
+    return type(sys)(sys.pz, sys.n, Kernel(rows), sys.loss)
+
+
+def type_codes(sys, twin):
+    """The code on ``sys.z_grid`` of each z-vector of ``twin``, in its code
+    order, one ``z_grid.code`` call per vector."""
+    return np.array([sys.z_grid.code(v) for v in twin.zvecs], dtype=np.int64)

@@ -113,12 +113,13 @@ class TestErrorHandling:
         assert main(["report", "--config", cfg]) == 2
 
     def test_budget_exceeded(self, tmp_path):
+        # C(205, 5) = 2.9e9 types of the 6^200 z-vectors, times 2 hypotheses
         problem = {
             "setting": "standard",
-            "instances": [0, 1, 2, 3],
-            "n": 12,
+            "instances": [0, 1, 2, 3, 4, 5],
+            "n": 200,
             "loss": {"hypotheses": [0, 1],
-                     "matrix": [[0, 1, 0, 1], [1, 0, 1, 0]],
+                     "matrix": [[0, 1, 0, 1, 0, 1], [1, 0, 1, 0, 1, 0]],
                      "range": [0, 1]},
             "learner": {"kind": "constant"},
         }
@@ -303,6 +304,14 @@ class TestIllTypedConfig:
         ("report", {"problem": dict(STANDARD_PROBLEM, pz=[True, False])}, "pz"),
         ("report", {"problem": dict(STANDARD_PROBLEM,
                                     learner={"kind": "gibbs", "beta": True})}, "beta"),
+        ("report", {"problem": dict(STANDARD_PROBLEM, loss=dict(
+            STANDARD_PROBLEM["loss"], matrix=[[True, False], [False, True]]))}, "matrix"),
+        ("report", {"problem": dict(STANDARD_PROBLEM, learner={
+            "kind": "constant", "weights": [True, False]})}, "weights"),
+        ("report", {"problem": dict(STANDARD_PROBLEM, n=1, learner={
+            "kind": "custom-kernel", "rows": {
+                "0": {"outcomes": [0, 1], "probs": [0.5, 0.5]},
+                "1": {"outcomes": [0, 1], "probs": [True, False]}}})}, "probs"),
     ])
     def test_exits_2_naming_the_field(self, tmp_path, capsys, command, config, field):
         cfg = write_config(tmp_path, "cfg.json", config)
@@ -374,4 +383,6 @@ class TestNoSpuriousWarnings:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert main(["report", "--config", cfg, "--out", str(out)]) == 0
-        assert {r["bound_id"]: r["epsilon"] for r in read_csv(out)} == self.EPSILONS
+        got = {r["bound_id"]: float(r["epsilon"]) for r in read_csv(out)}
+        assert got == pytest.approx({k: float(v) for k, v in self.EPSILONS.items()},
+                                    rel=1e-12, abs=0.0)

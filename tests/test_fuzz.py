@@ -62,10 +62,10 @@ def _mutate(draw, config):
         loss["matrix"][0][0] = math.nan
     elif mutation == "inf loss":
         loss["matrix"][-1][-1] = math.inf
-    elif mutation == "over budget":  # 2^40 z-vectors
+    elif mutation == "over budget":  # C(205, 5) = 2.9e9 types of 6^200 z-vectors
         problem.pop("pz", None)
-        problem["instances"], problem["n"] = [0, 1], 40
-        loss["matrix"] = [[row[0]] * 2 for row in loss["matrix"]]
+        problem["instances"], problem["n"] = list(range(6)), 200
+        loss["matrix"] = [[row[0]] * 6 for row in loss["matrix"]]
         if learner["kind"] in ("custom-kernel", "identity"):
             problem["learner"] = {"kind": "erm"}
     elif mutation == "n zero":
@@ -98,11 +98,22 @@ def _mutate(draw, config):
     elif mutation == "bool or fractional n":
         problem["n"] = draw(st.sampled_from([True, 1.7]))
     elif mutation == "bool number":
-        target = draw(st.sampled_from(["beta", "sigma", "range", "pz"]))
+        target = draw(st.sampled_from(["beta", "sigma", "range", "pz", "matrix",
+                                       "weights", "probs"]))
+        one_hot = [True] + [False] * (len(loss["hypotheses"]) - 1)
         if target == "beta":
             problem["learner"] = {"kind": "gibbs", "beta": True}
         elif target == "pz":
             problem["pz"] = [True] + [False] * (len(problem["instances"]) - 1)
+        elif target == "matrix":
+            loss["matrix"][0][0] = True
+        elif target == "weights":
+            problem["learner"] = {"kind": "constant", "weights": one_hot}
+        elif target == "probs":
+            problem["learner"] = {"kind": "custom-kernel", "rows": {
+                ",".join(str(z) for z in zvec): {"outcomes": loss["hypotheses"],
+                                                 "probs": one_hot}
+                for zvec in itertools.product(problem["instances"], repeat=problem["n"])}}
         else:
             loss[target] = True if target == "sigma" else [False, True]
     elif mutation == "ill-typed run field":

@@ -5,11 +5,13 @@ Re-record (only when an output change is intended) with
 
     PYTHONPATH=src python3 tests/test_golden.py
 
-which prints every cell it changes: file, row key, column, old -> new.
+which prints every cell it changes: file, row key, column, old -> new, and
+the relative change of a numeric cell.
 """
 import csv
 import io
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -115,6 +117,17 @@ def _cells(filename, data):
     return cells
 
 
+def _relative_change(old, new):
+    """`` (relative change r)`` between two numeric cells, else ''."""
+    try:
+        a, b = float(old), float(new)
+    except (TypeError, ValueError):
+        return ""
+    if a == b or not (math.isfinite(a) and math.isfinite(b)):
+        return ""
+    return f" (relative change {(b - a) / abs(a) if a else math.inf:.3g})"
+
+
 def record():
     """Re-record every golden output, printing each changed cell."""
     import tempfile
@@ -131,9 +144,10 @@ def record():
             continue
         before, after = _cells(filename, old), _cells(filename, data)
         for key, column in sorted(before.keys() | after.keys()):
-            if before.get((key, column)) != after.get((key, column)):
-                print(f"{filename} [{key}] {column}: "
-                      f"{before.get((key, column))} -> {after.get((key, column))}")
+            old_cell, new_cell = before.get((key, column)), after.get((key, column))
+            if old_cell != new_cell:
+                print(f"{filename} [{key}] {column}: {old_cell} -> {new_cell}"
+                      f"{_relative_change(old_cell, new_cell)}")
         path.write_bytes(data)
 
 

@@ -38,6 +38,13 @@ M2_A = math.sqrt(0.75 * (math.log(4 / 3) - I_A) ** 2
 MINF_A = math.log(4) - I_A
 
 
+def _learner_rows(sys):
+    """The learner's row at every z-vector (a type grid keeps one per type),
+    in the form the oracles take."""
+    return {zv: {w: sys.learner[zv].mass_of(w) for w in sys.w_labels}
+            for zv in oracles.zvectors(sys.pz.outcomes, sys.n)}
+
+
 def random_gibbs_standard(rng, n_max=3):
     n = int(rng.integers(1, n_max + 1))
     n_z = int(rng.integers(2, 4))
@@ -110,9 +117,7 @@ class TestConditionalDensity:
             matrix = {w: {z: sys.loss.loss(w, z) for z in sys.loss.instances}
                       for w in sys.loss.hypotheses}
             # reconstruct the same Gibbs weights independently
-            learner = {zv: {w: sys.learner[zv].mass_of(w)
-                            for w in sys.w_labels}
-                       for zv in sys.learner.input_labels}
+            learner = _learner_rows(sys)
             expect = oracles.cond_mutual_information(pz, sys.n, learner.__getitem__)
             assert cond_mutual_information(sys) == pytest.approx(expect, abs=1e-10)
 
@@ -196,8 +201,7 @@ class TestMutualInformation:
         for _ in range(8):
             sys = random_gibbs_standard(rng, n_max=2)
             pz = {z: sys.pz.mass_of(z) for z in sys.pz.outcomes}
-            learner = {zv: {w: sys.learner[zv].mass_of(w) for w in sys.w_labels}
-                       for zv in sys.learner.input_labels}
+            learner = _learner_rows(sys)
             assert mutual_information(sys) == pytest.approx(
                 oracles.mutual_information(pz, sys.n, learner.__getitem__),
                 abs=1e-10)
@@ -241,8 +245,7 @@ class TestMaximalLeakage:
         for _ in range(8):
             sys = random_gibbs_standard(rng, n_max=2)
             pz = {z: sys.pz.mass_of(z) for z in sys.pz.outcomes}
-            learner = {zv: {w: sys.learner[zv].mass_of(w) for w in sys.w_labels}
-                       for zv in sys.learner.input_labels}
+            learner = _learner_rows(sys)
             assert maximal_leakage(sys) == pytest.approx(
                 oracles.maximal_leakage(pz, sys.n, learner.__getitem__),
                 abs=1e-10)
@@ -373,8 +376,7 @@ class TestCondMaximalLeakage:
         for _ in range(5):
             sys = random_gibbs_subset(rng)
             pz = {z: sys.pz.mass_of(z) for z in sys.pz.outcomes}
-            learner = {zv: {w: sys.learner[zv].mass_of(w) for w in sys.w_labels}
-                       for zv in sys.learner.input_labels}
+            learner = _learner_rows(sys)
             assert cond_maximal_leakage(sys) == pytest.approx(
                 oracles.cond_maximal_leakage(pz, sys.n, learner.__getitem__),
                 abs=1e-10)
@@ -396,7 +398,7 @@ class TestAuxiliaryMarginals:
         from genbounds import product, iid_power
         pzn = iid_power(inst_a.pz, inst_a.n)
         flat = product(inst_a.pw, pzn)
-        joint = inst_a.joint_table()
+        joint = oracles.product_twin(inst_a).joint_table()  # over every z-vector
         for alpha in (0.5, 2.0, 4.0):
             assert system_renyi(inst_a, alpha) == pytest.approx(
                 renyi_divergence(joint, flat, alpha), abs=1e-12)

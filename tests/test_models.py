@@ -21,7 +21,8 @@ from genbounds import (
     load_problem,
     zero_one_loss,
 )
-from genbounds.prob import BudgetExceededError
+from genbounds import Kernel
+from genbounds.prob import BudgetExceededError, ProductGrid, TypeGrid
 
 
 class TestLossTable:
@@ -58,15 +59,29 @@ class TestLossTable:
         assert loss.empirical_loss(0, (0, 1)) == pytest.approx(0.5)
 
 
+def _never(*args, **kwargs):
+    raise AssertionError("a grid was built")
+
+
 class TestLearnerKernels:
     @pytest.mark.parametrize("make", [
-        lambda loss: gibbs_kernel(loss, 40, 1.0),
-        lambda loss: erm_kernel(loss, 40),
-        lambda loss: constant_kernel(loss, 40),
+        lambda loss: gibbs_kernel(loss, 200, 1.0),
+        lambda loss: erm_kernel(loss, 200),
+        lambda loss: constant_kernel(loss, 200),
     ])
-    def test_budget_checked_before_enumerating(self, make):
+    def test_budget_checked_before_enumerating(self, make, monkeypatch):
+        # C(205, 5) = 2.9e9 types of 6^200 vectors, times 2 hypotheses
+        loss = LossTable((0, 1), tuple(range(6)), np.zeros((2, 6)), 0.0, 1.0)
+        monkeypatch.setattr(TypeGrid, "__init__", _never)
         with pytest.raises(BudgetExceededError):
-            make(zero_one_loss([0, 1]))
+            make(loss)
+
+    def test_type_learners_have_one_row_per_type(self):
+        loss = LossTable((0, 1), tuple(range(4)), np.zeros((2, 4)), 0.0, 1.0)
+        for kernel in (gibbs_kernel(loss, 40, 1.0), erm_kernel(loss, 40),
+                       constant_kernel(loss, 40)):
+            assert isinstance(kernel.grid, TypeGrid)
+            assert len(kernel.rows) == math.comb(43, 3) == 12_341
 
     def test_gibbs_beta_zero_is_uniform(self):
         k = gibbs_kernel(zero_one_loss([0, 1, 2]), 2, 0.0)
@@ -117,7 +132,15 @@ class TestStandardAssembly:
         assert inst_c.joint == pytest.approx(outer, abs=1e-15)
 
     def test_atom_count(self, inst_a):
-        assert inst_a.joint.size == 2 * 2 ** 2
+        # one atom per (type, w): the types (2, 0), (1, 1), (0, 2) of the 2-vectors
+        assert inst_a.joint.size == 2 * 3
+        twin = oracles.product_twin(inst_a)
+        assert twin.joint.size == 2 * 2 ** 2
+        codes = oracles.type_codes(inst_a, twin)
+        assert codes.tolist() == [0, 1, 1, 2]
+        for c in range(3):
+            assert inst_a.joint[c] == pytest.approx(twin.joint[codes == c].sum(axis=0),
+                                                    abs=1e-15)
 
     def test_marginals_reproduce_inputs(self, rng):
         pz = FiniteDistribution.from_probs([0, 1], rng.dirichlet([1, 1]))
@@ -125,16 +148,23 @@ class TestStandardAssembly:
         sys = assemble_standard(pz, 2, gibbs_kernel(loss, 2, 1.5), loss)
         from genbounds import iid_power
         pzn = iid_power(pz, 2)
-        assert sys.joint.sum(axis=1) == pytest.approx(pzn.mass, abs=1e-15)
+        codes = [sys.z_grid.code(v) for v in pzn.outcomes]
+        assert sys.joint.sum(axis=1) == pytest.approx(
+            np.bincount(codes, weights=pzn.mass), abs=1e-15)
         assert abs(sys.pw_mass.sum() - 1.0) < 1e-12
 
-    def test_budget_refusal_before_enumeration(self):
-        pz = FiniteDistribution.uniform(range(4))
-        loss = LossTable((0, 1), tuple(range(4)),
-                         np.zeros((2, 4)), 0.0, 1.0)
-        kernel = constant_kernel(loss, 1)
-        with pytest.raises(BudgetExceededError):
-            assemble_standard(pz, 12, kernel, loss)
+    def test_budget_refusal_before_enumeration(self, monkeypatch):
+        cases = []  # 4^12 vectors of a label-form kernel, C(205, 5) types of 6^200
+        for n_z, n in ((4, 12), (6, 200)):
+            loss = LossTable((0, 1), tuple(range(n_z)), np.zeros((2, n_z)), 0.0, 1.0)
+            kernel = (Kernel({(0,) * n: FiniteDistribution.uniform((0, 1))}) if n_z == 4
+                      else constant_kernel(loss, 1))
+            cases.append((FiniteDistribution.uniform(range(n_z)), n, kernel, loss))
+        monkeypatch.setattr(TypeGrid, "__init__", _never)
+        monkeypatch.setattr(ProductGrid, "__init__", _never)
+        for pz, n, kernel, loss in cases:
+            with pytest.raises(BudgetExceededError):
+                assemble_standard(pz, n, kernel, loss)
 
 
 class TestSubsetAssembly:
@@ -241,6 +271,12 @@ class TestProblemFiles:
         ("sigma", lambda doc: doc["loss"].update(sigma=True)),
         ("range", lambda doc: doc["loss"].update(range=[False, 1])),
         ("pz", lambda doc: doc.update(pz=[True, False])),
+        ("matrix", lambda doc: doc["loss"].update(matrix=[[True, False], [False, True]])),
+        ("weights", lambda doc: doc.update(learner={"kind": "constant",
+                                                    "weights": [True, False]})),
+        ("probs", lambda doc: doc.update(n=1, learner={"kind": "custom-kernel", "rows": {
+            "0": {"outcomes": [0, 1], "probs": [0.5, 0.5]},
+            "1": {"outcomes": [0, 1], "probs": [True, False]}}})),
     ])
     def test_a_bool_or_fractional_number_is_refused_naming_its_field(self, field, edit):
         doc = {"setting": "standard", "instances": [0, 1], "n": 2,
@@ -253,7 +289,7 @@ class TestProblemFiles:
     def test_oracle_agreement_on_fixture_joint(self, inst_a):
         joint = oracles.standard_joint({0: 0.5, 1: 0.5}, 2,
                                        oracles.erm_learner_01([0, 1]))
+        want = np.zeros_like(inst_a.joint)  # each type's mass is its vectors' total
         for (w, zvec), p in joint.items():
-            zi = inst_a.zvecs.index(zvec)
-            wi = inst_a.w_labels.index(w)
-            assert inst_a.joint[zi, wi] == pytest.approx(p, abs=1e-15)
+            want[inst_a.z_grid.code(zvec), inst_a.w_labels.index(w)] += p
+        assert inst_a.joint == pytest.approx(want, abs=1e-15)

@@ -3,6 +3,7 @@ from outside the package exist where it looks them up and lie on the call
 path: a refactor that moves one fails here, not only in a traced benchmark
 run. Each wrapper is installed as the tracer installs it."""
 import inspect
+import itertools
 from collections import Counter
 
 import pytest
@@ -87,11 +88,15 @@ def test_the_tail_scan_is_looked_up_in_the_bound_module(monkeypatch, module, bou
 
 def test_every_kernel_kind_gives_its_row_count():
     loss = load_fixture("inst_a")[1].loss  # two instances
-    for kernel, rows in ((models.gibbs_kernel(loss, 3, 1.0), 8),
-                         (models.erm_kernel(loss, 3), 8),
-                         (models.constant_kernel(loss, 3), 8),
+    # a type learner has one row per type of the 2^3 vectors: the distinct codes
+    types = len({models.gibbs_kernel(loss, 3, 1.0).grid.code(v)
+                 for v in itertools.product(loss.instances, repeat=3)})
+    for kernel, rows in ((models.gibbs_kernel(loss, 3, 1.0), types),
+                         (models.erm_kernel(loss, 3), types),
+                         (models.constant_kernel(loss, 3), types),
                          (models.identity_kernel(loss), 2)):
         assert len(kernel.rows) == rows
+    assert types == 4
 
 
 @pytest.mark.parametrize("bound_id", [k for k, b in BOUNDS.items() if not b.data_dependent])

@@ -133,15 +133,16 @@ def test_strict_tails_match_a_masked_sum(pool):
 
 
 def test_few_exact_evaluations_on_a_large_gibbs_table(monkeypatch):
-    """One auto-gamma call on a 24,576-atom Gibbs table reads the tails once,
-    for every distinct value together."""
+    """One auto-gamma call on a 32,736-atom Gibbs table (C(33, 3) types of
+    the 4^30 z-vectors, times 6 hypotheses) reads the tails once, for every
+    distinct value together."""
     rng = np.random.default_rng(11)
     losses = rng.integers(0, 2 ** 16 + 1, size=(6, 4)) / 2 ** 16
     loss = LossTable(tuple(range(6)), tuple(range(4)), losses, 0.0, 1.0)
     pz = FiniteDistribution.from_probs(loss.instances, np.full(4, 0.25))
-    sys = assemble_standard(pz, 6, gibbs_kernel(loss, 6, 2.0), loss)
+    sys = assemble_standard(pz, 30, gibbs_kernel(loss, 30, 2.0), loss)
     tbl = view_of(sys).table
-    assert tbl.iota.size == 24_576
+    assert tbl.iota.size == 32_736
     calls = []
     exact = DensityTable.tail_probability
     monkeypatch.setattr(DensityTable, "tail_probability",
