@@ -126,7 +126,8 @@ class _View:
     (``memoised``) keyed by (quantity, order): the central moment of iota and
     the posterior-KL L_t norm per normalized t, the Renyi divergence and the
     conditional alpha-MI per alpha, and the |value| arrays of ``coverage``
-    per ``covers`` kind.
+    per ``covers`` kind; and the law of the bounded value, sorted, with the
+    cumulative masses of ``verify.quantile`` and ``verify.abs_quantile``.
     """
 
     def __init_subclass__(cls):

@@ -45,8 +45,7 @@ class CoverageReport:
     holds: bool
 
     def __post_init__(self):
-        expected = self.exact_violation_prob <= self.delta + COVERAGE_TOL
-        if self.holds != expected:
+        if self.holds != (self.exact_violation_prob <= self.delta + COVERAGE_TOL):
             raise ValueError("holds flag inconsistent with violation probability")
 
 
@@ -58,10 +57,8 @@ def _exp_inequality(view: _View, variance: float,
     """max over lambda of E_base[exp(lambda value - lambda^2 variance/(2n))]
     over the density's support, i.e. E[exp(lambda value - ... - iota)]."""
     n = view.sys.n
-    if lambda_grid is None:
-        grid = np.asarray(DEFAULT_LAMBDA_SCALES) * (n / variance)
-    else:
-        grid = np.asarray(lambda_grid, dtype=float)
+    grid = (np.asarray(DEFAULT_LAMBDA_SCALES) * (n / variance) if lambda_grid is None
+            else np.asarray(lambda_grid, dtype=float))
     sup = view.iota > NEG_INF
     base, values = view.log_base[sup], view.values[sup]
     worst = -math.inf
@@ -95,56 +92,75 @@ def check_exp_inequality_subset(sys: SubsetSystem,
 # -- exact pushforward distributions ---------------------------------------
 
 
-def _pushforward(values: np.ndarray, masses: np.ndarray) -> FiniteDistribution:
-    """The distribution of ``values`` rounded to 12 places under ``masses``.
-    Only the distinct values are rounded in Python; each rounded value keeps
-    the key its first atom gives it and sums its masses in atom order."""
-    masses = masses.ravel()
-    keep = masses > 0.0
+def _round12(x: np.ndarray) -> np.ndarray:
+    """Python's ``round(v, 12)`` of each v in ``x``. ``np.rint(v * 1e12) /
+    1e12`` divides an exact integer by 1e12, which rounds correctly, so only
+    the rint can differ: Python rounds each v whose float product v * 1e12
+    (off by at most half an ulp) lies within an ulp of a half, which takes
+    in every product too large for an exact integer."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        scaled = x * 1e12
+        unsure = ~(np.abs(np.abs(scaled) % 1.0 - 0.5) > np.spacing(np.abs(scaled)))
+    keys = np.rint(scaled) / 1e12
+    keys[unsure] = [round(v, 12) for v in x[unsure].tolist()]
+    return keys
+
+
+def _pushforward(values: np.ndarray, masses: np.ndarray) -> tuple:
+    """The law of ``values`` rounded to 12 places under ``masses``: the
+    ascending keys, each with its atoms' positive masses summed in atom
+    order. A zero key keeps the sign its first atom gives it."""
+    keep = masses.ravel() > 0.0
     distinct, first, inverse = np.unique(values.ravel()[keep], return_index=True,
                                          return_inverse=True)
-    keys = [round(v, 12) for v in distinct.tolist()]
-    group: dict[float, int] = {}
-    for i in np.argsort(first).tolist():
-        group.setdefault(keys[i], len(group))
-    sums = np.bincount(np.array([group[k] for k in keys], dtype=np.intp)[inverse],
-                       weights=masses[keep], minlength=len(group))
-    labels = sorted(group)
-    return FiniteDistribution(labels, np.log(sums[[group[k] for k in labels]]))
+    keys = _round12(distinct)  # ascending: rounding is monotone
+    new = np.concatenate(([True], keys[1:] != keys[:-1]))
+    labels, zero = keys[new], keys == 0.0
+    if zero.any():
+        labels[labels == 0.0] = keys[zero][np.argmin(first[zero])]
+    return labels, np.bincount((np.cumsum(new) - 1)[inverse], weights=masses.ravel()[keep])
 
 
-def exact_gen_distribution(sys: StandardSystem) -> FiniteDistribution:
-    """Exact pushforward of the joint through the generalization error."""
-    return _pushforward(sys.gen_table.T, sys.joint)
+def _law(sys) -> tuple:
+    """The ``_pushforward`` of the value ``sys`` bounds, kept in its default view."""
+    view = view_of(sys)
+    return view.memoised(("law",), lambda: _pushforward(view.values, view.joint))
 
 
-def exact_gen_hat_distribution(sys: SubsetSystem) -> FiniteDistribution:
-    """Exact pushforward of the joint through the test-minus-train gap."""
-    return _pushforward(sys.genhat, sys.joint)
+def exact_gen_distribution(sys: StandardSystem | SubsetSystem) -> FiniteDistribution:
+    """Exact pushforward of the joint through the value ``sys`` bounds: the
+    generalization error, or the test-minus-train gap of a subset system."""
+    keys, masses = _law(sys)
+    return FiniteDistribution(keys.tolist(), np.log(masses))
 
 
-def _first_reaching(pairs: Iterable[tuple[float, float]], q: float) -> float:
-    """The first value, in ascending order, at which the cumulative mass reaches q."""
-    acc = 0.0
-    for v, m in pairs:
-        acc += m
-        if acc >= q - 1e-12:
-            return v
-    return v
+exact_gen_hat_distribution = exact_gen_distribution  # the subset setting's name
 
 
-def quantile(dist: FiniteDistribution, q: float) -> float:
-    """Smallest value v with P[X <= v] >= q (values sorted ascending)."""
-    return _first_reaching(sorted((float(o), m) for o, m in zip(dist.outcomes, dist.mass)), q)
+def _quantile(sys, q: float, absolute: bool) -> float:
+    """The first key (or |key|) of the law of ``sys``, ascending, whose
+    cumulative mass reaches q - 1e-12, else the last. The masses are those
+    of ``exact_gen_distribution``; the |key| side sums those of -x and x first."""
+    def cumulative():
+        keys, masses = _law(sys)
+        masses = np.exp(np.log(masses))
+        if absolute:
+            keys, inverse = np.unique(np.abs(keys), return_inverse=True)
+            masses = np.bincount(inverse, weights=masses)
+        return keys, np.cumsum(masses)
+
+    keys, cum = view_of(sys).memoised(("cumulative", absolute), cumulative)
+    return float(keys[min(int(np.searchsorted(cum, q - 1e-12)), len(keys) - 1)])
 
 
-def abs_quantile(dist: FiniteDistribution, q: float) -> float:
-    """Quantile of |X| for a pushforward distribution."""
-    groups: dict[float, float] = {}
-    for o, m in zip(dist.outcomes, dist.mass):
-        key = round(abs(float(o)), 12)
-        groups[key] = groups.get(key, 0.0) + float(m)
-    return _first_reaching(sorted(groups.items()), q)
+def quantile(sys: StandardSystem | SubsetSystem, q: float) -> float:
+    """Smallest v with P[X <= v] >= q, X the value ``sys`` bounds."""
+    return _quantile(sys, q, False)
+
+
+def abs_quantile(sys: StandardSystem | SubsetSystem, q: float) -> float:
+    """Smallest v with P[|X| <= v] >= q, X the value ``sys`` bounds."""
+    return _quantile(sys, q, True)
 
 
 # -- the bound registry and exact coverage -----------------------------------
@@ -279,10 +295,8 @@ def strong_converse_check(p: FiniteDistribution, q: FiniteDistribution,
                           gamma: float) -> dict:
     """P[E] <= P[log(dP/dQ) > gamma] + e^gamma Q[E], evaluated exactly."""
     member = event if callable(event) else set(event).__contains__
-    p_event = sum(math.exp(lm) for o, lm in zip(p.outcomes, p.log_mass)
-                  if lm > NEG_INF and member(o))
-    q_event = sum(math.exp(lm) for o, lm in zip(q.outcomes, q.log_mass)
-                  if lm > NEG_INF and member(o))
+    p_event, q_event = (sum(math.exp(lm) for o, lm in zip(d.outcomes, d.log_mass)
+                            if lm > NEG_INF and member(o)) for d in (p, q))
     tail = density(p, q).tail_probability(gamma)
     rhs = tail + math.exp(gamma) * q_event
     return {"p_event": p_event, "density_tail": tail, "q_event": q_event,

@@ -14,7 +14,9 @@ an atom of its own through the package's label-form kernel. The strict scan
 evaluates every attained density value through the package's own
 explicit-gamma path and is compared with auto mode bit for bit; the earlier
 non-strict scan computes its own tails and is the baseline the exact rule
-must never lose to.
+must never lose to. The dict-and-loop quantiles (``quantile``,
+``abs_quantile``) read a ``FiniteDistribution`` of the package: they are the
+reference of the array quantiles of ``verify``.
 """
 from __future__ import annotations
 
@@ -350,6 +352,30 @@ def pushforward(values, masses):
     labels = sorted(groups)
     with np.errstate(divide="ignore"):
         return labels, np.log(np.array([groups[k] for k in labels]))
+
+
+def _first_reaching(pairs, q):
+    """The first value, in ascending order, at which the cumulative mass reaches q."""
+    acc = 0.0
+    for v, m in pairs:
+        acc += m
+        if acc >= q - 1e-12:
+            return v
+    return v
+
+
+def quantile(dist, q):
+    """Smallest value v with P[X <= v] >= q (values sorted ascending)."""
+    return _first_reaching(sorted((float(o), m) for o, m in zip(dist.outcomes, dist.mass)), q)
+
+
+def abs_quantile(dist, q):
+    """Quantile of |X| for a pushforward distribution."""
+    groups = {}
+    for o, m in zip(dist.outcomes, dist.mass):
+        key = round(abs(float(o)), 12)
+        groups[key] = groups.get(key, 0.0) + float(m)
+    return _first_reaching(sorted(groups.items()), q)
 
 
 def _no_gamma(extra_params, delta):

@@ -175,19 +175,23 @@ class TestSweep:
         assert all(r["axis"] == "delta" for r in rows)
 
     def test_delta_axis_computes_the_pushforward_once(self, tmp_path, monkeypatch):
+        # so do the t and alpha axes, which keep one system too
         calls = []
-        pushforward = cli.vfy.exact_gen_distribution
+        pushforward = cli.vfy._pushforward
 
-        def counted(system):
-            calls.append(system)
-            return pushforward(system)
+        def counted(values, masses):
+            calls.append(values.shape)
+            return pushforward(values, masses)
 
-        monkeypatch.setattr(cli.vfy, "exact_gen_distribution", counted)
-        cfg = write_config(tmp_path, "cfg.json",
-                           {"problem": STANDARD_PROBLEM, "axis": "delta",
-                            "values": [0.3, 0.1, 0.05]})
-        assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "s.csv")]) == 0
-        assert len(calls) == 1
+        monkeypatch.setattr(cli.vfy, "_pushforward", counted)
+        for axis, values in (("delta", [0.3, 0.1, 0.05]), ("t", [1, 2, "inf"]),
+                             ("alpha", [1.5, 2.0, 4.0])):
+            calls.clear()
+            cfg = write_config(tmp_path, "cfg.json",
+                               {"problem": STANDARD_PROBLEM, "axis": axis,
+                                "values": values})
+            assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "s.csv")]) == 0
+            assert len(calls) == 1, axis
 
     def test_t_axis_with_inf(self, tmp_path):
         cfg = write_config(tmp_path, "cfg.json",

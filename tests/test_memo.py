@@ -41,7 +41,7 @@ def _counter(monkeypatch, owner, name, key):
 
 
 def _report_and_coverage(sys, deltas=(0.3, 0.1, 0.05)):
-    cli._report_rows(sys, {"deltas": list(deltas)}, cli._ground_truth(sys))
+    cli._report_rows(sys, {"deltas": list(deltas)})
     for delta in deltas:
         for bound_id in verify.coverage_ids(sys.setting):
             verify.coverage(sys, bound_id, delta)

@@ -4,6 +4,7 @@ path: a refactor that moves one fails here, not only in a traced benchmark
 run. Each wrapper is installed as the tracer installs it."""
 import inspect
 import itertools
+import json
 from collections import Counter
 
 import pytest
@@ -15,6 +16,7 @@ from genbounds.measures import DensityTable
 from genbounds.models import StandardSystem, SubsetSystem
 from genbounds.prob import FiniteDistribution
 from genbounds.verify import BOUNDS
+from test_cli import STANDARD_PROBLEM, SUBSET_PROBLEM
 
 
 def _wrap(monkeypatch, owner, attr, calls, original=None):
@@ -113,3 +115,17 @@ def test_a_panel_entry_calls_a_public_function_of_its_bound_module(monkeypatch,
     sys = load_fixture("inst_a" if entry.setting == "standard" else "inst_b")[1]
     entry.evaluate(sys, 0.1, 2, 2.0, "auto")
     assert sum(calls.values()) >= 1
+
+
+@pytest.mark.parametrize("problem", [STANDARD_PROBLEM, SUBSET_PROBLEM])
+def test_a_report_reads_its_quantiles_through_the_wrapped_functions(monkeypatch, tmp_path,
+                                                                    problem):
+    # the tracer's verify.pushforward layer wraps abs_quantile, inside which
+    # the first call builds the law that the other two read
+    calls = Counter()
+    for attr in ("_pushforward", "abs_quantile"):
+        _wrap(monkeypatch, verify, attr, calls)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"problem": problem, "deltas": [0.3, 0.1, 0.05]}))
+    assert cli.main(["report", "--config", str(cfg), "--out", str(tmp_path / "r.csv")]) == 0
+    assert calls == {"_pushforward": 1, "abs_quantile": 3}

@@ -27,7 +27,7 @@ SETTINGS = {"standard": "inst_a", "subset": "inst_b"}
 
 
 def _report(sys):
-    cli._report_rows(sys, {"deltas": [0.3, 0.1]}, cli._ground_truth(sys))
+    cli._report_rows(sys, {"deltas": [0.3, 0.1]})
 
 
 def _coverage(sys):
