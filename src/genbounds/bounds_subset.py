@@ -72,9 +72,8 @@ class _SubsetView(_View):
         super().__init__(sys, const, {"C": const, "n": sys.n})
         self.q_kernel = q_kernel
         self.values, self.gen, self.cond = sys.genhat, sys.gen_sel, sys.cond
-        self.mass = sys.p_ztilde[:, None] * sys.p_s[None, :]
+        self.joint, self.mass = sys.joint, sys.p_ztilde[:, None] * sys.p_s[None, :]
 
-    joint = cached_property(lambda self: self.sys.joint)
     table = cached_property(lambda self: conditional_density(self.sys, self.q_kernel))
 
 
@@ -222,7 +221,7 @@ def leakage_ordering_check(sys: SubsetSystem) -> dict:
     cond_leak = view_of(sys).leakage
     grid = _data_grid(sys.learner, sys.pz.outcomes, sys.n)
     std_leak = _leakage(np.exp(power_log_mass(sys.pz.log_mass, grid)),
-                        np.exp(sys.learner.log_mass[sys.learner.rows_on(grid)]))
+                        np.exp(sys.learner.log_mass_on(grid)))
     return {
         "cond_maximal_leakage": cond_leak,
         "induced_maximal_leakage": std_leak,

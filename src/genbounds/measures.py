@@ -164,24 +164,14 @@ def information_density(sys: StandardSystem,
     return _density((sys.z_grid,), sys.w_labels, sys.joint, log_mass, sys.cond, log_q)
 
 
-def _kernel_log_mass(kernel, grid, w_labels: tuple) -> np.ndarray:
-    """Log masses of ``kernel`` at every vector of ``grid`` (rows, in code
-    order) and every hypothesis label (columns)."""
-    rows = kernel.rows_on(grid)
-    undefined = np.flatnonzero(rows < 0)
-    if undefined.size:
-        raise KeyError(grid.vector(undefined[0]))
-    column = {w: i for i, w in enumerate(kernel.output_outcomes)}
-    return kernel.log_mass[rows][:, [column[w] for w in w_labels]]
-
-
 def conditional_density(sys: SubsetSystem, q_kernel=None) -> DensityTable:
     """Conditional information density of (W, S) given the supersample, over
     the (ztilde, s, w) grid, against P_{W|Ztilde} (or the auxiliary
     conditional): log(P(w,zt,s) / (P(w|zt) P(zt) P(s))) = log(P(w|z(s)) / P(w|zt))."""
     with np.errstate(divide="ignore"):
-        log_q = (np.log(sys.pw_given) if q_kernel is None
-                 else _kernel_log_mass(q_kernel, sys.zt_grid, sys.w_labels))
+        log_q = (np.log(sys.pw_given) if q_kernel is None  # columns in w_labels order
+                 else q_kernel.log_mass_on(sys.zt_grid)[
+                     :, [q_kernel.output_outcomes.index(w) for w in sys.w_labels]])
         log_mass = np.log(sys.p_ztilde)[:, None] + np.log(sys.p_s)[None, :]
     return _density((sys.zt_grid, sys.s_grid), sys.w_labels, sys.joint, log_mass,
                     sys.cond, log_q[:, None, :])

@@ -100,12 +100,12 @@ def zero_one_loss(labels: Sequence[Any]) -> LossTable:
 # -- learner kernels --------------------------------------------------------
 
 
-def _learner_grid(loss: LossTable, n: int, kind=TypeGrid) -> ProductGrid | TypeGrid:
-    """The grid of a learner's rows, the budget checked before it is built;
-    a learner that sees its data only through the counts of each instance
-    has one row per type."""
-    check_budget(kind.count(len(loss.instances), n) * len(loss.hypotheses))
-    return kind(loss.instances, n)
+def _learner_grid(loss: LossTable, n: int) -> TypeGrid:
+    """The grid of a built-in learner's rows, the budget checked before it
+    is built: every built-in learner sees its data only through the counts
+    of each instance, so it has one row per type (at n = 1, per instance)."""
+    check_budget(TypeGrid.count(len(loss.instances), n) * len(loss.hypotheses))
+    return TypeGrid(loss.instances, n)
 
 
 def gibbs_kernel(loss: LossTable, n: int, beta: float) -> Kernel:
@@ -154,9 +154,9 @@ def identity_kernel(loss: LossTable) -> Kernel:
     """The n=1 learner that outputs its single training sample (W = Z)."""
     if loss.hypotheses != loss.instances:
         raise ValueError("identity learner needs matching hypothesis/instance labels")
-    eye = np.eye(len(loss.instances), dtype=bool)
+    eye = np.eye(len(loss.instances), dtype=bool)  # type d is the vector (d,)
     return Kernel.on_grid(np.where(eye, 0.0, NEG_INF), loss.hypotheses,
-                          _learner_grid(loss, 1, ProductGrid))
+                          _learner_grid(loss, 1))
 
 
 # -- assembled systems ------------------------------------------------------
@@ -187,7 +187,7 @@ class StandardSystem:
     n: int
     learner: Kernel
     loss: LossTable
-    z_grid: ProductGrid = field(init=False)
+    z_grid: ProductGrid | TypeGrid = field(init=False)
     w_labels: tuple = field(init=False)
     pzn_mass: np.ndarray = field(init=False)
     cond: np.ndarray = field(init=False)
@@ -198,12 +198,8 @@ class StandardSystem:
     def __post_init__(self):
         w_labels = _check_system(self)
         grid = _data_grid(self.learner, self.pz.outcomes, self.n)
-        rows = self.learner.rows_on(grid)
-        undefined = np.flatnonzero(rows < 0)
-        if undefined.size:
-            raise ValueError(f"learner undefined on z-vector {grid.vector(undefined[0])!r}")
         pzn_mass = np.exp(power_log_mass(self.pz.log_mass, grid))
-        cond = np.exp(self.learner.log_mass[rows])
+        cond = np.exp(self.learner.log_mass_on(grid))
         joint = pzn_mass[:, None] * cond
         pop = self.loss.population_losses(self.pz)
         emp = self.loss.totals(grid) / self.n
@@ -245,16 +241,16 @@ def _check_system(sys) -> tuple:
     w_labels = tuple(sys.learner.output_outcomes)
     if w_labels != sys.loss.hypotheses:
         raise ValueError("learner output labels do not match loss hypotheses")
-    check_budget(_atoms(sys.setting, _grid_kind(sys.learner), len(sys.pz), sys.n,
-                        len(w_labels)))
+    k, n_w = len(sys.pz), len(w_labels)
+    check_budget(_grid_kind(sys.learner).count(k, sys.n) * n_w if sys.setting == "standard"
+                 else _subset_atoms(k, sys.n, n_w))
     return w_labels
 
 
-def _atoms(setting: str, kind, k: int, n: int, n_w: int) -> int:
-    """The atom count of a system's joint over k instances and n_w
-    hypotheses: (z-vector or type, w) on the learner's grid ``kind``, or
-    (z-tilde, s, w) in the subset setting."""
-    return (kind.count(k, n) if setting == "standard" else k ** (2 * n) * 2 ** n) * n_w
+def _subset_atoms(k: int, n: int, n_w: int) -> int:
+    """The atom count of a subset system's (z-tilde, s, w) joint over k
+    instances and n_w hypotheses, whatever the learner."""
+    return k ** (2 * n) * 2 ** n * n_w
 
 
 def _grid_kind(learner: Kernel) -> type:
@@ -299,6 +295,7 @@ class SubsetSystem:
     p_ztilde: np.ndarray = field(init=False)
     p_s: np.ndarray = field(init=False)
     cond: np.ndarray = field(init=False)
+    joint: np.ndarray = field(init=False)
     pw_given: np.ndarray = field(init=False)
     genhat: np.ndarray = field(init=False)
     gen_sel: np.ndarray = field(init=False)
@@ -310,18 +307,15 @@ class SubsetSystem:
         zt_grid = ProductGrid(self.pz.outcomes, 2 * n)
         s_grid = ProductGrid((0, 1), n)
         sel, unsel = _halves(zt_grid, s_grid)
-        rows = self.learner.rows_on(z_grid)[sel]
-        undefined = np.flatnonzero(rows < 0)
-        if undefined.size:
-            raise ValueError("learner undefined on selected vector "
-                             f"{z_grid.vector(sel.flat[undefined[0]])!r}")
-        cond = np.exp(self.learner.log_mass[rows])
+        cond = np.exp(self.learner.log_mass_on(z_grid)[sel])
+        p_ztilde = np.exp(power_log_mass(self.pz.log_mass, zt_grid))
+        p_s = np.full(s_grid.size, 0.5 ** n)
         pop = self.loss.population_losses(self.pz)
         emp = self.loss.totals(z_grid) / n
         train, test = emp[sel], emp[unsel]
         _set_derived(self, zt_grid=zt_grid, s_grid=s_grid, w_labels=w_labels,
-                     p_ztilde=np.exp(power_log_mass(self.pz.log_mass, zt_grid)),
-                     p_s=np.full(s_grid.size, 0.5 ** n), cond=cond,
+                     p_ztilde=p_ztilde, p_s=p_s, cond=cond,
+                     joint=p_ztilde[:, None, None] * p_s[None, :, None] * cond,
                      pw_given=cond.mean(axis=1),  # P_S is uniform
                      genhat=test - train, gen_sel=pop - train)
 
@@ -338,11 +332,6 @@ class SubsetSystem:
     def select(self, ztilde: tuple, s: tuple) -> tuple:
         """Training vector z(s): the ith sample is ztilde[i + s_i * n]."""
         return tuple(ztilde[i + s[i] * self.n] for i in range(self.n))
-
-    @property
-    def joint(self) -> np.ndarray:
-        """Joint masses over (z-tilde, s, w)."""
-        return self.p_ztilde[:, None, None] * self.p_s[None, :, None] * self.cond
 
     def induced_standard(self) -> StandardSystem:
         """The standard system over Z(S): by exchangeability Z(S) ~ P_Z^n,
@@ -432,9 +421,6 @@ def _parse_loss(doc: Mapping[str, Any], instances: Sequence[Any]) -> LossTable:
     )
 
 
-_TYPE_LEARNERS = ("gibbs", "erm", "constant")  # the kinds built on a TypeGrid
-
-
 def _parse_learner(doc: Mapping[str, Any], loss: LossTable, n: int) -> Kernel:
     kind = doc["kind"]
     if kind == "gibbs":
@@ -446,6 +432,8 @@ def _parse_learner(doc: Mapping[str, Any], loss: LossTable, n: int) -> Kernel:
         return constant_kernel(loss, n, weights if weights is None
                                else [_number("weights", w) for w in weights])
     if kind == "identity":
+        if n != 1:
+            raise ValueError(f"the identity learner needs n = 1, not n = {n}")
         return identity_kernel(loss)
     if kind == "custom-kernel":
         return _custom_kernel(doc["rows"], loss.instances)
@@ -501,9 +489,8 @@ def load_problem(path_or_doc: Any) -> tuple[str, StandardSystem | SubsetSystem]:
         pz = FiniteDistribution.uniform(instances)
     n = _number("n", doc["n"], _integral)
     loss = _parse_loss(doc["loss"], instances)
-    # size the joint before the learner, whose grid it is at least as large as
-    kind = TypeGrid if doc["learner"]["kind"] in _TYPE_LEARNERS else ProductGrid
-    check_budget(_atoms(setting, kind, len(instances), n, len(loss.hypotheses)))
+    if setting == "subset":  # the joint is larger than the learner's grid: size it first
+        check_budget(_subset_atoms(len(instances), n, len(loss.hypotheses)))
     assemble = assemble_standard if setting == "standard" else assemble_subset
     return setting, assemble(pz, n, _parse_learner(doc["learner"], loss, n), loss)
 

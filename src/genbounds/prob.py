@@ -209,24 +209,19 @@ class ProductGrid:
 
     @property
     def counts(self) -> np.ndarray:
-        """How often each label occurs in each vector, shape (size, k)."""
-        return self.fold(np.eye(len(self.labels), dtype=np.int64), np.add, 0)
-
-    def fold(self, per_label: np.ndarray, combine, start: Any) -> np.ndarray:
-        """``combine`` applied over each vector's labels, left to right from
-        ``start``, as one array over codes; ``per_label[d]`` stands for label
-        d and may be an array, whose shape the result keeps per code."""
-        per_label = np.asarray(per_label)
-        acc = np.full((1,) + per_label.shape[1:], start, dtype=per_label.dtype)
-        for _ in range(self.n):
-            acc = combine(acc[:, None], per_label[None, :]).reshape(
-                (-1,) + per_label.shape[1:])
-        return acc
+        """How often each label occurs in each vector, shape (size, k): sums
+        of 0s and 1s, exact in floats."""
+        return self.sums(np.eye(len(self.labels))).astype(np.int64)
 
     def sums(self, per_label: np.ndarray) -> np.ndarray:
         """The sum of ``per_label`` over each vector's labels, left to right
-        from 0, as one array over codes."""
-        return self.fold(np.asarray(per_label, dtype=float), np.add, 0.0)
+        from 0, as one array over codes; ``per_label[d]`` stands for label d
+        and may be an array, whose shape the result keeps per code."""
+        per_label = np.asarray(per_label, dtype=float)
+        acc = np.zeros((1,) + per_label.shape[1:])
+        for _ in range(self.n):
+            acc = (acc[:, None] + per_label[None, :]).reshape((-1,) + per_label.shape[1:])
+        return acc
 
 
 _comb = np.frompyfunc(math.comb, 2, 1)  # elementwise, to Python ints
@@ -333,12 +328,11 @@ class Kernel:
     """A conditional distribution: input label -> distribution over the
     output labels, stored as one ``(rows, outputs)`` array of log masses.
 
-    The inputs are either the codes of a grid (the kernel builders of
-    ``models``): the vectors of a ``ProductGrid``, or the types of a
-    ``TypeGrid``, whose row is shared by every vector of the type; or an
+    The inputs are either the types of a ``TypeGrid`` (the kernel builders
+    of ``models``), whose row is shared by every vector of the type, or an
     explicit label tuple (a mapping of rows, converted once). Row r is the
     code r, and rows are built as ``FiniteDistribution`` objects only when
-    indexed.
+    indexed. Any grid reads the kernel through ``log_mass_on``.
     """
 
     __slots__ = ("log_mass", "output_outcomes", "grid", "_labels", "_row")
@@ -355,8 +349,8 @@ class Kernel:
 
     @classmethod
     def on_grid(cls, log_mass: np.ndarray, output_outcomes: Sequence[Any],
-                grid: ProductGrid | TypeGrid) -> "Kernel":
-        """A kernel whose row r is the distribution at the vector (or type) of code r;
+                grid: TypeGrid) -> "Kernel":
+        """A kernel whose row r is the distribution at the type of code r;
         every row must be finite and sum to 1 within 1e-12."""
         if grid.size == 0:
             raise InvalidDistributionError("empty kernel")
@@ -365,8 +359,9 @@ class Kernel:
         totals = np.exp(logsumexp(log_mass, axis=1))
         bad = np.flatnonzero(np.abs(totals - 1.0) > MASS_ATOL)
         if bad.size:
+            row = int(bad[0])
             raise InvalidDistributionError(
-                f"row {grid.vector(int(bad[0]))!r}: masses sum to {totals[bad[0]]!r}, not 1")
+                f"row {grid.vector(row)!r}: masses sum to {float(totals[row])!r}, not 1")
         kernel = object.__new__(cls)
         kernel._set(log_mass, tuple(output_outcomes), grid, None)
         return kernel
@@ -410,13 +405,23 @@ class Kernel:
 
     def rows_on(self, grid: ProductGrid | TypeGrid) -> np.ndarray:
         """The row of every vector (or type) of ``grid``, in code order; -1
-        where the kernel is undefined."""
+        where the kernel is undefined. A label-form kernel reads each code's
+        vector (a type's representative on a ``TypeGrid``)."""
         if grid is self.grid:
             return np.arange(grid.size)
-        if isinstance(self.grid, TypeGrid):
-            return self.grid.codes_on(grid)
-        return np.array([self._row_of(v) if v in self else -1 for v in grid.vectors()],
-                        dtype=np.int64)
+        if self.grid is None:
+            return np.array([self._row.get(v, -1) for v in grid.vectors()], dtype=np.int64)
+        return self.grid.codes_on(grid)
+
+    def log_mass_on(self, grid: ProductGrid | TypeGrid) -> np.ndarray:
+        """The log masses at every code of ``grid``, shape (grid.size,
+        outputs); a ValueError names the first vector where the kernel is
+        undefined."""
+        rows = self.rows_on(grid)
+        undefined = np.flatnonzero(rows < 0)
+        if undefined.size:
+            raise ValueError(f"kernel undefined on vector {grid.vector(int(undefined[0]))!r}")
+        return self.log_mass[rows]
 
     @classmethod
     def from_json(cls, doc: Mapping[str, Any]) -> "Kernel":

@@ -133,7 +133,7 @@ def test_assembly_matches_loop_reference(setting, kind, n_z, n_w, n, seed):
         for name, array in want.items():
             exact = rows_exact or name not in ("cond", "pw_given")
             _assert_close(getattr(sys, name), array, name, exact)
-    assert on_types == (kind.split("-")[0] in ("gibbs", "erm", "constant"))
+    assert on_types == (kind != "custom")  # only custom kernels are label-form
 
 
 def test_kernel_labels_are_built_on_demand():

@@ -129,6 +129,20 @@ class TestErrorHandling:
     def test_unknown_subcommand(self):
         assert main(["frobnicate", "--config", "x"]) == 2
 
+    @pytest.mark.parametrize("setting, n", [("standard", 2), ("standard", 40),
+                                            ("subset", 2)])
+    def test_identity_learner_needs_n_one(self, tmp_path, capsys, setting, n):
+        problem = dict(SUBSET_PROBLEM, setting=setting, n=n)
+        cfg = write_config(tmp_path, "cfg.json", {"problem": problem})
+        assert main(["report", "--config", cfg]) == 2
+        assert f"n = {n}" in capsys.readouterr().err
+
+    def test_identity_subset_budget_refusal_comes_first(self, tmp_path):
+        # 2^80 supersamples times 2^40 selectors, sized before any learner
+        problem = dict(SUBSET_PROBLEM, n=40)
+        cfg = write_config(tmp_path, "cfg.json", {"problem": problem})
+        assert main(["report", "--config", cfg]) == 3
+
 
 class TestVerify:
     def test_passing_run(self, tmp_path, capsys):

@@ -193,4 +193,4 @@ def test_custom_kernel_refuses_inexpressible_labels(tmp_path, capsys, instances,
     assert cli.main(["report", "--config", str(path)]) == 2
     err = capsys.readouterr().err
     assert named in err and "custom-kernel key" in err
-    assert "learner undefined" not in err
+    assert "kernel undefined" not in err

@@ -18,7 +18,7 @@ from genbounds import bounds_subset as bsub
 from genbounds import verify
 from genbounds.engine import view_of
 from genbounds.measures import T_INF, normalize_order
-from genbounds.models import SubsetSystem
+from genbounds.models import expected_gen_hat, expected_gen_subset
 from genbounds.verify import BOUNDS, random_standard_system, random_subset_system
 
 DELTAS = (0.5, 0.3, 0.1, 0.05, 0.01)
@@ -91,18 +91,15 @@ def test_one_conditional_alpha_mi_per_order(monkeypatch):
     assert counts == {1.5: 1, 2.0: 1, 3.0: 1}
 
 
-def test_one_subset_joint_per_view(monkeypatch):
+def test_one_subset_joint_per_view():
     sys = _fresh("inst_b")
-    view_of(sys).table  # the density table reads the joint on its own, once
-    calls = []
-    joint = SubsetSystem.joint
-    monkeypatch.setattr(SubsetSystem, "joint",
-                        property(lambda s: calls.append(s) or joint.fget(s)))
+    joint = sys.joint  # stored once at assembly, read by every later user
+    view_of(sys).table
     for delta in DELTAS:
         for bound_id in verify.coverage_ids("subset"):
             verify.coverage(sys, bound_id, delta)
-    assert len(calls) == 1
-    assert view_of(sys).joint is view_of(sys).joint
+    expected_gen_subset(sys), expected_gen_hat(sys)
+    assert view_of(sys).joint is sys.joint is joint
 
 
 def _results(sys, order):
