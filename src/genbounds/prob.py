@@ -403,21 +403,17 @@ class Kernel:
     def input_labels(self) -> tuple:
         return self._labels if self.grid is None else self.grid.vectors()
 
-    def rows_on(self, grid: ProductGrid | TypeGrid) -> np.ndarray:
-        """The row of every vector (or type) of ``grid``, in code order; -1
-        where the kernel is undefined. A label-form kernel reads each code's
-        vector (a type's representative on a ``TypeGrid``)."""
-        if grid is self.grid:
-            return np.arange(grid.size)
-        if self.grid is None:
-            return np.array([self._row.get(v, -1) for v in grid.vectors()], dtype=np.int64)
-        return self.grid.codes_on(grid)
-
     def log_mass_on(self, grid: ProductGrid | TypeGrid) -> np.ndarray:
         """The log masses at every code of ``grid``, shape (grid.size,
-        outputs); a ValueError names the first vector where the kernel is
-        undefined."""
-        rows = self.rows_on(grid)
+        outputs); a label-form kernel reads each code's vector (a type's
+        representative on a ``TypeGrid``). A ValueError names the first
+        vector where the kernel is undefined."""
+        if grid is self.grid:
+            rows = np.arange(grid.size)
+        elif self.grid is None:
+            rows = np.array([self._row.get(v, -1) for v in grid.vectors()], dtype=np.int64)
+        else:
+            rows = self.grid.codes_on(grid)
         undefined = np.flatnonzero(rows < 0)
         if undefined.size:
             raise ValueError(f"kernel undefined on vector {grid.vector(int(undefined[0]))!r}")

@@ -123,7 +123,8 @@ def test_assembly_matches_loop_reference(setting, kind, n_z, n_w, n, seed):
                 got = got[z_codes]
             elif name == "gen_table":
                 got = np.ascontiguousarray(got[:, z_codes])
-            exact = not on_types or (name == "cond" and rows_exact) or (
+            exact = not on_types or kind == "identity" or (  # one vector per type
+                name == "cond" and rows_exact) or (
                 name == "gen_table" and kind.startswith("erm"))  # dyadic losses
             _assert_close(got, array, name, exact)
     else:

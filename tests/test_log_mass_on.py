@@ -11,8 +11,8 @@ import pytest
 
 import oracles
 from genbounds import (FiniteDistribution, InvalidDistributionError, Kernel, LossTable,
-                       StandardSystem, SubsetSystem, gibbs_kernel, identity_kernel,
-                       load_fixture)
+                       StandardSystem, SubsetSystem, conditional_density, gibbs_kernel,
+                       identity_kernel, load_fixture)
 from genbounds.prob import ProductGrid, TypeGrid
 
 LABELS = ("a", "b", "c")
@@ -89,3 +89,17 @@ def test_identity_systems_equal_their_product_twins(sys):
     assert len(arrays) == (5 if sys.setting == "standard" else 7)
     for name in arrays:
         _bitwise(getattr(sys, name), getattr(twin, name))
+
+
+def test_an_auxiliary_conditional_is_read_through_the_one_gather():
+    sys = load_fixture("inst_b")[1]
+    rows = {zt: FiniteDistribution.from_probs(sys.w_labels, row)
+            for zt, row in zip(sys.ztildes, sys.pw_given)}
+    missing = sys.ztildes[-1]
+    del rows[missing]
+    with pytest.raises(ValueError, match=re.escape(f"kernel undefined on vector {missing!r}")):
+        conditional_density(sys, Kernel(rows))
+    # a hypothesis the auxiliary conditional has no column for is refused alike
+    other = {zt: FiniteDistribution.point_mass(("x",), "x") for zt in sys.ztildes}
+    with pytest.raises(ValueError):
+        conditional_density(sys, Kernel(other))
