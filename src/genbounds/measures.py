@@ -57,7 +57,9 @@ class DensityTable:
     ``build_outcomes`` makes the atoms' labels, ``outcomes``, on first
     access; ``arrays`` is the (log joint, log base, iota) grid the table was
     cut from, iota -inf where P(w | data) or the base conditional is 0
-    (empty for ``density(p, q)``).
+    (empty for ``density(p, q)``). The table sorts iota once, on first
+    need; its distinct values and the strict tail mass above each are then
+    cut from that sort once and kept, read-only, for every delta.
     """
 
     log_p: np.ndarray
@@ -100,6 +102,16 @@ class DensityTable:
 
     def distinct_values(self) -> np.ndarray:
         return self._distinct_values
+
+    @cached_property
+    def _distinct_tails(self) -> np.ndarray:
+        tails = self.tail_probability(self._distinct_values)
+        tails.flags.writeable = False
+        return tails
+
+    def distinct_tails(self) -> np.ndarray:
+        """P[iota > v] at each of ``distinct_values()``, read once per table."""
+        return self._distinct_tails
 
 
 # -- densities --------------------------------------------------------------

@@ -9,7 +9,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from pathlib import Path
 from typing import Any, Callable, Mapping, Sequence
 
@@ -105,7 +105,20 @@ def _learner_grid(loss: LossTable, n: int) -> TypeGrid:
     is built: every built-in learner sees its data only through the counts
     of each instance, so it has one row per type (at n = 1, per instance)."""
     check_budget(TypeGrid.count(len(loss.instances), n) * len(loss.hypotheses))
-    return TypeGrid(loss.instances, n)
+    return _type_grid(loss.instances, n)
+
+
+def _type_grid(labels: Sequence[Any], n: int) -> TypeGrid:
+    """The shared, read-only ``TypeGrid`` over ``labels`` at length n. The
+    key holds the labels' repr too, so labels that compare equal but print
+    differently (1 and 1.0) get grids of their own."""
+    labels = tuple(labels)
+    return _shared_type_grid(labels, repr(labels), n)
+
+
+@lru_cache(maxsize=32)  # a verify suite draws about ten (labels, n) pairs
+def _shared_type_grid(labels: tuple, spelled: str, n: int) -> TypeGrid:
+    return TypeGrid(labels, n)
 
 
 def gibbs_kernel(loss: LossTable, n: int, beta: float) -> Kernel:
@@ -262,9 +275,9 @@ def _data_grid(learner: Kernel, labels: Sequence[Any], n: int) -> ProductGrid | 
     """The grid of a standard system's data axis: of the learner's kind, and
     the learner's own grid where that is over the same labels and length."""
     grid = learner.grid
-    if grid is not None and grid.labels == tuple(labels) and grid.n == n:
-        return grid
-    return _grid_kind(learner)(labels, n)
+    if grid is None:
+        return ProductGrid(labels, n)
+    return grid if grid.labels == tuple(labels) and grid.n == n else _type_grid(labels, n)
 
 
 def assemble_standard(pz: FiniteDistribution, n: int, learner: Kernel,

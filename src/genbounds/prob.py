@@ -46,15 +46,15 @@ def logsumexp(a: Any, axis: int | None = None) -> Any:
     if a.size == 0:
         return NEG_INF
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        a_max = np.max(a, axis=axis, keepdims=True)
+        a_max = a.max(axis=axis, keepdims=True)
         top = a == a_max
-        m = np.sum(top, axis=axis, keepdims=True, dtype=float)
-        s = np.sum(np.exp(np.where(top, NEG_INF, a) - a_max), axis=axis, keepdims=True)
+        m = top.sum(axis=axis, keepdims=True, dtype=float)
+        s = np.exp(np.where(top, NEG_INF, a) - a_max).sum(axis=axis, keepdims=True)
         out = np.log1p(s / m) + np.log(m) + a_max
         edge = ~np.isfinite(out)  # infinite or NaN maximum: sum directly
         if edge.any():
-            out = np.where(edge, np.log(np.sum(np.exp(a), axis=axis, keepdims=True)), out)
-    return np.squeeze(out, axis=axis)[()]
+            out = np.where(edge, np.log(np.exp(a).sum(axis=axis, keepdims=True)), out)
+    return out.squeeze(axis=axis)[()]
 
 
 def _to_log_mass(probs: Sequence[Any]) -> np.ndarray:
@@ -234,7 +234,8 @@ class TypeGrid:
     number, a multinomial coefficient computed as a Python int and logged
     once. Codes follow the ``ProductGrid`` order of each type's sorted
     representative (the first label's count descending, then the next...),
-    and ``vector``/``vectors`` give that representative."""
+    and ``vector``/``vectors`` give that representative. Its arrays are
+    read-only, so one grid can serve every kernel over the same labels and n."""
 
     __slots__ = ("labels", "n", "size", "counts", "log_multiplicity", "_position",
                  "_before")
@@ -267,6 +268,8 @@ class TypeGrid:
         # and count d more often, where it leaves r after d: C(r + k - d - 2, k - d - 1)
         self._before = np.array([[math.comb(r + k - d - 2, k - d - 1) for r in range(n + 1)]
                                  for d in range(k - 1)], dtype=np.int64)
+        for arr in (self.counts, self.log_multiplicity, self._before):
+            arr.flags.writeable = False
 
     @staticmethod
     def count(k: int, n: int) -> int:

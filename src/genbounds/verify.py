@@ -52,20 +52,45 @@ class CoverageReport:
 # -- exponential inequalities ----------------------------------------------
 
 
+_EXP_BLOCK = 1 << 18  # (lambda, support) terms reduced per logsumexp pass
+
+
 def _exp_inequality(view: _View, variance: float,
                     lambda_grid: Sequence[float] | None) -> float:
     """max over lambda of E_base[exp(lambda value - lambda^2 variance/(2n))]
-    over the density's support, i.e. E[exp(lambda value - ... - iota)]."""
+    over the density's support, i.e. E[exp(lambda value - ... - iota)].
+
+    The (lambda, support) terms of a block of lambda rows (at most
+    ``_EXP_BLOCK`` terms, and at least one row) are reduced by one
+    ``logsumexp`` along the support, and each row's value is read in lambda
+    order: the same values, bit for bit, as one ``logsumexp`` per lambda.
+    """
     n = view.sys.n
-    grid = (np.asarray(DEFAULT_LAMBDA_SCALES) * (n / variance) if lambda_grid is None
-            else np.asarray(lambda_grid, dtype=float))
+    if lambda_grid is None:
+        grid = np.asarray(DEFAULT_LAMBDA_SCALES) * (n / variance)
+    else:
+        grid = np.asarray(lambda_grid, dtype=float)
+        if grid.ndim != 1 or not grid.size or not np.isfinite(grid).all():
+            raise ValueError("lambda_grid must be a non-empty sequence of finite "
+                             f"numbers, got {lambda_grid!r}")
     sup = view.iota > NEG_INF
     base, values = view.log_base[sup], view.values[sup]
+    rows = max(1, _EXP_BLOCK // base.size)
     worst = -math.inf
-    for lam in grid:
-        terms = base + lam * values - lam ** 2 * variance / (2.0 * n)
-        worst = max(worst, float(math.exp(logsumexp(terms))))
+    for start in range(0, grid.size, rows):
+        lams = grid[start:start + rows]
+        penalty = np.array([lam ** 2 * variance / (2.0 * n) for lam in lams])
+        terms = base + lams[:, None] * values - penalty[:, None]
+        for total in logsumexp(terms, axis=1).tolist():
+            worst = max(worst, math.exp(total))
     return worst
+
+
+def _positive(name: str, value: float) -> float:
+    """``value``, if finite and positive; else a ValueError naming ``name``."""
+    if not (math.isfinite(value) and value > 0.0):
+        raise ValueError(f"{name} must be finite and positive, got {value!r}")
+    return value
 
 
 def check_exp_inequality_standard(sys: StandardSystem,
@@ -75,18 +100,21 @@ def check_exp_inequality_standard(sys: StandardSystem,
 
     Must be <= 1 for every lambda; returns the worst grid value. Passing an
     understated sigma exposes the inequality's sensitivity to the
-    sub-Gaussian assumption.
+    sub-Gaussian assumption. The grid must be non-empty and finite, and
+    sigma finite and positive.
     """
-    sigma = sys.sigma if sigma is None else float(sigma)
+    sigma = _positive("sigma", sys.sigma if sigma is None else float(sigma))
     return _exp_inequality(view_of(sys), sigma ** 2, lambda_grid)
 
 
 def check_exp_inequality_subset(sys: SubsetSystem,
                                 lambda_grid: Sequence[float] | None = None,
                                 c: float | None = None) -> float:
-    """Subset analog with the test-minus-train gap and the range constant."""
+    """Subset analog with the test-minus-train gap and the range constant
+    (c, finite and positive)."""
     view = view_of(sys)
-    return _exp_inequality(view, view.variance if c is None else float(c), lambda_grid)
+    return _exp_inequality(view, _positive("c", view.variance if c is None else float(c)),
+                           lambda_grid)
 
 
 # -- exact pushforward distributions ---------------------------------------
@@ -261,12 +289,17 @@ def coverage(sys: StandardSystem | SubsetSystem, bound_id: str, delta: float,
 
     Infeasible outcomes of data-dependent bounds count as violations; a
     data-independent bound that is infeasible outright has violation
-    probability 1.
+    probability 1. ``params`` may set ``t``, ``alpha`` and ``gamma``
+    (default 2, 2.0 and "auto"); any other key is refused by name.
     """
     entry = BOUNDS.get(bound_id)
     if entry is None or entry.setting != sys.setting or entry.covers is None:
         raise KeyError(f"unknown bound id {bound_id!r} for a {sys.setting} system")
     params = dict(params or {})
+    unknown = [k for k in params if k not in ("t", "alpha", "gamma")]
+    if unknown:
+        raise ValueError(f"unknown coverage parameters {unknown!r}: "
+                         "expected 't', 'alpha' or 'gamma'")
     eps = entry.evaluate(sys, delta, params.get("t", 2), params.get("alpha", 2.0),
                          params.get("gamma", "auto"))
     viol = _violation(view_of(sys), entry.covers, eps)
@@ -281,10 +314,10 @@ def _violation(view: _View, covers: str, eps: BoundResult | np.ndarray) -> float
             return 1.0
         eps = eps.epsilon
     abs_values = view.memoised(("abs", covers), lambda: np.abs(
-        np.sum(view.cond * view.values, axis=-1) if covers == "posterior"
+        (view.cond * view.values).sum(axis=-1) if covers == "posterior"
         else view.gen if covers == "gen" else view.values))
     mass = view.mass if covers == "posterior" else view.joint
-    return float(np.sum(mass[~(abs_values <= eps + COVERAGE_TOL)]))
+    return float(mass[~(abs_values <= eps + COVERAGE_TOL)].sum())
 
 
 # -- classical helpers ------------------------------------------------------
@@ -375,8 +408,7 @@ def run_verification_suite(seed: int = 0, n_instances: int = 50,
     ``sigma_scale`` (finite, > 0) rescales the sub-Gaussian parameter in the
     exponential checks (values below 1 inject a deliberate fault).
     """
-    if not (math.isfinite(sigma_scale) and sigma_scale > 0.0):
-        raise ValueError(f"sigma_scale must be finite and positive, got {sigma_scale!r}")
+    _positive("sigma_scale", sigma_scale)
     if n_instances < 1:
         raise ValueError(f"n_instances must be at least 1, got {n_instances!r}")
     # per setting: exponential check, ordering check, (relaxed, direct) moment bounds

@@ -16,7 +16,9 @@ explicit-gamma path and is compared with auto mode bit for bit; the earlier
 non-strict scan computes its own tails and is the baseline the exact rule
 must never lose to. The dict-and-loop quantiles (``quantile``,
 ``abs_quantile``) read a ``FiniteDistribution`` of the package: they are the
-reference of the array quantiles of ``verify``.
+reference of the array quantiles of ``verify``. The exponential check as one
+``logsumexp`` per lambda, with ``logsumexp`` written with the numpy
+reduction wrappers, is the reference of the blocked check, bit for bit.
 """
 from __future__ import annotations
 
@@ -560,3 +562,42 @@ def type_codes(sys, twin):
     """The code on ``sys.z_grid`` of each z-vector of ``twin``, in its code
     order, one ``z_grid.code`` call per vector."""
     return np.array([sys.z_grid.code(v) for v in twin.zvecs], dtype=np.int64)
+
+
+# -- the exponential check as one logsumexp per lambda ----------------------
+
+
+def logsumexp_wrappers(a, axis=None):
+    """``prob.logsumexp`` as it was written with the ``np.max``, ``np.sum``
+    and ``np.squeeze`` wrappers, the reference of its ndarray-method form."""
+    a = np.atleast_1d(np.asarray(a, dtype=float))
+    if a.size == 0:
+        return -math.inf
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        a_max = np.max(a, axis=axis, keepdims=True)
+        top = a == a_max
+        m = np.sum(top, axis=axis, keepdims=True, dtype=float)
+        s = np.sum(np.exp(np.where(top, -math.inf, a) - a_max), axis=axis, keepdims=True)
+        out = np.log1p(s / m) + np.log(m) + a_max
+        edge = ~np.isfinite(out)  # infinite or NaN maximum: sum directly
+        if edge.any():
+            out = np.where(edge, np.log(np.sum(np.exp(a), axis=axis, keepdims=True)), out)
+    return np.squeeze(out, axis=axis)[()]
+
+
+def exp_inequality_loop(view, variance, lambda_grid):
+    """``verify._exp_inequality`` as one ``logsumexp`` per lambda, the
+    reference of its blocked form: max over the grid of
+    E_base[exp(lambda value - lambda^2 variance/(2n))] over the support."""
+    from genbounds.verify import DEFAULT_LAMBDA_SCALES
+
+    n = view.sys.n
+    grid = (np.asarray(DEFAULT_LAMBDA_SCALES) * (n / variance) if lambda_grid is None
+            else np.asarray(lambda_grid, dtype=float))
+    sup = view.iota > -math.inf
+    base, values = view.log_base[sup], view.values[sup]
+    worst = -math.inf
+    for lam in grid:
+        terms = base + lam * values - lam ** 2 * variance / (2.0 * n)
+        worst = max(worst, float(math.exp(logsumexp_wrappers(terms))))
+    return worst

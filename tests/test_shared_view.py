@@ -20,7 +20,7 @@ from genbounds import bounds_standard as bstd
 from genbounds import bounds_subset as bsub
 from genbounds import verify
 from genbounds.engine import view_of
-from genbounds.measures import central_moment
+from genbounds.measures import DensityTable, central_moment
 from genbounds.verify import random_standard_system, random_subset_system
 
 SETTINGS = {"standard": "inst_a", "subset": "inst_b"}
@@ -104,17 +104,21 @@ def test_bounds_coverage_and_checks_build_one_density(monkeypatch, setting):
 
 @pytest.mark.parametrize("setting", list(SETTINGS))
 def test_the_tail_scan_sorts_iota_once(monkeypatch, setting):
+    """One sort of iota and one tail read serve every delta."""
     sys = load_fixture(SETTINGS[setting])[1]
     calls = Counter()
     for name in ("argsort", "sort", "unique"):
         fn = getattr(np, name)
         monkeypatch.setattr(np, name, lambda *a, _fn=fn, _name=name, **kw:
                             calls.update([_name]) or _fn(*a, **kw))
+    exact = DensityTable.tail_probability
+    monkeypatch.setattr(DensityTable, "tail_probability", lambda self, g:
+                        calls.update(["tail_probability"]) or exact(self, g))
     tail = bstd.sd_tail_bound if setting == "standard" else bsub.cond_tail_bound
     for delta in (0.5, 0.3, 0.1, 0.05):
         tail(sys, delta)
     view_of(sys).table.distinct_values()
-    assert calls == {"argsort": 1}
+    assert calls == {"argsort": 1, "tail_probability": 1}
 
 
 @pytest.fixture(scope="module")

@@ -63,6 +63,24 @@ class TestExpInequality:
         worst = check_exp_inequality_subset(inst_b, c=1.0 / 16.0)
         assert worst > 1.0 + 1e-9
 
+    @pytest.mark.parametrize("kwargs, name", [
+        ({"lambda_grid": []}, "lambda_grid"), ({"lambda_grid": [math.nan]}, "lambda_grid"),
+        ({"lambda_grid": [0.0, math.inf]}, "lambda_grid"),
+        ({"lambda_grid": [[0.0, 1.0]]}, "lambda_grid"),
+        ({"sigma": math.nan}, "sigma"), ({"sigma": 0.0}, "sigma"),
+        ({"sigma": -1.0}, "sigma"), ({"sigma": math.inf}, "sigma")])
+    def test_standard_check_refuses_malformed_input(self, inst_a, kwargs, name):
+        with pytest.raises(ValueError, match=f"^{name} must"):
+            check_exp_inequality_standard(inst_a, **kwargs)
+
+    @pytest.mark.parametrize("kwargs, name", [
+        ({"lambda_grid": []}, "lambda_grid"), ({"lambda_grid": [1.0, math.nan]}, "lambda_grid"),
+        ({"c": math.nan}, "c"), ({"c": 0.0}, "c"), ({"c": -0.5}, "c"),
+        ({"c": math.inf}, "c")])
+    def test_subset_check_refuses_malformed_input(self, inst_b, kwargs, name):
+        with pytest.raises(ValueError, match=f"^{name} must"):
+            check_exp_inequality_subset(inst_b, **kwargs)
+
     def test_holds_on_random_instances(self, rng):
         for _ in range(15):
             assert check_exp_inequality_standard(
@@ -134,6 +152,12 @@ class TestCoverageReport:
             coverage(inst_a, "no-such-bound", 0.1)
         with pytest.raises(KeyError):
             coverage(inst_b, "no-such-bound", 0.1)
+
+    def test_unknown_parameters_are_refused_by_name(self, inst_a, inst_b):
+        with pytest.raises(ValueError, match="'aplha'"):
+            coverage(inst_a, "sd_renyi", 0.1, {"aplha": 3.0})
+        with pytest.raises(ValueError, match=r"\['tee', 'beta'\]"):
+            coverage(inst_b, "cond_sd_moment", 0.1, {"alpha": 3.0, "tee": 2, "beta": 1})
 
 
 class TestStrongConverse:
