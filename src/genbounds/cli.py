@@ -121,13 +121,15 @@ def _emit(rows: list[dict], columns: tuple, fmt: str, out: str | None) -> None:
         text = json.dumps(rows, indent=2, sort_keys=True) + "\n"
     else:
         buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=list(columns), lineterminator="\n")
-        writer.writeheader()
-        for row in rows:
-            writer.writerow({k: _fmt(row.get(k)) for k in columns})
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(columns)
+        writer.writerows([_fmt(row[k]) for k in columns] for row in rows)
         text = buf.getvalue()
     if out:
-        Path(out).write_text(text)
+        try:
+            Path(out).write_text(text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write output {out!r}: {exc}") from exc
     else:
         _sys.stdout.write(text)
 
@@ -216,7 +218,7 @@ def cmd_sweep(config: Mapping[str, Any], out: str | None, fmt: str) -> int:
     return 0
 
 
-def main(argv: list[str] | None = None) -> int:
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="genbounds",
         description="Exact information-theoretic generalization bounds on "
@@ -228,9 +230,17 @@ def main(argv: list[str] | None = None) -> int:
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", default=None)
         p.add_argument("--format", choices=("csv", "json"), default="csv")
+    return parser
 
+
+# Built once per process: parse_args keeps no state between calls, so main
+# may be called again and again and pays only for the parse.
+_PARSER = _parser()
+
+
+def main(argv: list[str] | None = None) -> int:
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
 

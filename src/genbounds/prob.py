@@ -49,7 +49,9 @@ def logsumexp(a: Any, axis: int | None = None) -> Any:
         a_max = a.max(axis=axis, keepdims=True)
         top = a == a_max
         m = top.sum(axis=axis, keepdims=True, dtype=float)
-        s = np.exp(np.where(top, NEG_INF, a) - a_max).sum(axis=axis, keepdims=True)
+        s = np.where(top, NEG_INF, a)  # one float copy of a, then reused in place
+        s -= a_max
+        s = np.exp(s, out=s).sum(axis=axis, keepdims=True)
         out = np.log1p(s / m) + np.log(m) + a_max
         edge = ~np.isfinite(out)  # infinite or NaN maximum: sum directly
         if edge.any():

@@ -53,21 +53,31 @@ class CoverageReport:
 
 
 _EXP_BLOCK = 1 << 18  # (lambda, support) terms reduced per logsumexp pass
+_SCALE_MAX = 1e150  # below it every default lambda^2 is a finite float
 
 
-def _exp_inequality(view: _View, variance: float,
+def _exp_inequality(view: _View, name: str, variance: float,
                     lambda_grid: Sequence[float] | None) -> float:
     """max over lambda of E_base[exp(lambda value - lambda^2 variance/(2n))]
     over the density's support, i.e. E[exp(lambda value - ... - iota)].
+
+    The variance, called ``name`` in errors, must be finite and positive,
+    and the scale n / variance of the default grid at most ``_SCALE_MAX``.
+    Beyond it lambda^2 overflows and the check would read "holds".
 
     The (lambda, support) terms of a block of lambda rows (at most
     ``_EXP_BLOCK`` terms, and at least one row) are reduced by one
     ``logsumexp`` along the support, and each row's value is read in lambda
     order: the same values, bit for bit, as one ``logsumexp`` per lambda.
+    The terms are built in place and ``logsumexp`` copies them once, so a
+    block holds two arrays of at most ``_EXP_BLOCK`` floats.
     """
-    n = view.sys.n
+    n, variance = view.sys.n, _positive(name, variance)
     if lambda_grid is None:
-        grid = np.asarray(DEFAULT_LAMBDA_SCALES) * (n / variance)
+        scale = n / variance
+        if not scale <= _SCALE_MAX:
+            raise ValueError(f"n / {name} must be at most {_SCALE_MAX:g}, got {scale!r}")
+        grid = np.asarray(DEFAULT_LAMBDA_SCALES) * scale
     else:
         grid = np.asarray(lambda_grid, dtype=float)
         if grid.ndim != 1 or not grid.size or not np.isfinite(grid).all():
@@ -80,7 +90,9 @@ def _exp_inequality(view: _View, variance: float,
     for start in range(0, grid.size, rows):
         lams = grid[start:start + rows]
         penalty = np.array([lam ** 2 * variance / (2.0 * n) for lam in lams])
-        terms = base + lams[:, None] * values - penalty[:, None]
+        terms = lams[:, None] * values
+        terms += base
+        terms -= penalty[:, None]
         for total in logsumexp(terms, axis=1).tolist():
             worst = max(worst, math.exp(total))
     return worst
@@ -101,10 +113,14 @@ def check_exp_inequality_standard(sys: StandardSystem,
     Must be <= 1 for every lambda; returns the worst grid value. Passing an
     understated sigma exposes the inequality's sensitivity to the
     sub-Gaussian assumption. The grid must be non-empty and finite, and
-    sigma finite and positive.
+    sigma finite and positive, with a finite, positive float square.
     """
     sigma = _positive("sigma", sys.sigma if sigma is None else float(sigma))
-    return _exp_inequality(view_of(sys), sigma ** 2, lambda_grid)
+    try:
+        variance = sigma ** 2
+    except OverflowError:  # refused as an infinite variance
+        variance = math.inf
+    return _exp_inequality(view_of(sys), "sigma ** 2", variance, lambda_grid)
 
 
 def check_exp_inequality_subset(sys: SubsetSystem,
@@ -113,8 +129,7 @@ def check_exp_inequality_subset(sys: SubsetSystem,
     """Subset analog with the test-minus-train gap and the range constant
     (c, finite and positive)."""
     view = view_of(sys)
-    return _exp_inequality(view, _positive("c", view.variance if c is None else float(c)),
-                           lambda_grid)
+    return _exp_inequality(view, "c", view.variance if c is None else float(c), lambda_grid)
 
 
 # -- exact pushforward distributions ---------------------------------------
@@ -440,7 +455,11 @@ def run_verification_suite(seed: int = 0, n_instances: int = 50,
         exp_check, (order_name, order_holds), pair = suites[sys.setting]
         name, found = f"{sys.setting}[{i}]", failures[sys.setting]
         checks += 2
-        worst = exp_check(sys)
+        try:
+            worst = exp_check(sys)
+        except ValueError as exc:
+            raise ValueError(f"sigma_scale {sigma_scale!r} is out of range on {name}: "
+                             f"{exc}") from exc
         if worst > 1.0 + EXP_INEQ_TOL:
             found.append(f"exp-inequality {name}: worst={worst:.6g}")
         if not order_holds(sys):

@@ -1,11 +1,19 @@
+import argparse
 import csv
+import io
 import json
+import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
-from genbounds import cli
+from genbounds import cli, load_fixture
 from genbounds.cli import main
+from genbounds.measures import T_INF
 
 
 STANDARD_PROBLEM = {
@@ -126,6 +134,18 @@ class TestErrorHandling:
         cfg = write_config(tmp_path, "cfg.json", {"problem": problem})
         assert main(["report", "--config", cfg]) == 3
 
+    @pytest.mark.parametrize("command", ["report", "sweep"])
+    @pytest.mark.parametrize("where", ["missing directory", "directory"])
+    def test_an_unwritable_out_exits_2(self, tmp_path, capsys, command, where):
+        cfg = write_config(tmp_path, "cfg.json",
+                           {"problem": STANDARD_PROBLEM, "bounds": ["avg"],
+                            "axis": "delta", "values": [0.1]})
+        out = str(tmp_path / "no" / "such" / "x.csv" if where != "directory" else tmp_path)
+        assert main([command, "--config", cfg, "--out", out]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: cannot write output {out!r}: ")
+        assert "Traceback" not in captured.err and captured.out == ""
+
     def test_unknown_subcommand(self):
         assert main(["frobnicate", "--config", "x"]) == 2
 
@@ -165,6 +185,8 @@ class TestVerify:
         ({"sigma_scale": float("inf")}, "sigma_scale"),
         ({"instances": 0}, "instances"),
         ({"instances": -1}, "instances"),
+        ({"sigma_scale": 1e-200}, "sigma_scale"),
+        ({"sigma_scale": 1e200}, "sigma_scale"),
     ])
     def test_refuses_an_out_of_range_field(self, tmp_path, capsys, config, field):
         cfg = write_config(tmp_path, "cfg.json", dict({"instances": 2}, **config))
@@ -404,3 +426,82 @@ class TestNoSpuriousWarnings:
         got = {r["bound_id"]: float(r["epsilon"]) for r in read_csv(out)}
         assert got == pytest.approx({k: float(v) for k, v in self.EPSILONS.items()},
                                     rel=1e-12, abs=0.0)
+
+
+class TestOneParser:
+    """main parses with the one parser built at import. In one process, in
+    either order, each call prints and exits as the same call in a fresh
+    interpreter, and none of them builds a parser."""
+
+    @pytest.fixture(scope="class")
+    def calls(self, tmp_path_factory):
+        d = tmp_path_factory.mktemp("calls")
+        report = write_config(d, "report.json",
+                              {"problem": STANDARD_PROBLEM, "deltas": [0.3, 0.1]})
+        sweep = write_config(d, "sweep.json",
+                             {"problem": SUBSET_PROBLEM, "deltas": [0.1],
+                              "bounds": ["cond_alpha_mi"], "axis": "alpha",
+                              "values": [1.5, "inf"]})
+        verify = write_config(d, "verify.json", {"instances": 1})
+        bad = write_config(d, "bad.json", {"problem": STANDARD_PROBLEM, "bounds": []})
+        return {
+            "report csv": ["report", "--config", report],
+            "report json": ["report", "--config", report, "--format", "json"],
+            "sweep": ["sweep", "--config", sweep],
+            "verify": ["verify", "--config", verify, "--seed", "3"],
+            "unknown option": ["report", "--config", report, "--frobnicate"],
+            "no subcommand": [],
+            "help": ["--help"],
+            "report help": ["report", "--help"],
+            "config error": ["report", "--config", bad],
+        }
+
+    @pytest.fixture(scope="class")
+    def fresh(self, calls):
+        env = dict(os.environ, COLUMNS="80", PYTHONPATH=os.pathsep.join(
+            p for p in (str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH"))
+            if p))
+        runs = {name: subprocess.run([sys.executable, "-m", "genbounds.cli", *argv],
+                                     capture_output=True, text=True, env=env)
+                for name, argv in calls.items()}
+        return {name: (run.stdout, run.stderr, run.returncode) for name, run in runs.items()}
+
+    def test_calls_in_either_order_match_a_fresh_process(self, calls, fresh, capsys,
+                                                         monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+        names = list(calls)
+        for order in (names, names[::-1]):
+            for name in order:
+                code = main(list(calls[name]))
+                captured = capsys.readouterr()
+                assert (captured.out, captured.err, code) == fresh[name], name
+        assert built == []
+        codes = {name: result[2] for name, result in fresh.items()}
+        assert codes == {"report csv": 0, "report json": 0, "sweep": 0, "verify": 0,
+                         "unknown option": 2, "no subcommand": 2, "help": 0,
+                         "report help": 0, "config error": 2}
+
+    def test_emit_writes_the_bytes_of_a_dict_writer(self, capsys):
+        rows = cli._report_rows(load_fixture("inst_a")[1], {"deltas": [0.3, 0.1]})
+        edges = [dict(rows[0], epsilon=None, quantile=math.inf, t=T_INF,
+                      gamma=-math.inf, flavor='say "hi", twice', scope="a,b"),
+                 dict(rows[1], sigma="", C="'quoted'", bound_id="line\nbreak")]
+        for columns, table in ((cli.REPORT_COLUMNS, rows + edges),
+                               (cli.REPORT_COLUMNS + ("axis_value",),
+                                [dict(r, axis_value=v) for r, v in
+                                 zip(edges, (math.inf, -math.inf))])):
+            cli._emit(table, columns, "csv", None)
+            reference = io.StringIO()
+            writer = csv.DictWriter(reference, fieldnames=list(columns), lineterminator="\n")
+            writer.writeheader()
+            for row in table:
+                writer.writerow({k: cli._fmt(row.get(k)) for k in columns})
+            assert capsys.readouterr().out == reference.getvalue()

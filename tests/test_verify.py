@@ -1,6 +1,8 @@
 import gc
 import json
 import math
+import re
+import tracemalloc
 import weakref
 from pathlib import Path
 
@@ -9,6 +11,7 @@ import pytest
 
 import oracles
 from genbounds import verify
+from genbounds.engine import view_of
 from genbounds import (
     FiniteDistribution,
     assemble_standard,
@@ -32,6 +35,7 @@ from genbounds.verify import (
     run_verification_suite,
     strong_converse_check,
 )
+from test_orbits import _bench_problem
 
 
 class TestExpInequality:
@@ -80,6 +84,56 @@ class TestExpInequality:
     def test_subset_check_refuses_malformed_input(self, inst_b, kwargs, name):
         with pytest.raises(ValueError, match=f"^{name} must"):
             check_exp_inequality_subset(inst_b, **kwargs)
+
+    @pytest.mark.parametrize("sigma, name", [
+        (1e-200, "sigma ** 2"), (1e200, "sigma ** 2"), (1e155, "sigma ** 2"),
+        (1e-155, "n / sigma ** 2"), (1e-100, "n / sigma ** 2")])
+    def test_standard_check_refuses_an_extreme_scale(self, inst_a, sigma, name):
+        """sigma^2 underflows to 0 or overflows; or the default lambda^2
+        would overflow and read as "holds"."""
+        with pytest.raises(ValueError, match=f"^{re.escape(name)} must"):
+            check_exp_inequality_standard(inst_a, sigma=sigma)
+
+    @pytest.mark.parametrize("c", [1e-320, 1e-300, 1e-200])
+    def test_subset_check_refuses_an_extreme_scale(self, inst_b, c):
+        with pytest.raises(ValueError, match=r"^n / c must"):
+            check_exp_inequality_subset(inst_b, c=c)
+
+    def test_extreme_scales_in_range_keep_their_values(self, inst_a, inst_b):
+        """Only the default grid's scale is bounded: an explicit grid at a tiny
+        variance, and huge finite scales, give the loop's values."""
+        grid = [0.0, 1.0, -2.0]
+        assert check_exp_inequality_subset(inst_b, grid, c=1e-300) == \
+            oracles.exp_inequality_loop(view_of(inst_b), 1e-300, grid)
+        assert check_exp_inequality_standard(inst_a, sigma=1e154) == \
+            oracles.exp_inequality_loop(view_of(inst_a), 1e154 ** 2, None)
+        assert check_exp_inequality_subset(inst_b, c=1e300) == \
+            oracles.exp_inequality_loop(view_of(inst_b), 1e300, None)
+
+    def test_the_blocked_check_holds_one_copy_of_a_block(self):
+        """Beyond the per-lambda loop's peak, a pass holds one block of terms
+        and the one block-sized temporary of ``logsumexp``: not the three
+        copies of building the terms and reducing them out of place."""
+        sys = _bench_problem(np.random.default_rng(0), "gibbs", "subset", 3, 4, 3)
+        view = view_of(sys)
+        support = int(np.count_nonzero(view.iota > -math.inf))
+        assert support == 23328
+        # all 9 default lambdas in one block at this support
+        assert verify._EXP_BLOCK >= len(verify.DEFAULT_LAMBDA_SCALES) * support
+
+        def peak(run):
+            run()  # the view's memo is filled before tracing
+            tracemalloc.start()
+            try:
+                run()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        loop = peak(lambda: oracles.exp_inequality_loop(view, view.variance, None))
+        blocked = peak(lambda: check_exp_inequality_subset(sys))
+        block_bytes = len(verify.DEFAULT_LAMBDA_SCALES) * support * 8
+        assert blocked <= loop + 2 * block_bytes, (blocked, loop, block_bytes)
 
     def test_holds_on_random_instances(self, rng):
         for _ in range(15):
@@ -254,6 +308,8 @@ class TestSuiteRunner:
         ({"sigma_scale": math.nan}, "sigma_scale"), ({"sigma_scale": -1.0}, "sigma_scale"),
         ({"sigma_scale": 0.0}, "sigma_scale"), ({"sigma_scale": math.inf}, "sigma_scale"),
         ({"n_instances": 0}, "n_instances"), ({"n_instances": -1}, "n_instances"),
+        ({"sigma_scale": 1e-200}, "sigma_scale"), ({"sigma_scale": 1e200}, "sigma_scale"),
+        ({"sigma_scale": 1e-100}, "sigma_scale"),
     ])
     def test_refuses_an_out_of_range_option(self, options, name):
         with pytest.raises(ValueError, match=name):
