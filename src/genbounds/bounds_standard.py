@@ -11,7 +11,7 @@ from functools import cached_property
 from typing import Any
 
 from .engine import (BoundResult, _View, _check_delta, _log_ratio, _lookup,
-                     _tail_bound_from_table, view_of)
+                     _tail_bound_from_table, max_information, view_of)
 from .measures import T_INF, information_density
 from .models import StandardSystem
 from .prob import FiniteDistribution
@@ -104,9 +104,8 @@ def chain_report(sys: StandardSystem, delta: float) -> dict:
     single-draw choice."""
     delta = _check_delta(delta)
     view = view_of(sys)
-    tbl, leakage = view.table, view.leakage
-    i_max = float(tbl.iota.max())
-    mi_plus_dev = tbl.mean + view.moment(T_INF)
+    leakage, i_max = view.leakage, max_information(sys)
+    mi_plus_dev = view.table.mean + view.moment(T_INF)
     return {
         "maximal_leakage": leakage,
         "max_information": i_max,

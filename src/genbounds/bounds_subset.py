@@ -17,8 +17,8 @@ from typing import Any, Callable
 import numpy as np
 
 from .engine import (BoundResult, _View, _check_delta, _log_ratio, _lookup,
-                     _tail_bound_from_table, view_of)
-from .measures import _cond_alpha_mi, _leakage, conditional_density
+                     _tail_bound_from_table, cond_alpha_mi, view_of)
+from .measures import _leakage, conditional_density
 from .models import LossTable, SubsetSystem, _data_grid
 from .prob import NEG_INF, FiniteDistribution, logsumexp, power_log_mass
 
@@ -190,12 +190,9 @@ def cond_alpha_mi_bound(sys: SubsetSystem, delta: float, alpha: float,
     view = view_of(sys, c)
     if alpha == math.inf:
         info = view.leakage + math.log(2.0) + _log_ratio(1.0, delta)
-    elif not alpha > 1:
-        raise ValueError("alpha must exceed 1")
     else:
-        info = (view.memoised(("alpha_mi", alpha),
-                              lambda: _cond_alpha_mi(sys, view.iota, alpha))
-                + math.log(2.0) + alpha / (alpha - 1.0) * _log_ratio(1.0, delta))
+        info = (cond_alpha_mi(sys, alpha) + math.log(2.0)
+                + alpha / (alpha - 1.0) * _log_ratio(1.0, delta))
     return view.sqrt_bound(info, "single-draw", "data-independent",
                            view.params(delta=delta, alpha=alpha))
 

@@ -8,9 +8,10 @@ bounded (gen, or the test-minus-train gap) and the rate (2 sigma^2 / n, or
 method of the view, written once.
 
 A system's default view is one object, built on first use and kept while
-the system lives, so its bounds, coverage and checks read one set of
-density arrays and compute each delta-independent term once; a view with an
-auxiliary measure or range constant is built per call and never kept.
+the system lives, so its bounds, coverage, checks and information measures
+(``mutual_information`` and the rest, each a term of the view) read one set
+of density arrays and compute each delta-independent term once; a view with
+an auxiliary measure or range constant is built per call and never kept.
 
 Every bound evaluates to sqrt(rate * (information term)). Infeasibility (a
 negative, NaN or overflowing radicand, or a tail level delta that cannot be
@@ -26,8 +27,8 @@ from typing import Any, Callable, Mapping
 
 import numpy as np
 
-from .measures import (T_INF, DensityTable, _leakage, _near_one, _posterior_kls, _renyi,
-                       central_moment, normalize_order)
+from .measures import (T_INF, DensityTable, _alpha_mi, _leakage, _near_one, _posterior_kls,
+                       _renyi, central_moment, normalize_order)
 
 
 @dataclass(frozen=True)
@@ -126,7 +127,7 @@ class _View:
     Each delta-independent term is computed once, into the view's own memo
     (``memoised``) keyed by (quantity, order): the central moment of iota and
     the posterior-KL L_t norm per normalized t, the Renyi divergence and the
-    conditional alpha-MI per alpha, and the |value| arrays of ``coverage``
+    alpha-MI per alpha, and the |value| arrays of ``coverage``
     per ``covers`` kind; and the law of the bounded value, sorted, with the
     cumulative masses of ``verify.quantile`` and ``verify.abs_quantile``.
     The table keeps its own per-table terms: its mean, its one sort of iota,
@@ -150,7 +151,6 @@ class _View:
     iota = property(lambda self: self._log_arrays[2])
     kls = cached_property(lambda self: _posterior_kls(self.cond, self.iota))
     leakage = cached_property(lambda self: _leakage(self.mass, self.cond))
-    _renyi = staticmethod(_renyi)
 
     def params(self, **extra) -> dict:
         return {**self._params, **extra}
@@ -234,7 +234,7 @@ class _View:
     def renyi(self, alpha: float) -> float:
         """Renyi divergence of order alpha of the joint against the base."""
         return self.table.mean if _near_one(alpha) else self.memoised(
-            ("renyi", alpha), lambda: self._renyi(self._log_arrays, alpha))
+            ("renyi", alpha), lambda: _renyi(self._log_arrays, alpha))
 
     def tail_relaxations(self, delta: float, t: Any) -> tuple[BoundResult, BoundResult]:
         return (self.sd_moment(delta, t, relaxed=True),
@@ -251,6 +251,62 @@ class _View:
                 + 2.0 * _log_ratio(2.0, delta))
         return self.sqrt_bound(info, "single-draw", "data-independent",
                                self.params(delta=delta, alpha=alpha, gamma=gamma))
+
+
+# -- a system's information quantities: terms of its view --------------------
+
+
+def mutual_information(sys, q_w=None) -> float:
+    """I(W; Z), or with an auxiliary Q_W the relative entropy against Q_W x P_Z."""
+    return view_of(sys, q_w).table.mean
+
+
+def system_renyi(sys, alpha: float, q_w=None) -> float:
+    """Renyi divergence of the joint against the (auxiliary) product."""
+    return view_of(sys, q_w).renyi(alpha)
+
+
+def alpha_mi(sys, alpha: float) -> float:
+    """alpha-mutual information I_alpha(Z; W); near alpha = 1 it is I(W; Z)."""
+    view = view_of(sys)
+    if _near_one(alpha):
+        return view.table.mean
+    with np.errstate(divide="ignore"):
+        return view.memoised(("alpha_mi", alpha), lambda: _alpha_mi(
+            np.zeros(1), np.log(sys.pzn_mass), np.log(sys.pw_mass), view.iota[None], alpha))
+
+
+def maximal_leakage(sys) -> float:
+    """Maximal leakage, conditional on the supersample in the subset setting."""
+    return view_of(sys).leakage
+
+
+cond_maximal_leakage = maximal_leakage
+
+
+def max_information(sys) -> float:
+    """Essential supremum of the information density under the joint."""
+    return float(view_of(sys).table.iota.max())
+
+
+def cond_mutual_information(sys, q_kernel=None) -> float:
+    """I(W; S | Z-tilde) as the mean conditional information density."""
+    return view_of(sys, None, q_kernel).table.mean
+
+
+def cond_renyi_divergence(sys, alpha: float, q_kernel=None) -> float:
+    """Conditional Renyi divergence of order alpha against P_Ztilde P_{W|Ztilde} P_S."""
+    return view_of(sys, None, q_kernel).renyi(alpha)
+
+
+def cond_alpha_mi(sys, alpha: float) -> float:
+    """Conditional alpha-mutual information I_alpha(W; S | Z-tilde), alpha > 1."""
+    if not alpha > 1:
+        raise ValueError("alpha must exceed 1")
+    view = view_of(sys)
+    with np.errstate(divide="ignore"):
+        return view.memoised(("alpha_mi", alpha), lambda: _alpha_mi(
+            np.log(sys.p_ztilde), np.log(sys.p_s), np.log(sys.pw_given), view.iota, alpha))
 
 
 def _tail_bound_from_table(tbl: DensityTable, rate: float, delta: float,

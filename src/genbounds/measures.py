@@ -1,10 +1,11 @@
-"""Information quantities on finite systems: densities, divergences,
-alpha-families, leakages, and central moments of the information density.
-
-All quantities are in nats. Orders within 1e-6 of 1 dispatch to the
-KL/mutual-information limit, where the closed forms are numerically 0/0.
-Moment order t = infinity is a distinguished sentinel (``T_INF``), not a
-float smuggled through arithmetic.
+"""Information quantities on finite distributions and system grids: density
+tables, divergences, the alpha-family and leakage formulas, and central
+moments of the information density. A system's quantities are its view's
+terms (``engine``); label-level ``density``, ``kl`` and ``renyi_divergence``
+take the grids' support rule and Renyi formula. All quantities are in nats.
+Orders within 1e-6 of 1 dispatch to the KL/mutual-information limit, where
+the closed forms are numerically 0/0. Moment order t = infinity is a
+distinguished sentinel (``T_INF``), not a float smuggled through arithmetic.
 """
 from __future__ import annotations
 
@@ -56,8 +57,9 @@ class DensityTable:
     support atoms; ``iota`` the log ratio against the base measure there.
     ``build_outcomes`` makes the atoms' labels, ``outcomes``, on first
     access; ``arrays`` is the (log joint, log base, iota) grid the table was
-    cut from, iota -inf where P(w | data) or the base conditional is 0
-    (empty for ``density(p, q)``). The table sorts iota once, on first
+    cut from, iota -inf where P(w | data) or the base conditional is 0; for
+    ``density(p, q)`` it is (log P, log Q, iota) over P's outcomes, by the
+    same rule. The table sorts iota once, on first
     need; its distinct values and the strict tail mass above each are then
     cut from that sort once and kept, read-only, for every delta.
     """
@@ -117,26 +119,40 @@ class DensityTable:
 # -- densities --------------------------------------------------------------
 
 
+def _support_ratio(log_num: np.ndarray, log_den: np.ndarray) -> np.ndarray:
+    """The density rule of every table: log_num - log_den where both are
+    finite, else -inf, written into ``log_num``."""
+    sup = (log_num > NEG_INF) & (log_den > NEG_INF)
+    np.subtract(log_num, log_den, out=log_num, where=sup)
+    log_num[~sup] = NEG_INF
+    return log_num
+
+
+def _aligned(p: FiniteDistribution, q: FiniteDistribution) -> tuple:
+    """(log P, log Q, iota) over P's outcomes: log Q is -inf where Q has no
+    mass (or no such outcome), and iota follows the density rule."""
+    log_q = np.append(q.log_mass, NEG_INF)[[q._index.get(o, -1) for o in p.outcomes]]
+    return p.log_mass, log_q, _support_ratio(p.log_mass.copy(), log_q)
+
+
 def density(p: FiniteDistribution, q: FiniteDistribution) -> DensityTable:
     """Pointwise log(P/Q) on the support of P; P must be absolutely
     continuous with respect to Q."""
-    outcomes, log_p, iota = [], [], []
-    for o, lm in zip(p.outcomes, p.log_mass):
-        if lm == NEG_INF:
-            continue
-        if o not in q._index or q.log_mass_of(o) == NEG_INF:
-            raise AbsoluteContinuityViolation(f"P-atom {o!r} has zero Q-mass")
-        outcomes.append(o)
-        log_p.append(lm)
-        iota.append(lm - q.log_mass_of(o))
-    return DensityTable(np.asarray(log_p), np.asarray(iota), lambda: tuple(outcomes))
+    arrays = log_p, log_q, iota = _aligned(p, q)
+    sup = log_p > NEG_INF
+    uncharged = sup & (log_q == NEG_INF)
+    if uncharged.any():
+        raise AbsoluteContinuityViolation(
+            f"P-atom {p.outcomes[int(np.argmax(uncharged))]!r} has zero Q-mass")
+    return DensityTable(log_p[sup], iota[sup],
+                        lambda: tuple(itertools.compress(p.outcomes, sup)), arrays)
 
 
 def _density(grids: Sequence[ProductGrid | TypeGrid], w_labels: tuple, joint: np.ndarray,
              log_mass: np.ndarray, cond: np.ndarray, log_q: np.ndarray) -> DensityTable:
     """The density of ``joint`` on a (context..., data, w) grid, for both
-    settings: iota = log P(w | data) - log Q(w | context) where both are
-    positive, else -inf, from the posterior rows ``cond`` and the base
+    settings: iota = log P(w | data) - log Q(w | context) by the density
+    rule, from the posterior rows ``cond`` and the base
     conditional ``log_q`` (broadcast over data). The base measure, log mass
     + log Q, must charge the joint's support. The table keeps the (log joint,
     log base, iota) grid; its outcomes, built on first access, are (w, data
@@ -149,9 +165,7 @@ def _density(grids: Sequence[ProductGrid | TypeGrid], w_labels: tuple, joint: np
     if np.any((log_joint > NEG_INF) & (log_q == NEG_INF)):
         raise AbsoluteContinuityViolation(
             "joint atom outside the support of the base measure")
-    sup = (iota > NEG_INF) & (log_q > NEG_INF)
-    np.subtract(iota, log_q, out=iota, where=sup)
-    iota[~sup] = NEG_INF
+    _support_ratio(iota, log_q)
     log_base = log_mass[..., None] + log_q
     joint_sup = log_joint > NEG_INF
 
@@ -194,26 +208,17 @@ def conditional_density(sys: SubsetSystem, q_kernel=None) -> DensityTable:
 
 def kl(p: FiniteDistribution, q: FiniteDistribution) -> float:
     """Relative entropy D(P || Q) in nats; 0*log(0/q) is 0."""
-    tbl = density(p, q)
-    return tbl.mean
+    return density(p, q).mean
 
 
 def renyi_divergence(p: FiniteDistribution, q: FiniteDistribution,
                      alpha: float) -> float:
-    """Renyi divergence of order alpha; dispatches to KL near alpha = 1."""
+    """Renyi divergence of order alpha, by the grid formula; dispatches to KL
+    near alpha = 1. Above 1, P must be absolutely continuous with respect
+    to Q; below it, the P-atoms that Q does not charge add nothing."""
     if _near_one(alpha):
         return kl(p, q)
-    terms = []
-    for o, lm in zip(p.outcomes, p.log_mass):
-        if lm == NEG_INF:
-            continue
-        lq = q.log_mass_of(o) if o in q._index else NEG_INF
-        if lq == NEG_INF:
-            if alpha > 1:
-                raise AbsoluteContinuityViolation(f"P-atom {o!r} has zero Q-mass")
-            continue
-        terms.append(alpha * lm + (1.0 - alpha) * lq)
-    return float(logsumexp(np.asarray(terms)) / (alpha - 1.0))
+    return _renyi(density(p, q).arrays if alpha > 1 else _aligned(p, q), alpha)
 
 
 # -- one formula per quantity, over a (context..., data, w) grid -----------
@@ -257,44 +262,6 @@ def _leakage(mass: np.ndarray, cond: np.ndarray) -> float:
     return float(math.log(np.max(peaks.sum(axis=-1))))
 
 
-# -- standard-setting quantities -------------------------------------------
-
-
-def mutual_information(sys: StandardSystem,
-                       q_w: FiniteDistribution | None = None) -> float:
-    """I(W; Z) = E[information density]; with an auxiliary Q_W it is the
-    relative entropy against Q_W x P_Z instead."""
-    return information_density(sys, q_w).mean
-
-
-def system_renyi(sys: StandardSystem, alpha: float,
-                 q_w: FiniteDistribution | None = None) -> float:
-    """Renyi divergence of the joint against the (auxiliary) product."""
-    if _near_one(alpha):
-        return mutual_information(sys, q_w)
-    return _renyi(information_density(sys, q_w).arrays, alpha)
-
-
-def alpha_mi(sys: StandardSystem, alpha: float) -> float:
-    """alpha-mutual information I_alpha(Z; W), the conditional formula with a
-    one-point context; near alpha = 1 this is I(W; Z)."""
-    if _near_one(alpha):
-        return mutual_information(sys)
-    with np.errstate(divide="ignore"):
-        return _alpha_mi(np.zeros(1), np.log(sys.pzn_mass), np.log(sys.pw_mass),
-                         information_density(sys).arrays[2][None], alpha)
-
-
-def maximal_leakage(sys: StandardSystem) -> float:
-    """log sum_w max_{z in supp} P(w | z-vector)."""
-    return _leakage(sys.pzn_mass, sys.cond)
-
-
-def max_information(sys: StandardSystem) -> float:
-    """Essential supremum of the information density under the joint."""
-    return float(information_density(sys).iota.max())
-
-
 def central_moment(tbl: DensityTable, t: Any) -> float:
     """t-th root of the t-th absolute central moment of iota; T_INF gives the
     essential supremum of the deviation."""
@@ -310,39 +277,3 @@ def central_moment(tbl: DensityTable, t: Any) -> float:
     if np.all(terms == NEG_INF):
         return 0.0
     return float(math.exp(logsumexp(terms) / t))
-
-
-# -- random-subset quantities ----------------------------------------------
-
-
-def cond_mutual_information(sys: SubsetSystem, q_kernel=None) -> float:
-    """I(W; S | Z-tilde) as the mean conditional information density."""
-    return conditional_density(sys, q_kernel).mean
-
-
-def cond_renyi_divergence(sys: SubsetSystem, alpha: float, q_kernel=None) -> float:
-    """Conditional Renyi divergence of order alpha, with the outer
-    expectation under P_Ztilde P_{W|Ztilde} P_S."""
-    if _near_one(alpha):
-        return cond_mutual_information(sys, q_kernel)
-    return _renyi(conditional_density(sys, q_kernel).arrays, alpha)
-
-
-def cond_alpha_mi(sys: SubsetSystem, alpha: float) -> float:
-    """Conditional alpha-mutual information I_alpha(W; S | Z-tilde)."""
-    if alpha <= 1:
-        raise ValueError("alpha must exceed 1")
-    return _cond_alpha_mi(sys, conditional_density(sys).arrays[2], alpha)
-
-
-def _cond_alpha_mi(sys: SubsetSystem, iota: np.ndarray, alpha: float) -> float:
-    """Conditional alpha-mutual information from the grid iota of a
-    conditional density table."""
-    with np.errstate(divide="ignore"):
-        return _alpha_mi(np.log(sys.p_ztilde), np.log(sys.p_s), np.log(sys.pw_given),
-                         iota, alpha)
-
-
-def cond_maximal_leakage(sys: SubsetSystem) -> float:
-    """log max_{ztilde in supp} sum_w max_s P(w | ztilde, s)."""
-    return _leakage(sys.p_ztilde[:, None] * sys.p_s[None, :], sys.cond)

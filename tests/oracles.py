@@ -18,7 +18,9 @@ must never lose to. The dict-and-loop quantiles (``quantile``,
 ``abs_quantile``) read a ``FiniteDistribution`` of the package: they are the
 reference of the array quantiles of ``verify``. The exponential check as one
 ``logsumexp`` per lambda, with ``logsumexp`` written with the numpy
-reduction wrappers, is the reference of the blocked check, bit for bit.
+reduction wrappers, is the reference of the blocked check, bit for bit. The
+label-level density and Renyi loops are the per-atom references of
+``measures.density`` (bit for bit) and ``measures.renyi_divergence``.
 """
 from __future__ import annotations
 
@@ -601,3 +603,43 @@ def exp_inequality_loop(view, variance, lambda_grid):
         terms = base + lam * values - lam ** 2 * variance / (2.0 * n)
         worst = max(worst, float(math.exp(logsumexp_wrappers(terms))))
     return worst
+
+
+# -- the label-level loops that the aligned arrays replaced -------------------
+
+
+def density_loop(p, q):
+    """``measures.density`` as the per-atom loop it replaced: (outcomes,
+    log P, log P - log Q) over the support of P, refusing the first P-atom
+    that Q does not charge by name."""
+    from genbounds.prob import AbsoluteContinuityViolation
+
+    outcomes, log_p, iota = [], [], []
+    for o, lm in zip(p.outcomes, p.log_mass):
+        if lm == -math.inf:
+            continue
+        if o not in q._index or q.log_mass_of(o) == -math.inf:
+            raise AbsoluteContinuityViolation(f"P-atom {o!r} has zero Q-mass")
+        outcomes.append(o)
+        log_p.append(lm)
+        iota.append(lm - q.log_mass_of(o))
+    return tuple(outcomes), np.asarray(log_p), np.asarray(iota)
+
+
+def renyi_divergence_loop(p, q, alpha):
+    """``measures.renyi_divergence`` away from alpha = 1 as the per-atom loop
+    it replaced: log sum P^alpha Q^(1 - alpha) / (alpha - 1) over the
+    P-atoms that Q charges; above 1 every P-atom must be charged."""
+    from genbounds.prob import AbsoluteContinuityViolation, logsumexp
+
+    terms = []
+    for o, lm in zip(p.outcomes, p.log_mass):
+        if lm == -math.inf:
+            continue
+        lq = q.log_mass_of(o) if o in q._index else -math.inf
+        if lq == -math.inf:
+            if alpha > 1:
+                raise AbsoluteContinuityViolation(f"P-atom {o!r} has zero Q-mass")
+            continue
+        terms.append(alpha * lm + (1.0 - alpha) * lq)
+    return float(logsumexp(np.asarray(terms)) / (alpha - 1.0))

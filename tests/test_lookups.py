@@ -11,7 +11,7 @@ from genbounds import load_fixture
 from genbounds import bounds_standard as bstd
 from genbounds import bounds_subset as bsub
 from genbounds.engine import view_of
-from genbounds.measures import maximal_leakage
+from genbounds import maximal_leakage
 from genbounds.models import SubsetSystem
 from genbounds.verify import random_standard_system, random_subset_system
 

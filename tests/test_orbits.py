@@ -23,7 +23,7 @@ import oracles
 from genbounds import load_fixture, load_problem
 from genbounds.cli import main
 from genbounds.engine import view_of
-from genbounds.measures import T_INF, alpha_mi, central_moment
+from genbounds import T_INF, alpha_mi, central_moment
 from genbounds.prob import TypeGrid
 from genbounds.verify import (BOUNDS, abs_quantile, check_exp_inequality_standard,
                               check_exp_inequality_subset, coverage, coverage_ids,

@@ -18,7 +18,7 @@ from genbounds import bounds_standard as bstd
 from genbounds import bounds_subset as bsub
 from genbounds import engine
 from genbounds.engine import view_of
-from genbounds.measures import DensityTable, alpha_mi, cond_alpha_mi
+from genbounds import DensityTable, alpha_mi, cond_alpha_mi
 from genbounds.verify import (coverage, coverage_ids, random_standard_system,
                               random_subset_system)
 

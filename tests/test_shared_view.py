@@ -13,9 +13,10 @@ import numpy as np
 import pytest
 
 import oracles
-from genbounds import (FiniteDistribution, Kernel, LossTable, SubsetSystem, cli,
-                       cond_mutual_information, cond_renyi_divergence, gibbs_kernel,
-                       load_fixture)
+from genbounds import (FiniteDistribution, Kernel, LossTable, SubsetSystem, alpha_mi, cli,
+                       cond_alpha_mi, cond_maximal_leakage, cond_mutual_information,
+                       cond_renyi_divergence, gibbs_kernel, load_fixture, max_information,
+                       maximal_leakage, measures, mutual_information, system_renyi)
 from genbounds import bounds_standard as bstd
 from genbounds import bounds_subset as bsub
 from genbounds import verify
@@ -83,14 +84,27 @@ def test_a_system_with_a_view_still_pickles(setting):
     assert view_of(copy).table.mean == view_of(sys).table.mean
 
 
+def _measures(sys):
+    """Every information measure of the setting, with default inputs."""
+    if sys.setting == "standard":
+        return (mutual_information(sys), system_renyi(sys, 2.0), system_renyi(sys, 1.0),
+                alpha_mi(sys, 2.0), alpha_mi(sys, 1.0), maximal_leakage(sys),
+                max_information(sys))
+    return (cond_mutual_information(sys), cond_renyi_divergence(sys, 2.0),
+            cond_renyi_divergence(sys, 1.0), cond_alpha_mi(sys, 2.0),
+            cond_maximal_leakage(sys))
+
+
 @pytest.mark.parametrize("setting", list(SETTINGS))
 def test_bounds_coverage_and_checks_build_one_density(monkeypatch, setting):
-    builds = _counted(monkeypatch, *((bstd, "information_density") if setting == "standard"
-                                     else (bsub, "conditional_density")))
+    name = "information_density" if setting == "standard" else "conditional_density"
+    # a build through either module's name is counted
+    builds = [_counted(monkeypatch, module, name)
+              for module in (measures, bstd if setting == "standard" else bsub)]
     sys = load_fixture(SETTINGS[setting])[1]
-    for use in (_report, _coverage, _exp_inequality, _orderings):
+    for use in (_report, _coverage, _exp_inequality, _orderings, _measures):
         use(sys)
-    assert len(builds) == 1
+    assert sum(map(len, builds)) == 1
     # the view's grid arrays are those its one table was cut from
     view = view_of(sys)
     tbl = view.table
