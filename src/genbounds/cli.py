@@ -29,7 +29,7 @@ from .models import (
     expected_gen_subset,
     load_problem,
 )
-from .prob import BudgetExceededError, InvalidDistributionError
+from .prob import BudgetExceededError, InvalidDistributionError, read_json
 
 SCHEMA_VERSION = 1
 
@@ -182,8 +182,7 @@ def _at(config: Mapping[str, Any], axis: str, value: Any) -> dict:
     if axis == "alpha":
         return dict(config, alpha=value)
     doc = config["problem"]
-    if not isinstance(doc, Mapping):
-        doc = _load_config(str(doc))
+    doc = _load_config(doc) if isinstance(doc, str) else read_json(doc, "problem")
     doc = json.loads(json.dumps(doc))
     if axis == "beta":
         learner = doc.get("learner")

@@ -6,7 +6,6 @@ Everything is exact: systems precompute the complete joint table over
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
@@ -25,6 +24,7 @@ from .prob import (
     check_budget,
     logsumexp,
     power_log_mass,
+    read_json,
 )
 
 @dataclass(frozen=True)
@@ -485,12 +485,8 @@ def _custom_kernel(rows: Any, instances: Sequence[Any]) -> Kernel:
 
 
 def load_problem(path_or_doc: Any) -> tuple[str, StandardSystem | SubsetSystem]:
-    """Load a problem definition file; returns (setting, system)."""
-    if isinstance(path_or_doc, Mapping):
-        doc = path_or_doc
-    else:
-        with open(path_or_doc) as fh:
-            doc = json.load(fh)
+    """Load a problem definition, an object or a path; returns (setting, system)."""
+    doc = read_json(path_or_doc, "problem")
     setting = doc["setting"]
     if setting not in ("standard", "subset"):
         raise ValueError(f"unknown setting {setting!r}")

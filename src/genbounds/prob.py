@@ -9,6 +9,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import os
 from decimal import Decimal
 from typing import Any, Mapping, Sequence
 
@@ -505,8 +506,17 @@ def check_budget(n_atoms: int) -> None:
         )
 
 
-def load_distribution(path_or_doc: Any) -> FiniteDistribution:
+def read_json(path_or_doc: Any, name: str) -> Any:
+    """A mapping as it is, or the JSON document at a ``str`` or
+    ``os.PathLike`` path; anything else, such as an int that ``open`` would
+    take for a file descriptor, is a ValueError naming ``name``."""
     if isinstance(path_or_doc, Mapping):
-        return FiniteDistribution.from_json(path_or_doc)
+        return path_or_doc
+    if not isinstance(path_or_doc, (str, os.PathLike)):
+        raise ValueError(f"field {name!r}: expected an object or a path, got {path_or_doc!r}")
     with open(path_or_doc) as fh:
-        return FiniteDistribution.from_json(json.load(fh))
+        return json.load(fh)
+
+
+def load_distribution(path_or_doc: Any) -> FiniteDistribution:
+    return FiniteDistribution.from_json(read_json(path_or_doc, "distribution"))

@@ -62,8 +62,10 @@ def _exp_inequality(view: _View, name: str, variance: float,
     over the density's support, i.e. E[exp(lambda value - ... - iota)].
 
     The variance, called ``name`` in errors, must be finite and positive,
-    and the scale n / variance of the default grid at most ``_SCALE_MAX``.
-    Beyond it lambda^2 overflows and the check would read "holds".
+    and the scale n / variance of the default grid at most ``_SCALE_MAX``;
+    an explicit grid's lambda^2 variance / (2n) must be finite. Beyond them
+    lambda^2 overflows and the check would read "holds". A row whose value
+    exceeds the largest float reads inf: violated.
 
     The (lambda, support) terms of a block of lambda rows (at most
     ``_EXP_BLOCK`` terms, and at least one row) are reduced by one
@@ -83,6 +85,10 @@ def _exp_inequality(view: _View, name: str, variance: float,
         if grid.ndim != 1 or not grid.size or not np.isfinite(grid).all():
             raise ValueError("lambda_grid must be a non-empty sequence of finite "
                              f"numbers, got {lambda_grid!r}")
+        with np.errstate(over="ignore"):  # the largest penalty, formed as in the loop
+            if not np.isfinite(np.abs(grid).max() ** 2 * variance / (2.0 * n)):
+                raise ValueError(f"lambda_grid must keep lambda^2 {name} / (2n) finite, "
+                                 f"got {lambda_grid!r}")
     sup = view.iota > NEG_INF
     base, values = view.log_base[sup], view.values[sup]
     rows = max(1, _EXP_BLOCK // base.size)
@@ -94,7 +100,10 @@ def _exp_inequality(view: _View, name: str, variance: float,
         terms += base
         terms -= penalty[:, None]
         for total in logsumexp(terms, axis=1).tolist():
-            worst = max(worst, math.exp(total))
+            try:
+                worst = max(worst, math.exp(total))
+            except OverflowError:  # beyond the largest float
+                return math.inf
     return worst
 
 

@@ -226,5 +226,5 @@ def test_criterion_9_cli_determinism(tmp_path):
     rv = run("verify", "--config", str(verify_cfg))
     ok = (r1.returncode == 0 and r2.returncode == 0 and rv.returncode == 0
           and out1.read_bytes() == out2.read_bytes()
-          and len(list(csv.DictReader(out1.open()))) == 24)
+          and len(list(csv.DictReader(out1.read_text().splitlines()))) == 24)
     report("9 CLI determinism and verify exit status", ok)

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from genbounds import cli, load_fixture
+from genbounds import cli, load_distribution, load_fixture, load_problem
 from genbounds.cli import main
 from genbounds.measures import T_INF
 
@@ -365,6 +365,43 @@ class TestIllTypedConfig:
         cfg = write_config(tmp_path, "cfg.json", [{"instances": 3}])
         assert main([command, "--config", cfg]) == 2
         assert "is not a JSON object" in capsys.readouterr().err
+
+
+class TestProblemIsAnObjectOrAPath:
+    """A ``problem`` that is neither an object nor a path exits 2 naming it,
+    even with a valid problem on stdin: ``open`` would take an int or a bool
+    for a file descriptor (0, false: stdin; 1, true: stdout, closed after)."""
+
+    @pytest.fixture(scope="class")
+    def runs(self, tmp_path_factory):
+        d = tmp_path_factory.mktemp("problem")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH"))
+            if p))
+        gibbs = json.dumps(dict(STANDARD_PROBLEM, learner={"kind": "gibbs", "beta": 1.0}))
+        out = {}
+        for value in (0, 1, True, False, 2.5, None, [1]):
+            for name, extra in (("report", {}), ("sweep", {"axis": "delta", "values": [0.1]}),
+                                ("sweep", {"axis": "beta", "values": [1.0]})):
+                cfg = write_config(d, "cfg.json", {"problem": value, "deltas": [0.1], **extra})
+                run = subprocess.run([sys.executable, "-m", "genbounds.cli", name, "--config",
+                                      cfg], input=gibbs, capture_output=True, text=True,
+                                     env=env)
+                out[json.dumps(value), name, extra.get("axis")] = run
+        return out
+
+    def test_exits_2_naming_problem(self, runs):
+        assert len(runs) == 21
+        for key, run in runs.items():
+            assert (run.returncode, run.stdout) == (2, ""), key
+            assert run.stderr.startswith("error: ") and "'problem'" in run.stderr, key
+            assert "Traceback" not in run.stderr, key
+
+    def test_the_loaders_refuse_a_file_descriptor(self):
+        with pytest.raises(ValueError, match="'problem'"):
+            load_problem(0)
+        with pytest.raises(ValueError, match="'distribution'"):
+            load_distribution(0)
 
 
 class TestNonFiniteConfig:

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import json
 import math
@@ -10,8 +11,10 @@ import numpy as np
 import pytest
 
 import oracles
-from genbounds import verify
-from genbounds.engine import view_of
+from genbounds import cli, verify
+from genbounds import bounds_standard as bstd
+from genbounds import bounds_subset as bsub
+from genbounds.engine import BoundResult, view_of
 from genbounds import (
     FiniteDistribution,
     assemble_standard,
@@ -109,6 +112,19 @@ class TestExpInequality:
             oracles.exp_inequality_loop(view_of(inst_a), 1e154 ** 2, None)
         assert check_exp_inequality_subset(inst_b, c=1e300) == \
             oracles.exp_inequality_loop(view_of(inst_b), 1e300, None)
+
+    def test_an_explicit_grid_that_overflows_lambda_squared_is_refused(self, inst_a, inst_b):
+        """lambda^2 variance / (2n) past the largest float would read "holds"."""
+        with pytest.raises(ValueError, match=r"^lambda_grid must"):
+            check_exp_inequality_standard(inst_a, [1e160], sigma=1e-100)
+        with pytest.raises(ValueError, match=r"^lambda_grid must"):
+            check_exp_inequality_subset(inst_b, [0.0, -1e160], c=1e-200)
+
+    def test_a_value_past_the_largest_float_reads_inf(self, inst_a, inst_b):
+        assert check_exp_inequality_standard(inst_a, [1e100], sigma=1e-100) == math.inf
+        assert check_exp_inequality_subset(inst_b, [0.0, 1e100], c=1e-200) == math.inf
+        # a finite row before the overflowing one does not hide it
+        assert check_exp_inequality_standard(inst_a, [0.0, 1e100], sigma=1e-100) == math.inf
 
     def test_the_blocked_check_holds_one_copy_of_a_block(self):
         """Beyond the per-lambda loop's peak, a pass holds one block of terms
@@ -315,6 +331,13 @@ class TestSuiteRunner:
         with pytest.raises(ValueError, match=name):
             run_verification_suite(**options)
 
+    def test_a_check_value_past_the_largest_float_is_a_failure(self, capsys):
+        rep = run_verification_suite(seed=0, n_instances=1, sigma_scale=1e-30)
+        names = ["standard[0]", "standard[1]", "standard[2]", "subset[0]", "subset[1]"]
+        assert rep["failures"] == [f"exp-inequality {n}: worst=inf" for n in names]
+        assert not rep["passed"]
+        assert rep["checks"] == run_verification_suite(seed=0, n_instances=1)["checks"]
+
     @pytest.mark.parametrize("seed,sigma_scale", [(0, 1.0), (0, 0.5), (3, 1.0), (3, 0.5)])
     def test_equals_the_recorded_suite(self, seed, sigma_scale):
         """The dicts the suite returned when it held every system until the
@@ -344,3 +367,75 @@ class TestSuiteRunner:
         finally:
             gc.enable()
         assert len(drawn) == 6
+
+
+class TestSuiteReportsEachFailure:
+    """The suite's ordering, gap-identity and coverage failure branches, each
+    reached by replacing a name that the suite or the registry looks up at
+    call time: every failure is listed with its system and delta, the suite
+    fails with its check count unchanged, and ``verify`` prints each as a
+    FAIL line and exits 1."""
+
+    STANDARD = ("standard[0]", "standard[1]", "standard[2]")
+    SUBSET = ("subset[0]", "subset[1]")
+    DELTAS = (0.3, 0.1, 0.05)
+
+    @pytest.fixture(scope="class")
+    def clean(self):
+        rep = run_verification_suite(seed=0, n_instances=1)
+        assert rep["passed"] and not rep["failures"]
+        return rep
+
+    @staticmethod
+    def _standard_systems():
+        """The standard systems of the seed-0, one-instance suite, in order."""
+        from genbounds import load_fixture
+
+        rng = np.random.default_rng(0)
+        drawn = random_standard_system(rng)
+        return [load_fixture("inst_a")[1], load_fixture("inst_c")[1], drawn]
+
+    def _orderings(self, monkeypatch):
+        monkeypatch.setattr(bstd, "chain_report", lambda sys, delta: {"holds": False})
+        monkeypatch.setattr(bsub, "leakage_ordering_check", lambda sys: {"holds": False})
+        return ([f"chain violated on {n}" for n in self.STANDARD]
+                + [f"leakage ordering violated on {n}" for n in self.SUBSET])
+
+    def _gap_identity(self, monkeypatch):
+        moment = bstd.sd_moment_bound
+
+        def sd_moment_bound(sys, delta, t, q_w=None, relaxed=False):
+            res = moment(sys, delta, t, q_w, relaxed)
+            return dataclasses.replace(res, epsilon=res.epsilon + 1e-3) if relaxed else res
+
+        monkeypatch.setattr(bstd, "sd_moment_bound", sd_moment_bound)
+        return [f"gap identity violated on {n} delta={d}"
+                for n in self.STANDARD for d in self.DELTAS]
+
+    def _coverage(self, monkeypatch):
+        monkeypatch.setattr(bstd, "sd_leakage_bound", lambda sys, delta, relaxed=False:
+                            BoundResult(0.0, "single-draw", "data-independent"))
+        expected = []
+        for name, sys in zip(self.STANDARD, self._standard_systems()):
+            # mass of the atoms whose |gen| an epsilon of 0 does not bound
+            viol = sum(float(m) for v, m in zip(sys.gen_table.T.ravel(), sys.joint.ravel())
+                       if not abs(v) <= verify.COVERAGE_TOL)
+            expected += [f"coverage {bound_id} {name} delta={d}: viol={viol:.6g}"
+                         for d in self.DELTAS if viol > d + verify.COVERAGE_TOL
+                         for bound_id in ("sd_leakage", "tail_relax_leakage")]
+        return expected
+
+    @pytest.mark.parametrize("inject", ["_orderings", "_gap_identity", "_coverage"])
+    def test_lists_each_failure(self, monkeypatch, capsys, tmp_path, clean, inject):
+        expected = getattr(self, inject)(monkeypatch)
+        assert expected
+        rep = run_verification_suite(seed=0, n_instances=1)
+        assert rep["failures"] == expected
+        assert not rep["passed"] and rep["checks"] == clean["checks"]
+        cfg = tmp_path / "verify.json"
+        cfg.write_text(json.dumps({"instances": 1}))
+        capsys.readouterr()
+        assert cli.main(["verify", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().out.splitlines() == (
+            [f"FAIL {f}" for f in expected]
+            + [f"{clean['checks']} checks, {len(expected)} failures (seed 0)"])
