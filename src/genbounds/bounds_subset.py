@@ -18,9 +18,10 @@ import numpy as np
 
 from .engine import (BoundResult, _View, _check_delta, _log_ratio, _lookup,
                      _tail_bound_from_table, cond_alpha_mi, view_of)
-from .measures import _leakage, conditional_density
+from .measures import (ONE_SEGMENT, _leakage, _logs, _nested_mean, _subset_starts,
+                       conditional_density)
 from .models import LossTable, SubsetSystem, _data_grid
-from .prob import NEG_INF, FiniteDistribution, logsumexp, power_log_mass
+from .prob import NEG_INF, FiniteDistribution, power_log_mass
 
 
 @dataclass(frozen=True)
@@ -62,7 +63,9 @@ def delta_constant(delta_fn: Callable[[Any, Any], float], pz: FiniteDistribution
 
 class _SubsetView(_View):
     """The random-subset setting, with range constant ``c`` (default
-    (b - a)^2) and optionally an auxiliary conditional ``q_kernel``."""
+    (b - a)^2) and optionally an auxiliary conditional ``q_kernel``. It reads
+    the system's (z-tilde, s, w) arrays as (row, w) rows, without a copy: row
+    zt_code * |S| + s_code, one context of |S| rows per supersample."""
 
     setting = "subset"
 
@@ -71,10 +74,15 @@ class _SubsetView(_View):
         const = (c or range_constant(sys.loss)).value
         super().__init__(sys, const, {"C": const, "n": sys.n})
         self.q_kernel = q_kernel
-        self.values, self.gen, self.cond = sys.genhat, sys.gen_sel, sys.cond
-        self.joint, self.mass = sys.joint, sys.p_ztilde[:, None] * sys.p_s[None, :]
+        width = len(sys.w_labels)
+        self.values, self.gen, self.cond, self.joint = (
+            a.reshape(-1, width) for a in (sys.genhat, sys.gen_sel, sys.cond, sys.joint))
+        self.mass = (sys.p_ztilde[:, None] * sys.p_s[None, :]).reshape(-1)
+        self.starts = _subset_starts(sys)
 
     table = cached_property(lambda self: conditional_density(self.sys, self.q_kernel))
+    log_masses = property(lambda self: _logs(
+        self.sys.p_ztilde, np.tile(self.sys.p_s, self.sys.zt_grid.size), self.sys.pw_given))
 
 
 def cmi_avg_bound(sys: SubsetSystem, c: RangeConstant | None = None) -> BoundResult:
@@ -86,8 +94,8 @@ def cond_pacb_bound(sys: SubsetSystem, ztilde: tuple, s: tuple, delta: float,
                     c: RangeConstant | None = None, q_kernel=None) -> BoundResult:
     """Conditional PAC-Bayesian bound at one (supersample, selector) atom."""
     view, delta = view_of(sys, c, q_kernel), _check_delta(delta)
-    term = view.kls[_lookup(sys.zt_grid.code, ztilde), _lookup(sys.s_grid.code, s)]
-    return view.pointwise(term, "pac-bayes", delta, (ztilde, s))
+    row = _lookup(sys.zt_grid.code, ztilde) * sys.s_grid.size + _lookup(sys.s_grid.code, s)
+    return view.pointwise(view.kls[row], "pac-bayes", delta, (ztilde, s))
 
 
 def cond_pacb_moment_bound(sys: SubsetSystem, delta: float, t: Any,
@@ -102,8 +110,8 @@ def cond_sd_density_bound(sys: SubsetSystem, w: Any, ztilde: tuple, s: tuple,
                           q_kernel=None) -> BoundResult:
     """Conditional single-draw bound at one (w, z-tilde, s) atom."""
     view, delta = view_of(sys, c, q_kernel), _check_delta(delta)
-    term = view.iota[_lookup(sys.zt_grid.code, ztilde), _lookup(sys.s_grid.code, s),
-                     _lookup(sys.w_labels.index, w)]
+    row = _lookup(sys.zt_grid.code, ztilde) * sys.s_grid.size + _lookup(sys.s_grid.code, s)
+    term = view.iota[row, _lookup(sys.w_labels.index, w)]
     return view.pointwise(term, "single-draw", delta, (w, ztilde, s))
 
 
@@ -153,32 +161,25 @@ def holder_event_bound(sys: SubsetSystem, event: Callable[[Any, tuple, tuple], b
     """Exact evaluation of the two-factor Holder bound on P[E].
 
     ``event`` is a predicate over (w, z-tilde, s) atoms. The three exponents
-    must exceed 1; their conjugates are derived internally.
+    must exceed 1 and be finite; their conjugates are derived internally.
     """
     for name, val in (("alpha", alpha), ("alpha_prime", alpha_prime),
                       ("tilde_alpha", tilde_alpha)):
-        if val <= 1:
-            raise ValueError(f"{name} must exceed 1")
+        if not 1 < val < math.inf:
+            raise ValueError(f"{name} must exceed 1 and be finite, got {val!r}")
     gamma = alpha / (alpha - 1.0)
     gamma_prime = alpha_prime / (alpha_prime - 1.0)
     tilde_gamma = tilde_alpha / (tilde_alpha - 1.0)
-    iota = view_of(sys).iota
-    with np.errstate(divide="ignore"):
-        log_pzt = np.log(sys.p_ztilde)
-        log_ps = np.log(sys.p_s)
-        log_wg = np.log(sys.pw_given)
-    ind = np.array([[[event(w, zt, s) for w in sys.w_labels]
-                     for s in sys.s_vecs]
-                    for zt in sys.ztildes], dtype=bool)
+    view = view_of(sys)
+    contexts = (*view.log_masses, view.starts)
+    ind = np.array([[event(w, zt, s) for w in sys.w_labels]
+                    for zt in sys.ztildes for s in sys.s_vecs], dtype=bool)
     # event factor: E_Zt^{1/tg}[ E_{W|Zt}^{tg/g'}[ P_S^{g'/g}[E_{w,zt}] ] ]
-    log_ind = np.where(ind, 0.0, NEG_INF)
-    log_p_event = logsumexp(log_ps[None, :, None] + log_ind, axis=1)
-    mid_e = logsumexp(log_wg + (gamma_prime / gamma) * log_p_event, axis=1)
-    log_factor_event = logsumexp(log_pzt + (tilde_gamma / gamma_prime) * mid_e) / tilde_gamma
+    log_factor_event = _nested_mean(np.where(ind, 0.0, NEG_INF), *contexts,
+                                    gamma_prime / gamma, tilde_gamma / gamma_prime) / tilde_gamma
     # density factor: E_Zt^{1/ta}[ E_{W|Zt}^{ta/a'}[ E_S^{a'/a}[e^{a iota}] ] ]
-    inner_d = logsumexp(log_ps[None, :, None] + alpha * iota, axis=1)
-    mid_d = logsumexp(log_wg + (alpha_prime / alpha) * inner_d, axis=1)
-    log_factor_dens = logsumexp(log_pzt + (tilde_alpha / alpha_prime) * mid_d) / tilde_alpha
+    log_factor_dens = _nested_mean(alpha * view.iota, *contexts,
+                                   alpha_prime / alpha, tilde_alpha / alpha_prime) / tilde_alpha
     return float(math.exp(log_factor_event + log_factor_dens))
 
 
@@ -218,7 +219,7 @@ def leakage_ordering_check(sys: SubsetSystem) -> dict:
     cond_leak = view_of(sys).leakage
     grid = _data_grid(sys.learner, sys.pz.outcomes, sys.n)
     std_leak = _leakage(np.exp(power_log_mass(sys.pz.log_mass, grid)),
-                        np.exp(sys.learner.log_mass_on(grid)))
+                        np.exp(sys.learner.log_mass_on(grid)), ONE_SEGMENT)
     return {
         "cond_maximal_leakage": cond_leak,
         "induced_maximal_leakage": std_leak,

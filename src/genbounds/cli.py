@@ -20,7 +20,8 @@ import numpy as np
 
 from . import verify as vfy
 from .engine import view_of
-from .measures import T_INF, normalize_order
+from .measures import (ONE_SEGMENT, T_INF, _logs, _posterior_kls, _support_ratio,
+                       normalize_order)
 from .models import (
     SubsetSystem,
     _integral,
@@ -163,11 +164,11 @@ def _subset_columns(system) -> dict:
     information between W and the supersample vs the conditional one."""
     if not isinstance(system, SubsetSystem):
         return {"mi_w_supersample": "", "cmi_w_selector": ""}
-    pw_given = system.pw_given
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(pw_given > 0, pw_given * (np.log(pw_given)
-                                                   - np.log(system.p_ztilde @ pw_given)), 0.0)
-    mi_wzt = float(np.sum(system.p_ztilde[:, None] * terms))
+    # I(W; Ztilde) = sum p(zt) KL(P_{W|zt} || P_W) on the one-context (zt, w) grid
+    pw_given, p_zt = system.pw_given, system.p_ztilde
+    p_w = np.add.reduceat(p_zt[:, None] * pw_given, ONE_SEGMENT)
+    kls = _posterior_kls(pw_given, _support_ratio(*_logs(pw_given, p_w)))
+    mi_wzt = float(np.multiply(p_zt, kls, out=np.zeros_like(kls), where=p_zt > 0).sum())
     return {"mi_w_supersample": mi_wzt,
             "cmi_w_selector": view_of(system).table.mean}
 

@@ -115,14 +115,16 @@ class _View:
     """One setting's inputs to the bound formulas, which are its methods.
 
     ``variance`` is sigma^2 or C and ``rate`` is 2 variance / n. A setting
-    supplies, on its (context..., data, w) grid: ``table`` (the density
-    table, computed on first use, whose ``arrays`` the view reads as
-    ``_log_arrays``: the log joint, the log base measure and the density
-    ``iota``), ``values`` (the value bounded at each atom), ``gen`` (the
-    generalization error at each atom), ``mass`` (of each context and data),
-    ``joint`` and ``cond`` (the posterior rows). From these the view
-    computes ``kls`` (one posterior relative entropy per context and data),
-    ``leakage`` and the Renyi divergences, by the formulas of ``measures``.
+    supplies, on its flat (row, w) grid: ``starts`` (each context's first
+    row), ``table`` (the density table, computed on first use, whose
+    ``arrays`` the view reads as ``_log_arrays``: the log joint, the log
+    base measure and the density ``iota``), ``values`` (the value bounded at
+    each atom), ``gen`` (the generalization error at each atom), ``mass``
+    (of each row), ``joint`` and ``cond`` (the posterior rows), and
+    ``log_masses`` (each context's log mass, each row's given its context,
+    and log P(w | context) of the system). From these the view computes
+    ``kls`` (one posterior relative entropy per row), ``leakage``, the Renyi
+    divergences and the alpha-MI, by the formulas of ``measures``.
 
     Each delta-independent term is computed once, into the view's own memo
     (``memoised``) keyed by (quantity, order): the central moment of iota and
@@ -150,7 +152,7 @@ class _View:
     log_base = property(lambda self: self._log_arrays[1])
     iota = property(lambda self: self._log_arrays[2])
     kls = cached_property(lambda self: _posterior_kls(self.cond, self.iota))
-    leakage = cached_property(lambda self: _leakage(self.mass, self.cond))
+    leakage = cached_property(lambda self: _leakage(self.mass, self.cond, self.starts))
 
     def params(self, **extra) -> dict:
         return {**self._params, **extra}
@@ -236,6 +238,13 @@ class _View:
         return self.table.mean if _near_one(alpha) else self.memoised(
             ("renyi", alpha), lambda: _renyi(self._log_arrays, alpha))
 
+    def alpha_mi(self, alpha: float) -> float:
+        """alpha-mutual information of the system (over its own P(w | context));
+        near alpha = 1 the mutual information."""
+        return self.table.mean if _near_one(alpha) else self.memoised(
+            ("alpha_mi", alpha), lambda: _alpha_mi(*self.log_masses, self.iota, self.starts,
+                                                   alpha))
+
     def tail_relaxations(self, delta: float, t: Any) -> tuple[BoundResult, BoundResult]:
         return (self.sd_moment(delta, t, relaxed=True),
                 self.sd_leakage(delta, relaxed=True))
@@ -268,12 +277,7 @@ def system_renyi(sys, alpha: float, q_w=None) -> float:
 
 def alpha_mi(sys, alpha: float) -> float:
     """alpha-mutual information I_alpha(Z; W); near alpha = 1 it is I(W; Z)."""
-    view = view_of(sys)
-    if _near_one(alpha):
-        return view.table.mean
-    with np.errstate(divide="ignore"):
-        return view.memoised(("alpha_mi", alpha), lambda: _alpha_mi(
-            np.zeros(1), np.log(sys.pzn_mass), np.log(sys.pw_mass), view.iota[None], alpha))
+    return view_of(sys).alpha_mi(alpha)
 
 
 def maximal_leakage(sys) -> float:
@@ -300,13 +304,11 @@ def cond_renyi_divergence(sys, alpha: float, q_kernel=None) -> float:
 
 
 def cond_alpha_mi(sys, alpha: float) -> float:
-    """Conditional alpha-mutual information I_alpha(W; S | Z-tilde), alpha > 1."""
+    """Conditional alpha-mutual information I_alpha(W; S | Z-tilde), alpha > 1;
+    within 1e-6 of 1 it is I(W; S | Z-tilde)."""
     if not alpha > 1:
         raise ValueError("alpha must exceed 1")
-    view = view_of(sys)
-    with np.errstate(divide="ignore"):
-        return view.memoised(("alpha_mi", alpha), lambda: _alpha_mi(
-            np.log(sys.p_ztilde), np.log(sys.p_s), np.log(sys.pw_given), view.iota, alpha))
+    return view_of(sys).alpha_mi(alpha)
 
 
 def _tail_bound_from_table(tbl: DensityTable, rate: float, delta: float,

@@ -4,8 +4,12 @@ moments of the information density. A system's quantities are its view's
 terms (``engine``); label-level ``density``, ``kl`` and ``renyi_divergence``
 take the grids' support rule and Renyi formula. All quantities are in nats.
 Orders within 1e-6 of 1 dispatch to the KL/mutual-information limit, where
-the closed forms are numerically 0/0. Moment order t = infinity is a
-distinguished sentinel (``T_INF``), not a float smuggled through arithmetic.
+the closed forms are numerically 0/0; a non-finite order is refused. Moment
+order t = infinity is a distinguished sentinel (``T_INF``), not a float
+smuggled through arithmetic. A system grid is flat, (row, w) or (row,)
+arrays whose rows ``starts`` splits into contexts, each context's first row:
+the standard grid is one context (``ONE_SEGMENT``), the subset grid one per
+supersample of |S| rows, and per-context reductions are segment reductions.
 """
 from __future__ import annotations
 
@@ -23,6 +27,8 @@ from .prob import (NEG_INF, AbsoluteContinuityViolation, FiniteDistribution, Pro
                    TypeGrid, logsumexp)
 
 ALPHA_ONE_TOL = 1e-6
+ONE_SEGMENT = np.zeros(1, dtype=np.intp)  # the starts of a one-context grid
+ONE_SEGMENT.flags.writeable = False  # shared by every standard view
 
 
 class MomentOrder(enum.Enum):
@@ -43,9 +49,10 @@ def normalize_order(t: Any) -> float | MomentOrder:
 
 
 def _near_one(alpha: float) -> bool:
-    """Whether the positive order alpha takes the KL/mutual-information limit."""
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
+    """Whether the order alpha, which must be finite and positive, takes the
+    KL/mutual-information limit."""
+    if not (math.isfinite(alpha) and alpha > 0):
+        raise ValueError(f"alpha must be finite and positive, got {alpha!r}")
     return abs(alpha - 1.0) <= ALPHA_ONE_TOL
 
 
@@ -148,25 +155,31 @@ def density(p: FiniteDistribution, q: FiniteDistribution) -> DensityTable:
                         lambda: tuple(itertools.compress(p.outcomes, sup)), arrays)
 
 
-def _density(grids: Sequence[ProductGrid | TypeGrid], w_labels: tuple, joint: np.ndarray,
-             log_mass: np.ndarray, cond: np.ndarray, log_q: np.ndarray) -> DensityTable:
-    """The density of ``joint`` on a (context..., data, w) grid, for both
-    settings: iota = log P(w | data) - log Q(w | context) by the density
-    rule, from the posterior rows ``cond`` and the base
-    conditional ``log_q`` (broadcast over data). The base measure, log mass
-    + log Q, must charge the joint's support. The table keeps the (log joint,
-    log base, iota) grid; its outcomes, built on first access, are (w, data
-    labels...) in grid order (a type's representative on a ``TypeGrid``),
-    made from the grids, so it holds no system."""
+def _logs(*masses) -> tuple:
+    """The natural log of each array of ``masses``, log 0 = -inf."""
     with np.errstate(divide="ignore"):
-        log_joint = np.log(joint)
-        iota = np.log(cond)
-    log_q = np.broadcast_to(log_q, iota.shape)
-    if np.any((log_joint > NEG_INF) & (log_q == NEG_INF)):
+        return tuple(np.log(m) for m in masses)
+
+
+def _density(grids: Sequence[ProductGrid | TypeGrid], w_labels: tuple, joint: np.ndarray,
+             log_mass: np.ndarray, cond: np.ndarray, log_q: np.ndarray,
+             starts: np.ndarray) -> DensityTable:
+    """The density of ``joint`` on a flat (row, w) grid, for both settings:
+    iota = log P(w | row) - log Q(w | context) by the density rule, from the
+    posterior rows ``cond`` and the base conditional ``log_q``, one row per
+    context of ``starts``. The base measure, log mass + log Q, must
+    charge the joint's support. The table keeps the (log joint, log base,
+    iota) grid; its outcomes, built on first access, are (w, data labels...)
+    in grid order (a type's representative on a ``TypeGrid``), made from
+    the grids, so it holds no system."""
+    log_joint, iota = _logs(joint, cond)
+    # each context's log Q on each of its rows, then the log base measure in place
+    log_base = np.repeat(np.atleast_2d(log_q), np.diff(starts, append=len(iota)), axis=0)
+    if np.any((log_joint > NEG_INF) & (log_base == NEG_INF)):
         raise AbsoluteContinuityViolation(
             "joint atom outside the support of the base measure")
-    _support_ratio(iota, log_q)
-    log_base = log_mass[..., None] + log_q
+    _support_ratio(iota, log_base)
+    log_base += log_mass[:, None]
     joint_sup = log_joint > NEG_INF
 
     def outcomes() -> tuple:
@@ -183,24 +196,30 @@ def information_density(sys: StandardSystem,
                         q_w: FiniteDistribution | None = None) -> DensityTable:
     """Information density of (W, Z) under the system joint, optionally
     against an auxiliary hypothesis marginal Q_W, over the (zvec, w) grid."""
-    with np.errstate(divide="ignore"):
-        log_q = (np.log(sys.pw_mass) if q_w is None
-                 else np.array([q_w.log_mass_of(w) for w in sys.w_labels]))
-        log_mass = np.log(sys.pzn_mass)
-    return _density((sys.z_grid,), sys.w_labels, sys.joint, log_mass, sys.cond, log_q)
+    log_mass, log_q = _logs(sys.pzn_mass, sys.pw_mass)
+    if q_w is not None:
+        log_q = np.array([q_w.log_mass_of(w) for w in sys.w_labels])
+    return _density((sys.z_grid,), sys.w_labels, sys.joint, log_mass, sys.cond, log_q,
+                    ONE_SEGMENT)
+
+
+def _subset_starts(sys: SubsetSystem) -> np.ndarray:
+    """Each supersample's first row; the rows are the (z-tilde, s) in code order."""
+    return np.arange(sys.zt_grid.size) * sys.s_grid.size
 
 
 def conditional_density(sys: SubsetSystem, q_kernel=None) -> DensityTable:
     """Conditional information density of (W, S) given the supersample, over
-    the (ztilde, s, w) grid, against P_{W|Ztilde} (or the auxiliary
+    the flat ((ztilde, s), w) grid, against P_{W|Ztilde} (or the auxiliary
     conditional): log(P(w,zt,s) / (P(w|zt) P(zt) P(s))) = log(P(w|z(s)) / P(w|zt))."""
-    with np.errstate(divide="ignore"):
-        log_q = (np.log(sys.pw_given) if q_kernel is None  # columns in w_labels order
-                 else q_kernel.log_mass_on(sys.zt_grid)[
-                     :, [q_kernel.output_outcomes.index(w) for w in sys.w_labels]])
-        log_mass = np.log(sys.p_ztilde)[:, None] + np.log(sys.p_s)[None, :]
-    return _density((sys.zt_grid, sys.s_grid), sys.w_labels, sys.joint, log_mass,
-                    sys.cond, log_q[:, None, :])
+    log_zt, log_s, log_q = _logs(sys.p_ztilde, sys.p_s, sys.pw_given)
+    if q_kernel is not None:  # columns in w_labels order
+        log_q = q_kernel.log_mass_on(sys.zt_grid)[
+            :, [q_kernel.output_outcomes.index(w) for w in sys.w_labels]]
+    width = len(sys.w_labels)
+    return _density((sys.zt_grid, sys.s_grid), sys.w_labels, sys.joint.reshape(-1, width),
+                    (log_zt[:, None] + log_s[None, :]).reshape(-1),
+                    sys.cond.reshape(-1, width), log_q, _subset_starts(sys))
 
 
 # -- divergences ------------------------------------------------------------
@@ -221,17 +240,30 @@ def renyi_divergence(p: FiniteDistribution, q: FiniteDistribution,
     return _renyi(density(p, q).arrays if alpha > 1 else _aligned(p, q), alpha)
 
 
-# -- one formula per quantity, over a (context..., data, w) grid -----------
-#
-# The standard grid is (z-vector, w), with no context; the subset grid is
-# (z-tilde, s, w). iota is a density table's grid iota, ``cond`` the
-# posterior rows P(w | data) and ``mass`` the mass of each (context, data).
+# -- one formula per quantity, over a flat (row, w) grid ---------------------
+
+
+def _segment_logsumexp(a: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """``prob.logsumexp`` over the rows of each context of the (row, w) array
+    ``a``: each context's m maximal terms give log(m) exactly, log1p the rest."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        a_max = np.maximum.reduceat(a, starts)
+        s = a - np.repeat(a_max, np.diff(starts, append=len(a)), axis=0)
+        top = s == 0.0  # a == its context's maximum, where that is finite
+        m = np.add.reduceat(top, starts, dtype=float)
+        s[top] = NEG_INF
+        s = np.add.reduceat(np.exp(s, out=s), starts)
+        out = np.log1p(s / m) + np.log(m) + a_max
+        edge = ~np.isfinite(out)  # no finite maximum: sum directly
+        if edge.any():
+            out = np.where(edge, np.log(np.add.reduceat(np.exp(a), starts)), out)
+    return out
 
 
 def _posterior_kls(cond: np.ndarray, iota: np.ndarray) -> np.ndarray:
-    """KL(P(. | data) || Q(. | context)) at every (context..., data):
-    sum_w cond iota over the support, +inf where the posterior charges a
-    hypothesis that Q does not (possible only at data of zero mass)."""
+    """KL(P(. | row) || Q(. | context)) at every row of the posteriors
+    ``cond``: sum_w cond iota over the support, +inf where the posterior
+    charges a hypothesis that Q does not (possible only at rows of zero mass)."""
     sup = iota > NEG_INF
     kls = np.multiply(cond, iota, out=np.zeros_like(iota), where=sup).sum(axis=-1)
     kls[np.any((cond > 0) & ~sup, axis=-1)] = math.inf
@@ -245,20 +277,27 @@ def _renyi(log_arrays, alpha: float) -> float:
     return float(logsumexp(log_base + alpha * iota) / (alpha - 1.0))
 
 
+def _nested_mean(x: np.ndarray, log_ctx: np.ndarray, log_data: np.ndarray,
+                 log_q: np.ndarray, starts: np.ndarray, r1: float, r2: float) -> float:
+    """log E_ctx[E_{Q(w|ctx)}[E_{row|ctx}[e^x]^r1]^r2] of the (row, w) array
+    ``x``, from the log masses of each context and of each row given its
+    context, and log Q(w | context) (one row per context, or one for all)."""
+    inner = _segment_logsumexp(log_data[:, None] + x, starts)
+    return float(logsumexp(log_ctx + r2 * logsumexp(log_q + r1 * inner, axis=-1)))
+
+
 def _alpha_mi(log_ctx: np.ndarray, log_data: np.ndarray, log_q: np.ndarray,
-              iota: np.ndarray, alpha: float) -> float:
-    """alpha-mutual information from the grid iota over (context, data, w),
-    the context's and the data's log masses and log Q(w | context):
-    log E_ctx[E_{Q(w|ctx)}[E_data[e^(alpha iota)]^(1/alpha)]^alpha] / (alpha - 1)."""
-    inner = logsumexp(log_data[:, None] + alpha * iota, axis=-2) / alpha
-    mid = logsumexp(log_q + inner, axis=-1)  # log E_{Q(w|ctx)}[...], per context
-    return float(logsumexp(log_ctx + alpha * mid) / (alpha - 1.0))
+              iota: np.ndarray, starts: np.ndarray, alpha: float) -> float:
+    """alpha-mutual information from the grid iota: the nested mean of
+    e^(alpha iota) at exponents (1/alpha, alpha), over alpha - 1."""
+    return _nested_mean(alpha * iota, log_ctx, log_data, log_q, starts,
+                        1.0 / alpha, alpha) / (alpha - 1.0)
 
 
-def _leakage(mass: np.ndarray, cond: np.ndarray) -> float:
+def _leakage(mass: np.ndarray, cond: np.ndarray, starts: np.ndarray) -> float:
     """Maximal leakage, log max over contexts of sum_w max over the
-    positive-mass data of P(w | data)."""
-    peaks = np.max(cond, axis=-2, where=(mass > 0)[..., None], initial=0.0)
+    context's positive-mass rows of P(w | row)."""
+    peaks = np.maximum.reduceat(np.where((mass > 0)[:, None], cond, 0.0), starts)
     return float(math.log(np.max(peaks.sum(axis=-1))))
 
 

@@ -131,6 +131,7 @@ def gibbs_kernel(loss: LossTable, n: int, beta: float) -> Kernel:
         raise ValueError("beta must be finite")
     grid = _learner_grid(loss, n)
     logits = -beta * loss.totals(grid)
+    logits -= logits.max(axis=1, keepdims=True)  # each row's largest logit is 0
     return Kernel.on_grid(logits - logsumexp(logits, axis=1)[:, None],
                           loss.hypotheses, grid)
 

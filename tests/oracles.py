@@ -6,9 +6,10 @@ meaningful evidence of correctness. Only suitable for desk-scale instances.
 
 The exceptions are the loop reference at the end, which builds the system
 arrays atom by atom with the same per-row numpy operations the array core
-must reproduce, the two auto-gamma tail scans, the out-of-place central
-moment, and the per-setting information measures (density, posterior KLs,
-Renyi divergence, alpha-MI, leakage) that the package's shared formulas
+must reproduce, the 50-digit Gibbs rows, the two auto-gamma tail scans, the
+out-of-place central moment, and the per-setting information measures
+(density, posterior KLs, Renyi divergence, alpha-MI, leakage, the Holder
+bound on the (z-tilde, s, w) grid) that the package's shared formulas
 replaced, and ``product_twin``, which rebuilds a system with every z-vector
 an atom of its own through the package's label-form kernel. The strict scan
 evaluates every attained density value through the package's own
@@ -302,6 +303,26 @@ def loop_kernel_rows(values, n, kind, beta=0.0, tie="lowest-index", weights=None
     return rows
 
 
+def decimal_gibbs_rows(values, n, beta):
+    """{z-vector of instance indices: log-mass row} of the Gibbs learner,
+    each entry -beta * total - log sum_v exp(-beta * total_v) taken in
+    50-digit decimals from the exact float losses and beta, then rounded."""
+    from decimal import Decimal, localcontext
+
+    n_w, n_z = values.shape
+    rows = {}
+    with localcontext() as ctx:
+        ctx.prec = 50
+        b = Decimal(float(beta))
+        for zvec in itertools.product(range(n_z), repeat=n):
+            logits = [-b * sum(Decimal(float(values[w, z])) for z in zvec)
+                      for w in range(n_w)]
+            top = max(logits)
+            log_total = top + sum((lg - top).exp() for lg in logits).ln()
+            rows[zvec] = np.array([float(lg - log_total) for lg in logits])
+    return rows
+
+
 def loop_standard_arrays(pz_labels, pz_log_mass, n, rows, values, instances):
     """The standard system's arrays; ``rows`` maps z-vectors of labels to
     log-mass rows over the hypotheses."""
@@ -545,6 +566,33 @@ def leakage_from_rows(sys):
         return float(math.log(np.sum(sys.cond[sys.pzn_mass > 0].max(axis=0))))
     per_zt = sys.cond[sys.p_ztilde > 0].max(axis=1).sum(axis=1)
     return float(math.log(per_zt.max()))
+
+
+def holder_event_bound_3d(sys, event, alpha, alpha_prime, tilde_alpha):
+    """``bounds_subset.holder_event_bound`` as it was written on the (z-tilde,
+    s, w) grid, with its nested reductions along axis 1, over the reference
+    density of ``density_arrays``."""
+    from genbounds.prob import logsumexp
+
+    gamma = alpha / (alpha - 1.0)
+    gamma_prime = alpha_prime / (alpha_prime - 1.0)
+    tilde_gamma = tilde_alpha / (tilde_alpha - 1.0)
+    iota = density_arrays(sys)[2]
+    with np.errstate(divide="ignore"):
+        log_pzt = np.log(sys.p_ztilde)
+        log_ps = np.log(sys.p_s)
+        log_wg = np.log(sys.pw_given)
+    ind = np.array([[[event(w, zt, s) for w in sys.w_labels]
+                     for s in sys.s_vecs]
+                    for zt in sys.ztildes], dtype=bool)
+    log_ind = np.where(ind, 0.0, -math.inf)
+    log_p_event = logsumexp(log_ps[None, :, None] + log_ind, axis=1)
+    mid_e = logsumexp(log_wg + (gamma_prime / gamma) * log_p_event, axis=1)
+    log_factor_event = logsumexp(log_pzt + (tilde_gamma / gamma_prime) * mid_e) / tilde_gamma
+    inner_d = logsumexp(log_ps[None, :, None] + alpha * iota, axis=1)
+    mid_d = logsumexp(log_wg + (alpha_prime / alpha) * inner_d, axis=1)
+    log_factor_dens = logsumexp(log_pzt + (tilde_alpha / alpha_prime) * mid_d) / tilde_alpha
+    return float(math.exp(log_factor_event + log_factor_dens))
 
 
 # -- the per-vector enumeration that type grids replace ---------------------

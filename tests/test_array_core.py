@@ -2,7 +2,8 @@
 of ``oracles`` on seeded random shapes in both settings, each type of a
 type-grid learner compared at every vector of it: bit for bit wherever the
 arithmetic is that of the reference (product grids, and the rows and gen of
-dyadic losses), to 1e-12 where a type sums in another order."""
+dyadic losses), to 1e-12 where a type sums in another order. Gibbs rows at
+beta > 0 are judged, to 1e-12, against their 50-digit values."""
 import itertools
 import math
 
@@ -42,9 +43,11 @@ CASES = [
 def _learner(kind, loss, n, rng):
     """The library kernel and the reference rows keyed by z-vectors."""
     values = loss.values
-    if kind.startswith("gibbs"):
-        beta = 0.0 if kind == "gibbs-beta0" else float(rng.uniform(0.5, 20.0))
-        return gibbs_kernel(loss, n, beta), oracles.loop_kernel_rows(values, n, "gibbs", beta)
+    if kind == "gibbs-beta0":
+        return gibbs_kernel(loss, n, 0.0), oracles.loop_kernel_rows(values, n, "gibbs", 0.0)
+    if kind == "gibbs":  # rows judged against their 50-digit values
+        beta = float(rng.uniform(0.5, 20.0))
+        return gibbs_kernel(loss, n, beta), oracles.decimal_gibbs_rows(values, n, beta)
     if kind.startswith("erm"):
         tie = "uniform-over-argmin" if kind == "erm-uniform" else "lowest-index"
         return erm_kernel(loss, n, tie), oracles.loop_kernel_rows(values, n, "erm", tie=tie)

@@ -542,3 +542,36 @@ class TestOneParser:
             for row in table:
                 writer.writerow({k: cli._fmt(row.get(k)) for k in columns})
             assert capsys.readouterr().out == reference.getvalue()
+
+
+def _mi_w_supersample_50_digits(system):
+    """I(W; Z-tilde) = sum p(zt) P(w | zt) log(P(w | zt) / P_W(w)), in
+    50-digit decimals from the system's float arrays."""
+    from decimal import Decimal, localcontext
+
+    with localcontext() as ctx:
+        ctx.prec = 50
+        p_zt = [Decimal(float(p)) for p in system.p_ztilde]
+        rows = [[Decimal(float(p)) for p in row] for row in system.pw_given]
+        p_w = [sum(p * row[w] for p, row in zip(p_zt, rows)) for w in range(len(rows[0]))]
+        return float(sum(p * q * (q.ln() - p_w[w].ln()) for p, row in zip(p_zt, rows)
+                         for w, q in enumerate(row) if p > 0 and q > 0))
+
+
+def test_subset_columns_read_the_one_context_grid():
+    import numpy as np
+    from genbounds.verify import random_subset_system
+
+    rng = np.random.default_rng(2)
+    systems = [load_fixture("inst_b")[1]] + [random_subset_system(rng) for _ in range(12)]
+    for system in systems:
+        got = cli._subset_columns(system)["mi_w_supersample"]
+        assert abs(got - _mi_w_supersample_50_digits(system)) <= 1e-15
+    # a supersample of zero mass adds nothing, though P_W does not charge its w = 2
+    system = load_problem({
+        "setting": "subset", "instances": [0, 1, 2], "pz": [0.5, 0.5, 0.0], "n": 1,
+        "loss": {"hypotheses": [0, 1, 2], "range": [0, 1],
+                 "matrix": [[0, 1, 1], [1, 0, 1], [1, 1, 0]]},
+        "learner": {"kind": "erm"}})[1]
+    assert cli._subset_columns(system)["mi_w_supersample"] == pytest.approx(
+        math.log(2) / 2, abs=1e-15)

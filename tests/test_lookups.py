@@ -65,15 +65,16 @@ def test_subset_lookups_equal_the_array_entries(pools):
         for delta in DELTAS:
             pacb, dens = view.info(view.kls, delta), view.info(view.iota, delta)
             for flat in _sample(rng, dens.size):
-                zi, si, wi = np.unravel_index(flat, dens.shape)
+                row, wi = np.unravel_index(flat, dens.shape)  # row zi * |S| + si
+                zi, si = divmod(int(row), sys.s_grid.size)
                 zt, s, w = sys.ztildes[zi], sys.s_vecs[si], sys.w_labels[wi]
-                _same(bsub.cond_pacb_bound(sys, zt, s, delta), pacb[zi, si], view.rate)
-                if dens[zi, si, wi] == -math.inf:
+                _same(bsub.cond_pacb_bound(sys, zt, s, delta), pacb[row], view.rate)
+                if dens[row, wi] == -math.inf:
                     with pytest.raises(KeyError, match="outside the density's support"):
                         bsub.cond_sd_density_bound(sys, w, zt, s, delta)
                 else:
                     _same(bsub.cond_sd_density_bound(sys, w, zt, s, delta),
-                          dens[zi, si, wi], view.rate)
+                          dens[row, wi], view.rate)
 
 
 def test_delta_is_checked_before_the_lookup(inst_a, inst_b):

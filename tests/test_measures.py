@@ -412,3 +412,28 @@ def test_leakage_max_info_deviation_chain(rng, inst_a):
         imax = max_information(sys)
         assert leak <= imax + 1e-10
         assert imax <= tbl.mean + central_moment(tbl, T_INF) + 1e-10
+
+
+NON_FINITE = (math.nan, math.inf, -math.inf)
+
+
+@pytest.mark.parametrize("alpha", NON_FINITE)
+def test_a_non_finite_order_is_refused(inst_a, inst_b, alpha):
+    p = FiniteDistribution.from_probs(("a", "b"), [0.25, 0.75])
+    for measure in (lambda: alpha_mi(inst_a, alpha), lambda: system_renyi(inst_a, alpha),
+                    lambda: cond_alpha_mi(inst_b, alpha),
+                    lambda: cond_renyi_divergence(inst_b, alpha),
+                    lambda: renyi_divergence(p, p, alpha)):
+        with pytest.raises(ValueError, match="alpha"):
+            measure()
+
+
+@pytest.mark.parametrize("value", NON_FINITE)
+def test_a_non_finite_holder_exponent_is_refused(inst_b, value):
+    from genbounds.bounds_subset import holder_event_bound
+
+    for name, exponents in (("alpha", (value, 2.0, 2.0)), ("alpha_prime", (2.0, value, 2.0)),
+                            ("tilde_alpha", (2.0, 2.0, value))):
+        with pytest.raises(ValueError, match=f"^{name} must exceed 1 and be finite"):
+            holder_event_bound(inst_b, lambda w, zt, s: True, *exponents)
+

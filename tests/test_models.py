@@ -103,6 +103,20 @@ class TestLearnerKernels:
         for zvec in k.input_labels:
             assert abs(sum(k[zvec].mass) - 1.0) < 1e-12
 
+    @pytest.mark.parametrize("scale", [1e2, 1e4, 1e6])
+    def test_gibbs_rows_keep_at_any_loss_scale(self, rng, scale):
+        # losses scaled by c and beta by 1/c: the same rows; and beta kept,
+        # logits of order 1e4-1e8 still give rows of mass 1
+        values = rng.uniform(size=(5, 3))
+        loss = LossTable(tuple(range(5)), (0, 1, 2), values, 0.0, 1.0)
+        scaled = LossTable(tuple(range(5)), (0, 1, 2), values * scale, 0.0, scale)
+        for n in (1, 4, 8):
+            base = np.exp(gibbs_kernel(loss, n, 3.0).log_mass)
+            rows = np.exp(gibbs_kernel(scaled, n, 3.0 / scale).log_mass)
+            np.testing.assert_allclose(rows, base, rtol=1e-12, atol=0)
+            sharp = gibbs_kernel(scaled, n, 3.0)
+            assert np.all(np.abs(np.exp(sharp.log_mass).sum(axis=1) - 1.0) < 1e-12)
+
     def test_erm_tie_rules(self):
         loss = zero_one_loss([0, 1])
         lowest = erm_kernel(loss, 2, tie="lowest-index")

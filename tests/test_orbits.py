@@ -196,6 +196,18 @@ def test_north_star_report_and_sweep_at_n_40(tmp_path):
             == {"10", "20", "40"})
 
 
+def test_north_star_report_at_a_large_loss_scale(tmp_path):
+    """Losses and range scaled by 4,000 at beta = 2: Gibbs logits of order
+    1e4-1e5, whose rows were refused as not summing to 1."""
+    problem = _north_star(10)
+    problem["loss"] = dict(problem["loss"], range=[0, 4000],
+                           matrix=[[4000 * v for v in row] for row in problem["loss"]["matrix"]])
+    cfg, out = tmp_path / "report.json", tmp_path / "report.csv"
+    cfg.write_text(json.dumps({"problem": problem, "deltas": list(DELTAS)}))
+    assert main(["report", "--config", str(cfg), "--out", str(out)]) == 0
+    assert _single_draw_rows_hold(out) > 0
+
+
 def test_north_star_report_at_n_80(tmp_path):
     """n = 80: C(83, 3) * 8 = 735,048 orbit atoms."""
     assert load_problem(_north_star(80))[1].joint.size == 735_048

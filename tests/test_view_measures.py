@@ -19,7 +19,7 @@ from genbounds import (FiniteDistribution, Kernel, alpha_mi, cond_alpha_mi,
                        conditional_density, density, information_density, kl, load_fixture,
                        max_information, maximal_leakage, mutual_information, renyi_divergence,
                        system_renyi)
-from genbounds.measures import _alpha_mi, _leakage, _renyi
+from genbounds.measures import ONE_SEGMENT, _alpha_mi, _leakage, _renyi, _subset_starts
 from genbounds.prob import AbsoluteContinuityViolation
 from genbounds.verify import random_standard_system, random_subset_system
 
@@ -53,7 +53,7 @@ def test_standard_measures_equal_their_own_table_formulas(pools):
         q_w = FiniteDistribution.from_probs(sys.w_labels,
                                             rng.dirichlet(np.ones(len(sys.w_labels))))
         tbl = information_density(sys)
-        assert maximal_leakage(sys) == _leakage(sys.pzn_mass, sys.cond)
+        assert maximal_leakage(sys) == _leakage(sys.pzn_mass, sys.cond, ONE_SEGMENT)
         assert max_information(sys) == float(tbl.iota.max())
         for aux in (None, q_w):
             aux_tbl = information_density(sys, aux)
@@ -62,7 +62,8 @@ def test_standard_measures_equal_their_own_table_formulas(pools):
                 assert system_renyi(sys, alpha, aux) == _renyi_formula(aux_tbl, alpha)
         for alpha in ALPHAS:
             want = (tbl.mean if abs(alpha - 1.0) <= 1e-6 else _alpha_mi(
-                np.zeros(1), _log(sys.pzn_mass), _log(sys.pw_mass), tbl.arrays[2][None], alpha))
+                np.zeros(1), _log(sys.pzn_mass), _log(sys.pw_mass), tbl.arrays[2], ONE_SEGMENT,
+                alpha))
             assert alpha_mi(sys, alpha) == want
 
 
@@ -72,8 +73,9 @@ def test_subset_measures_equal_their_own_table_formulas(pools):
         q = Kernel({zt: FiniteDistribution.from_probs(
             sys.w_labels, rng.dirichlet(np.ones(len(sys.w_labels)))) for zt in sys.ztildes})
         tbl = conditional_density(sys)
-        mass = sys.p_ztilde[:, None] * sys.p_s[None, :]
-        assert cond_maximal_leakage(sys) == _leakage(mass, sys.cond)
+        mass = (sys.p_ztilde[:, None] * sys.p_s[None, :]).reshape(-1)
+        rows, starts = sys.cond.reshape(len(mass), -1), _subset_starts(sys)
+        assert cond_maximal_leakage(sys) == _leakage(mass, rows, starts)
         for aux in (None, q):
             aux_tbl = conditional_density(sys, aux)
             assert cond_mutual_information(sys, aux) == aux_tbl.mean
@@ -84,8 +86,9 @@ def test_subset_measures_equal_their_own_table_formulas(pools):
                 with pytest.raises(ValueError, match="alpha must exceed 1"):
                     cond_alpha_mi(sys, alpha)
                 continue
-            assert cond_alpha_mi(sys, alpha) == _alpha_mi(
-                _log(sys.p_ztilde), _log(sys.p_s), _log(sys.pw_given), tbl.arrays[2], alpha)
+            assert cond_alpha_mi(sys, alpha) == (tbl.mean if alpha - 1.0 <= 1e-6 else _alpha_mi(
+                _log(sys.p_ztilde), np.tile(_log(sys.p_s), sys.zt_grid.size),
+                _log(sys.pw_given), tbl.arrays[2], starts, alpha))
 
 
 def _distribution_pairs(rng, count=300):
