@@ -12,26 +12,21 @@ from typing import Any
 
 from .engine import (BoundResult, _View, _check_delta, _log_ratio, _lookup,
                      _tail_bound_from_table, max_information, view_of)
-from .measures import ONE_SEGMENT, T_INF, _logs, information_density
+from .measures import T_INF, information_density
 from .models import StandardSystem
 from .prob import FiniteDistribution
 
 
 class _StandardView(_View):
-    """The standard setting, optionally against an auxiliary marginal Q_W:
-    one context, whose rows are the z-vectors."""
+    """The standard setting, optionally against an auxiliary marginal Q_W."""
 
     setting = "standard"
-    starts = ONE_SEGMENT  # one context, of mass 1
 
     def __init__(self, sys: StandardSystem, q_w: FiniteDistribution | None = None):
         super().__init__(sys, sys.sigma ** 2, {"sigma": sys.sigma, "n": sys.n})
         self.q_w = q_w
-        self.values = self.gen = sys.gen_table.T
-        self.mass, self.joint, self.cond = sys.pzn_mass, sys.joint, sys.cond
 
     table = cached_property(lambda self: information_density(self.sys, self.q_w))
-    log_masses = property(lambda self: _logs((1.0,), self.sys.pzn_mass, self.sys.pw_mass))
 
 
 def avg_mi_bound(sys: StandardSystem,

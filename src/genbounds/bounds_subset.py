@@ -18,8 +18,7 @@ import numpy as np
 
 from .engine import (BoundResult, _View, _check_delta, _log_ratio, _lookup,
                      _tail_bound_from_table, cond_alpha_mi, view_of)
-from .measures import (ONE_SEGMENT, _leakage, _logs, _nested_mean, _subset_starts,
-                       conditional_density)
+from .measures import ONE_SEGMENT, _leakage, _nested_mean, conditional_density
 from .models import LossTable, SubsetSystem, _data_grid
 from .prob import NEG_INF, FiniteDistribution, power_log_mass
 
@@ -32,8 +31,8 @@ class RangeConstant:
     mode: str  # bounded-range | delta-expectation
 
     def __post_init__(self):
-        if self.value < 0:
-            raise ValueError("range constant must be nonnegative")
+        if not self.value >= 0:  # NaN too
+            raise ValueError(f"range constant must be nonnegative, got {self.value!r}")
 
 
 def range_constant(loss: LossTable) -> RangeConstant:
@@ -53,9 +52,10 @@ def delta_constant(delta_fn: Callable[[Any, Any], float], pz: FiniteDistribution
             for z2 in pz.outcomes:
                 gap = max(abs(loss.loss(w, z1) - loss.loss(w, z2))
                           for w in loss.hypotheses)
-                if delta_fn(z1, z2) < gap - 1e-12:
-                    raise ValueError(
-                        f"Delta({z1!r}, {z2!r}) does not dominate the loss differences")
+                value = delta_fn(z1, z2)
+                if not value >= gap - 1e-12:  # NaN too
+                    raise ValueError(f"Delta({z1!r}, {z2!r}) = {value!r} does not "
+                                     "dominate the loss differences")
     value = sum(pz.mass_of(z1) * pz.mass_of(z2) * delta_fn(z1, z2) ** 2
                 for z1 in pz.outcomes for z2 in pz.outcomes)
     return RangeConstant(float(value), "delta-expectation")
@@ -63,9 +63,7 @@ def delta_constant(delta_fn: Callable[[Any, Any], float], pz: FiniteDistribution
 
 class _SubsetView(_View):
     """The random-subset setting, with range constant ``c`` (default
-    (b - a)^2) and optionally an auxiliary conditional ``q_kernel``. It reads
-    the system's (z-tilde, s, w) arrays as (row, w) rows, without a copy: row
-    zt_code * |S| + s_code, one context of |S| rows per supersample."""
+    (b - a)^2) and optionally an auxiliary conditional ``q_kernel``."""
 
     setting = "subset"
 
@@ -74,15 +72,8 @@ class _SubsetView(_View):
         const = (c or range_constant(sys.loss)).value
         super().__init__(sys, const, {"C": const, "n": sys.n})
         self.q_kernel = q_kernel
-        width = len(sys.w_labels)
-        self.values, self.gen, self.cond, self.joint = (
-            a.reshape(-1, width) for a in (sys.genhat, sys.gen_sel, sys.cond, sys.joint))
-        self.mass = (sys.p_ztilde[:, None] * sys.p_s[None, :]).reshape(-1)
-        self.starts = _subset_starts(sys)
 
     table = cached_property(lambda self: conditional_density(self.sys, self.q_kernel))
-    log_masses = property(lambda self: _logs(
-        self.sys.p_ztilde, np.tile(self.sys.p_s, self.sys.zt_grid.size), self.sys.pw_given))
 
 
 def cmi_avg_bound(sys: SubsetSystem, c: RangeConstant | None = None) -> BoundResult:

@@ -114,15 +114,12 @@ def view_of(sys, *aux) -> "_View":
 class _View:
     """One setting's inputs to the bound formulas, which are its methods.
 
-    ``variance`` is sigma^2 or C and ``rate`` is 2 variance / n. A setting
-    supplies, on its flat (row, w) grid: ``starts`` (each context's first
-    row), ``table`` (the density table, computed on first use, whose
-    ``arrays`` the view reads as ``_log_arrays``: the log joint, the log
-    base measure and the density ``iota``), ``values`` (the value bounded at
-    each atom), ``gen`` (the generalization error at each atom), ``mass``
-    (of each row), ``joint`` and ``cond`` (the posterior rows), and
-    ``log_masses`` (each context's log mass, each row's given its context,
-    and log P(w | context) of the system). From these the view computes
+    ``variance`` is sigma^2 or C and ``rate`` is 2 variance / n. The view
+    takes its grid from the system's flat rows (``models.Rows``): ``starts``,
+    ``mass``, ``joint``, ``cond``, ``values``, ``gen`` and ``log_masses``.
+    A setting supplies ``table``, the density table, computed on first use,
+    whose ``arrays`` the view reads as ``_log_arrays``: the log joint, the
+    log base measure and the density ``iota``. From these the view computes
     ``kls`` (one posterior relative entropy per row), ``leakage``, the Renyi
     divergences and the alpha-MI, by the formulas of ``measures``.
 
@@ -146,6 +143,9 @@ class _View:
         self.rate = 2.0 * variance / sys.n
         self._params = dict(params)
         self._memo: dict = {}
+        r = sys.rows
+        self.starts, self.mass, self.joint, self.cond = r.starts, r.mass, r.joint, r.cond
+        self.values, self.gen, self.log_masses = r.values, r.gen, r.log_masses
 
     sys = property(lambda self: self._sys())
     _log_arrays = property(lambda self: self.table.arrays)

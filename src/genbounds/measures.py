@@ -6,10 +6,9 @@ take the grids' support rule and Renyi formula. All quantities are in nats.
 Orders within 1e-6 of 1 dispatch to the KL/mutual-information limit, where
 the closed forms are numerically 0/0; a non-finite order is refused. Moment
 order t = infinity is a distinguished sentinel (``T_INF``), not a float
-smuggled through arithmetic. A system grid is flat, (row, w) or (row,)
-arrays whose rows ``starts`` splits into contexts, each context's first row:
-the standard grid is one context (``ONE_SEGMENT``), the subset grid one per
-supersample of |S| rows, and per-context reductions are segment reductions.
+smuggled through arithmetic. A system's grid is its flat rows
+(``models.Rows``), split into contexts by ``starts``; per-context
+reductions are segment reductions.
 """
 from __future__ import annotations
 
@@ -18,17 +17,14 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Any, Callable, Sequence
+from typing import Any, Callable
 
 import numpy as np
 
-from .models import StandardSystem, SubsetSystem
-from .prob import (NEG_INF, AbsoluteContinuityViolation, FiniteDistribution, ProductGrid,
-                   TypeGrid, logsumexp)
+from .models import ONE_SEGMENT, StandardSystem, SubsetSystem, _logs  # noqa: F401 (re-exported)
+from .prob import NEG_INF, AbsoluteContinuityViolation, FiniteDistribution, logsumexp
 
 ALPHA_ONE_TOL = 1e-6
-ONE_SEGMENT = np.zeros(1, dtype=np.intp)  # the starts of a one-context grid
-ONE_SEGMENT.flags.writeable = False  # shared by every standard view
 
 
 class MomentOrder(enum.Enum):
@@ -155,32 +151,26 @@ def density(p: FiniteDistribution, q: FiniteDistribution) -> DensityTable:
                         lambda: tuple(itertools.compress(p.outcomes, sup)), arrays)
 
 
-def _logs(*masses) -> tuple:
-    """The natural log of each array of ``masses``, log 0 = -inf."""
-    with np.errstate(divide="ignore"):
-        return tuple(np.log(m) for m in masses)
-
-
-def _density(grids: Sequence[ProductGrid | TypeGrid], w_labels: tuple, joint: np.ndarray,
-             log_mass: np.ndarray, cond: np.ndarray, log_q: np.ndarray,
-             starts: np.ndarray) -> DensityTable:
-    """The density of ``joint`` on a flat (row, w) grid, for both settings:
-    iota = log P(w | row) - log Q(w | context) by the density rule, from the
-    posterior rows ``cond`` and the base conditional ``log_q``, one row per
-    context of ``starts``. The base measure, log mass + log Q, must
-    charge the joint's support. The table keeps the (log joint, log base,
-    iota) grid; its outcomes, built on first access, are (w, data labels...)
-    in grid order (a type's representative on a ``TypeGrid``), made from
-    the grids, so it holds no system."""
-    log_joint, iota = _logs(joint, cond)
+def _density(sys: StandardSystem | SubsetSystem, log_q: np.ndarray | None) -> DensityTable:
+    """The density of the joint on ``sys.rows``, for both settings: iota =
+    log P(w | row) - log Q(w | context) by the density rule, ``log_q`` one row
+    per context (None: the system's own P(w | context)). The base measure,
+    the row's log mass + log Q, must charge the joint's support. The table
+    keeps the (log joint, log base, iota) rows; its outcomes, (w, data
+    labels...) in row order, are built on first access from the grids, so
+    the table holds no system."""
+    rows, w_labels = sys.rows, sys.w_labels
+    log_ctx, log_data, own_q = rows.log_masses
+    log_joint, iota = _logs(rows.joint, rows.cond)
     # each context's log Q on each of its rows, then the log base measure in place
-    log_base = np.repeat(np.atleast_2d(log_q), np.diff(starts, append=len(iota)), axis=0)
+    counts = np.diff(rows.starts, append=len(iota))
+    log_base = np.repeat(np.atleast_2d(own_q if log_q is None else log_q), counts, axis=0)
     if np.any((log_joint > NEG_INF) & (log_base == NEG_INF)):
         raise AbsoluteContinuityViolation(
             "joint atom outside the support of the base measure")
     _support_ratio(iota, log_base)
-    log_base += log_mass[:, None]
-    joint_sup = log_joint > NEG_INF
+    log_base += (np.repeat(log_ctx, counts) + log_data)[:, None]
+    joint_sup, grids = log_joint > NEG_INF, rows.grids
 
     def outcomes() -> tuple:
         axes = [g.vectors() for g in grids] + [w_labels]
@@ -196,30 +186,16 @@ def information_density(sys: StandardSystem,
                         q_w: FiniteDistribution | None = None) -> DensityTable:
     """Information density of (W, Z) under the system joint, optionally
     against an auxiliary hypothesis marginal Q_W, over the (zvec, w) grid."""
-    log_mass, log_q = _logs(sys.pzn_mass, sys.pw_mass)
-    if q_w is not None:
-        log_q = np.array([q_w.log_mass_of(w) for w in sys.w_labels])
-    return _density((sys.z_grid,), sys.w_labels, sys.joint, log_mass, sys.cond, log_q,
-                    ONE_SEGMENT)
-
-
-def _subset_starts(sys: SubsetSystem) -> np.ndarray:
-    """Each supersample's first row; the rows are the (z-tilde, s) in code order."""
-    return np.arange(sys.zt_grid.size) * sys.s_grid.size
+    return _density(sys, None if q_w is None else
+                    np.array([q_w.log_mass_of(w) for w in sys.w_labels]))
 
 
 def conditional_density(sys: SubsetSystem, q_kernel=None) -> DensityTable:
     """Conditional information density of (W, S) given the supersample, over
     the flat ((ztilde, s), w) grid, against P_{W|Ztilde} (or the auxiliary
     conditional): log(P(w,zt,s) / (P(w|zt) P(zt) P(s))) = log(P(w|z(s)) / P(w|zt))."""
-    log_zt, log_s, log_q = _logs(sys.p_ztilde, sys.p_s, sys.pw_given)
-    if q_kernel is not None:  # columns in w_labels order
-        log_q = q_kernel.log_mass_on(sys.zt_grid)[
-            :, [q_kernel.output_outcomes.index(w) for w in sys.w_labels]]
-    width = len(sys.w_labels)
-    return _density((sys.zt_grid, sys.s_grid), sys.w_labels, sys.joint.reshape(-1, width),
-                    (log_zt[:, None] + log_s[None, :]).reshape(-1),
-                    sys.cond.reshape(-1, width), log_q, _subset_starts(sys))
+    return _density(sys, None if q_kernel is None else q_kernel.log_mass_on(sys.zt_grid)[
+        :, [q_kernel.output_outcomes.index(w) for w in sys.w_labels]])  # in w_labels order
 
 
 # -- divergences ------------------------------------------------------------

@@ -125,13 +125,23 @@ def gibbs_kernel(loss: LossTable, n: int, beta: float) -> Kernel:
     """P(w | z-vector) proportional to exp(-beta * n * empirical loss).
 
     beta = 0 gives the uniform learner; beta -> inf approaches ERM with a
-    uniform split over tied minimizers.
+    uniform split over tied minimizers. A row whose best logit overflows is
+    taken relative to its best total, so it reaches that limit (or, below 0,
+    the anti-ERM one).
     """
     if not math.isfinite(beta):
         raise ValueError("beta must be finite")
     grid = _learner_grid(loss, n)
-    logits = -beta * loss.totals(grid)
-    logits -= logits.max(axis=1, keepdims=True)  # each row's largest logit is 0
+    totals = loss.totals(grid)
+    with np.errstate(over="ignore"):
+        logits = -beta * totals
+        top = logits.max(axis=1, keepdims=True)
+        if not np.isfinite(top).all():
+            over = ~np.isfinite(top[:, 0])  # the rows whose best logit overflows
+            best = (totals.min if beta > 0 else totals.max)(axis=1, keepdims=True)
+            logits[over] = -beta * (totals[over] - best[over])
+            top[over] = 0.0  # their best logit is now 0
+    logits -= top  # each row's largest logit is 0
     return Kernel.on_grid(logits - logsumexp(logits, axis=1)[:, None],
                           loss.hypotheses, grid)
 
@@ -175,6 +185,45 @@ def identity_kernel(loss: LossTable) -> Kernel:
 
 # -- assembled systems ------------------------------------------------------
 
+ONE_SEGMENT = np.zeros(1, dtype=np.intp)  # the starts of a one-context grid
+ONE_SEGMENT.flags.writeable = False  # shared by every standard system
+
+
+def _logs(*masses) -> tuple:
+    """The natural log of each array of ``masses``, log 0 = -inf."""
+    with np.errstate(divide="ignore"):
+        return tuple(np.log(m) for m in masses)
+
+
+@dataclass(frozen=True)
+class Rows:
+    """A system's grid as flat rows, the one layout that its views, density
+    tables and measures read: ``joint``, ``cond`` (the posteriors), ``values``
+    (the value bounded) and ``gen`` are (row, w) arrays and ``mass`` is per
+    row; ``starts`` is each context's first row, and ``log_masses`` are each
+    context's log mass, each row's log mass given its context, and log
+    P(w | context). The codes of ``grids``, in product order, number the rows.
+    Contexts are contiguous and non-empty; arrays are read-only."""
+
+    grids: tuple
+    starts: np.ndarray
+    mass: np.ndarray
+    joint: np.ndarray
+    cond: np.ndarray
+    values: np.ndarray
+    gen: np.ndarray
+    log_masses: tuple
+
+    def __post_init__(self):  # the system's own arrays are read-only already
+        for arr in (self.starts, self.mass, *self.log_masses):
+            arr.flags.writeable = False
+
+
+def _state_without_rows(system) -> dict:
+    """A system's pickled state, without its rows: an unpickled copy lays out
+    its own, views of its own arrays rather than copies of the original's."""
+    return {name: value for name, value in vars(system).items() if name != "rows"}
+
 
 def _set_derived(system, **fields) -> None:
     """Set the derived fields of a frozen system; arrays become read-only."""
@@ -197,6 +246,7 @@ class StandardSystem:
     """
 
     setting = "standard"
+    __getstate__ = _state_without_rows
     pz: FiniteDistribution
     n: int
     learner: Kernel
@@ -226,6 +276,13 @@ class StandardSystem:
         """The z-vector labels, in code order: on a ``TypeGrid``, one sorted
         representative per type."""
         return self.z_grid.vectors()
+
+    @cached_property
+    def rows(self) -> Rows:
+        """One context, of mass 1, whose rows are the codes of ``z_grid``."""
+        gen = self.gen_table.T
+        return Rows((self.z_grid,), ONE_SEGMENT, self.pzn_mass, self.joint, self.cond, gen,
+                    gen, (np.zeros(1), *_logs(self.pzn_mass, self.pw_mass)))
 
     @property
     def sigma(self) -> float:
@@ -299,6 +356,7 @@ class SubsetSystem:
     """
 
     setting = "subset"
+    __getstate__ = _state_without_rows
     pz: FiniteDistribution
     n: int
     learner: Kernel
@@ -342,6 +400,18 @@ class SubsetSystem:
     def s_vecs(self) -> tuple:
         """The selector labels, in code order."""
         return self.s_grid.vectors()
+
+    @cached_property
+    def rows(self) -> Rows:
+        """One context of |S| rows per supersample: row zt_code * |S| + s_code,
+        the (z-tilde, s, w) arrays read by ``reshape``, with no copy."""
+        n_zt, width = self.zt_grid.size, len(self.w_labels)
+        joint, cond, genhat, gen_sel = (a.reshape(-1, width) for a in
+                                        (self.joint, self.cond, self.genhat, self.gen_sel))
+        return Rows((self.zt_grid, self.s_grid), np.arange(n_zt) * self.s_grid.size,
+                    (self.p_ztilde[:, None] * self.p_s[None, :]).reshape(-1), joint, cond,
+                    genhat, gen_sel, _logs(self.p_ztilde, np.tile(self.p_s, n_zt),
+                                           self.pw_given))
 
     def select(self, ztilde: tuple, s: tuple) -> tuple:
         """Training vector z(s): the ith sample is ztilde[i + s_i * n]."""

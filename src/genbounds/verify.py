@@ -360,10 +360,20 @@ def strong_converse_check(p: FiniteDistribution, q: FiniteDistribution,
             "rhs": rhs, "holds": p_event <= rhs + COVERAGE_TOL}
 
 
+def _count(name: str, value: Any, least: int) -> int:
+    """``value`` as an int, if integral and at least ``least``; else a
+    ValueError naming ``name``."""
+    if not (value >= least and float(value).is_integer()):
+        raise ValueError(f"{name} must be an integer of at least {least}, got {value!r}")
+    return int(value)
+
+
 def hoeffding_tail(sigma: float, n: int, eps: float) -> float:
-    """Two-sided Hoeffding tail 2 exp(-n eps^2 / (2 sigma^2))."""
-    if sigma <= 0 or n < 1 or eps < 0:
-        raise ValueError("require sigma > 0, n >= 1, eps >= 0")
+    """Two-sided Hoeffding tail 2 exp(-n eps^2 / (2 sigma^2)); sigma must be
+    finite and positive, n an integer >= 1 and eps >= 0."""
+    sigma, n = _positive("sigma", sigma), _count("n", n, 1)
+    if not eps >= 0:  # NaN too
+        raise ValueError(f"eps must be nonnegative, got {eps!r}")
     return 2.0 * math.exp(-n * eps ** 2 / (2.0 * sigma ** 2))
 
 
@@ -371,9 +381,12 @@ def gaussian_mi_validation(n: int, noise_var: float, prior_var: float,
                            samples: int = 100_000, seed: int = 0) -> dict:
     """Monte Carlo check of the density machinery against a Gaussian closed
     form: W = mean of n iid N(0, prior_var) draws plus N(0, noise_var) noise,
-    for which I(W; Z) = (1/2) log(1 + prior_var / (n noise_var))."""
-    if noise_var <= 0 or prior_var <= 0:
-        raise ValueError("variances must be positive")
+    for which I(W; Z) = (1/2) log(1 + prior_var / (n noise_var)). n must be
+    an integer >= 1, the variances finite and positive, and samples an
+    integer >= 2 (the standard error needs two)."""
+    n, samples = _count("n", n, 1), _count("samples", samples, 2)
+    _positive("noise_var", noise_var)
+    _positive("prior_var", prior_var)
     closed = 0.5 * math.log(1.0 + prior_var / (n * noise_var))
     rng = np.random.default_rng(seed)
     z = rng.normal(0.0, math.sqrt(prior_var), size=(samples, n))

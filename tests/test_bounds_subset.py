@@ -55,6 +55,11 @@ class TestRangeConstants:
         with pytest.raises(ValueError):
             RangeConstant(-1.0, "bounded-range")
 
+    def test_nan_value_rejected(self):
+        from genbounds.bounds_subset import RangeConstant
+        with pytest.raises(ValueError, match="range constant must be nonnegative, got nan"):
+            RangeConstant(math.nan, "bounded-range")
+
     def test_delta_expectation_uniform(self):
         # Delta(z1, z2) = [z1 != z2] dominates the 0/1 loss differences and
         # has E[Delta^2] = 1/2 under two uniform instances
@@ -68,6 +73,15 @@ class TestRangeConstants:
         pz = FiniteDistribution.bernoulli(0.5)
         with pytest.raises(ValueError):
             delta_constant(lambda z1, z2: 0.0, pz, zero_one_loss([0, 1]))
+
+    def test_a_nan_delta_is_refused(self):
+        # the domination check names the first pair; without a loss table the
+        # NaN expectation is refused as a range constant, not read as infeasible
+        pz = FiniteDistribution.bernoulli(0.5)
+        with pytest.raises(ValueError, match=r"Delta\(0, 0\) = nan does not dominate"):
+            delta_constant(lambda z1, z2: math.nan, pz, zero_one_loss([0, 1]))
+        with pytest.raises(ValueError, match="range constant must be nonnegative, got nan"):
+            delta_constant(lambda z1, z2: math.nan, pz)
 
 
 class TestCmiAvgBound:

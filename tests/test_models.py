@@ -22,7 +22,7 @@ from genbounds import (
     zero_one_loss,
 )
 from genbounds import Kernel
-from genbounds.prob import BudgetExceededError, ProductGrid, TypeGrid
+from genbounds.prob import BudgetExceededError, ProductGrid, TypeGrid, logsumexp
 
 
 class TestLossTable:
@@ -116,6 +116,29 @@ class TestLearnerKernels:
             np.testing.assert_allclose(rows, base, rtol=1e-12, atol=0)
             sharp = gibbs_kernel(scaled, n, 3.0)
             assert np.all(np.abs(np.exp(sharp.log_mass).sum(axis=1) - 1.0) < 1e-12)
+
+    @pytest.mark.parametrize("beta", [1e308, -1e308])
+    def test_gibbs_rows_whose_best_logit_overflows_reach_the_limit(self, beta):
+        # beta * total overflows on every hypothesis of some rows (type (0, 1, 2)
+        # ties all three): those rows take the ERM (beta > 0) or anti-ERM
+        # (beta < 0) limit, uniform over ties, with no warning
+        loss = zero_one_loss([0, 1, 2])
+        sign = 1.0 if beta > 0 else -1.0
+        limit = erm_kernel(LossTable(loss.hypotheses, loss.instances, sign * loss.values,
+                                     min(0.0, sign), max(0.0, sign)), 3, "uniform-over-argmin")
+        k = gibbs_kernel(loss, 3, beta)
+        assert np.array_equal(np.exp(k.log_mass), np.exp(limit.log_mass))
+        assert k[(0, 1, 2)].mass == pytest.approx((1 / 3,) * 3, abs=1e-15)
+
+    def test_gibbs_rows_that_do_not_overflow_keep_their_bits(self, rng):
+        # only rows whose best logit overflows leave the shift-by-largest-logit form
+        values = rng.uniform(size=(4, 3))
+        loss = LossTable(tuple(range(4)), (0, 1, 2), values, 0.0, 1.0)
+        for n, beta in ((3, 2.0), (4, -7.5), (2, 1e300), (2, -1e300)):
+            k = gibbs_kernel(loss, n, beta)
+            logits = -beta * loss.totals(k.grid)
+            logits -= logits.max(axis=1, keepdims=True)
+            assert np.array_equal(k.log_mass, logits - logsumexp(logits, axis=1)[:, None])
 
     def test_erm_tie_rules(self):
         loss = zero_one_loss([0, 1])

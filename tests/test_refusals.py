@@ -1,0 +1,125 @@
+"""Refusals and paths that no other test reaches: each test names the check
+it exercises by its message (or its result), so it fails if the check goes."""
+import math
+from types import SimpleNamespace
+
+import numpy as np
+import pytest
+
+from genbounds import (BoundResult, FiniteDistribution, JointTable, Kernel, LossTable,
+                       StandardSystem, cli, ess_sup, gibbs_kernel, kl, load_problem,
+                       marginalize, renyi_divergence, zero_one_loss)
+from genbounds.measures import DensityTable, _renyi, density, normalize_order
+from genbounds.prob import InvalidDistributionError, ProductGrid, TypeGrid
+from test_cli import STANDARD_PROBLEM, write_config
+
+
+def test_a_config_without_a_problem_exits_2_naming_it(tmp_path, capsys):
+    cfg = write_config(tmp_path, "cfg.json", {"deltas": [0.1]})
+    assert cli.main(["report", "--config", cfg]) == 2
+    assert "config lacks a 'problem' entry" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("epsilon", [math.inf, math.nan])
+def test_a_feasible_result_needs_a_finite_epsilon(epsilon):
+    with pytest.raises(ValueError, match="feasible bound must have finite epsilon"):
+        BoundResult(epsilon, "average", "data-independent")
+    assert not BoundResult(epsilon, "average", "data-independent", feasible=False).feasible
+
+
+@pytest.mark.parametrize("t", [0, -1, -0.5, "0"])
+def test_a_moment_order_must_be_positive(t):
+    with pytest.raises(ValueError, match="moment order must be positive"):
+        normalize_order(t)
+
+
+def test_a_density_table_refuses_mismatched_shapes():
+    with pytest.raises(ValueError, match="log_p and iota shape mismatch"):
+        DensityTable(np.zeros(2), np.zeros(3), lambda: ())
+
+
+def test_renyi_divergence_near_one_is_the_kl():
+    p = FiniteDistribution.from_probs(("a", "b", "c"), (0.5, 0.3, 0.2))
+    q = FiniteDistribution.from_probs(("a", "b", "c"), (0.2, 0.2, 0.6))
+    for alpha in (1.0, 1.0 + 1e-7, 1.0 - 1e-7):
+        assert renyi_divergence(p, q, alpha) == kl(p, q)
+    # the closed form there is not the KL bit for bit: the dispatch is what holds it
+    assert _renyi(density(p, q).arrays, 1.0 + 1e-7) != kl(p, q)
+
+
+def test_a_loss_matrix_must_match_its_labels():
+    with pytest.raises(ValueError, match="loss matrix shape mismatch"):
+        LossTable((0, 1), (0, 1), np.zeros((2, 3)), 0.0, 1.0)
+
+
+@pytest.mark.parametrize("beta", [math.inf, -math.inf, math.nan])
+def test_gibbs_refuses_a_non_finite_beta(beta):
+    with pytest.raises(ValueError, match="beta must be finite"):
+        gibbs_kernel(zero_one_loss([0, 1]), 2, beta)
+
+
+def test_a_system_refuses_learner_labels_other_than_the_loss_hypotheses():
+    loss = zero_one_loss([0, 1])
+    other = gibbs_kernel(LossTable(("a", "b"), (0, 1), 1.0 - np.eye(2), 0.0, 1.0), 2, 1.0)
+    with pytest.raises(ValueError, match="learner output labels do not match loss hypotheses"):
+        StandardSystem(FiniteDistribution.uniform((0, 1)), 2, other, loss)
+
+
+def test_custom_kernel_rows_must_be_a_mapping():
+    doc = dict(STANDARD_PROBLEM, n=1, learner={"kind": "custom-kernel", "rows": [[0.5, 0.5]]})
+    with pytest.raises(ValueError, match="custom-kernel rows must map"):
+        load_problem(doc)
+
+
+@pytest.mark.parametrize("grid", [ProductGrid, TypeGrid])
+def test_a_grid_refuses_a_negative_length(grid):
+    with pytest.raises(ValueError, match="vector length must be nonnegative"):
+        grid((0, 1), -1)
+
+
+@pytest.mark.parametrize("vec", [(0,), (0, 1, 1), [0, 1]])
+def test_a_product_grid_code_refuses_a_vector_of_the_wrong_form(vec):
+    with pytest.raises(KeyError):
+        ProductGrid((0, 1), 2).code(vec)
+
+
+def test_a_type_grid_needs_a_label():
+    with pytest.raises(ValueError, match="a type grid needs at least one label"):
+        TypeGrid((), 2)
+
+
+def test_a_kernel_refuses_no_rows():
+    with pytest.raises(InvalidDistributionError, match="empty kernel"):
+        Kernel({})
+    with pytest.raises(InvalidDistributionError, match="empty kernel"):
+        Kernel.on_grid(np.zeros((0, 2)), (0, 1), ProductGrid((), 1))
+
+
+def test_a_kernel_on_a_grid_refuses_a_non_finite_mass():
+    log_mass = np.array([[0.0, -math.inf], [math.inf, 0.0]])
+    with pytest.raises(InvalidDistributionError, match="probability masses must be finite"):
+        Kernel.on_grid(log_mass, (0, 1), TypeGrid((0, 1), 1))
+
+
+def test_a_kernel_iterates_over_its_input_labels():
+    k = gibbs_kernel(zero_one_loss([0, 1]), 2, 1.0)
+    assert list(k) == list(k.input_labels) == [(0, 0), (0, 1), (1, 1)]
+
+
+@pytest.mark.parametrize("keep", [(2,), (-1,), (0, 5)])
+def test_marginalize_refuses_a_coordinate_out_of_range(keep):
+    j = JointTable([(0, "a"), (1, "b")], np.log([0.5, 0.5]))
+    with pytest.raises(ValueError, match="coordinate out of range for arity 2"):
+        marginalize(j, keep)
+
+
+def test_ess_sup_refuses_values_of_the_wrong_length():
+    with pytest.raises(ValueError, match="values and outcomes length mismatch"):
+        ess_sup([1.0], FiniteDistribution.uniform((0, 1)))
+
+
+def test_ess_sup_refuses_an_empty_support():
+    # no FiniteDistribution has an empty support; ess_sup reads only these fields
+    dist = SimpleNamespace(outcomes=(0, 1), log_mass=np.full(2, -math.inf))
+    with pytest.raises(ValueError, match="distribution has empty support"):
+        ess_sup([1.0, 2.0], dist)

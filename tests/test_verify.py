@@ -274,6 +274,18 @@ class TestHoeffdingTail:
             with pytest.raises(ValueError):
                 hoeffding_tail(*bad)
 
+    @pytest.mark.parametrize("bad, name", [((math.nan, 2, 0.5), "sigma"),
+                                           ((math.inf, 2, 0.5), "sigma"),
+                                           ((0.5, 2, math.nan), "eps"),
+                                           ((0.5, 2.5, 0.5), "n"),
+                                           ((0.5, math.nan, 0.5), "n")])
+    def test_a_nan_or_fractional_argument_is_refused_by_name(self, bad, name):
+        with pytest.raises(ValueError, match=f"^{name} must"):
+            hoeffding_tail(*bad)
+
+    def test_an_integral_float_n_is_an_integer(self):
+        assert hoeffding_tail(0.5, 2.0, 0.5) == hoeffding_tail(0.5, 2, 0.5)
+
     def test_dominates_exact_empirical_tail(self):
         # fixed hypothesis, iid 0/1 losses: the bound must dominate the
         # exact binomial deviation probability
@@ -306,6 +318,23 @@ class TestGaussianValidation:
     def test_variance_validation(self):
         with pytest.raises(ValueError):
             gaussian_mi_validation(1, 0.0, 1.0)
+
+    @pytest.mark.parametrize("args, kwargs, name", [
+        ((0, 1.0, 1.0), {}, "n"),  # was a ZeroDivisionError
+        ((-1, 1.0, 1.0), {}, "n"),  # was "math domain error"
+        ((1.5, 1.0, 1.0), {}, "n"),
+        ((2, 1.0, 1.0), {"samples": 1}, "samples"),  # was a NaN std_error
+        ((2, 1.0, 1.0), {"samples": 0}, "samples"),
+        ((2, math.nan, 1.0), {}, "noise_var"),
+        ((2, 1.0, math.nan), {}, "prior_var"),
+        ((2, math.inf, 1.0), {}, "noise_var"),
+    ])
+    def test_malformed_input_is_refused_by_name(self, args, kwargs, name):
+        with pytest.raises(ValueError, match=f"^{name} must"):
+            gaussian_mi_validation(*args, **kwargs)
+
+    def test_two_samples_give_a_finite_standard_error(self):
+        assert math.isfinite(gaussian_mi_validation(2, 1.0, 1.0, samples=2)["std_error"])
 
 
 class TestSuiteRunner:
