@@ -10,8 +10,8 @@ from __future__ import annotations
 from functools import cached_property
 from typing import Any
 
-from .engine import (BoundResult, _View, _check_delta, _log_ratio, _lookup,
-                     _tail_bound_from_table, max_information, view_of)
+from .engine import (BoundResult, _View, _check_delta, _log_ratio, _tail_bound_from_table,
+                     max_information, view_of)
 from .measures import T_INF, information_density
 from .models import StandardSystem
 from .prob import FiniteDistribution
@@ -39,8 +39,7 @@ def pacb_bound(sys: StandardSystem, zvec: tuple, delta: float,
                q_w: FiniteDistribution | None = None) -> BoundResult:
     """Data-dependent PAC-Bayesian bound at one training set."""
     view, delta = view_of(sys, q_w), _check_delta(delta)
-    return view.pointwise(view.kls[_lookup(sys.z_grid.code, zvec)], "pac-bayes", delta,
-                          (zvec,))
+    return view.pointwise(view.kls[sys.rows.row(zvec)], "pac-bayes", delta, (zvec,))
 
 
 def pacb_moment_bound(sys: StandardSystem, delta: float, t: Any,
@@ -53,8 +52,7 @@ def sd_density_bound(sys: StandardSystem, w: Any, zvec: tuple, delta: float,
                      q_w: FiniteDistribution | None = None) -> BoundResult:
     """Single-draw bound at one (hypothesis, training set) atom."""
     view, delta = view_of(sys, q_w), _check_delta(delta)
-    term = view.iota[_lookup(sys.z_grid.code, zvec), _lookup(sys.w_labels.index, w)]
-    return view.pointwise(term, "single-draw", delta, (w, zvec))
+    return view.pointwise(view.iota[sys.rows.atom(w, zvec)], "single-draw", delta, (w, zvec))
 
 
 def sd_moment_bound(sys: StandardSystem, delta: float, t: Any,

@@ -16,8 +16,8 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .engine import (BoundResult, _View, _check_delta, _log_ratio, _lookup,
-                     _tail_bound_from_table, cond_alpha_mi, view_of)
+from .engine import (BoundResult, _View, _check_delta, _log_ratio, _tail_bound_from_table,
+                     cond_alpha_mi, view_of)
 from .measures import ONE_SEGMENT, _leakage, _nested_mean, conditional_density
 from .models import LossTable, SubsetSystem, _data_grid
 from .prob import NEG_INF, FiniteDistribution, power_log_mass
@@ -85,8 +85,7 @@ def cond_pacb_bound(sys: SubsetSystem, ztilde: tuple, s: tuple, delta: float,
                     c: RangeConstant | None = None, q_kernel=None) -> BoundResult:
     """Conditional PAC-Bayesian bound at one (supersample, selector) atom."""
     view, delta = view_of(sys, c, q_kernel), _check_delta(delta)
-    row = _lookup(sys.zt_grid.code, ztilde) * sys.s_grid.size + _lookup(sys.s_grid.code, s)
-    return view.pointwise(view.kls[row], "pac-bayes", delta, (ztilde, s))
+    return view.pointwise(view.kls[sys.rows.row(ztilde, s)], "pac-bayes", delta, (ztilde, s))
 
 
 def cond_pacb_moment_bound(sys: SubsetSystem, delta: float, t: Any,
@@ -101,8 +100,7 @@ def cond_sd_density_bound(sys: SubsetSystem, w: Any, ztilde: tuple, s: tuple,
                           q_kernel=None) -> BoundResult:
     """Conditional single-draw bound at one (w, z-tilde, s) atom."""
     view, delta = view_of(sys, c, q_kernel), _check_delta(delta)
-    row = _lookup(sys.zt_grid.code, ztilde) * sys.s_grid.size + _lookup(sys.s_grid.code, s)
-    term = view.iota[row, _lookup(sys.w_labels.index, w)]
+    term = view.iota[sys.rows.atom(w, ztilde, s)]
     return view.pointwise(term, "single-draw", delta, (w, ztilde, s))
 
 
@@ -163,8 +161,8 @@ def holder_event_bound(sys: SubsetSystem, event: Callable[[Any, tuple, tuple], b
     tilde_gamma = tilde_alpha / (tilde_alpha - 1.0)
     view = view_of(sys)
     contexts = (*view.log_masses, view.starts)
-    ind = np.array([[event(w, zt, s) for w in sys.w_labels]
-                    for zt in sys.ztildes for s in sys.s_vecs], dtype=bool)
+    ind = np.array([[event(w, *data) for w in sys.rows.w_labels]
+                    for data in sys.rows.labels()], dtype=bool)
     # event factor: E_Zt^{1/tg}[ E_{W|Zt}^{tg/g'}[ P_S^{g'/g}[E_{w,zt}] ] ]
     log_factor_event = _nested_mean(np.where(ind, 0.0, NEG_INF), *contexts,
                                     gamma_prime / gamma, tilde_gamma / gamma_prime) / tilde_gamma

@@ -27,8 +27,8 @@ from typing import Any, Callable, Mapping
 
 import numpy as np
 
-from .measures import (T_INF, DensityTable, _alpha_mi, _leakage, _near_one, _posterior_kls,
-                       _renyi, central_moment, normalize_order)
+from .measures import (T_INF, DensityTable, _alpha_mi, _leakage, _log_norm, _near_one,
+                       _posterior_kls, _renyi, central_moment, normalize_order)
 
 
 @dataclass(frozen=True)
@@ -52,15 +52,6 @@ def _check_delta(delta: float) -> float:
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must lie in (0, 1), got {delta!r}")
     return delta
-
-
-def _lookup(find: Callable[[Any], int], label: Any) -> int:
-    """``find(label)``: a vector's code on its grid, or a hypothesis's
-    index; an unknown label raises a KeyError naming it."""
-    try:
-        return find(label)
-    except (KeyError, ValueError, TypeError):
-        raise KeyError(f"{label!r} is not an outcome of the system") from None
 
 
 def _log_ratio(c: float, d: float) -> float:
@@ -204,12 +195,19 @@ class _View:
                                self.params(delta=delta, t=t))
 
     def _kl_norm(self, t: Any) -> float:
-        """L_t norm of the positive-mass posteriors' KL; |KL| guards a -1e-16."""
-        kls, mass = self.kls, self.mass
+        """L_t norm of the positive-mass posteriors' KL; |KL| guards a -1e-16.
+        It is taken in logs where a nonzero term underflows or the sum overflows."""
+        kls, pos = self.kls, self.mass > 0
         if t is T_INF:
-            return float(kls[mass > 0].max())
-        terms = np.multiply(mass, np.abs(kls) ** t, out=np.zeros_like(mass), where=mass > 0)
-        return float(np.sum(terms)) ** (1.0 / t)
+            return float(kls[pos].max())
+        terms = np.abs(kls)  # one buffer: |KL|^t, then mass |KL|^t
+        with np.errstate(over="ignore"):
+            np.multiply(self.mass, np.power(terms, t, out=terms), out=terms, where=pos)
+            terms[~pos] = 0.0
+            total = float(np.sum(terms))
+        if total < math.inf and not np.any(pos & (kls != 0) & (terms < np.finfo(float).tiny)):
+            return total ** (1.0 / t)
+        return _log_norm(np.abs(kls[pos]), np.log(self.mass[pos]), t)
 
     def sd_moment(self, delta: float, t: Any, relaxed: bool = False) -> BoundResult:
         """Single-draw bound from central moments of the density; ``relaxed``

@@ -157,9 +157,9 @@ def _density(sys: StandardSystem | SubsetSystem, log_q: np.ndarray | None) -> De
     per context (None: the system's own P(w | context)). The base measure,
     the row's log mass + log Q, must charge the joint's support. The table
     keeps the (log joint, log base, iota) rows; its outcomes, (w, data
-    labels...) in row order, are built on first access from the grids, so
+    labels...) in row order, are built on first access from the rows, so
     the table holds no system."""
-    rows, w_labels = sys.rows, sys.w_labels
+    rows = sys.rows
     log_ctx, log_data, own_q = rows.log_masses
     log_joint, iota = _logs(rows.joint, rows.cond)
     # each context's log Q on each of its rows, then the log base measure in place
@@ -170,13 +170,11 @@ def _density(sys: StandardSystem | SubsetSystem, log_q: np.ndarray | None) -> De
             "joint atom outside the support of the base measure")
     _support_ratio(iota, log_base)
     log_base += (np.repeat(log_ctx, counts) + log_data)[:, None]
-    joint_sup, grids = log_joint > NEG_INF, rows.grids
+    joint_sup = log_joint > NEG_INF
 
     def outcomes() -> tuple:
-        axes = [g.vectors() for g in grids] + [w_labels]
-        return tuple((labels[-1],) + labels[:-1]
-                     for labels, keep in zip(itertools.product(*axes), joint_sup.ravel())
-                     if keep)
+        atoms = itertools.product(rows.labels(), rows.w_labels)
+        return tuple((w, *data) for (data, w), keep in zip(atoms, joint_sup.ravel()) if keep)
 
     return DensityTable(log_joint[joint_sup], iota[joint_sup], outcomes,
                         (log_joint, log_base, iota))
@@ -282,13 +280,21 @@ def central_moment(tbl: DensityTable, t: Any) -> float:
     essential supremum of the deviation."""
     t = normalize_order(t)
     dev = np.abs(tbl.iota - tbl.mean)
-    if t is T_INF:
-        return float(dev.max())
-    # in log space, in the deviation buffer (log 0 = -inf): tiny masses cannot underflow
+    return float(dev.max()) if t is T_INF else _log_norm(dev, tbl.log_p, t)
+
+
+def _log_norm(abs_x: np.ndarray, log_p: np.ndarray, t: float) -> float:
+    """(sum p |x|^t)^(1/t) from |x| and the finite log p, summed in log space in
+    the buffer ``abs_x`` (log 0 = -inf), so no term underflows or overflows;
+    where t log|x| overflows, |x| is first taken relative to its maximum."""
     with np.errstate(divide="ignore"):
-        terms = np.log(dev, out=dev)
-    terms *= t
-    terms += tbl.log_p
-    if np.all(terms == NEG_INF):
+        terms = np.log(abs_x, out=abs_x)
+    top = float(terms.max())
+    if top == NEG_INF:
         return 0.0
-    return float(math.exp(logsumexp(terms) / t))
+    shift = 0.0 if math.isfinite(t * top) else top
+    terms -= shift
+    with np.errstate(over="ignore"):  # a term far below the largest goes to -inf
+        terms *= t
+    terms += log_p
+    return float(math.exp(logsumexp(terms) / t + shift))

@@ -6,6 +6,7 @@ Everything is exact: systems precompute the complete joint table over
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
@@ -195,6 +196,14 @@ def _logs(*masses) -> tuple:
         return tuple(np.log(m) for m in masses)
 
 
+def _lookup(find: Callable[[Any], int], label: Any) -> int:
+    """``find(label)``, a code or an index; an unknown label is a KeyError naming it."""
+    try:
+        return find(label)
+    except (KeyError, ValueError, TypeError):
+        raise KeyError(f"{label!r} is not an outcome of the system") from None
+
+
 @dataclass(frozen=True)
 class Rows:
     """A system's grid as flat rows, the one layout that its views, density
@@ -202,10 +211,12 @@ class Rows:
     (the value bounded) and ``gen`` are (row, w) arrays and ``mass`` is per
     row; ``starts`` is each context's first row, and ``log_masses`` are each
     context's log mass, each row's log mass given its context, and log
-    P(w | context). The codes of ``grids``, in product order, number the rows.
-    Contexts are contiguous and non-empty; arrays are read-only."""
+    P(w | context). The codes of ``grids``, in product order, number the rows
+    and ``w_labels`` the w axis; only ``row``, ``atom`` and ``labels`` read
+    them. Contexts are contiguous and non-empty; arrays are read-only."""
 
     grids: tuple
+    w_labels: tuple
     starts: np.ndarray
     mass: np.ndarray
     joint: np.ndarray
@@ -217,6 +228,22 @@ class Rows:
     def __post_init__(self):  # the system's own arrays are read-only already
         for arr in (self.starts, self.mass, *self.log_masses):
             arr.flags.writeable = False
+
+    def row(self, *data) -> int:
+        """The row of the data labels, one per grid: a z-vector, or a
+        supersample and a selector. An unknown label raises a KeyError naming it."""
+        row = 0
+        for grid, label in zip(self.grids, data, strict=True):
+            row = row * grid.size + _lookup(grid.code, label)
+        return row
+
+    def atom(self, w: Any, *data) -> tuple[int, int]:
+        """The (row, w) index of hypothesis ``w`` at the data labels."""
+        return self.row(*data), _lookup(self.w_labels.index, w)
+
+    def labels(self) -> tuple:
+        """Each row's data labels, in row order (a type's sorted representative)."""
+        return tuple(itertools.product(*(grid.vectors() for grid in self.grids)))
 
 
 def _state_without_rows(system) -> dict:
@@ -281,8 +308,8 @@ class StandardSystem:
     def rows(self) -> Rows:
         """One context, of mass 1, whose rows are the codes of ``z_grid``."""
         gen = self.gen_table.T
-        return Rows((self.z_grid,), ONE_SEGMENT, self.pzn_mass, self.joint, self.cond, gen,
-                    gen, (np.zeros(1), *_logs(self.pzn_mass, self.pw_mass)))
+        return Rows((self.z_grid,), self.w_labels, ONE_SEGMENT, self.pzn_mass, self.joint,
+                    self.cond, gen, gen, (np.zeros(1), *_logs(self.pzn_mass, self.pw_mass)))
 
     @property
     def sigma(self) -> float:
@@ -295,7 +322,7 @@ class StandardSystem:
 
     def joint_table(self) -> JointTable:
         """The joint over (w, z-vector) atoms, one per code of ``z_grid``."""
-        outcomes = [(w, zvec) for zvec in self.zvecs for w in self.w_labels]
+        outcomes = [(w, zvec) for (zvec,) in self.rows.labels() for w in self.w_labels]
         with np.errstate(divide="ignore"):
             lm = np.log(self.joint.ravel())
         return JointTable(outcomes, lm)
@@ -408,7 +435,8 @@ class SubsetSystem:
         n_zt, width = self.zt_grid.size, len(self.w_labels)
         joint, cond, genhat, gen_sel = (a.reshape(-1, width) for a in
                                         (self.joint, self.cond, self.genhat, self.gen_sel))
-        return Rows((self.zt_grid, self.s_grid), np.arange(n_zt) * self.s_grid.size,
+        return Rows((self.zt_grid, self.s_grid), self.w_labels,
+                    np.arange(n_zt) * self.s_grid.size,
                     (self.p_ztilde[:, None] * self.p_s[None, :]).reshape(-1), joint, cond,
                     genhat, gen_sel, _logs(self.p_ztilde, np.tile(self.p_s, n_zt),
                                            self.pw_given))
@@ -447,7 +475,7 @@ def assemble_subset(pz: FiniteDistribution, n: int, learner: Kernel,
 
 def gen(sys: StandardSystem, w: Any, zvec: tuple) -> float:
     """Population loss minus empirical loss at one (hypothesis, data) atom."""
-    return float(sys.gen_table[sys.w_labels.index(w), sys.z_grid.code(zvec)])
+    return float(sys.rows.gen[sys.rows.atom(w, zvec)])
 
 
 def expected_gen(sys: StandardSystem) -> float:
@@ -456,8 +484,7 @@ def expected_gen(sys: StandardSystem) -> float:
 
 def gen_hat(sys: SubsetSystem, w: Any, ztilde: tuple, s: tuple) -> float:
     """Mean loss on the unselected half minus mean loss on the selected half."""
-    return float(sys.genhat[sys.zt_grid.code(ztilde), sys.s_grid.code(s),
-                            sys.w_labels.index(w)])
+    return float(sys.rows.values[sys.rows.atom(w, ztilde, s)])
 
 
 def expected_gen_subset(sys: SubsetSystem) -> float:

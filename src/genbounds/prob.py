@@ -425,14 +425,6 @@ class Kernel:
             raise ValueError(f"kernel undefined on vector {grid.vector(int(undefined[0]))!r}")
         return self.log_mass[rows]
 
-    @classmethod
-    def from_json(cls, doc: Mapping[str, Any]) -> "Kernel":
-        """Load from ``{"rows": {label: {"outcomes": [...], "probs": [...]}}}``."""
-        return cls({
-            _canonical_label(k): FiniteDistribution.from_json(v)
-            for k, v in doc["rows"].items()
-        })
-
 
 def _canonical_label(label: Any) -> Any:
     if isinstance(label, list):

@@ -350,12 +350,18 @@ def _violation(view: _View, covers: str, eps: BoundResult | np.ndarray) -> float
 def strong_converse_check(p: FiniteDistribution, q: FiniteDistribution,
                           event: Iterable[Any] | Callable[[Any], bool],
                           gamma: float) -> dict:
-    """P[E] <= P[log(dP/dQ) > gamma] + e^gamma Q[E], evaluated exactly."""
+    """P[E] <= P[log(dP/dQ) > gamma] + e^gamma Q[E], evaluated exactly; where
+    e^gamma overflows, e^gamma Q[E] is +inf, or 0 where Q[E] = 0."""
+    if math.isnan(gamma):
+        raise ValueError(f"gamma must be a number, got {gamma!r}")
     member = event if callable(event) else set(event).__contains__
     p_event, q_event = (sum(math.exp(lm) for o, lm in zip(d.outcomes, d.log_mass)
                             if lm > NEG_INF and member(o)) for d in (p, q))
     tail = density(p, q).tail_probability(gamma)
-    rhs = tail + math.exp(gamma) * q_event
+    try:
+        rhs = tail + (math.exp(gamma) * q_event if q_event > 0 else 0.0)
+    except OverflowError:
+        rhs = math.inf
     return {"p_event": p_event, "density_tail": tail, "q_event": q_event,
             "rhs": rhs, "holds": p_event <= rhs + COVERAGE_TOL}
 
@@ -374,7 +380,11 @@ def hoeffding_tail(sigma: float, n: int, eps: float) -> float:
     sigma, n = _positive("sigma", sigma), _count("n", n, 1)
     if not eps >= 0:  # NaN too
         raise ValueError(f"eps must be nonnegative, got {eps!r}")
-    return 2.0 * math.exp(-n * eps ** 2 / (2.0 * sigma ** 2))
+    try:
+        return 2.0 * math.exp(-n * eps ** 2 / (2.0 * sigma ** 2))
+    except (OverflowError, ZeroDivisionError):  # eps^2 or sigma^2 leaves the float range
+        ratio = eps / sigma
+        return 2.0 * math.exp(-n * ratio * ratio / 2.0)
 
 
 def gaussian_mi_validation(n: int, noise_var: float, prior_var: float,

@@ -1,8 +1,10 @@
 """Point lookups read one entry of the view's arrays, and the induced
 leakage of the ordering check skips assembling the induced system; both
 must equal, bit for bit, what the whole arrays and the assembled system
-give."""
+give. Every label reader finds its row through ``Rows.row``, and an unknown
+label of any kind is a KeyError naming it."""
 import math
+import re
 
 import numpy as np
 import pytest
@@ -12,7 +14,8 @@ from genbounds import bounds_standard as bstd
 from genbounds import bounds_subset as bsub
 from genbounds.engine import view_of
 from genbounds import maximal_leakage
-from genbounds.models import SubsetSystem
+from genbounds import models
+from genbounds.models import Rows, SubsetSystem
 from genbounds.verify import random_standard_system, random_subset_system
 
 DELTAS = (0.5, 0.1, 0.01)
@@ -91,6 +94,43 @@ def test_delta_is_checked_before_the_lookup(inst_a, inst_b):
         bstd.pacb_bound(inst_a, ("nope",), 0.1)
     with pytest.raises(KeyError, match="not an outcome"):
         bsub.cond_sd_density_bound(inst_b, "nope", (0, 1), (0,), 0.1)
+
+
+_READERS = {"pacb": bstd.pacb_bound, "sd_density": bstd.sd_density_bound, "gen": models.gen,
+            "cond_pacb": bsub.cond_pacb_bound, "cond_sd_density": bsub.cond_sd_density_bound,
+            "gen_hat": models.gen_hat}
+
+
+@pytest.mark.parametrize("name, args, unknown", [
+    ("pacb", ((9, 9), 0.1), (9, 9)), ("sd_density", (0, (9, 9), 0.1), (9, 9)),
+    ("sd_density", (9, (0, 0), 0.1), 9), ("gen", (0, (9, 9)), (9, 9)), ("gen", (9, (0, 0)), 9),
+    ("gen", (0, (0,)), (0,)),  # a vector of the wrong length
+    ("cond_pacb", ((9, 1), (0,), 0.1), (9, 1)), ("cond_pacb", ((0, 1), (9,), 0.1), (9,)),
+    ("cond_sd_density", (0, (9, 1), (0,), 0.1), (9, 1)),
+    ("cond_sd_density", (0, (0, 1), (9,), 0.1), (9,)),
+    ("cond_sd_density", (9, (0, 1), (0,), 0.1), 9),
+    ("gen_hat", (0, (9, 1), (0,)), (9, 1)), ("gen_hat", (0, (0, 1), (9,)), (9,)),
+    ("gen_hat", (9, (0, 1), (0,)), 9),
+])
+def test_an_unknown_label_is_a_key_error_naming_it(inst_a, inst_b, name, args, unknown):
+    sys = inst_b if name.startswith(("cond", "gen_hat")) else inst_a
+    with pytest.raises(KeyError, match=re.escape(f"{unknown!r} is not an outcome")):
+        _READERS[name](sys, *args)
+
+
+def test_every_label_reader_finds_its_row_through_the_rows(inst_a, inst_b, monkeypatch):
+    seen = []
+    row = Rows.row
+    monkeypatch.setattr(Rows, "row", lambda self, *data: seen.append(data) or row(self, *data))
+    calls = {"pacb": (inst_a, (0, 1), 0.1), "sd_density": (inst_a, 0, (0, 1), 0.1),
+             "gen": (inst_a, 0, (0, 1)), "cond_pacb": (inst_b, (0, 1), (1,), 0.1),
+             "cond_sd_density": (inst_b, 1, (0, 1), (1,), 0.1),
+             "gen_hat": (inst_b, 1, (0, 1), (1,))}
+    for name, (sys, *args) in calls.items():
+        seen.clear()
+        _READERS[name](sys, *args)
+        data = tuple(a for a in args if isinstance(a, tuple))
+        assert seen == [data], name
 
 
 def test_induced_leakage_equals_the_assembled_system(pools):

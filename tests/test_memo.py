@@ -8,6 +8,7 @@ import math
 import pickle
 import warnings
 from collections import Counter
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -193,6 +194,53 @@ def test_fractional_order_kl_norm_of_rounded_negative_kls():
         assert res.feasible and math.isfinite(res.epsilon)
         norm = float(np.sum(view.mass * np.abs(view.kls) ** 1.5)) ** (1 / 1.5)
         assert view._memo["kl_norm", 1.5] == norm
+
+
+def _decimal_norm(x, mass, t):
+    """(sum mass |x|^t)^(1/t) in 50-digit decimals, over |x| relative to its
+    maximum so that no power leaves the decimal exponent range; the masses
+    at each distinct |x| are added first."""
+    by_value = {}
+    for v, m in zip(np.abs(x).tolist(), mass.tolist()):
+        by_value[v] = by_value.get(v, 0) + Decimal(m)
+    top = Decimal(max(by_value))
+    if top == 0:
+        return top
+    total = sum(m * (t * (Decimal(v) / top).ln()).exp() for v, m in by_value.items() if v)
+    return top * (total.ln() / t).exp()
+
+
+@pytest.mark.parametrize("t", [1e3, 1e5, 1e308])
+def test_large_order_moment_bounds_equal_a_decimal_reference(t):
+    # at t = 1e5 the linear KL sum underflowed to 0 on inst_b and overflowed
+    # on inst_a; at t = 1e308 t log|iota - mean| overflowed
+    rng = np.random.default_rng(12)
+    systems = [_fresh("inst_a"), _fresh("inst_b")]
+    for _ in range(10):
+        systems += [random_standard_system(rng), random_subset_system(rng)]
+    delta = 0.1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for sys in systems:
+            view = view_of(sys)
+            pacb = (bstd.pacb_moment_bound if sys.setting == "standard"
+                    else bsub.cond_pacb_moment_bound)(sys, delta, t)
+            sd = (bstd.sd_moment_bound if sys.setting == "standard"
+                  else bsub.cond_sd_moment_bound)(sys, delta, t)
+            table, pos = view.table, view.mass > 0
+            with localcontext() as ctx:
+                ctx.prec = 50
+                tt, log_2_delta = Decimal(t), (2 / Decimal(delta)).ln()
+                inflate = (log_2_delta / tt).exp()
+                kl = _decimal_norm(view.kls[pos], view.mass[pos], tt)
+                dev = _decimal_norm(table.iota - table.mean, np.exp(table.log_p), tt)
+                rate = Decimal(view.rate)
+                want_pacb = float((rate * (kl * inflate + log_2_delta)).sqrt())
+                want_sd = float((rate * (Decimal(table.mean) + dev * inflate
+                                         + log_2_delta)).sqrt())
+            assert pacb.feasible and sd.feasible
+            assert abs(pacb.epsilon - want_pacb) <= 1e-12 * want_pacb
+            assert abs(sd.epsilon - want_sd) <= 1e-12 * want_sd
 
 
 def test_a_nan_radicand_is_infeasible_with_a_reason(inst_a):

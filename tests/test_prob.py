@@ -163,13 +163,6 @@ class TestKernel:
             Kernel({0: FiniteDistribution.bernoulli(0.5),
                     1: FiniteDistribution.from_probs(["a", "b"], [0.5, 0.5])})
 
-    def test_from_json(self):
-        k = Kernel.from_json({"rows": {
-            "0": {"outcomes": [0, 1], "probs": [1, 0]},
-            "1": {"outcomes": [0, 1], "probs": [0.5, 0.5]},
-        }})
-        assert k["1"].mass_of(0) == pytest.approx(0.5, abs=1e-15)
-
 
 def test_log_sum_exp_permutation_invariance(rng):
     for _ in range(20):

@@ -4,8 +4,11 @@ view (``q_w``, ``q_kernel``, ``c``) and the density table read the same
 arrays, by identity, and a subset system's log masses are computed once.
 The row log mass, each context's log mass repeated over its rows plus each
 row's log mass given its context, is bit for bit the log mass the density
-tables formed from the system arrays directly."""
+tables formed from the system arrays directly. Only the record numbers the
+rows: ``row`` and ``atom`` turn labels into a row and a (row, w) index, and
+``labels`` gives each row's labels back, in row order."""
 import gc
+import itertools
 import pickle
 from collections import Counter
 
@@ -16,6 +19,7 @@ from genbounds import (FiniteDistribution, Kernel, cmi_avg_bound, cond_alpha_mi,
                        cond_mutual_information, conditional_density, holder_event_bound,
                        information_density, load_fixture, measures, models)
 from genbounds.bounds_subset import RangeConstant
+from genbounds.prob import TypeGrid
 from genbounds.engine import view_of
 from genbounds.verify import coverage, random_standard_system, random_subset_system
 
@@ -127,3 +131,51 @@ def test_an_unpickled_system_lays_out_rows_of_its_own_arrays(systems):
         else:
             assert copy.rows.joint is copy.joint
         assert np.array_equal(copy.rows.mass, sys.rows.mass)
+
+
+def test_each_row_is_the_row_of_its_labels(systems):
+    for sys in systems:
+        rows = sys.rows
+        labels = rows.labels()
+        assert len(labels) == len(rows.mass)
+        assert [rows.row(*data) for data in labels] == list(range(len(labels)))
+        for data in labels[:5]:
+            assert [rows.atom(w, *data) for w in sys.w_labels] == [
+                (rows.row(*data), wi) for wi in range(len(sys.w_labels))]
+
+
+def test_every_vector_finds_its_type_row():
+    loss = models.zero_one_loss(("a", "b", "c"))
+    pz = FiniteDistribution.uniform(loss.instances)
+    sys = models.assemble_standard(pz, 3, models.gibbs_kernel(loss, 3, 1.5), loss)
+    assert isinstance(sys.z_grid, TypeGrid)
+    labels, order = sys.rows.labels(), loss.instances.index
+    seen = set()
+    for vec in itertools.product(loss.instances, repeat=3):  # all 27 vectors
+        row = sys.rows.row(vec)
+        assert labels[row] == (tuple(sorted(vec, key=order)),)
+        seen.add(row)
+    assert seen == set(range(len(labels)))  # 10 types
+
+
+def test_the_table_outcomes_are_the_atoms_in_row_order(systems):
+    rng = np.random.default_rng(174)
+    for sys in systems:
+        density, aux, _ = _aux(sys, rng)
+        for q in (None, aux):
+            table = density(sys, q)
+            axes = [g.vectors() for g in sys.rows.grids] + [sys.w_labels]
+            keep = (table.arrays[0] > -np.inf).ravel()
+            want = tuple((labels[-1],) + labels[:-1] for labels, k
+                         in zip(itertools.product(*axes), keep) if k)
+            assert table.outcomes == want
+
+
+def test_the_holder_event_is_read_once_per_atom_in_row_order(systems):
+    for sys in systems:
+        if sys.setting != "subset":
+            continue
+        calls = []
+        holder_event_bound(sys, lambda *atom: calls.append(atom) or len(calls) % 2, 2.0, 3.0, 1.5)
+        assert calls == [(w, zt, s) for zt in sys.zt_grid.vectors()
+                         for s in sys.s_grid.vectors() for w in sys.w_labels]

@@ -263,6 +263,28 @@ class TestStrongConverse:
         with pytest.raises(AbsoluteContinuityViolation):
             strong_converse_check(p, q, [1], 0.0)
 
+    def test_a_nan_gamma_is_refused_by_name(self):
+        p = FiniteDistribution.bernoulli(0.5)
+        with pytest.raises(ValueError, match="^gamma must"):
+            strong_converse_check(p, p, [1], math.nan)
+
+    @pytest.mark.parametrize("gamma", [1e308, math.inf])
+    def test_an_overflowing_e_gamma_weights_the_q_event(self, gamma):
+        p = FiniteDistribution.from_probs([0, 1, 2], [0.2, 0.3, 0.5])
+        q = FiniteDistribution.from_probs([0, 1, 2], [0.5, 0.5, 0.0])
+        charged = strong_converse_check(p, p, [1], gamma)  # Q[E] > 0: e^gamma Q[E] = +inf
+        assert charged["rhs"] == math.inf and charged["holds"]
+        rep = strong_converse_check(q, q, [2], gamma)  # Q[E] = 0: the term is 0
+        assert rep["q_event"] == 0 and rep["rhs"] == rep["density_tail"] == 0.0
+        assert rep["holds"]
+
+    def test_a_finite_e_gamma_keeps_the_formula(self, rng):
+        p = FiniteDistribution.from_probs(range(4), rng.dirichlet(np.ones(4)))
+        q = FiniteDistribution.from_probs(range(4), rng.dirichlet(np.ones(4)))
+        for gamma in (-3.0, 0.0, 0.7, 700.0):
+            rep = strong_converse_check(p, q, [0, 3], gamma)
+            assert rep["rhs"] == rep["density_tail"] + math.exp(gamma) * rep["q_event"]
+
 
 class TestHoeffdingTail:
     def test_reference_value(self):
@@ -285,6 +307,18 @@ class TestHoeffdingTail:
 
     def test_an_integral_float_n_is_an_integer(self):
         assert hoeffding_tail(0.5, 2.0, 0.5) == hoeffding_tail(0.5, 2, 0.5)
+
+    @pytest.mark.parametrize("args, want", [((1e200, 2, 0.5), 2.0), ((0.5, 2, 1e200), 0.0),
+                                            ((1e-200, 2, 0.5), 0.0), ((1e-200, 2, 0.0), 2.0),
+                                            ((1e-300, 3, 1e300), 0.0)])
+    def test_squares_past_the_float_range(self, args, want):
+        assert hoeffding_tail(*args) == want
+
+    def test_ordinary_inputs_keep_the_formula(self, rng):
+        for sigma, n, eps in zip(rng.uniform(0.01, 10, 50), rng.integers(1, 100, 50),
+                                 rng.uniform(0, 5, 50)):
+            assert hoeffding_tail(sigma, n, eps) == 2.0 * math.exp(
+                -int(n) * eps ** 2 / (2.0 * sigma ** 2))
 
     def test_dominates_exact_empirical_tail(self):
         # fixed hypothesis, iid 0/1 losses: the bound must dominate the
