@@ -162,7 +162,7 @@ def holder_event_bound(sys: SubsetSystem, event: Callable[[Any, tuple, tuple], b
     view = view_of(sys)
     contexts = (*view.log_masses, view.starts)
     ind = np.array([[event(w, *data) for w in sys.rows.w_labels]
-                    for data in sys.rows.labels()], dtype=bool)
+                    for data in sys.rows.labels], dtype=bool)
     # event factor: E_Zt^{1/tg}[ E_{W|Zt}^{tg/g'}[ P_S^{g'/g}[E_{w,zt}] ] ]
     log_factor_event = _nested_mean(np.where(ind, 0.0, NEG_INF), *contexts,
                                     gamma_prime / gamma, tilde_gamma / gamma_prime) / tilde_gamma

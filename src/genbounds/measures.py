@@ -173,7 +173,7 @@ def _density(sys: StandardSystem | SubsetSystem, log_q: np.ndarray | None) -> De
     joint_sup = log_joint > NEG_INF
 
     def outcomes() -> tuple:
-        atoms = itertools.product(rows.labels(), rows.w_labels)
+        atoms = itertools.product(rows.labels, rows.w_labels)
         return tuple((w, *data) for (data, w), keep in zip(atoms, joint_sup.ravel()) if keep)
 
     return DensityTable(log_joint[joint_sup], iota[joint_sup], outcomes,

@@ -241,6 +241,7 @@ class Rows:
         """The (row, w) index of hypothesis ``w`` at the data labels."""
         return self.row(*data), _lookup(self.w_labels.index, w)
 
+    @cached_property
     def labels(self) -> tuple:
         """Each row's data labels, in row order (a type's sorted representative)."""
         return tuple(itertools.product(*(grid.vectors() for grid in self.grids)))
@@ -299,12 +300,6 @@ class StandardSystem:
                      gen_table=np.ascontiguousarray((pop - emp).T))
 
     @cached_property
-    def zvecs(self) -> tuple:
-        """The z-vector labels, in code order: on a ``TypeGrid``, one sorted
-        representative per type."""
-        return self.z_grid.vectors()
-
-    @cached_property
     def rows(self) -> Rows:
         """One context, of mass 1, whose rows are the codes of ``z_grid``."""
         gen = self.gen_table.T
@@ -322,7 +317,7 @@ class StandardSystem:
 
     def joint_table(self) -> JointTable:
         """The joint over (w, z-vector) atoms, one per code of ``z_grid``."""
-        outcomes = [(w, zvec) for (zvec,) in self.rows.labels() for w in self.w_labels]
+        outcomes = [(w, zvec) for (zvec,) in self.rows.labels for w in self.w_labels]
         with np.errstate(divide="ignore"):
             lm = np.log(self.joint.ravel())
         return JointTable(outcomes, lm)
@@ -417,16 +412,6 @@ class SubsetSystem:
                      joint=p_ztilde[:, None, None] * p_s[None, :, None] * cond,
                      pw_given=cond.mean(axis=1),  # P_S is uniform
                      genhat=test - train, gen_sel=pop - train)
-
-    @cached_property
-    def ztildes(self) -> tuple:
-        """The supersample labels, in code order."""
-        return self.zt_grid.vectors()
-
-    @cached_property
-    def s_vecs(self) -> tuple:
-        """The selector labels, in code order."""
-        return self.s_grid.vectors()
 
     @cached_property
     def rows(self) -> Rows:

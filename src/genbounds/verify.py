@@ -380,11 +380,8 @@ def hoeffding_tail(sigma: float, n: int, eps: float) -> float:
     sigma, n = _positive("sigma", sigma), _count("n", n, 1)
     if not eps >= 0:  # NaN too
         raise ValueError(f"eps must be nonnegative, got {eps!r}")
-    try:
-        return 2.0 * math.exp(-n * eps ** 2 / (2.0 * sigma ** 2))
-    except (OverflowError, ZeroDivisionError):  # eps^2 or sigma^2 leaves the float range
-        ratio = eps / sigma
-        return 2.0 * math.exp(-n * ratio * ratio / 2.0)
+    ratio = eps / sigma  # squaring the ratio, not eps and sigma, stays in the float range
+    return 2.0 * math.exp(-n * ratio * ratio / 2.0)
 
 
 def gaussian_mi_validation(n: int, noise_var: float, prior_var: float,

@@ -583,8 +583,8 @@ def holder_event_bound_3d(sys, event, alpha, alpha_prime, tilde_alpha):
         log_ps = np.log(sys.p_s)
         log_wg = np.log(sys.pw_given)
     ind = np.array([[[event(w, zt, s) for w in sys.w_labels]
-                     for s in sys.s_vecs]
-                    for zt in sys.ztildes], dtype=bool)
+                     for s in sys.s_grid.vectors()]
+                    for zt in sys.zt_grid.vectors()], dtype=bool)
     log_ind = np.where(ind, 0.0, -math.inf)
     log_p_event = logsumexp(log_ps[None, :, None] + log_ind, axis=1)
     mid_e = logsumexp(log_wg + (gamma_prime / gamma) * log_p_event, axis=1)
@@ -611,7 +611,7 @@ def product_twin(sys):
 def type_codes(sys, twin):
     """The code on ``sys.z_grid`` of each z-vector of ``twin``, in its code
     order, one ``z_grid.code`` call per vector."""
-    return np.array([sys.z_grid.code(v) for v in twin.zvecs], dtype=np.int64)
+    return np.array([sys.z_grid.code(v) for v in twin.z_grid.vectors()], dtype=np.int64)
 
 
 # -- the exponential check as one logsumexp per lambda ----------------------

@@ -241,8 +241,8 @@ class TestHolderEventBound:
         event = lambda w, zt, s: abs(gen_hat(inst_b, w, zt, s)) > 0.5
         exact = sum(
             inst_b.p_ztilde[zi] * inst_b.p_s[si] * inst_b.cond[zi, si, wi]
-            for zi, zt in enumerate(inst_b.ztildes)
-            for si, s in enumerate(inst_b.s_vecs)
+            for zi, zt in enumerate(inst_b.zt_grid.vectors())
+            for si, s in enumerate(inst_b.s_grid.vectors())
             for wi, w in enumerate(inst_b.w_labels)
             if event(w, zt, s))
         val = holder_event_bound(inst_b, event, 2, 2, 2)
@@ -255,8 +255,8 @@ class TestHolderEventBound:
             event = lambda w, zt, s: abs(gen_hat(sys, w, zt, s)) > thresh
             exact = sum(
                 sys.p_ztilde[zi] * sys.p_s[si] * sys.cond[zi, si, wi]
-                for zi, zt in enumerate(sys.ztildes)
-                for si, s in enumerate(sys.s_vecs)
+                for zi, zt in enumerate(sys.zt_grid.vectors())
+                for si, s in enumerate(sys.s_grid.vectors())
                 for wi, w in enumerate(sys.w_labels)
                 if event(w, zt, s))
             for exps in ((2, 2, 2), (1.5, 3, 2), (4, 2, 8)):

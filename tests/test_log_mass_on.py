@@ -94,12 +94,12 @@ def test_identity_systems_equal_their_product_twins(sys):
 def test_an_auxiliary_conditional_is_read_through_the_one_gather():
     sys = load_fixture("inst_b")[1]
     rows = {zt: FiniteDistribution.from_probs(sys.w_labels, row)
-            for zt, row in zip(sys.ztildes, sys.pw_given)}
-    missing = sys.ztildes[-1]
+            for zt, row in zip(sys.zt_grid.vectors(), sys.pw_given)}
+    missing = sys.zt_grid.vectors()[-1]
     del rows[missing]
     with pytest.raises(ValueError, match=re.escape(f"kernel undefined on vector {missing!r}")):
         conditional_density(sys, Kernel(rows))
     # a hypothesis the auxiliary conditional has no column for is refused alike
-    other = {zt: FiniteDistribution.point_mass(("x",), "x") for zt in sys.ztildes}
+    other = {zt: FiniteDistribution.point_mass(("x",), "x") for zt in sys.zt_grid.vectors()}
     with pytest.raises(ValueError):
         conditional_density(sys, Kernel(other))

@@ -50,7 +50,7 @@ def test_standard_lookups_equal_the_array_entries(pools):
         view = view_of(sys)
         for delta in DELTAS:
             pacb, dens = view.info(view.kls, delta), view.info(view.iota, delta)
-            for zi, zvec in enumerate(sys.zvecs):
+            for zi, zvec in enumerate(sys.z_grid.vectors()):
                 _same(bstd.pacb_bound(sys, zvec, delta), pacb[zi], view.rate)
                 for wi, w in enumerate(sys.w_labels):
                     if dens[zi, wi] == -math.inf:
@@ -64,13 +64,13 @@ def test_standard_lookups_equal_the_array_entries(pools):
 def test_subset_lookups_equal_the_array_entries(pools):
     rng = np.random.default_rng(3)
     for sys in pools[1]:
-        view = view_of(sys)
+        view, zts, ss = view_of(sys), sys.zt_grid.vectors(), sys.s_grid.vectors()
         for delta in DELTAS:
             pacb, dens = view.info(view.kls, delta), view.info(view.iota, delta)
             for flat in _sample(rng, dens.size):
                 row, wi = np.unravel_index(flat, dens.shape)  # row zi * |S| + si
                 zi, si = divmod(int(row), sys.s_grid.size)
-                zt, s, w = sys.ztildes[zi], sys.s_vecs[si], sys.w_labels[wi]
+                zt, s, w = zts[zi], ss[si], sys.w_labels[wi]
                 _same(bsub.cond_pacb_bound(sys, zt, s, delta), pacb[row], view.rate)
                 if dens[row, wi] == -math.inf:
                     with pytest.raises(KeyError, match="outside the density's support"):

@@ -135,7 +135,7 @@ class TestKl:
 
     def test_posterior_average_equals_mutual_information(self, inst_a):
         total = 0.0
-        for zi, zvec in enumerate(inst_a.zvecs):
+        for zi, zvec in enumerate(inst_a.z_grid.vectors()):
             total += inst_a.pzn_mass[zi] * kl(inst_a.posterior(zvec), inst_a.pw)
         assert total == pytest.approx(mutual_information(inst_a), abs=1e-12)
         assert total == pytest.approx(I_A, abs=1e-9)

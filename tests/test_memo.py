@@ -164,7 +164,7 @@ def test_an_auxiliary_conditional_memoises_nothing_into_the_default_view():
     sys = _fresh("inst_b")
     # a conditional that differs from P_{W|Z-tilde} but charges every hypothesis
     q = Kernel({zt: FiniteDistribution.from_probs(sys.w_labels, 0.5 * row + 0.25)
-                for zt, row in zip(sys.ztildes, sys.pw_given)})
+                for zt, row in zip(sys.zt_grid.vectors(), sys.pw_given)})
     c = bsub.delta_constant(lambda z1, z2: float(z1 != z2), sys.pz, sys.loss)
 
     def aux(s):
@@ -272,12 +272,12 @@ def test_a_tiny_delta_gives_a_bound_or_a_reason(name, delta):
                 if entry.covers:
                     verify.coverage(sys, bound_id, delta, {"t": t, "alpha": alpha})
         if sys.setting == "standard":
-            zvec, w = sys.zvecs[0], sys.w_labels[int(np.argmax(sys.joint[0]))]
+            zvec, w = sys.z_grid.vectors()[0], sys.w_labels[int(np.argmax(sys.joint[0]))]
             _check_result(bstd.pacb_bound(sys, zvec, delta))
             _check_result(bstd.sd_density_bound(sys, w, zvec, delta))
             bstd.chain_report(sys, delta)
         else:
-            zt, s = sys.ztildes[0], sys.s_vecs[0]
+            zt, s = sys.zt_grid.vectors()[0], sys.s_grid.vectors()[0]
             w = sys.w_labels[int(np.argmax(sys.cond[0, 0]))]
             _check_result(bsub.cond_pacb_bound(sys, zt, s, delta))
             _check_result(bsub.cond_sd_density_bound(sys, w, zt, s, delta))

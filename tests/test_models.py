@@ -206,15 +206,15 @@ class TestStandardAssembly:
 
 class TestSubsetAssembly:
     def test_inst_b_posterior_given_distinct_supersample(self, inst_b):
-        zi = inst_b.ztildes.index((0, 1))
+        zi = inst_b.zt_grid.vectors().index((0, 1))
         assert inst_b.pw_given[zi] == pytest.approx([0.5, 0.5], abs=1e-15)
 
     def test_s_ignoring_learner_posterior_constant_in_s(self):
         loss = zero_one_loss([0, 1])
         sys = assemble_subset(FiniteDistribution.bernoulli(0.5), 2,
                               constant_kernel(loss, 2), loss)
-        for zi in range(len(sys.ztildes)):
-            for si in range(len(sys.s_vecs)):
+        for zi in range(sys.zt_grid.size):
+            for si in range(sys.s_grid.size):
                 assert sys.cond[zi, si] == pytest.approx(sys.pw_given[zi],
                                                          abs=1e-15)
 
@@ -239,7 +239,7 @@ class TestGenEvaluation:
 
 class TestGenHat:
     def test_equal_halves_give_zero(self, inst_b):
-        for s in inst_b.s_vecs:
+        for s in inst_b.s_grid.vectors():
             for w in inst_b.w_labels:
                 assert gen_hat(inst_b, w, (1, 1), s) == 0.0
 
@@ -250,8 +250,8 @@ class TestGenHat:
         loss = zero_one_loss([0, 1])
         sys = assemble_subset(FiniteDistribution.bernoulli(0.3), 2,
                               gibbs_kernel(loss, 2, 2.0), loss)
-        for zt in sys.ztildes:
-            for s in sys.s_vecs:
+        for zt in sys.zt_grid.vectors():
+            for s in sys.s_grid.vectors():
                 sbar = tuple(1 - b for b in s)
                 for w in sys.w_labels:
                     assert gen_hat(sys, w, zt, s) == pytest.approx(
@@ -299,7 +299,7 @@ class TestProblemFiles:
         }
         setting, sys = load_problem(doc)
         assert setting == "standard"
-        assert sys.cond[sys.zvecs.index((1,))][1] == pytest.approx(0.8)
+        assert sys.cond[sys.z_grid.vectors().index((1,))][1] == pytest.approx(0.8)
 
     @pytest.mark.parametrize("field, edit", [
         ("n", lambda doc: doc.update(n=1.7)),

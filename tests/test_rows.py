@@ -42,7 +42,7 @@ def _aux(sys, rng):
                                             rng.dirichlet(np.ones(len(sys.w_labels))))
         return information_density, q_w, [view_of(sys, q_w)]
     q = Kernel({zt: FiniteDistribution.from_probs(
-        sys.w_labels, rng.dirichlet(np.ones(len(sys.w_labels)))) for zt in sys.ztildes})
+        sys.w_labels, rng.dirichlet(np.ones(len(sys.w_labels)))) for zt in sys.zt_grid.vectors()})
     c = RangeConstant(2.0, "bounded-range")
     return conditional_density, q, [view_of(sys, c), view_of(sys, None, q), view_of(sys, c, q)]
 
@@ -136,7 +136,7 @@ def test_an_unpickled_system_lays_out_rows_of_its_own_arrays(systems):
 def test_each_row_is_the_row_of_its_labels(systems):
     for sys in systems:
         rows = sys.rows
-        labels = rows.labels()
+        labels = rows.labels
         assert len(labels) == len(rows.mass)
         assert [rows.row(*data) for data in labels] == list(range(len(labels)))
         for data in labels[:5]:
@@ -149,7 +149,7 @@ def test_every_vector_finds_its_type_row():
     pz = FiniteDistribution.uniform(loss.instances)
     sys = models.assemble_standard(pz, 3, models.gibbs_kernel(loss, 3, 1.5), loss)
     assert isinstance(sys.z_grid, TypeGrid)
-    labels, order = sys.rows.labels(), loss.instances.index
+    labels, order = sys.rows.labels, loss.instances.index
     seen = set()
     for vec in itertools.product(loss.instances, repeat=3):  # all 27 vectors
         row = sys.rows.row(vec)

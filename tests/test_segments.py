@@ -126,7 +126,7 @@ def test_the_subset_view_reads_the_system_arrays_as_rows(subsets):
 def _events(sys, rng):
     """Predicates over (w, z-tilde, s): everything, nothing, the first
     hypothesis, a selector bit, and a seeded random set of atoms."""
-    atoms = list(itertools.product(sys.w_labels, sys.ztildes, sys.s_vecs))
+    atoms = list(itertools.product(sys.w_labels, sys.zt_grid.vectors(), sys.s_grid.vectors()))
     chosen = {atoms[i] for i in rng.choice(len(atoms), len(atoms) // 3 + 1, replace=False)}
     return (lambda w, zt, s: True, lambda w, zt, s: False,
             lambda w, zt, s: w == sys.w_labels[0], lambda w, zt, s: s[0] == 1,

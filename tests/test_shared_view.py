@@ -178,7 +178,7 @@ def test_an_auxiliary_marginal_gets_its_own_view(monkeypatch):
 def _conditional_kernel(sys):
     """A kernel over the supersamples equal to P_{W|Z-tilde}."""
     return Kernel({zt: FiniteDistribution.from_probs(sys.w_labels, row)
-                   for zt, row in zip(sys.ztildes, sys.pw_given)})
+                   for zt, row in zip(sys.zt_grid.vectors(), sys.pw_given)})
 
 
 def test_an_auxiliary_conditional_gets_its_own_view(monkeypatch):
@@ -221,7 +221,7 @@ def test_an_auxiliary_conditional_is_checked_on_the_joint_support_only():
     sys = SubsetSystem(pz, 1, gibbs_kernel(loss, 1, 2.0), loss)
     rows = {zt: (FiniteDistribution.from_probs(sys.w_labels, row) if mass > 0
                  else FiniteDistribution.point_mass(sys.w_labels, 0))
-            for zt, row, mass in zip(sys.ztildes, sys.pw_given, sys.p_ztilde)}
+            for zt, row, mass in zip(sys.zt_grid.vectors(), sys.pw_given, sys.p_ztilde)}
     q = Kernel(rows)
     assert np.all(sys.cond > 0)
     assert cond_mutual_information(sys, q) == pytest.approx(

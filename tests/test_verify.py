@@ -314,11 +314,11 @@ class TestHoeffdingTail:
     def test_squares_past_the_float_range(self, args, want):
         assert hoeffding_tail(*args) == want
 
-    def test_ordinary_inputs_keep_the_formula(self, rng):
+    def test_ordinary_inputs_follow_the_formula(self, rng):
         for sigma, n, eps in zip(rng.uniform(0.01, 10, 50), rng.integers(1, 100, 50),
                                  rng.uniform(0, 5, 50)):
-            assert hoeffding_tail(sigma, n, eps) == 2.0 * math.exp(
-                -int(n) * eps ** 2 / (2.0 * sigma ** 2))
+            assert hoeffding_tail(sigma, n, eps) == pytest.approx(
+                2.0 * math.exp(-int(n) * eps ** 2 / (2.0 * sigma ** 2)), rel=1e-12, abs=1e-300)
 
     def test_dominates_exact_empirical_tail(self):
         # fixed hypothesis, iid 0/1 losses: the bound must dominate the

@@ -71,7 +71,7 @@ def test_subset_measures_equal_their_own_table_formulas(pools):
     rng = np.random.default_rng(17)
     for sys in pools["subset"]:
         q = Kernel({zt: FiniteDistribution.from_probs(
-            sys.w_labels, rng.dirichlet(np.ones(len(sys.w_labels)))) for zt in sys.ztildes})
+            sys.w_labels, rng.dirichlet(np.ones(len(sys.w_labels)))) for zt in sys.zt_grid.vectors()})
         tbl = conditional_density(sys)
         mass = (sys.p_ztilde[:, None] * sys.p_s[None, :]).reshape(-1)
         rows = sys.cond.reshape(len(mass), -1)
