@@ -27,7 +27,6 @@ from .models import (
     _integral,
     _number,
     expected_gen,
-    expected_gen_subset,
     load_problem,
 )
 from .prob import BudgetExceededError, InvalidDistributionError, read_json
@@ -101,8 +100,7 @@ def _report_rows(system, config: Mapping[str, Any]) -> list[dict]:
     t = _number("t", config.get("t", 2), normalize_order)
     alpha = _number("alpha", config.get("alpha", 2.0))
     deltas = _deltas(config)
-    abs_gen = abs(expected_gen(system) if system.setting == "standard"
-                  else expected_gen_subset(system))
+    abs_gen = abs(expected_gen(system))
     rows = []
     for delta in deltas:
         quantile = vfy.abs_quantile(system, 1.0 - delta)

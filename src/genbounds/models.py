@@ -247,22 +247,34 @@ class Rows:
         return tuple(itertools.product(*(grid.vectors() for grid in self.grids)))
 
 
-def _state_without_rows(system) -> dict:
-    """A system's pickled state, without its rows: an unpickled copy lays out
-    its own, views of its own arrays rather than copies of the original's."""
-    return {name: value for name, value in vars(system).items() if name != "rows"}
+@dataclass(frozen=True, eq=False)  # views are keyed weakly by identity
+class _System:
+    """The shell of both settings: the inputs, and the labels, posteriors and
+    joint that each setting's ``__post_init__`` derives. The pickled state
+    leaves ``rows`` out: an unpickled copy lays out its own, views of its own
+    arrays rather than copies of the original's."""
 
+    pz: FiniteDistribution
+    n: int
+    learner: Kernel
+    loss: LossTable
+    w_labels: tuple = field(init=False)
+    cond: np.ndarray = field(init=False)
+    joint: np.ndarray = field(init=False)
 
-def _set_derived(system, **fields) -> None:
-    """Set the derived fields of a frozen system; arrays become read-only."""
-    for name, value in fields.items():
-        if isinstance(value, np.ndarray):
-            value.flags.writeable = False
-        object.__setattr__(system, name, value)
+    def __getstate__(self) -> dict:
+        return {name: value for name, value in vars(self).items() if name != "rows"}
+
+    def _set(self, **fields) -> None:
+        """Set the derived fields of the frozen system; arrays become read-only."""
+        for name, value in fields.items():
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True, eq=False)
-class StandardSystem:
+class StandardSystem(_System):
     """The standard setting: iid data, learner kernel, derived joint and marginal.
 
     Arrays: ``pzn_mass`` over z-vectors, ``cond[z, w]`` = P(w | z-vector),
@@ -274,16 +286,8 @@ class StandardSystem:
     """
 
     setting = "standard"
-    __getstate__ = _state_without_rows
-    pz: FiniteDistribution
-    n: int
-    learner: Kernel
-    loss: LossTable
     z_grid: ProductGrid | TypeGrid = field(init=False)
-    w_labels: tuple = field(init=False)
     pzn_mass: np.ndarray = field(init=False)
-    cond: np.ndarray = field(init=False)
-    joint: np.ndarray = field(init=False)
     pw_mass: np.ndarray = field(init=False)
     gen_table: np.ndarray = field(init=False)
 
@@ -295,9 +299,9 @@ class StandardSystem:
         joint = pzn_mass[:, None] * cond
         pop = self.loss.population_losses(self.pz)
         emp = self.loss.totals(grid) / self.n
-        _set_derived(self, z_grid=grid, w_labels=w_labels, pzn_mass=pzn_mass,
-                     cond=cond, joint=joint, pw_mass=joint.sum(axis=0),
-                     gen_table=np.ascontiguousarray((pop - emp).T))
+        self._set(z_grid=grid, w_labels=w_labels, pzn_mass=pzn_mass,
+                  cond=cond, joint=joint, pw_mass=joint.sum(axis=0),
+                  gen_table=np.ascontiguousarray((pop - emp).T))
 
     @cached_property
     def rows(self) -> Rows:
@@ -312,15 +316,12 @@ class StandardSystem:
 
     @property
     def pw(self) -> FiniteDistribution:
-        with np.errstate(divide="ignore"):
-            return FiniteDistribution(self.w_labels, np.log(self.pw_mass))
+        return FiniteDistribution(self.w_labels, *_logs(self.pw_mass))
 
     def joint_table(self) -> JointTable:
         """The joint over (w, z-vector) atoms, one per code of ``z_grid``."""
         outcomes = [(w, zvec) for (zvec,) in self.rows.labels for w in self.w_labels]
-        with np.errstate(divide="ignore"):
-            lm = np.log(self.joint.ravel())
-        return JointTable(outcomes, lm)
+        return JointTable(outcomes, *_logs(self.joint.ravel()))
 
     def posterior(self, zvec: tuple) -> FiniteDistribution:
         return self.learner[zvec]
@@ -335,7 +336,8 @@ def _check_system(sys) -> tuple:
     if w_labels != sys.loss.hypotheses:
         raise ValueError("learner output labels do not match loss hypotheses")
     k, n_w = len(sys.pz), len(w_labels)
-    check_budget(_grid_kind(sys.learner).count(k, sys.n) * n_w if sys.setting == "standard"
+    grid = ProductGrid if sys.learner.grid is None else type(sys.learner.grid)
+    check_budget(grid.count(k, sys.n) * n_w if sys.setting == "standard"
                  else _subset_atoms(k, sys.n, n_w))
     return w_labels
 
@@ -344,11 +346,6 @@ def _subset_atoms(k: int, n: int, n_w: int) -> int:
     """The atom count of a subset system's (z-tilde, s, w) joint over k
     instances and n_w hypotheses, whatever the learner."""
     return k ** (2 * n) * 2 ** n * n_w
-
-
-def _grid_kind(learner: Kernel) -> type:
-    """The grid class of a learner's rows: a label-form kernel's are vectors."""
-    return ProductGrid if learner.grid is None else type(learner.grid)
 
 
 def _data_grid(learner: Kernel, labels: Sequence[Any], n: int) -> ProductGrid | TypeGrid:
@@ -360,13 +357,11 @@ def _data_grid(learner: Kernel, labels: Sequence[Any], n: int) -> ProductGrid | 
     return grid if grid.labels == tuple(labels) and grid.n == n else _type_grid(labels, n)
 
 
-def assemble_standard(pz: FiniteDistribution, n: int, learner: Kernel,
-                      loss: LossTable) -> StandardSystem:
-    return StandardSystem(pz, n, learner, loss)
+assemble_standard = StandardSystem
 
 
 @dataclass(frozen=True, eq=False)
-class SubsetSystem:
+class SubsetSystem(_System):
     """The random-subset setting: a 2n supersample, a Bernoulli(1/2) selector,
     and a learner acting on the selected half.
 
@@ -378,18 +373,10 @@ class SubsetSystem:
     """
 
     setting = "subset"
-    __getstate__ = _state_without_rows
-    pz: FiniteDistribution
-    n: int
-    learner: Kernel
-    loss: LossTable
     zt_grid: ProductGrid = field(init=False)
     s_grid: ProductGrid = field(init=False)
-    w_labels: tuple = field(init=False)
     p_ztilde: np.ndarray = field(init=False)
     p_s: np.ndarray = field(init=False)
-    cond: np.ndarray = field(init=False)
-    joint: np.ndarray = field(init=False)
     pw_given: np.ndarray = field(init=False)
     genhat: np.ndarray = field(init=False)
     gen_sel: np.ndarray = field(init=False)
@@ -407,11 +394,11 @@ class SubsetSystem:
         pop = self.loss.population_losses(self.pz)
         emp = self.loss.totals(z_grid) / n
         train, test = emp[sel], emp[unsel]
-        _set_derived(self, zt_grid=zt_grid, s_grid=s_grid, w_labels=w_labels,
-                     p_ztilde=p_ztilde, p_s=p_s, cond=cond,
-                     joint=p_ztilde[:, None, None] * p_s[None, :, None] * cond,
-                     pw_given=cond.mean(axis=1),  # P_S is uniform
-                     genhat=test - train, gen_sel=pop - train)
+        self._set(zt_grid=zt_grid, s_grid=s_grid, w_labels=w_labels,
+                  p_ztilde=p_ztilde, p_s=p_s, cond=cond,
+                  joint=p_ztilde[:, None, None] * p_s[None, :, None] * cond,
+                  pw_given=cond.mean(axis=1),  # P_S is uniform
+                  genhat=test - train, gen_sel=pop - train)
 
     @cached_property
     def rows(self) -> Rows:
@@ -450,9 +437,7 @@ def _halves(zt_grid: ProductGrid, s_grid: ProductGrid) -> tuple[np.ndarray, np.n
     return sel, unsel
 
 
-def assemble_subset(pz: FiniteDistribution, n: int, learner: Kernel,
-                    loss: LossTable) -> SubsetSystem:
-    return SubsetSystem(pz, n, learner, loss)
+assemble_subset = SubsetSystem
 
 
 # -- generalization error evaluation ---------------------------------------
@@ -463,8 +448,11 @@ def gen(sys: StandardSystem, w: Any, zvec: tuple) -> float:
     return float(sys.rows.gen[sys.rows.atom(w, zvec)])
 
 
-def expected_gen(sys: StandardSystem) -> float:
-    return float(np.sum(sys.joint.T * sys.gen_table))
+def expected_gen(sys: StandardSystem | SubsetSystem) -> float:
+    """E[gen] under the full joint, E[gen(W, Z(S))] in the subset setting,
+    summed over (w, row), the layout of the standard ``gen_table``."""
+    rows = sys.rows
+    return float(np.sum(rows.joint.T * rows.gen.T))
 
 
 def gen_hat(sys: SubsetSystem, w: Any, ztilde: tuple, s: tuple) -> float:
@@ -472,13 +460,13 @@ def gen_hat(sys: SubsetSystem, w: Any, ztilde: tuple, s: tuple) -> float:
     return float(sys.rows.values[sys.rows.atom(w, ztilde, s)])
 
 
-def expected_gen_subset(sys: SubsetSystem) -> float:
-    """E[gen(W, Z(S))] under the full joint."""
-    return float(np.sum(sys.joint * sys.gen_sel))
+expected_gen_subset = expected_gen
 
 
 def expected_gen_hat(sys: SubsetSystem) -> float:
-    return float(np.sum(sys.joint * sys.genhat))
+    """E[the test-minus-train gap] under the full joint, summed as ``expected_gen``."""
+    rows = sys.rows
+    return float(np.sum(rows.joint.T * rows.values.T))
 
 
 # -- problem files ----------------------------------------------------------
@@ -583,8 +571,8 @@ def load_problem(path_or_doc: Any) -> tuple[str, StandardSystem | SubsetSystem]:
     loss = _parse_loss(doc["loss"], instances)
     if setting == "subset":  # the joint is larger than the learner's grid: size it first
         check_budget(_subset_atoms(len(instances), n, len(loss.hypotheses)))
-    assemble = assemble_standard if setting == "standard" else assemble_subset
-    return setting, assemble(pz, n, _parse_learner(doc["learner"], loss, n), loss)
+    system = StandardSystem if setting == "standard" else SubsetSystem
+    return setting, system(pz, n, _parse_learner(doc["learner"], loss, n), loss)
 
 
 def fixture_path(name: str) -> Path:

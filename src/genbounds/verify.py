@@ -22,8 +22,6 @@ from .models import (
     LossTable,
     StandardSystem,
     SubsetSystem,
-    assemble_standard,
-    assemble_subset,
     gibbs_kernel,
     load_fixture,
 )
@@ -415,7 +413,9 @@ def gaussian_mi_validation(n: int, noise_var: float, prior_var: float,
 # -- randomized instances ---------------------------------------------------
 
 
-def _random_loss_and_learner(rng: np.random.Generator, n: int):
+def _random_system(rng: np.random.Generator, cls: type):
+    """A random ``cls`` system, drawn in the order n, |Z|, |W|, losses, P_Z, beta."""
+    n = int(rng.integers(1, 4))
     n_z = int(rng.integers(2, 4))
     n_w = int(rng.integers(2, 5))
     values = rng.uniform(0.0, 1.0, size=(n_w, n_z))
@@ -423,21 +423,17 @@ def _random_loss_and_learner(rng: np.random.Generator, n: int):
     pz = FiniteDistribution.from_probs(loss.instances,
                                        rng.dirichlet(np.ones(n_z)))
     beta = float(rng.uniform(0.0, 8.0))
-    return pz, loss, gibbs_kernel(loss, n, beta)
+    return cls(pz, n, gibbs_kernel(loss, n, beta), loss)
 
 
 def random_standard_system(rng: np.random.Generator) -> StandardSystem:
     """A small Gibbs-learner instance: |Z| in {2,3}, |W| in {2,3,4}, n in {1,2,3}."""
-    n = int(rng.integers(1, 4))
-    pz, loss, learner = _random_loss_and_learner(rng, n)
-    return assemble_standard(pz, n, learner, loss)
+    return _random_system(rng, StandardSystem)
 
 
 def random_subset_system(rng: np.random.Generator) -> SubsetSystem:
     """Subset analog of random_standard_system."""
-    n = int(rng.integers(1, 4))
-    pz, loss, learner = _random_loss_and_learner(rng, n)
-    return assemble_subset(pz, n, learner, loss)
+    return _random_system(rng, SubsetSystem)
 
 
 # -- suite runner -----------------------------------------------------------
