@@ -10,8 +10,8 @@ from __future__ import annotations
 from functools import cached_property
 from typing import Any
 
-from .engine import (BoundResult, _View, _check_delta, _log_ratio, _tail_bound_from_table,
-                     max_information, view_of)
+from .engine import (BoundResult, _View, _check_delta, _check_gamma, _log_ratio,
+                     _tail_bound_from_table, max_information, view_of)
 from .measures import T_INF, information_density
 from .models import StandardSystem
 from .prob import FiniteDistribution
@@ -79,7 +79,7 @@ def sd_renyi_bound(sys: StandardSystem, delta: float, alpha: float,
 def sd_tail_bound(sys: StandardSystem, delta: float, gamma: Any = "auto",
                   q_w: FiniteDistribution | None = None) -> BoundResult:
     """Single-draw bound from the exact tail of the information density."""
-    delta = _check_delta(delta)
+    delta, gamma = _check_delta(delta), _check_gamma(gamma)
     view = view_of(sys, q_w)
     return _tail_bound_from_table(view.table, view.rate, delta, gamma, view.params())
 

@@ -16,8 +16,8 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .engine import (BoundResult, _View, _check_delta, _log_ratio, _tail_bound_from_table,
-                     cond_alpha_mi, view_of)
+from .engine import (BoundResult, _View, _check_delta, _check_gamma, _log_ratio,
+                     _tail_bound_from_table, cond_alpha_mi, view_of)
 from .measures import ONE_SEGMENT, _leakage, _nested_mean, conditional_density
 from .models import LossTable, SubsetSystem, _data_grid
 from .prob import NEG_INF, FiniteDistribution, power_log_mass
@@ -130,7 +130,7 @@ def cond_sd_renyi_pair_bound(sys: SubsetSystem, delta: float, alpha: float,
 def cond_tail_bound(sys: SubsetSystem, delta: float, gamma: Any = "auto",
                     c: RangeConstant | None = None, q_kernel=None) -> BoundResult:
     """Conditional single-draw bound from the exact density tail."""
-    delta = _check_delta(delta)
+    delta, gamma = _check_delta(delta), _check_gamma(gamma)
     view = view_of(sys, c, q_kernel)
     return _tail_bound_from_table(view.table, view.rate, delta, gamma, view.params())
 

@@ -2,8 +2,8 @@
 and sweep a bound panel along a parameter axis.
 
 Exit codes: 0 success, 1 invariant failure (verify), 2 usage/config error,
-3 enumeration budget exceeded. Reports are deterministic: the same config
-and seed produce byte-identical output.
+3 enumeration budget exceeded. Output is deterministic: the same config
+(and, for verify, the same --seed) produces byte-identical output.
 """
 from __future__ import annotations
 
@@ -225,7 +225,8 @@ def _parser() -> argparse.ArgumentParser:
     for name in ("report", "verify", "sweep"):
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="JSON experiment config")
-        p.add_argument("--seed", type=int, default=0)
+        if name == "verify":  # the seed of its random instances
+            p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", default=None)
         p.add_argument("--format", choices=("csv", "json"), default="csv")
     return parser

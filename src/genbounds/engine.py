@@ -54,6 +54,13 @@ def _check_delta(delta: float) -> float:
     return delta
 
 
+def _check_gamma(gamma: Any) -> Any:
+    """A tail bound's gamma, "auto" or a number; NaN is refused by name."""
+    if gamma != "auto" and math.isnan(float(gamma)):
+        raise ValueError(f"gamma must be a number or 'auto', got {gamma!r}")
+    return gamma
+
+
 def _log_ratio(c: float, d: float) -> float:
     """log(c / d), taken as log(c) - log(d) only where c / d overflows (a
     tiny d), so that every representable quotient keeps its rounding."""

@@ -39,8 +39,8 @@ def normalize_order(t: Any) -> float | MomentOrder:
     if t is T_INF or t == "inf" or (isinstance(t, float) and math.isinf(t)):
         return T_INF
     t = float(t)
-    if t <= 0:
-        raise ValueError("moment order must be positive")
+    if not t > 0:  # NaN too
+        raise ValueError(f"moment order must be positive, got {t!r}")
     return t
 
 

@@ -562,12 +562,16 @@ def load_problem(path_or_doc: Any) -> tuple[str, StandardSystem | SubsetSystem]:
     if setting not in ("standard", "subset"):
         raise ValueError(f"unknown setting {setting!r}")
     instances = [tuple(o) if isinstance(o, list) else o for o in doc["instances"]]
+    if not instances:
+        raise ValueError("field 'instances': no instance is listed")
     if "pz" in doc:  # a probability may be a decimal string
         probs = [_number("pz", p, lambda p: p) for p in doc["pz"]]
         pz = FiniteDistribution.from_json({"outcomes": instances, "probs": probs})
     else:
         pz = FiniteDistribution.uniform(instances)
     n = _number("n", doc["n"], _integral)
+    if n < 1:
+        raise ValueError(f"field 'n': {n} is not at least 1")
     loss = _parse_loss(doc["loss"], instances)
     if setting == "subset":  # the joint is larger than the learner's grid: size it first
         check_budget(_subset_atoms(len(instances), n, len(loss.hypotheses)))

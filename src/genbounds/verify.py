@@ -191,6 +191,9 @@ def _quantile(sys, q: float, absolute: bool) -> float:
     """The first key (or |key|) of the law of ``sys``, ascending, whose
     cumulative mass reaches q - 1e-12, else the last. The masses are those
     of ``exact_gen_distribution``; the |key| side sums those of -x and x first."""
+    if math.isnan(q):
+        raise ValueError(f"q must be a number, got {q!r}")
+
     def cumulative():
         keys, masses = _law(sys)
         masses = np.exp(np.log(masses))
@@ -364,9 +367,14 @@ def strong_converse_check(p: FiniteDistribution, q: FiniteDistribution,
             "rhs": rhs, "holds": p_event <= rhs + COVERAGE_TOL}
 
 
+_INT_MAX = int(np.finfo(float).max)
+
+
 def _count(name: str, value: Any, least: int) -> int:
     """``value`` as an int, if integral and at least ``least``; else a
     ValueError naming ``name``."""
+    if isinstance(value, int) and abs(value) > _INT_MAX:  # float(value) overflows
+        raise ValueError(f"{name} must be an integer within the float range")
     if not (value >= least and float(value).is_integer()):
         raise ValueError(f"{name} must be an integer of at least {least}, got {value!r}")
     return int(value)

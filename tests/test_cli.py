@@ -146,6 +146,14 @@ class TestErrorHandling:
         assert captured.err.startswith(f"error: cannot write output {out!r}: ")
         assert "Traceback" not in captured.err and captured.out == ""
 
+    @pytest.mark.parametrize("command", ["report", "sweep"])
+    def test_seed_is_an_option_of_verify_only(self, tmp_path, capsys, command):
+        cfg = write_config(tmp_path, "cfg.json", {"problem": STANDARD_PROBLEM,
+                                                  "axis": "delta", "values": [0.1]})
+        assert main([command, "--config", cfg, "--seed", "1"]) == 2
+        captured = capsys.readouterr()
+        assert "unrecognized arguments: --seed 1" in captured.err and captured.out == ""
+
     def test_unknown_subcommand(self):
         assert main(["frobnicate", "--config", "x"]) == 2
 
@@ -352,6 +360,10 @@ class TestIllTypedConfig:
             "kind": "custom-kernel", "rows": {
                 "0": {"outcomes": [0, 1], "probs": [0.5, 0.5]},
                 "1": {"outcomes": [0, 1], "probs": [True, False]}}})}, "probs"),
+        ("report", {"problem": STANDARD_PROBLEM, "t": math.nan}, "t"),
+        ("sweep", {"problem": STANDARD_PROBLEM, "axis": "t", "values": [math.nan]}, "t"),
+        ("report", {"problem": dict(STANDARD_PROBLEM, instances=[])}, "instances"),
+        ("report", {"problem": dict(STANDARD_PROBLEM, n=-1)}, "n"),
     ])
     def test_exits_2_naming_the_field(self, tmp_path, capsys, command, config, field):
         cfg = write_config(tmp_path, "cfg.json", config)

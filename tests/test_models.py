@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -21,8 +22,10 @@ from genbounds import (
     load_problem,
     zero_one_loss,
 )
-from genbounds import Kernel
+from genbounds import Kernel, StandardSystem, SubsetSystem, load_fixture, models
 from genbounds.prob import BudgetExceededError, ProductGrid, TypeGrid, logsumexp
+from genbounds.verify import random_standard_system, random_subset_system
+from test_orbits import BENCH_SHAPES, _bench_problem
 
 
 class TestLossTable:
@@ -275,6 +278,40 @@ class TestGenHat:
         # learned hypothesis always fits its single training sample exactly,
         # so gen = population loss = 1/2 at every atom
         assert expected_gen_subset(inst_b) == pytest.approx(0.5, abs=1e-12)
+
+
+class TestOneShell:
+    """Both systems share ``models._System``; E[gen] and E[gen_hat] read either
+    through its rows and keep the bits of the formulas they replace."""
+
+    @pytest.fixture(scope="class")
+    def systems(self):
+        rng = np.random.default_rng(200)
+        out = [load_fixture(name)[1] for name in ("inst_a", "inst_b", "inst_c")]
+        for _ in range(20):
+            out += [random_standard_system(rng), random_subset_system(rng)]
+        return out + [_bench_problem(rng, *shape) for shape in BENCH_SHAPES]
+
+    def test_each_setting_subclasses_the_shell_with_its_own_post_init(self):
+        for cls in (StandardSystem, SubsetSystem):
+            assert cls.__mro__[1] is models._System and "__post_init__" in vars(cls)
+            assert cls.__getstate__ is models._System.__getstate__
+            assert cls.__eq__ is object.__eq__ and cls.__hash__ is object.__hash__
+        assert [f.name for f in dataclasses.fields(models._System)] == [
+            "pz", "n", "learner", "loss", "w_labels", "cond", "joint"]
+
+    def test_the_assemblers_are_the_classes(self):
+        assert assemble_standard is StandardSystem and assemble_subset is SubsetSystem
+        assert expected_gen_subset is expected_gen
+
+    def test_expected_gen_keeps_the_bits_of_each_old_formula(self, systems):
+        for sys in systems:
+            if sys.setting == "standard":
+                assert expected_gen(sys) == float(np.sum(sys.joint.T * sys.gen_table))
+            else:
+                assert expected_gen(sys) == float(np.sum(sys.joint * sys.gen_sel))
+                assert expected_gen_hat(sys) == float(np.sum(sys.joint * sys.genhat))
+        assert sum(sys.setting == "subset" for sys in systems) == 22
 
 
 class TestProblemFiles:

@@ -6,7 +6,8 @@ The row log mass, each context's log mass repeated over its rows plus each
 row's log mass given its context, is bit for bit the log mass the density
 tables formed from the system arrays directly. Only the record numbers the
 rows: ``row`` and ``atom`` turn labels into a row and a (row, w) index, and
-``labels`` gives each row's labels back, in row order."""
+``labels`` gives each row's labels back, in row order. ``expected_gen``
+reads the rows of either setting; ``pw`` reads the system arrays."""
 import gc
 import itertools
 import pickle
@@ -131,6 +132,15 @@ def test_an_unpickled_system_lays_out_rows_of_its_own_arrays(systems):
         else:
             assert copy.rows.joint is copy.joint
         assert np.array_equal(copy.rows.mass, sys.rows.mass)
+
+
+def test_expected_gen_reads_the_rows_and_pw_builds_none(systems):
+    for sys in systems:
+        copy = pickle.loads(pickle.dumps(sys))  # no rows yet
+        if copy.setting == "standard":
+            assert copy.pw.outcomes == copy.w_labels and "rows" not in vars(copy)
+        assert models.expected_gen(copy) == models.expected_gen(sys)
+        assert "rows" in vars(copy)
 
 
 def test_each_row_is_the_row_of_its_labels(systems):

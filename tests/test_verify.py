@@ -183,6 +183,13 @@ class TestPushforwards:
         assert abs_quantile(inst_c, 0.5) == 0.0
         assert abs_quantile(inst_c, 0.75) == 0.5
 
+    def test_a_nan_level_is_refused_and_a_level_past_one_saturates(self, inst_c, inst_b):
+        for sys in (inst_c, inst_b):
+            for read in (quantile, abs_quantile):
+                with pytest.raises(ValueError, match="^q must"):
+                    read(sys, math.nan)
+                assert read(sys, math.nextafter(1.0, 2.0)) == read(sys, 1.0)
+
     @staticmethod
     def _assert_matches_loop(values, masses):
         keys, sums = _pushforward(values, masses)
@@ -228,6 +235,19 @@ class TestCoverageReport:
             coverage(inst_a, "sd_renyi", 0.1, {"aplha": 3.0})
         with pytest.raises(ValueError, match=r"\['tee', 'beta'\]"):
             coverage(inst_b, "cond_sd_moment", 0.1, {"alpha": 3.0, "tee": 2, "beta": 1})
+
+    @pytest.mark.parametrize("bound_id, params, message", [
+        ("sd_moment", {"t": math.nan}, "moment order must be positive"),
+        ("pacb_moment", {"t": "nan"}, "moment order must be positive"),
+        ("sd_tail", {"gamma": math.nan}, "gamma must"),
+        ("cond_sd_moment", {"t": math.nan}, "moment order must be positive"),
+        ("cond_tail", {"gamma": math.nan}, "gamma must"),
+    ])
+    def test_a_nan_order_or_gamma_is_refused_not_read_as_a_violation(
+            self, inst_a, inst_b, bound_id, params, message):
+        sys = inst_a if verify.BOUNDS[bound_id].setting == "standard" else inst_b
+        with pytest.raises(ValueError, match=f"^{message}"):
+            coverage(sys, bound_id, 0.1, params)
 
 
 class TestStrongConverse:
@@ -300,13 +320,18 @@ class TestHoeffdingTail:
                                            ((math.inf, 2, 0.5), "sigma"),
                                            ((0.5, 2, math.nan), "eps"),
                                            ((0.5, 2.5, 0.5), "n"),
-                                           ((0.5, math.nan, 0.5), "n")])
+                                           ((0.5, math.nan, 0.5), "n"),
+                                           ((0.5, 10 ** 400, 0.1), "n"),  # an OverflowError
+                                           ((0.5, -10 ** 400, 0.1), "n")])
     def test_a_nan_or_fractional_argument_is_refused_by_name(self, bad, name):
         with pytest.raises(ValueError, match=f"^{name} must"):
             hoeffding_tail(*bad)
 
     def test_an_integral_float_n_is_an_integer(self):
         assert hoeffding_tail(0.5, 2.0, 0.5) == hoeffding_tail(0.5, 2, 0.5)
+        n = int(np.finfo(float).max)  # the largest n in the float range is taken
+        assert hoeffding_tail(1.0, n, 1e-153) == pytest.approx(2.0 * math.exp(-n * 1e-306 / 2.0),
+                                                               rel=1e-12)
 
     @pytest.mark.parametrize("args, want", [((1e200, 2, 0.5), 2.0), ((0.5, 2, 1e200), 0.0),
                                             ((1e-200, 2, 0.5), 0.0), ((1e-200, 2, 0.0), 2.0),
@@ -362,6 +387,8 @@ class TestGaussianValidation:
         ((2, math.nan, 1.0), {}, "noise_var"),
         ((2, 1.0, math.nan), {}, "prior_var"),
         ((2, math.inf, 1.0), {}, "noise_var"),
+        ((10 ** 400, 1.0, 1.0), {}, "n"),  # an OverflowError
+        ((2, 1.0, 1.0), {"samples": 10 ** 400}, "samples"),
     ])
     def test_malformed_input_is_refused_by_name(self, args, kwargs, name):
         with pytest.raises(ValueError, match=f"^{name} must"):
