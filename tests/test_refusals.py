@@ -7,10 +7,8 @@ import numpy as np
 import pytest
 
 from genbounds import (BoundResult, FiniteDistribution, JointTable, Kernel, LossTable,
-                       StandardSystem, central_moment, cli, cond_tail_bound, ess_sup,
-                       gibbs_kernel, kl, load_fixture, load_problem, marginalize, models,
-                       renyi_divergence, sd_tail_bound, zero_one_loss)
-from genbounds.engine import view_of
+                       StandardSystem, cli, ess_sup, gibbs_kernel, kl, load_problem,
+                       marginalize, models, renyi_divergence, zero_one_loss)
 from genbounds.measures import DensityTable, _renyi, density, normalize_order
 from genbounds.prob import InvalidDistributionError, ProductGrid, TypeGrid
 from test_cli import STANDARD_PROBLEM, write_config
@@ -29,26 +27,10 @@ def test_a_feasible_result_needs_a_finite_epsilon(epsilon):
     assert not BoundResult(epsilon, "average", "data-independent", feasible=False).feasible
 
 
-@pytest.mark.parametrize("t", [0, -1, -0.5, "0"])
+@pytest.mark.parametrize("t", [0, -1, -0.5, "0", math.nan, "nan"])
 def test_a_moment_order_must_be_positive(t):
     with pytest.raises(ValueError, match="moment order must be positive"):
         normalize_order(t)
-
-
-@pytest.mark.parametrize("t", [math.nan, "nan"])
-def test_a_nan_moment_order_is_refused(t):
-    sys = load_fixture("inst_a")[1]  # the view holds its system weakly
-    table = view_of(sys).table
-    for read in (normalize_order, lambda t: central_moment(table, t)):
-        with pytest.raises(ValueError, match="^moment order must be positive"):
-            read(t)
-
-
-@pytest.mark.parametrize("bound, fixture", [(sd_tail_bound, "inst_a"),
-                                            (cond_tail_bound, "inst_b")])
-def test_a_nan_gamma_is_refused_not_read_as_infeasible(bound, fixture):
-    with pytest.raises(ValueError, match="^gamma must"):
-        bound(load_fixture(fixture)[1], 0.1, math.nan)
 
 
 @pytest.mark.parametrize("field, value", [("instances", []), ("n", -1), ("n", 0)])

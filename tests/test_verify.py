@@ -321,7 +321,7 @@ class TestHoeffdingTail:
                                            ((0.5, 2, math.nan), "eps"),
                                            ((0.5, 2.5, 0.5), "n"),
                                            ((0.5, math.nan, 0.5), "n"),
-                                           ((0.5, 10 ** 400, 0.1), "n"),  # an OverflowError
+                                           ((0.5, 10 ** 400, 0.1), "n"),  # was an OverflowError
                                            ((0.5, -10 ** 400, 0.1), "n")])
     def test_a_nan_or_fractional_argument_is_refused_by_name(self, bad, name):
         with pytest.raises(ValueError, match=f"^{name} must"):
@@ -387,7 +387,7 @@ class TestGaussianValidation:
         ((2, math.nan, 1.0), {}, "noise_var"),
         ((2, 1.0, math.nan), {}, "prior_var"),
         ((2, math.inf, 1.0), {}, "noise_var"),
-        ((10 ** 400, 1.0, 1.0), {}, "n"),  # an OverflowError
+        ((10 ** 400, 1.0, 1.0), {}, "n"),  # was an OverflowError
         ((2, 1.0, 1.0), {"samples": 10 ** 400}, "samples"),
     ])
     def test_malformed_input_is_refused_by_name(self, args, kwargs, name):
