@@ -162,10 +162,14 @@ def _subset_columns(system) -> dict:
     information between W and the supersample vs the conditional one."""
     if not isinstance(system, SubsetSystem):
         return {"mi_w_supersample": "", "cmi_w_selector": ""}
-    # I(W; Ztilde) = sum p(zt) KL(P_{W|zt} || P_W) on the one-context (zt, w) grid
-    pw_given, p_zt = system.pw_given, system.p_ztilde
+    # I(W; Ztilde) = sum p(zt) KL(P_{W|zt} || P_W) on the one-context (zt, w) grid,
+    # p(zt) the sum of its rows' masses
+    rows = system.rows
+    p_zt = np.add.reduceat(rows.mass, rows.starts)
+    log_pw_given = rows.log_masses[2]
+    pw_given = np.exp(log_pw_given)
     p_w = np.add.reduceat(p_zt[:, None] * pw_given, ONE_SEGMENT)
-    kls = _posterior_kls(pw_given, _support_ratio(*_logs(pw_given, p_w)))
+    kls = _posterior_kls(pw_given, _support_ratio(log_pw_given.copy(), *_logs(p_w)))
     mi_wzt = float(np.multiply(p_zt, kls, out=np.zeros_like(kls), where=p_zt > 0).sum())
     return {"mi_w_supersample": mi_wzt,
             "cmi_w_selector": view_of(system).table.mean}

@@ -192,7 +192,7 @@ def conditional_density(sys: SubsetSystem, q_kernel=None) -> DensityTable:
     """Conditional information density of (W, S) given the supersample, over
     the flat ((ztilde, s), w) grid, against P_{W|Ztilde} (or the auxiliary
     conditional): log(P(w,zt,s) / (P(w|zt) P(zt) P(s))) = log(P(w|z(s)) / P(w|zt))."""
-    return _density(sys, None if q_kernel is None else q_kernel.log_mass_on(sys.zt_grid)[
+    return _density(sys, None if q_kernel is None else q_kernel.log_mass_on(sys.rows.grids[0])[
         :, [q_kernel.output_outcomes.index(w) for w in sys.w_labels]])  # in w_labels order
 
 

@@ -66,6 +66,10 @@ class LossTable:
             raise ValueError("sigma must be finite and at least (b-a)/2, "
                              "the sub-Gaussian parameter of this range")
 
+    def __reduce__(self) -> tuple:  # rebuilt on unpickling, so its array is read-only
+        return type(self), (self.hypotheses, self.instances, self.values, self.a, self.b,
+                            self.sigma)
+
     def loss(self, w: Any, z: Any) -> float:
         return float(self.values[self.hypotheses.index(w), self.instances.index(z)])
 
@@ -77,18 +81,11 @@ class LossTable:
             total = total + math.exp(lm) * self.values[:, self.instances.index(z)]
         return total
 
-    def population_loss(self, w: Any, pz: FiniteDistribution) -> float:
-        return float(self.population_losses(pz)[self.hypotheses.index(w)])
-
     def totals(self, grid: ProductGrid | TypeGrid) -> np.ndarray:
         """The total loss of every hypothesis on every code of ``grid``,
         shape (|grid|, |W|), summed as ``grid.sums`` sums."""
         cols = [self.instances.index(z) for z in grid.labels]
         return grid.sums(self.values.T[cols])
-
-    def empirical_loss(self, w: Any, zvec: Sequence[Any]) -> float:
-        wi = self.hypotheses.index(w)
-        return float(np.mean([self.values[wi, self.instances.index(z)] for z in zvec]))
 
 
 def zero_one_loss(labels: Sequence[Any]) -> LossTable:
@@ -206,14 +203,15 @@ def _lookup(find: Callable[[Any], int], label: Any) -> int:
 
 @dataclass(frozen=True)
 class Rows:
-    """A system's grid as flat rows, the one layout that its views, density
-    tables and measures read: ``joint``, ``cond`` (the posteriors), ``values``
-    (the value bounded) and ``gen`` are (row, w) arrays and ``mass`` is per
-    row; ``starts`` is each context's first row, and ``log_masses`` are each
-    context's log mass, each row's log mass given its context, and log
-    P(w | context). The codes of ``grids``, in product order, number the rows
-    and ``w_labels`` the w axis; only ``row``, ``atom`` and ``labels`` read
-    them. Contexts are contiguous and non-empty; arrays are read-only."""
+    """A system's grid as flat rows, the one layout that the system stores
+    and that its views, density tables and measures read: ``joint``,
+    ``cond`` (the posteriors), ``values`` (the value bounded) and ``gen`` are
+    C-contiguous (row, w) arrays and ``mass`` is per row; ``starts`` is each
+    context's first row, and ``log_masses`` are each context's log mass,
+    each row's log mass given its context, and log P(w | context). The codes
+    of ``grids``, in product order, number the rows and ``w_labels`` the w
+    axis; only ``row``, ``atom`` and ``labels`` read them. Contexts are
+    contiguous and non-empty; every array is made read-only."""
 
     grids: tuple
     w_labels: tuple
@@ -225,8 +223,9 @@ class Rows:
     gen: np.ndarray
     log_masses: tuple
 
-    def __post_init__(self):  # the system's own arrays are read-only already
-        for arr in (self.starts, self.mass, *self.log_masses):
+    def __post_init__(self):
+        for arr in (self.starts, self.mass, self.joint, self.cond, self.values, self.gen,
+                    *self.log_masses):
             arr.flags.writeable = False
 
     def row(self, *data) -> int:
@@ -249,77 +248,56 @@ class Rows:
 
 @dataclass(frozen=True, eq=False)  # views are keyed weakly by identity
 class _System:
-    """The shell of both settings: the inputs, and the labels, posteriors and
-    joint that each setting's ``__post_init__`` derives. The pickled state
-    leaves ``rows`` out: an unpickled copy lays out its own, views of its own
-    arrays rather than copies of the original's."""
+    """The shell of both settings: the inputs, and the row record that each
+    setting's ``__post_init__`` builds from them, the one layout it stores.
+    ``w_labels``, ``cond`` and ``joint`` read the record. A system pickles as
+    its inputs: an unpickled copy builds a read-only record of its own."""
 
     pz: FiniteDistribution
     n: int
     learner: Kernel
     loss: LossTable
-    w_labels: tuple = field(init=False)
-    cond: np.ndarray = field(init=False)
-    joint: np.ndarray = field(init=False)
+    rows: Rows = field(init=False)
 
-    def __getstate__(self) -> dict:
-        return {name: value for name, value in vars(self).items() if name != "rows"}
+    w_labels = property(lambda self: self.rows.w_labels)
+    cond = property(lambda self: self.rows.cond)
+    joint = property(lambda self: self.rows.joint)
 
-    def _set(self, **fields) -> None:
-        """Set the derived fields of the frozen system; arrays become read-only."""
-        for name, value in fields.items():
-            if isinstance(value, np.ndarray):
-                value.flags.writeable = False
-            object.__setattr__(self, name, value)
+    def __reduce__(self) -> tuple:
+        return type(self), (self.pz, self.n, self.learner, self.loss)
 
 
 @dataclass(frozen=True, eq=False)
 class StandardSystem(_System):
     """The standard setting: iid data, learner kernel, derived joint and marginal.
 
-    Arrays: ``pzn_mass`` over z-vectors, ``cond[z, w]`` = P(w | z-vector),
-    ``joint[z, w]``, ``pw_mass`` over W, ``gen[w, z]`` the generalization
-    error at each atom. The z axis is in code order of ``z_grid``, the grid
-    kind of the learner: for a learner on a ``TypeGrid`` an atom is a type
-    class, every vector of which has the same row, gen and density, and
-    ``pzn_mass`` is the mass of the whole class.
+    Its record has one context, of mass 1, whose rows are the codes of the
+    data grid ``rows.grids[0]``, of the learner's grid kind: ``mass`` is
+    P(z-vector), ``cond`` P(w | z-vector), ``values`` and ``gen`` the
+    generalization error at each atom, and the context's log Q is log P(w).
+    For a learner on a ``TypeGrid`` a row is a type class, every vector of
+    which has the same posterior, gen and density; its mass is the whole class's.
     """
 
     setting = "standard"
-    z_grid: ProductGrid | TypeGrid = field(init=False)
-    pzn_mass: np.ndarray = field(init=False)
-    pw_mass: np.ndarray = field(init=False)
-    gen_table: np.ndarray = field(init=False)
 
     def __post_init__(self):
         w_labels = _check_system(self)
         grid = _data_grid(self.learner, self.pz.outcomes, self.n)
-        pzn_mass = np.exp(power_log_mass(self.pz.log_mass, grid))
+        mass = np.exp(power_log_mass(self.pz.log_mass, grid))
         cond = np.exp(self.learner.log_mass_on(grid))
-        joint = pzn_mass[:, None] * cond
-        pop = self.loss.population_losses(self.pz)
-        emp = self.loss.totals(grid) / self.n
-        self._set(z_grid=grid, w_labels=w_labels, pzn_mass=pzn_mass,
-                  cond=cond, joint=joint, pw_mass=joint.sum(axis=0),
-                  gen_table=np.ascontiguousarray((pop - emp).T))
-
-    @cached_property
-    def rows(self) -> Rows:
-        """One context, of mass 1, whose rows are the codes of ``z_grid``."""
-        gen = self.gen_table.T
-        return Rows((self.z_grid,), self.w_labels, ONE_SEGMENT, self.pzn_mass, self.joint,
-                    self.cond, gen, gen, (np.zeros(1), *_logs(self.pzn_mass, self.pw_mass)))
+        joint = mass[:, None] * cond
+        gen = self.loss.population_losses(self.pz) - self.loss.totals(grid) / self.n
+        object.__setattr__(self, "rows", Rows(
+            (grid,), w_labels, ONE_SEGMENT, mass, joint, cond, gen, gen,
+            (np.zeros(1), *_logs(mass, joint.sum(axis=0)))))
 
     @property
     def sigma(self) -> float:
         return self.loss.sigma
 
-    @property
-    def pw(self) -> FiniteDistribution:
-        return FiniteDistribution(self.w_labels, *_logs(self.pw_mass))
-
     def joint_table(self) -> JointTable:
-        """The joint over (w, z-vector) atoms, one per code of ``z_grid``."""
+        """The joint over (w, z-vector) atoms, one per row of the record."""
         outcomes = [(w, zvec) for (zvec,) in self.rows.labels for w in self.w_labels]
         return JointTable(outcomes, *_logs(self.joint.ravel()))
 
@@ -365,75 +343,56 @@ class SubsetSystem(_System):
     """The random-subset setting: a 2n supersample, a Bernoulli(1/2) selector,
     and a learner acting on the selected half.
 
-    Arrays: ``p_ztilde`` over 2n-tuples, ``cond[zt, s, w]`` = P(w | z(s)),
-    ``pw_given[zt, w]`` = P(w | z-tilde) by marginalizing out S,
-    ``genhat[zt, s, w]`` the test-minus-train gap, ``gen_sel[zt, s, w]`` the
-    ordinary generalization error on the selected half. The zt and s axes
-    are in code order of ``zt_grid`` and ``s_grid``.
+    Its record has one context per supersample, of |S| rows: row
+    zt_code * |S| + s_code, on the grids ``rows.grids`` = (z-tilde grid,
+    s grid). ``cond`` is P(w | z(s)), ``values`` the test-minus-train gap,
+    ``gen`` the ordinary generalization error on the selected half, and a
+    context's log Q is log P(w | z-tilde), S marginalized out.
     """
 
     setting = "subset"
-    zt_grid: ProductGrid = field(init=False)
-    s_grid: ProductGrid = field(init=False)
-    p_ztilde: np.ndarray = field(init=False)
-    p_s: np.ndarray = field(init=False)
-    pw_given: np.ndarray = field(init=False)
-    genhat: np.ndarray = field(init=False)
-    gen_sel: np.ndarray = field(init=False)
 
     def __post_init__(self):
         w_labels = _check_system(self)
         n = self.n
         z_grid = ProductGrid(self.pz.outcomes, n)
-        zt_grid = ProductGrid(self.pz.outcomes, 2 * n)
-        s_grid = ProductGrid((0, 1), n)
+        zt_grid, s_grid = ProductGrid(self.pz.outcomes, 2 * n), ProductGrid((0, 1), n)
+        width = s_grid.size
         sel, unsel = _halves(zt_grid, s_grid)
         cond = np.exp(self.learner.log_mass_on(z_grid)[sel])
-        p_ztilde = np.exp(power_log_mass(self.pz.log_mass, zt_grid))
-        p_s = np.full(s_grid.size, 0.5 ** n)
-        pop = self.loss.population_losses(self.pz)
+        p_s = 0.5 ** n
+        p_zt = np.exp(power_log_mass(self.pz.log_mass, zt_grid))
+        mass = np.repeat(p_zt * p_s, width)
+        pw_given = cond[::width].copy()  # P_S is uniform: the mean of each context's rows
+        for s in range(1, width):
+            pw_given += cond[s::width]
+        pw_given /= width
         emp = self.loss.totals(z_grid) / n
-        train, test = emp[sel], emp[unsel]
-        self._set(zt_grid=zt_grid, s_grid=s_grid, w_labels=w_labels,
-                  p_ztilde=p_ztilde, p_s=p_s, cond=cond,
-                  joint=p_ztilde[:, None, None] * p_s[None, :, None] * cond,
-                  pw_given=cond.mean(axis=1),  # P_S is uniform
-                  genhat=test - train, gen_sel=pop - train)
-
-    @cached_property
-    def rows(self) -> Rows:
-        """One context of |S| rows per supersample: row zt_code * |S| + s_code,
-        the (z-tilde, s, w) arrays read by ``reshape``, with no copy."""
-        n_zt, width = self.zt_grid.size, len(self.w_labels)
-        joint, cond, genhat, gen_sel = (a.reshape(-1, width) for a in
-                                        (self.joint, self.cond, self.genhat, self.gen_sel))
-        return Rows((self.zt_grid, self.s_grid), self.w_labels,
-                    np.arange(n_zt) * self.s_grid.size,
-                    (self.p_ztilde[:, None] * self.p_s[None, :]).reshape(-1), joint, cond,
-                    genhat, gen_sel, _logs(self.p_ztilde, np.tile(self.p_s, n_zt),
-                                           self.pw_given))
+        train = emp[sel]
+        object.__setattr__(self, "rows", Rows(
+            (zt_grid, s_grid), w_labels, np.arange(zt_grid.size) * width, mass,
+            mass[:, None] * cond, cond, emp[unsel] - train,
+            self.loss.population_losses(self.pz) - train,
+            _logs(p_zt, np.full(len(mass), p_s), pw_given)))
 
     def select(self, ztilde: tuple, s: tuple) -> tuple:
         """Training vector z(s): the ith sample is ztilde[i + s_i * n]."""
         return tuple(ztilde[i + s[i] * self.n] for i in range(self.n))
 
-    def induced_standard(self) -> StandardSystem:
-        """The standard system over Z(S): by exchangeability Z(S) ~ P_Z^n,
-        and W given Z(S) follows the same learner kernel."""
-        return StandardSystem(self.pz, self.n, self.learner, self.loss)
-
 
 def _halves(zt_grid: ProductGrid, s_grid: ProductGrid) -> tuple[np.ndarray, np.ndarray]:
-    """Codes of the selected and the unselected half of every (z-tilde, s)
-    pair, shape (|Zt|, |S|), on the grid of length-n vectors: the ith
+    """Codes of the selected and the unselected half at every row, row
+    zt_code * |S| + s_code, on the grid of length-n vectors: the ith
     sample of z(s) is ztilde[i + s_i n]."""
-    n, k = s_grid.n, len(zt_grid.labels)
+    n, k, width = s_grid.n, len(zt_grid.labels), s_grid.size
     zt = zt_grid.digits(np.arange(zt_grid.size))
-    s = s_grid.digits(np.arange(s_grid.size))
-    sel = unsel = np.zeros((zt_grid.size, s_grid.size), dtype=np.int64)
+    s = s_grid.digits(np.arange(width))
+    ctx = np.repeat(np.arange(zt_grid.size), width)
+    sel = unsel = np.zeros(len(ctx), dtype=np.int64)
     for i in range(n):
-        sel = sel * k + zt[:, i + n * s[:, i]]
-        unsel = unsel * k + zt[:, i + n * (1 - s[:, i])]
+        s_i = np.tile(s[:, i], zt_grid.size)
+        sel = sel * k + zt[ctx, i + n * s_i]
+        unsel = unsel * k + zt[ctx, i + n * (1 - s_i)]
     return sel, unsel
 
 
@@ -450,9 +409,9 @@ def gen(sys: StandardSystem, w: Any, zvec: tuple) -> float:
 
 def expected_gen(sys: StandardSystem | SubsetSystem) -> float:
     """E[gen] under the full joint, E[gen(W, Z(S))] in the subset setting,
-    summed over (w, row), the layout of the standard ``gen_table``."""
+    summed over the flat (row, w) grid."""
     rows = sys.rows
-    return float(np.sum(rows.joint.T * rows.gen.T))
+    return float(np.sum(rows.joint * rows.gen))
 
 
 def gen_hat(sys: SubsetSystem, w: Any, ztilde: tuple, s: tuple) -> float:
@@ -466,7 +425,7 @@ expected_gen_subset = expected_gen
 def expected_gen_hat(sys: SubsetSystem) -> float:
     """E[the test-minus-train gap] under the full joint, summed as ``expected_gen``."""
     rows = sys.rows
-    return float(np.sum(rows.joint.T * rows.values.T))
+    return float(np.sum(rows.joint * rows.values))
 
 
 # -- problem files ----------------------------------------------------------
@@ -492,8 +451,18 @@ def _number(key: str, value: Any, convert: Callable[[Any], Any] = float) -> Any:
         raise ValueError(f"field {key!r}: {exc}") from None
 
 
+def _field(key: str, value: Any, kind: type, length: int | None = None) -> Any:
+    """``value`` if it is a ``kind`` (a list may be a tuple) of ``length``
+    items; anything else is a ValueError naming the field ``key``."""
+    if not isinstance(value, (list, tuple) if kind is list else kind) or (
+            length not in (None, len(value))):
+        shape = "an object" if kind is Mapping else f"a list of {length}" if length else "a list"
+        raise ValueError(f"field {key!r}: expected {shape}, got {value!r}")
+    return value
+
+
 def _parse_loss(doc: Mapping[str, Any], instances: Sequence[Any]) -> LossTable:
-    a, b = (_number("range", x) for x in doc["range"])
+    a, b = (_number("range", x) for x in _field("range", doc["range"], list, 2))
     matrix = np.asarray(doc["matrix"], dtype=object)
     return LossTable(
         hypotheses=tuple(doc["hypotheses"]),
@@ -561,7 +530,8 @@ def load_problem(path_or_doc: Any) -> tuple[str, StandardSystem | SubsetSystem]:
     setting = doc["setting"]
     if setting not in ("standard", "subset"):
         raise ValueError(f"unknown setting {setting!r}")
-    instances = [tuple(o) if isinstance(o, list) else o for o in doc["instances"]]
+    instances = [tuple(o) if isinstance(o, list) else o
+                 for o in _field("instances", doc["instances"], list)]
     if not instances:
         raise ValueError("field 'instances': no instance is listed")
     if "pz" in doc:  # a probability may be a decimal string
@@ -576,7 +546,8 @@ def load_problem(path_or_doc: Any) -> tuple[str, StandardSystem | SubsetSystem]:
     if setting == "subset":  # the joint is larger than the learner's grid: size it first
         check_budget(_subset_atoms(len(instances), n, len(loss.hypotheses)))
     system = StandardSystem if setting == "standard" else SubsetSystem
-    return setting, system(pz, n, _parse_learner(doc["learner"], loss, n), loss)
+    learner = _parse_learner(_field("learner", doc["learner"], Mapping), loss, n)
+    return setting, system(pz, n, learner, loss)
 
 
 def fixture_path(name: str) -> Path:

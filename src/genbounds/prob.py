@@ -89,6 +89,9 @@ class FiniteDistribution:
         self.log_mass = lm
         self._index = {o: i for i, o in enumerate(self.outcomes)}
 
+    def __reduce__(self) -> tuple:  # rebuilt on unpickling, so its array is read-only
+        return type(self), (self.outcomes, self.log_mass)
+
     # -- constructors -------------------------------------------------------
 
     @classmethod
@@ -274,6 +277,9 @@ class TypeGrid:
         for arr in (self.counts, self.log_multiplicity, self._before):
             arr.flags.writeable = False
 
+    def __reduce__(self) -> tuple:  # rebuilt on unpickling, so its arrays are read-only
+        return type(self), (self.labels, self.n)
+
     @staticmethod
     def count(k: int, n: int) -> int:
         """The number of types of length-n vectors over k labels,
@@ -379,6 +385,11 @@ class Kernel:
         self.grid = grid
         self._labels = labels
         self._row = None if labels is None else {lab: i for i, lab in enumerate(labels)}
+
+    def __reduce__(self) -> tuple:  # rebuilt on unpickling, so its array is read-only
+        if self.grid is None:
+            return type(self), ({lab: self[lab] for lab in self._labels},)
+        return self.on_grid, (self.log_mass, self.output_outcomes, self.grid)
 
     def _row_of(self, label: Any) -> int:
         return self._row[label] if self.grid is None else self.grid.code(label)

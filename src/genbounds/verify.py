@@ -22,6 +22,8 @@ from .models import (
     LossTable,
     StandardSystem,
     SubsetSystem,
+    _integral,
+    _number,
     gibbs_kernel,
     load_fixture,
 )
@@ -457,6 +459,7 @@ def run_verification_suite(seed: int = 0, n_instances: int = 50,
     exponential checks (values below 1 inject a deliberate fault).
     """
     _positive("sigma_scale", sigma_scale)
+    n_instances = _number("n_instances", n_instances, _integral)
     if n_instances < 1:
         raise ValueError(f"n_instances must be at least 1, got {n_instances!r}")
     # per setting: exponential check, ordering check, (relaxed, direct) moment bounds

@@ -6,8 +6,11 @@ meaningful evidence of correctness. Only suitable for desk-scale instances.
 
 The exceptions are the loop reference at the end, which builds the system
 arrays atom by atom with the same per-row numpy operations the array core
-must reproduce, the 50-digit Gibbs rows, the two auto-gamma tail scans, the
-out-of-place central moment, and the per-setting information measures
+must reproduce; ``system_arrays``, which rebuilds a system's per-vector
+arrays from its inputs by label loops in the same arithmetic, so that no
+reference reads a derived array of the system it checks; the 50-digit
+Gibbs rows, the two auto-gamma tail scans, the out-of-place central
+moment, and the per-setting information measures
 (density, posterior KLs, Renyi divergence, alpha-MI, leakage, the Holder
 bound on the (z-tilde, s, w) grid) that the package's shared formulas
 replaced, and ``product_twin``, which rebuilds a system with every z-vector
@@ -27,6 +30,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import weakref
 
 import numpy as np
 
@@ -324,44 +328,55 @@ def decimal_gibbs_rows(values, n, beta):
 
 
 def loop_standard_arrays(pz_labels, pz_log_mass, n, rows, values, instances):
-    """The standard system's arrays; ``rows`` maps z-vectors of labels to
-    log-mass rows over the hypotheses."""
+    """The standard system's record arrays, row (z-vector) by row, and log
+    P(w); ``rows`` maps z-vectors of labels to log-mass rows over the hypotheses."""
     zvecs = list(itertools.product(pz_labels, repeat=n))
     lm_of = dict(zip(pz_labels, pz_log_mass))
     col = {z: instances.index(z) for z in pz_labels}
-    pzn = np.exp(np.array([sum(float(lm_of[z]) for z in v) for v in zvecs]))
+    mass = np.exp(np.array([sum(float(lm_of[z]) for z in v) for v in zvecs]))
     cond = np.array([np.exp(rows[v]) for v in zvecs])
-    joint = pzn[:, None] * cond
+    joint = mass[:, None] * cond
     pop = np.array([sum(math.exp(lm_of[z]) * values[w, col[z]] for z in pz_labels)
                     for w in range(values.shape[0])])
-    emp = np.array([[float(np.mean([values[w, col[z]] for z in v])) for v in zvecs]
-                    for w in range(values.shape[0])])
-    return {"pzn_mass": pzn, "cond": cond, "joint": joint, "pw_mass": joint.sum(axis=0),
-            "gen_table": pop[:, None] - emp}
+    emp = np.array([[float(np.mean([values[w, col[z]] for z in v]))
+                     for w in range(values.shape[0])] for v in zvecs])
+    with np.errstate(divide="ignore"):
+        log_q = np.log(joint.sum(axis=0))
+    return {"mass": mass, "cond": cond, "joint": joint, "gen": pop[None, :] - emp,
+            "log_q": log_q}
 
 
 def loop_subset_arrays(pz_labels, pz_log_mass, n, rows, values, instances):
-    """The random-subset system's arrays, by a double loop over (z-tilde, s)."""
+    """The random-subset system's record arrays, one (z-tilde, s) row at a
+    time in row order, and the log masses of each context, of each row given
+    its context, and of P(w | z-tilde)."""
     ztildes = list(itertools.product(pz_labels, repeat=2 * n))
     svecs = list(itertools.product((0, 1), repeat=n))
     lm_of = dict(zip(pz_labels, pz_log_mass))
     col = {z: instances.index(z) for z in pz_labels}
     pop = np.array([sum(math.exp(lm_of[z]) * values[w, col[z]] for z in pz_labels)
                     for w in range(values.shape[0])])
-    shape = (len(ztildes), len(svecs), values.shape[0])
+    shape = (len(ztildes) * len(svecs), values.shape[0])
     cond, genhat, gen_sel = np.empty(shape), np.empty(shape), np.empty(shape)
     for zi, zt in enumerate(ztildes):
         for si, s in enumerate(svecs):
+            row = zi * len(svecs) + si
             sel = [zt[i + s[i] * n] for i in range(n)]
             unsel = [zt[i + (1 - s[i]) * n] for i in range(n)]
-            cond[zi, si] = np.exp(rows[tuple(sel)])
+            cond[row] = np.exp(rows[tuple(sel)])
             train = values[:, [col[z] for z in sel]].mean(axis=1)
             test = values[:, [col[z] for z in unsel]].mean(axis=1)
-            genhat[zi, si] = test - train
-            gen_sel[zi, si] = pop - train
+            genhat[row] = test - train
+            gen_sel[row] = pop - train
     p_zt = np.exp(np.array([sum(float(lm_of[z]) for z in v) for v in ztildes]))
-    return {"p_ztilde": p_zt, "p_s": np.full(len(svecs), 0.5 ** n), "cond": cond,
-            "pw_given": cond.mean(axis=1), "genhat": genhat, "gen_sel": gen_sel}
+    p_s = np.full(len(svecs), 0.5 ** n)
+    mass = (p_zt[:, None] * p_s[None, :]).ravel()
+    pw_given = cond.reshape(len(ztildes), len(svecs), -1).mean(axis=1)
+    with np.errstate(divide="ignore"):
+        logs = {"log_ctx": np.log(p_zt), "log_data": np.log(np.tile(p_s, len(ztildes))),
+                "log_q": np.log(pw_given)}
+    return {"mass": mass, "cond": cond, "joint": mass[:, None] * cond, "values": genhat,
+            "gen": gen_sel, **logs}
 
 
 def pushforward(values, masses):
@@ -486,22 +501,96 @@ def central_moment_out_of_place(tbl, t):
 # -- the per-setting information measures the shared formulas replaced -------
 
 
+def _ordered_sum(terms):
+    """A left-to-right float sum from 0, as the array core's grid sums add."""
+    acc = 0.0
+    for term in terms:
+        acc += term
+    return acc
+
+
+def system_arrays(sys):
+    """The per-setting arrays of ``sys``, rebuilt from its inputs ``pz``,
+    ``n``, ``learner`` and ``loss`` (and ``select``) by label loops, in the
+    arithmetic of the array core: each log mass a left-to-right sum, each
+    posterior the learner's row at a data vector, P(w | z-tilde) the
+    selector's rows added in order and divided by |S|.
+
+    Standard: ``vectors`` (the data vector of each row, a type's sorted
+    representative for a learner on a type grid), ``pzn`` p(z-vector) (of
+    the whole type), ``cond[z, w]`` P(w | z-vector), ``joint[z, w]`` and
+    ``pw`` P(w). Subset: ``p_zt`` p(z-tilde), ``p_s`` p(s), ``cond[zt, s, w]``
+    P(w | z(s)), ``joint[zt, s, w]`` and ``pw_given[zt, w]`` P(w | z-tilde),
+    over ``zvectors`` of the 2n supersamples and the n selectors. The arrays
+    are read-only and rebuilt once per system."""
+    if sys not in _ARRAYS:
+        arrays = _rebuilt_arrays(sys)
+        for arr in arrays.values():
+            if isinstance(arr, np.ndarray):
+                arr.flags.writeable = False
+        _ARRAYS[sys] = arrays
+    return dict(_ARRAYS[sys])
+
+
+_ARRAYS = weakref.WeakKeyDictionary()  # system -> its rebuilt arrays
+
+
+def _rebuilt_arrays(sys):
+    labels, n = sys.pz.outcomes, sys.n
+    lm_of = dict(zip(labels, sys.pz.log_mass.tolist()))
+    rows = {}
+
+    def posterior(zvec):
+        if zvec not in rows:
+            rows[zvec] = np.exp(sys.learner[zvec].log_mass)
+        return rows[zvec]
+
+    if sys.setting == "subset":
+        svecs = zvectors((0, 1), n)
+        ztildes = zvectors(labels, 2 * n)
+        p_zt = np.exp(np.array([_ordered_sum(lm_of[z] for z in zt) for zt in ztildes]))
+        p_s = np.full(len(svecs), 0.5 ** n)
+        cond = np.array([[posterior(sys.select(zt, s)) for s in svecs] for zt in ztildes])
+        pw_given = np.array([_ordered_sum(per_s) / len(svecs) for per_s in cond])
+        joint = p_zt[:, None, None] * p_s[None, :, None] * cond
+        return {"p_zt": p_zt, "p_s": p_s, "cond": cond, "joint": joint, "pw_given": pw_given}
+    grid = sys.learner.grid
+    vectors = zvectors(labels, n) if grid is None else list(grid.vectors())
+    log_pzn = []
+    for v in vectors:
+        if grid is None:  # a vector: its labels' log masses
+            log_pzn.append(_ordered_sum(lm_of[z] for z in v) + 0.0)
+            continue
+        counts = [v.count(lab) for lab in grid.labels]  # a type: counts times log
+        ways = math.factorial(n)                         # masses, + log multinomial
+        for c in counts:
+            ways //= math.factorial(c)
+        log_pzn.append(_ordered_sum(c * lm_of[lab] for lab, c in zip(grid.labels, counts) if c)
+                       + math.log(ways))
+    pzn = np.exp(np.array(log_pzn))
+    cond = np.array([posterior(v) for v in vectors])
+    joint = pzn[:, None] * cond
+    return {"vectors": vectors, "pzn": pzn, "cond": cond, "joint": joint,
+            "pw": joint.sum(axis=0)}
+
+
 def density_arrays(sys, q_w=None):
     """(log joint, log base, iota) of a system's density grid, each setting
     by its own formula: the standard iota in joint form, log(P_Z^n P(w|z)) -
     (log P_Z^n + log Q_W), -inf off the joint support; the subset iota
     log P(w|z(s)) - log P(w|zt) where both are positive."""
+    a = system_arrays(sys)
     with np.errstate(divide="ignore", invalid="ignore"):
-        log_joint = np.log(sys.joint)
+        log_joint = np.log(a["joint"])
         if sys.setting == "standard":
-            log_w = (np.log(sys.pw_mass) if q_w is None
-                     else np.array([q_w.log_mass_of(w) for w in sys.w_labels]))
-            log_base = np.log(sys.pzn_mass)[:, None] + log_w[None, :]
+            log_w = (np.log(a["pw"]) if q_w is None
+                     else np.array([q_w.log_mass_of(w) for w in sys.loss.hypotheses]))
+            log_base = np.log(a["pzn"])[:, None] + log_w[None, :]
             sup = log_joint > -math.inf
             diff = log_joint - log_base
         else:
-            log_cond, log_w_given = np.log(sys.cond), np.log(sys.pw_given)
-            log_base = (np.log(sys.p_ztilde)[:, None, None] + np.log(sys.p_s)[None, :, None]
+            log_cond, log_w_given = np.log(a["cond"]), np.log(a["pw_given"])
+            log_base = (np.log(a["p_zt"])[:, None, None] + np.log(a["p_s"])[None, :, None]
                         + log_w_given[:, None, :])
             base = np.broadcast_to(log_w_given[:, None, :], log_cond.shape)
             sup = (log_cond > -math.inf) & (base > -math.inf)
@@ -514,18 +603,20 @@ def density_arrays(sys, q_w=None):
 def posterior_kls(sys, iota, q_w=None):
     """Posterior KLs: the standard ones in ratio form, sum_w P(w|z) (log
     P(w|z) - log Q_W(w)); the subset ones as sum_w P(w|z(s)) iota."""
+    a = system_arrays(sys)
+    cond = a["cond"]
     if sys.setting == "subset":
         terms = np.zeros_like(iota)
         sup = iota > -math.inf
-        terms[sup] = sys.cond[sup] * iota[sup]
+        terms[sup] = cond[sup] * iota[sup]
         return np.sum(terms, axis=2)
     with np.errstate(divide="ignore"):
-        log_w = (np.log(sys.pw_mass) if q_w is None
-                 else np.array([q_w.log_mass_of(w) for w in sys.w_labels]))
-        log_cond = np.log(sys.cond)
+        log_w = (np.log(a["pw"]) if q_w is None
+                 else np.array([q_w.log_mass_of(w) for w in sys.loss.hypotheses]))
+        log_cond = np.log(cond)
     sup = log_cond > -math.inf
     ratio = np.subtract(log_cond, log_w[None, :], out=np.zeros_like(log_cond), where=sup)
-    return np.sum(np.where(sup, sys.cond * ratio, 0.0), axis=1)
+    return np.sum(np.where(sup, cond * ratio, 0.0), axis=1)
 
 
 def renyi_from_arrays(setting, arrays, alpha):
@@ -548,12 +639,13 @@ def alpha_mi_from_iota(sys, iota, alpha):
     with the supersample as the outer expectation."""
     from genbounds.prob import logsumexp
 
+    a = system_arrays(sys)
     with np.errstate(divide="ignore"):
         if sys.setting == "standard":
-            log_pzn, log_pw = np.log(sys.pzn_mass), np.log(sys.pw_mass)
+            log_pzn, log_pw = np.log(a["pzn"]), np.log(a["pw"])
             inner = logsumexp(log_pzn[:, None] + alpha * iota, axis=0) / alpha
             return float(alpha / (alpha - 1.0) * logsumexp(log_pw + inner))
-        log_pzt, log_ps, log_wg = np.log(sys.p_ztilde), np.log(sys.p_s), np.log(sys.pw_given)
+        log_pzt, log_ps, log_wg = np.log(a["p_zt"]), np.log(a["p_s"]), np.log(a["pw_given"])
     inner = logsumexp(log_ps[None, :, None] + alpha * iota, axis=1) / alpha
     mid = logsumexp(log_wg + inner, axis=1)
     return float(logsumexp(log_pzt + alpha * mid) / (alpha - 1.0))
@@ -562,9 +654,10 @@ def alpha_mi_from_iota(sys, iota, alpha):
 def leakage_from_rows(sys):
     """Maximal leakage from the posterior rows of the positive-mass data,
     ``cond[pzn > 0]`` (of the positive-mass supersamples in the subset setting)."""
+    a = system_arrays(sys)
     if sys.setting == "standard":
-        return float(math.log(np.sum(sys.cond[sys.pzn_mass > 0].max(axis=0))))
-    per_zt = sys.cond[sys.p_ztilde > 0].max(axis=1).sum(axis=1)
+        return float(math.log(np.sum(a["cond"][a["pzn"] > 0].max(axis=0))))
+    per_zt = a["cond"][a["p_zt"] > 0].max(axis=1).sum(axis=1)
     return float(math.log(per_zt.max()))
 
 
@@ -578,13 +671,14 @@ def holder_event_bound_3d(sys, event, alpha, alpha_prime, tilde_alpha):
     gamma_prime = alpha_prime / (alpha_prime - 1.0)
     tilde_gamma = tilde_alpha / (tilde_alpha - 1.0)
     iota = density_arrays(sys)[2]
+    a = system_arrays(sys)
     with np.errstate(divide="ignore"):
-        log_pzt = np.log(sys.p_ztilde)
-        log_ps = np.log(sys.p_s)
-        log_wg = np.log(sys.pw_given)
-    ind = np.array([[[event(w, zt, s) for w in sys.w_labels]
-                     for s in sys.s_grid.vectors()]
-                    for zt in sys.zt_grid.vectors()], dtype=bool)
+        log_pzt = np.log(a["p_zt"])
+        log_ps = np.log(a["p_s"])
+        log_wg = np.log(a["pw_given"])
+    ind = np.array([[[event(w, zt, s) for w in sys.loss.hypotheses]
+                     for s in zvectors((0, 1), sys.n)]
+                    for zt in zvectors(sys.pz.outcomes, 2 * sys.n)], dtype=bool)
     log_ind = np.where(ind, 0.0, -math.inf)
     log_p_event = logsumexp(log_ps[None, :, None] + log_ind, axis=1)
     mid_e = logsumexp(log_wg + (gamma_prime / gamma) * log_p_event, axis=1)
@@ -609,9 +703,9 @@ def product_twin(sys):
 
 
 def type_codes(sys, twin):
-    """The code on ``sys.z_grid`` of each z-vector of ``twin``, in its code
-    order, one ``z_grid.code`` call per vector."""
-    return np.array([sys.z_grid.code(v) for v in twin.z_grid.vectors()], dtype=np.int64)
+    """The row of ``sys`` of each z-vector of ``twin``, in its row order,
+    one ``Rows.row`` call per vector."""
+    return np.array([sys.rows.row(v) for (v,) in twin.rows.labels], dtype=np.int64)
 
 
 # -- the exponential check as one logsumexp per lambda ----------------------

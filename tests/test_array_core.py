@@ -96,7 +96,16 @@ def _assert_close(got, want, name, exact):
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-300, err_msg=name)
 
 
-SUMMED = {"pzn_mass", "joint"}  # a type's mass is its vectors' total
+SUMMED = {"mass", "joint"}  # a type's mass is its vectors' total
+
+
+def _record(sys):
+    """The system's record arrays by name, its log masses as ``log_ctx``,
+    ``log_data`` and ``log_q``."""
+    rows = sys.rows
+    return dict(zip(("mass", "joint", "cond", "values", "gen", "log_ctx", "log_data",
+                     "log_q"), (rows.mass, rows.joint, rows.cond, rows.values, rows.gen,
+                                *rows.log_masses)))
 
 
 @pytest.mark.parametrize("setting, kind, n_z, n_w, n, seed", CASES)
@@ -112,31 +121,29 @@ def test_assembly_matches_loop_reference(setting, kind, n_z, n_w, n, seed):
         sys = StandardSystem(pz, n, kernel, loss)
         want = oracles.loop_standard_arrays(pz.outcomes, pz.log_mass, n, rows,
                                             loss.values, loss.instances)
-        # the z axis of the reference is in product order over P_Z's outcomes:
+        # the rows of the reference are in product order over P_Z's outcomes:
         # every vector reads its type's row and gen, and sums into its mass
         vecs = itertools.product(pz.outcomes, repeat=n)
-        z_codes = np.array([sys.z_grid.code(v) for v in vecs])
+        z_codes = np.array([sys.rows.row(v) for v in vecs])
         for name, array in want.items():
-            got = getattr(sys, name)
+            got = _record(sys)[name]
             assert got.flags.c_contiguous, name
             if name in SUMMED:
                 array = np.array([array[z_codes == c].sum(axis=0)
-                                  for c in range(sys.z_grid.size)])
-            elif name == "cond":
+                                  for c in range(len(got))])
+            elif name in ("cond", "gen"):
                 got = got[z_codes]
-            elif name == "gen_table":
-                got = np.ascontiguousarray(got[:, z_codes])
             exact = not on_types or kind == "identity" or (  # one vector per type
                 name == "cond" and rows_exact) or (
-                name == "gen_table" and kind.startswith("erm"))  # dyadic losses
+                name == "gen" and kind.startswith("erm"))  # dyadic losses
             _assert_close(got, array, name, exact)
     else:
         sys = SubsetSystem(pz, n, kernel, loss)
         want = oracles.loop_subset_arrays(pz.outcomes, pz.log_mass, n, rows,
                                           loss.values, loss.instances)
         for name, array in want.items():
-            exact = rows_exact or name not in ("cond", "pw_given")
-            _assert_close(getattr(sys, name), array, name, exact)
+            exact = rows_exact or name not in ("cond", "joint", "log_q")
+            _assert_close(_record(sys)[name], array, name, exact)
     assert on_types == (kind != "custom")  # only custom kernels are label-form
 
 

@@ -224,6 +224,13 @@ class TestCondTail:
                 == pytest.approx(rate * LN2, abs=1e-12)
 
 
+def _event_mass(sys, event):
+    """P[event] under the joint, summed over the atoms of the system's rows."""
+    rows = sys.rows
+    return sum(rows.joint[r, wi] for r, (zt, s) in enumerate(rows.labels)
+               for wi, w in enumerate(rows.w_labels) if event(w, zt, s))
+
+
 class TestHolderEventBound:
     def test_empty_event_gives_zero(self, inst_b):
         assert holder_event_bound(inst_b, lambda w, zt, s: False, 2, 2, 2) == 0.0
@@ -239,12 +246,7 @@ class TestHolderEventBound:
 
     def test_dominates_exact_probability(self, inst_b):
         event = lambda w, zt, s: abs(gen_hat(inst_b, w, zt, s)) > 0.5
-        exact = sum(
-            inst_b.p_ztilde[zi] * inst_b.p_s[si] * inst_b.cond[zi, si, wi]
-            for zi, zt in enumerate(inst_b.zt_grid.vectors())
-            for si, s in enumerate(inst_b.s_grid.vectors())
-            for wi, w in enumerate(inst_b.w_labels)
-            if event(w, zt, s))
+        exact = _event_mass(inst_b, event)
         val = holder_event_bound(inst_b, event, 2, 2, 2)
         assert exact <= val + 1e-12
 
@@ -253,12 +255,7 @@ class TestHolderEventBound:
             sys = random_subset_system(rng)
             thresh = float(rng.uniform(0.0, 0.8))
             event = lambda w, zt, s: abs(gen_hat(sys, w, zt, s)) > thresh
-            exact = sum(
-                sys.p_ztilde[zi] * sys.p_s[si] * sys.cond[zi, si, wi]
-                for zi, zt in enumerate(sys.zt_grid.vectors())
-                for si, s in enumerate(sys.s_grid.vectors())
-                for wi, w in enumerate(sys.w_labels)
-                if event(w, zt, s))
+            exact = _event_mass(sys, event)
             for exps in ((2, 2, 2), (1.5, 3, 2), (4, 2, 8)):
                 assert exact <= holder_event_bound(sys, event, *exps) + 1e-10
 

@@ -364,6 +364,10 @@ class TestIllTypedConfig:
         ("sweep", {"problem": STANDARD_PROBLEM, "axis": "t", "values": [math.nan]}, "t"),
         ("report", {"problem": dict(STANDARD_PROBLEM, instances=[])}, "instances"),
         ("report", {"problem": dict(STANDARD_PROBLEM, n=-1)}, "n"),
+        ("report", {"problem": dict(STANDARD_PROBLEM, instances=5)}, "instances"),
+        ("report", {"problem": dict(STANDARD_PROBLEM, learner=5)}, "learner"),
+        ("report", {"problem": dict(STANDARD_PROBLEM, loss=dict(
+            STANDARD_PROBLEM["loss"], range=[0]))}, "range"),
     ])
     def test_exits_2_naming_the_field(self, tmp_path, capsys, command, config, field):
         cfg = write_config(tmp_path, "cfg.json", config)
@@ -558,13 +562,17 @@ class TestOneParser:
 
 def _mi_w_supersample_50_digits(system):
     """I(W; Z-tilde) = sum p(zt) P(w | zt) log(P(w | zt) / P_W(w)), in
-    50-digit decimals from the system's float arrays."""
+    50-digit decimals from the float arrays that ``oracles`` rebuilds from
+    the system's inputs."""
     from decimal import Decimal, localcontext
 
+    import oracles
+
+    arrays = oracles.system_arrays(system)
     with localcontext() as ctx:
         ctx.prec = 50
-        p_zt = [Decimal(float(p)) for p in system.p_ztilde]
-        rows = [[Decimal(float(p)) for p in row] for row in system.pw_given]
+        p_zt = [Decimal(float(p)) for p in arrays["p_zt"]]
+        rows = [[Decimal(float(p)) for p in row] for row in arrays["pw_given"]]
         p_w = [sum(p * row[w] for p, row in zip(p_zt, rows)) for w in range(len(rows[0]))]
         return float(sum(p * q * (q.ln() - p_w[w].ln()) for p, row in zip(p_zt, rows)
                          for w, q in enumerate(row) if p > 0 and q > 0))
@@ -575,7 +583,7 @@ def test_subset_columns_read_the_one_context_grid():
     from genbounds.verify import random_subset_system
 
     rng = np.random.default_rng(2)
-    systems = [load_fixture("inst_b")[1]] + [random_subset_system(rng) for _ in range(12)]
+    systems = [load_fixture("inst_b")[1]] + [random_subset_system(rng) for _ in range(40)]
     for system in systems:
         got = cli._subset_columns(system)["mi_w_supersample"]
         assert abs(got - _mi_w_supersample_50_digits(system)) <= 1e-15

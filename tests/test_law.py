@@ -83,7 +83,7 @@ def test_keys_are_pythons_round_at_n_80():
     # 179 of the 641,133 distinct values have a float product v * 1e12 on an
     # integer plus one half, where np.round and Python's round disagree
     sys = load_problem(_north_star(80))[1]
-    distinct, want = _assert_python_round(sys.gen_table)
+    distinct, want = _assert_python_round(sys.rows.gen)
     differs = np.round(distinct, 12) != want
     assert distinct.size == 641_133 and np.count_nonzero(differs) == 179
     assert np.all(np.abs(distinct[differs] * 1e12) % 1.0 == 0.5)
@@ -100,7 +100,7 @@ def test_keys_are_pythons_round_over_a_wide_loss_range(high, far_from_half):
     doc["loss"] = {"hypotheses": list(range(8)), "range": [0.0, high],
                    "matrix": rng.uniform(0.0, high, size=(8, 4)).tolist()}
     doc["learner"] = {"kind": "erm"}
-    distinct, want = _assert_python_round(load_problem(doc)[1].gen_table)
+    distinct, want = _assert_python_round(load_problem(doc)[1].rows.gen)
     scaled = np.abs(distinct * 1e12)
     off_half = np.abs(scaled % 1.0 - 0.5)
     assert np.any((off_half > 1e-3) & (off_half <= np.spacing(scaled)))

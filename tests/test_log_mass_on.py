@@ -3,7 +3,6 @@ kernel's own grid, on product and type grids over its labels in another
 order, and on grids it does not define, which it refuses by naming the
 first vector. The identity learner sits on a ``TypeGrid`` of length 1,
 and its systems equal their per-vector twins bit for bit."""
-import dataclasses
 import re
 
 import numpy as np
@@ -84,22 +83,24 @@ def test_identity_systems_equal_their_product_twins(sys):
     assert isinstance(sys.learner.grid, TypeGrid) and sys.learner.grid.n == 1
     twin = oracles.product_twin(sys)
     assert twin.learner.grid is None
-    arrays = [f.name for f in dataclasses.fields(sys)
-              if isinstance(getattr(sys, f.name), np.ndarray)]
-    assert len(arrays) == (5 if sys.setting == "standard" else 7)
-    for name in arrays:
-        _bitwise(getattr(sys, name), getattr(twin, name))
+    arrays = [(name, getattr(sys.rows, name), getattr(twin.rows, name))
+              for name in ("starts", "mass", "joint", "cond", "values", "gen")]
+    arrays += [("log_masses", *pair) for pair in zip(sys.rows.log_masses,
+                                                     twin.rows.log_masses, strict=True)]
+    for name, got, want in arrays:
+        _bitwise(got, want)
 
 
 def test_an_auxiliary_conditional_is_read_through_the_one_gather():
     sys = load_fixture("inst_b")[1]
+    ztildes = sys.rows.grids[0].vectors()
     rows = {zt: FiniteDistribution.from_probs(sys.w_labels, row)
-            for zt, row in zip(sys.zt_grid.vectors(), sys.pw_given)}
-    missing = sys.zt_grid.vectors()[-1]
+            for zt, row in zip(ztildes, oracles.system_arrays(sys)["pw_given"])}
+    missing = ztildes[-1]
     del rows[missing]
     with pytest.raises(ValueError, match=re.escape(f"kernel undefined on vector {missing!r}")):
         conditional_density(sys, Kernel(rows))
     # a hypothesis the auxiliary conditional has no column for is refused alike
-    other = {zt: FiniteDistribution.point_mass(("x",), "x") for zt in sys.zt_grid.vectors()}
+    other = {zt: FiniteDistribution.point_mass(("x",), "x") for zt in ztildes}
     with pytest.raises(ValueError):
         conditional_density(sys, Kernel(other))

@@ -15,7 +15,7 @@ from genbounds import bounds_subset as bsub
 from genbounds.engine import view_of
 from genbounds import maximal_leakage
 from genbounds import models
-from genbounds.models import Rows, SubsetSystem
+from genbounds.models import Rows, StandardSystem
 from genbounds.verify import random_standard_system, random_subset_system
 
 DELTAS = (0.5, 0.1, 0.01)
@@ -50,7 +50,7 @@ def test_standard_lookups_equal_the_array_entries(pools):
         view = view_of(sys)
         for delta in DELTAS:
             pacb, dens = view.info(view.kls, delta), view.info(view.iota, delta)
-            for zi, zvec in enumerate(sys.z_grid.vectors()):
+            for zi, (zvec,) in enumerate(sys.rows.labels):
                 _same(bstd.pacb_bound(sys, zvec, delta), pacb[zi], view.rate)
                 for wi, w in enumerate(sys.w_labels):
                     if dens[zi, wi] == -math.inf:
@@ -64,13 +64,12 @@ def test_standard_lookups_equal_the_array_entries(pools):
 def test_subset_lookups_equal_the_array_entries(pools):
     rng = np.random.default_rng(3)
     for sys in pools[1]:
-        view, zts, ss = view_of(sys), sys.zt_grid.vectors(), sys.s_grid.vectors()
+        view = view_of(sys)
         for delta in DELTAS:
             pacb, dens = view.info(view.kls, delta), view.info(view.iota, delta)
             for flat in _sample(rng, dens.size):
-                row, wi = np.unravel_index(flat, dens.shape)  # row zi * |S| + si
-                zi, si = divmod(int(row), sys.s_grid.size)
-                zt, s, w = zts[zi], ss[si], sys.w_labels[wi]
+                row, wi = np.unravel_index(flat, dens.shape)
+                (zt, s), w = sys.rows.labels[row], sys.w_labels[wi]
                 _same(bsub.cond_pacb_bound(sys, zt, s, delta), pacb[row], view.rate)
                 if dens[row, wi] == -math.inf:
                     with pytest.raises(KeyError, match="outside the density's support"):
@@ -136,12 +135,13 @@ def test_every_label_reader_finds_its_row_through_the_rows(inst_a, inst_b, monke
 def test_induced_leakage_equals_the_assembled_system(pools):
     for sys in pools[1]:
         rep = bsub.leakage_ordering_check(sys)
-        assert rep["induced_maximal_leakage"] == maximal_leakage(sys.induced_standard())
+        induced = StandardSystem(sys.pz, sys.n, sys.learner, sys.loss)
+        assert rep["induced_maximal_leakage"] == maximal_leakage(induced)
 
 
 def test_ordering_check_assembles_no_standard_system(inst_b, monkeypatch):
     def refuse(self):
         raise AssertionError("induced standard system assembled")
 
-    monkeypatch.setattr(SubsetSystem, "induced_standard", refuse)
+    monkeypatch.setattr(StandardSystem, "__post_init__", refuse)
     assert bsub.leakage_ordering_check(inst_b)["holds"]

@@ -134,9 +134,11 @@ class TestKl:
         assert kl(p, q) == pytest.approx(expect, abs=1e-12)
 
     def test_posterior_average_equals_mutual_information(self, inst_a):
+        arrays = oracles.system_arrays(inst_a)
+        pw = FiniteDistribution.from_probs(inst_a.w_labels, arrays["pw"])
         total = 0.0
-        for zi, zvec in enumerate(inst_a.z_grid.vectors()):
-            total += inst_a.pzn_mass[zi] * kl(inst_a.posterior(zvec), inst_a.pw)
+        for mass, zvec in zip(arrays["pzn"], arrays["vectors"]):
+            total += mass * kl(inst_a.posterior(zvec), pw)
         assert total == pytest.approx(mutual_information(inst_a), abs=1e-12)
         assert total == pytest.approx(I_A, abs=1e-9)
 
@@ -397,7 +399,8 @@ class TestAuxiliaryMarginals:
     def test_system_renyi_matches_flat_divergence(self, inst_a):
         from genbounds import product, iid_power
         pzn = iid_power(inst_a.pz, inst_a.n)
-        flat = product(inst_a.pw, pzn)
+        pw = FiniteDistribution.from_probs(inst_a.w_labels, oracles.system_arrays(inst_a)["pw"])
+        flat = product(pw, pzn)
         joint = oracles.product_twin(inst_a).joint_table()  # over every z-vector
         for alpha in (0.5, 2.0, 4.0):
             assert system_renyi(inst_a, alpha) == pytest.approx(

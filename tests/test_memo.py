@@ -13,6 +13,7 @@ from decimal import Decimal, localcontext
 import numpy as np
 import pytest
 
+import oracles
 from genbounds import FiniteDistribution, Kernel, cli, engine, load_fixture
 from genbounds import bounds_standard as bstd
 from genbounds import bounds_subset as bsub
@@ -91,13 +92,13 @@ def test_one_conditional_alpha_mi_per_order(monkeypatch):
 
 def test_one_subset_joint_per_view():
     sys = _fresh("inst_b")
-    joint = sys.joint  # stored once at assembly, read by every later user
+    joint = sys.rows.joint  # stored once at assembly, read by every later user
     view_of(sys).table
     for delta in DELTAS:
         for bound_id in verify.coverage_ids("subset"):
             verify.coverage(sys, bound_id, delta)
     expected_gen_subset(sys), expected_gen_hat(sys)
-    assert view_of(sys).joint.base is sys.joint is joint  # the flat rows, not a copy
+    assert view_of(sys).joint is sys.joint is joint  # the record's rows, not a copy
 
 
 def _results(sys, order):
@@ -145,7 +146,7 @@ def test_an_auxiliary_view_memoises_nothing_into_the_default_view():
     sys = _fresh("inst_a")
     q_w = FiniteDistribution.from_probs(sys.w_labels, np.full(len(sys.w_labels),
                                                               1.0 / len(sys.w_labels)))
-    assert not np.allclose(q_w.mass, sys.pw_mass)
+    assert not np.allclose(q_w.mass, oracles.system_arrays(sys)["pw"])
 
     def aux(s):
         return (bstd.sd_moment_bound(s, 0.1, 3, q_w=q_w),
@@ -164,7 +165,8 @@ def test_an_auxiliary_conditional_memoises_nothing_into_the_default_view():
     sys = _fresh("inst_b")
     # a conditional that differs from P_{W|Z-tilde} but charges every hypothesis
     q = Kernel({zt: FiniteDistribution.from_probs(sys.w_labels, 0.5 * row + 0.25)
-                for zt, row in zip(sys.zt_grid.vectors(), sys.pw_given)})
+                for zt, row in zip(sys.rows.grids[0].vectors(),
+                                   oracles.system_arrays(sys)["pw_given"])})
     c = bsub.delta_constant(lambda z1, z2: float(z1 != z2), sys.pz, sys.loss)
 
     def aux(s):
@@ -272,13 +274,12 @@ def test_a_tiny_delta_gives_a_bound_or_a_reason(name, delta):
                 if entry.covers:
                     verify.coverage(sys, bound_id, delta, {"t": t, "alpha": alpha})
         if sys.setting == "standard":
-            zvec, w = sys.z_grid.vectors()[0], sys.w_labels[int(np.argmax(sys.joint[0]))]
+            (zvec,), w = sys.rows.labels[0], sys.w_labels[int(np.argmax(sys.joint[0]))]
             _check_result(bstd.pacb_bound(sys, zvec, delta))
             _check_result(bstd.sd_density_bound(sys, w, zvec, delta))
             bstd.chain_report(sys, delta)
         else:
-            zt, s = sys.zt_grid.vectors()[0], sys.s_grid.vectors()[0]
-            w = sys.w_labels[int(np.argmax(sys.cond[0, 0]))]
+            (zt, s), w = sys.rows.labels[0], sys.w_labels[int(np.argmax(sys.cond[0]))]
             _check_result(bsub.cond_pacb_bound(sys, zt, s, delta))
             _check_result(bsub.cond_sd_density_bound(sys, w, zt, s, delta))
             _check_result(bsub.cond_alpha_mi_bound(sys, delta, math.inf))

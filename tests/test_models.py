@@ -58,8 +58,9 @@ class TestLossTable:
     def test_population_and_empirical_loss(self):
         loss = zero_one_loss([0, 1])
         pz = FiniteDistribution.from_probs([0, 1], [0.25, 0.75])
-        assert loss.population_loss(0, pz) == pytest.approx(0.75)
-        assert loss.empirical_loss(0, (0, 1)) == pytest.approx(0.5)
+        assert loss.population_losses(pz) == pytest.approx([0.75, 0.25])
+        grid = ProductGrid((0, 1), 2)
+        assert loss.totals(grid)[grid.code((0, 1))] / 2 == pytest.approx([0.5, 0.5])
 
 
 def _never(*args, **kwargs):
@@ -165,10 +166,10 @@ class TestLearnerKernels:
 
 class TestStandardAssembly:
     def test_inst_a_hypothesis_marginal(self, inst_a):
-        assert inst_a.pw_mass == pytest.approx([0.75, 0.25], abs=1e-12)
+        assert np.exp(inst_a.rows.log_masses[2]) == pytest.approx([0.75, 0.25], abs=1e-12)
 
     def test_constant_learner_joint_is_product(self, inst_c):
-        outer = inst_c.pzn_mass[:, None] * inst_c.pw_mass[None, :]
+        outer = inst_c.rows.mass[:, None] * np.exp(inst_c.rows.log_masses[2])[None, :]
         assert inst_c.joint == pytest.approx(outer, abs=1e-15)
 
     def test_atom_count(self, inst_a):
@@ -188,10 +189,10 @@ class TestStandardAssembly:
         sys = assemble_standard(pz, 2, gibbs_kernel(loss, 2, 1.5), loss)
         from genbounds import iid_power
         pzn = iid_power(pz, 2)
-        codes = [sys.z_grid.code(v) for v in pzn.outcomes]
+        codes = [sys.rows.row(v) for v in pzn.outcomes]
         assert sys.joint.sum(axis=1) == pytest.approx(
             np.bincount(codes, weights=pzn.mass), abs=1e-15)
-        assert abs(sys.pw_mass.sum() - 1.0) < 1e-12
+        assert abs(np.exp(sys.rows.log_masses[2]).sum() - 1.0) < 1e-12
 
     def test_budget_refusal_before_enumeration(self, monkeypatch):
         cases = []  # 4^12 vectors of a label-form kernel, C(205, 5) types of 6^200
@@ -209,17 +210,17 @@ class TestStandardAssembly:
 
 class TestSubsetAssembly:
     def test_inst_b_posterior_given_distinct_supersample(self, inst_b):
-        zi = inst_b.zt_grid.vectors().index((0, 1))
-        assert inst_b.pw_given[zi] == pytest.approx([0.5, 0.5], abs=1e-15)
+        zi = inst_b.rows.grids[0].code((0, 1))
+        assert np.exp(inst_b.rows.log_masses[2][zi]) == pytest.approx([0.5, 0.5], abs=1e-15)
 
     def test_s_ignoring_learner_posterior_constant_in_s(self):
         loss = zero_one_loss([0, 1])
         sys = assemble_subset(FiniteDistribution.bernoulli(0.5), 2,
                               constant_kernel(loss, 2), loss)
-        for zi in range(sys.zt_grid.size):
-            for si in range(sys.s_grid.size):
-                assert sys.cond[zi, si] == pytest.approx(sys.pw_given[zi],
-                                                         abs=1e-15)
+        rows = sys.rows
+        for r, (zt, s) in enumerate(rows.labels):
+            pw_given = np.exp(rows.log_masses[2][rows.grids[0].code(zt)])
+            assert sys.cond[r] == pytest.approx(pw_given, abs=1e-15)
 
     def test_atom_count(self, inst_b):
         assert inst_b.joint.size == 2 * 2 ** 2 * 2
@@ -242,7 +243,7 @@ class TestGenEvaluation:
 
 class TestGenHat:
     def test_equal_halves_give_zero(self, inst_b):
-        for s in inst_b.s_grid.vectors():
+        for s in inst_b.rows.grids[1].vectors():
             for w in inst_b.w_labels:
                 assert gen_hat(inst_b, w, (1, 1), s) == 0.0
 
@@ -253,16 +254,16 @@ class TestGenHat:
         loss = zero_one_loss([0, 1])
         sys = assemble_subset(FiniteDistribution.bernoulli(0.3), 2,
                               gibbs_kernel(loss, 2, 2.0), loss)
-        for zt in sys.zt_grid.vectors():
-            for s in sys.s_grid.vectors():
-                sbar = tuple(1 - b for b in s)
-                for w in sys.w_labels:
-                    assert gen_hat(sys, w, zt, s) == pytest.approx(
-                        -gen_hat(sys, w, zt, sbar), abs=1e-15)
+        for zt, s in sys.rows.labels:
+            sbar = tuple(1 - b for b in s)
+            for w in sys.w_labels:
+                assert gen_hat(sys, w, zt, s) == pytest.approx(
+                    -gen_hat(sys, w, zt, sbar), abs=1e-15)
 
     def test_selector_mean_is_zero_pointwise(self, inst_b):
         # E_S[gen_hat(w, zt, S)] = 0 for every fixed (w, zt)
-        avg = np.tensordot(inst_b.genhat, inst_b.p_s, axes=([1], [0]))
+        rows = inst_b.rows
+        avg = np.add.reduceat(rows.values * np.exp(rows.log_masses[1])[:, None], rows.starts)
         assert avg == pytest.approx(np.zeros_like(avg), abs=1e-12)
 
     def test_expected_gen_matches_expected_gen_hat(self, inst_b, rng):
@@ -281,8 +282,8 @@ class TestGenHat:
 
 
 class TestOneShell:
-    """Both systems share ``models._System``; E[gen] and E[gen_hat] read either
-    through its rows and keep the bits of the formulas they replace."""
+    """Both systems share ``models._System``, whose one stored layout is the
+    row record; E[gen] and E[gen_hat] sum either record's flat rows."""
 
     @pytest.fixture(scope="class")
     def systems(self):
@@ -295,22 +296,23 @@ class TestOneShell:
     def test_each_setting_subclasses_the_shell_with_its_own_post_init(self):
         for cls in (StandardSystem, SubsetSystem):
             assert cls.__mro__[1] is models._System and "__post_init__" in vars(cls)
-            assert cls.__getstate__ is models._System.__getstate__
+            assert cls.__reduce__ is models._System.__reduce__
             assert cls.__eq__ is object.__eq__ and cls.__hash__ is object.__hash__
-        assert [f.name for f in dataclasses.fields(models._System)] == [
-            "pz", "n", "learner", "loss", "w_labels", "cond", "joint"]
+            assert [f.name for f in dataclasses.fields(cls)] == [
+                "pz", "n", "learner", "loss", "rows"]
 
     def test_the_assemblers_are_the_classes(self):
         assert assemble_standard is StandardSystem and assemble_subset is SubsetSystem
         assert expected_gen_subset is expected_gen
 
-    def test_expected_gen_keeps_the_bits_of_each_old_formula(self, systems):
+    def test_expected_gen_sums_the_record_in_row_order(self, systems):
         for sys in systems:
-            if sys.setting == "standard":
-                assert expected_gen(sys) == float(np.sum(sys.joint.T * sys.gen_table))
-            else:
-                assert expected_gen(sys) == float(np.sum(sys.joint * sys.gen_sel))
-                assert expected_gen_hat(sys) == float(np.sum(sys.joint * sys.genhat))
+            rows = sys.rows
+            for arr in (rows.joint, rows.gen, rows.values):
+                assert arr.flags.c_contiguous and arr.base is None
+            assert expected_gen(sys) == float(np.sum(rows.joint.ravel() * rows.gen.ravel()))
+            assert expected_gen_hat(sys) == float(
+                np.sum(rows.joint.ravel() * rows.values.ravel()))
         assert sum(sys.setting == "subset" for sys in systems) == 22
 
 
@@ -336,7 +338,7 @@ class TestProblemFiles:
         }
         setting, sys = load_problem(doc)
         assert setting == "standard"
-        assert sys.cond[sys.z_grid.vectors().index((1,))][1] == pytest.approx(0.8)
+        assert sys.cond[sys.rows.row((1,))][1] == pytest.approx(0.8)
 
     @pytest.mark.parametrize("field, edit", [
         ("n", lambda doc: doc.update(n=1.7)),
@@ -365,5 +367,5 @@ class TestProblemFiles:
                                        oracles.erm_learner_01([0, 1]))
         want = np.zeros_like(inst_a.joint)  # each type's mass is its vectors' total
         for (w, zvec), p in joint.items():
-            want[inst_a.z_grid.code(zvec), inst_a.w_labels.index(w)] += p
+            want[inst_a.rows.atom(w, zvec)] += p
         assert inst_a.joint == pytest.approx(want, abs=1e-15)

@@ -9,7 +9,7 @@ bound, coverage, exponential-inequality value, pushforward and information
 measure of the two agrees to 1e-12 (the sums run in another order), on the
 fixtures, 40 random systems per setting and the benchmark's job shapes. A
 subset system keeps its product grids and is equal to its twin bit for bit.
-Per-vector arrays are compared at every vector through ``z_grid.code``.
+Per-vector arrays are compared at every vector through ``rows.row``.
 """
 import csv
 import io
@@ -102,8 +102,8 @@ def _coverages(sys):
 
 def test_standard_type_learners_are_on_type_grids(pools):
     for sys in pools["standard"]:
-        assert isinstance(sys.z_grid, TypeGrid)
-        assert sys.z_grid is sys.learner.grid
+        (grid,) = sys.rows.grids
+        assert isinstance(grid, TypeGrid) and grid is sys.learner.grid
         assert sys.joint.shape == (math.comb(sys.n + len(sys.pz) - 1, len(sys.pz) - 1),
                                    len(sys.w_labels))
 
@@ -144,14 +144,16 @@ def test_information_measures_agree_with_the_twin(twins):
             assert _close(alpha_mi(sys, alpha), alpha_mi(twin, alpha))
         # each type's mass is its vectors' total
         assert _close(sys.joint, [twin.joint[codes == c].sum(axis=0)
-                                  for c in range(sys.z_grid.size)])
+                                  for c in range(len(sys.joint))])
 
 
 def test_subset_systems_equal_their_twins(pools):
     for sys in pools["subset"]:
         twin = oracles.product_twin(sys)
-        for name in ("p_ztilde", "cond", "pw_given", "genhat", "gen_sel"):
-            assert np.array_equal(getattr(sys, name), getattr(twin, name))
+        for name in ("mass", "joint", "cond", "values", "gen"):
+            assert np.array_equal(getattr(sys.rows, name), getattr(twin.rows, name))
+        for got, want in zip(sys.rows.log_masses, twin.rows.log_masses, strict=True):
+            assert np.array_equal(got, want)
         for got, want in zip(_results(sys), _results(twin)):
             assert (np.array_equal(got, want, equal_nan=True)
                     if isinstance(want, np.ndarray) else got == want)

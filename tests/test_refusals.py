@@ -33,15 +33,22 @@ def test_a_moment_order_must_be_positive(t):
         normalize_order(t)
 
 
-@pytest.mark.parametrize("field, value", [("instances", []), ("n", -1), ("n", 0)])
+@pytest.mark.parametrize("field, value", [("instances", []), ("n", -1), ("n", 0),
+                                          ("instances", 5), ("learner", 5),
+                                          ("loss.range", [0])])
 def test_a_problem_without_instances_or_with_n_below_one_is_refused_by_name(
         monkeypatch, field, value):
     def never(*args):
         raise AssertionError("the learner is built before the refusal")
 
     monkeypatch.setattr(models, "_parse_learner", never)
-    with pytest.raises(ValueError, match=f"^field {field!r}"):
-        load_problem(dict(STANDARD_PROBLEM, **{field: value}))
+    *parents, key = field.split(".")  # a field of the loss is set in a copy of it
+    doc = target = dict(STANDARD_PROBLEM)
+    for parent in parents:
+        target[parent] = target = dict(target[parent])
+    target[key] = value
+    with pytest.raises(ValueError, match=f"^field {key!r}"):
+        load_problem(doc)
 
 
 def test_a_density_table_refuses_mismatched_shapes():

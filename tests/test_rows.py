@@ -1,13 +1,14 @@
-"""Each system lays out its flat rows once (``sys.rows``, a ``models.Rows``)
-and every reader takes them from there: the default view, each auxiliary
-view (``q_w``, ``q_kernel``, ``c``) and the density table read the same
-arrays, by identity, and a subset system's log masses are computed once.
-The row log mass, each context's log mass repeated over its rows plus each
-row's log mass given its context, is bit for bit the log mass the density
-tables formed from the system arrays directly. Only the record numbers the
-rows: ``row`` and ``atom`` turn labels into a row and a (row, w) index, and
-``labels`` gives each row's labels back, in row order. ``expected_gen``
-reads the rows of either setting; ``pw`` reads the system arrays."""
+"""Each system stores one layout, its flat rows (``sys.rows``, a
+``models.Rows``), built once at assembly, and every reader takes them from
+there: the default view, each auxiliary view (``q_w``, ``q_kernel``, ``c``)
+and the density table read the same arrays, by identity, and a subset
+system's log masses are computed once. The row log mass, each context's log
+mass repeated over its rows plus each row's log mass given its context, is
+bit for bit the log mass of the per-vector arrays that ``oracles`` rebuilds
+from the inputs. Only the record numbers the rows: ``row`` and ``atom`` turn
+labels into a row and a (row, w) index, and ``labels`` gives each row's
+labels back, in row order. ``expected_gen`` reads the rows of either
+setting, and an unpickled system builds a record of its own."""
 import gc
 import itertools
 import pickle
@@ -16,13 +17,15 @@ from collections import Counter
 import numpy as np
 import pytest
 
+import oracles
 from genbounds import (FiniteDistribution, Kernel, cmi_avg_bound, cond_alpha_mi,
                        cond_mutual_information, conditional_density, holder_event_bound,
                        information_density, load_fixture, measures, models)
 from genbounds.bounds_subset import RangeConstant
 from genbounds.prob import TypeGrid
 from genbounds.engine import view_of
-from genbounds.verify import coverage, random_standard_system, random_subset_system
+from genbounds.verify import (BOUNDS, coverage, random_standard_system,
+                              random_subset_system)
 
 ROW_FIELDS = ("starts", "mass", "joint", "cond", "values", "gen", "log_masses")
 
@@ -43,7 +46,8 @@ def _aux(sys, rng):
                                             rng.dirichlet(np.ones(len(sys.w_labels))))
         return information_density, q_w, [view_of(sys, q_w)]
     q = Kernel({zt: FiniteDistribution.from_probs(
-        sys.w_labels, rng.dirichlet(np.ones(len(sys.w_labels)))) for zt in sys.zt_grid.vectors()})
+        sys.w_labels, rng.dirichlet(np.ones(len(sys.w_labels))))
+        for zt in sys.rows.grids[0].vectors()})
     c = RangeConstant(2.0, "bounded-range")
     return conditional_density, q, [view_of(sys, c), view_of(sys, None, q), view_of(sys, c, q)]
 
@@ -81,8 +85,9 @@ def test_the_subset_log_masses_are_computed_once_per_system(monkeypatch):
     logs = models._logs
     monkeypatch.setattr(models, "_logs", lambda *m: calls.update(["logs"]) or logs(*m))
     rng = np.random.default_rng(173)
-    for sys in (load_fixture("inst_b")[1], random_subset_system(rng)):
+    for make in (lambda: load_fixture("inst_b")[1], lambda: random_subset_system(rng)):
         calls.clear()
+        sys = make()  # the record and its log masses are built here
         q = _aux(sys, rng)[1]
         cond_mutual_information(sys)
         cond_mutual_information(sys, q)
@@ -98,49 +103,99 @@ def test_the_row_log_mass_is_the_log_mass_of_the_system_arrays(systems):
     for sys in systems:
         log_ctx, log_data, _ = sys.rows.log_masses
         row = np.repeat(log_ctx, np.diff(sys.rows.starts, append=len(log_data))) + log_data
+        arrays = oracles.system_arrays(sys)
         with np.errstate(divide="ignore"):
             if sys.setting == "standard":
-                want = 0.0 + np.log(sys.pzn_mass)
+                want = 0.0 + np.log(arrays["pzn"])
             else:
-                want = (np.log(sys.p_ztilde)[:, None] + np.log(sys.p_s)[None, :]).reshape(-1)
+                want = (np.log(arrays["p_zt"])[:, None]
+                        + np.log(arrays["p_s"])[None, :]).reshape(-1)
         assert row.tobytes() == want.tobytes()  # bit for bit, signed zeros included
 
 
-def test_the_rows_are_read_only_views_that_hold_no_system(systems):
+def test_the_rows_are_read_only_and_hold_no_system(systems):
     for sys in systems:
         rows = sys.rows
         for arr in (rows.starts, rows.mass, rows.joint, rows.cond, rows.values, rows.gen,
                     *rows.log_masses):
             assert not arr.flags.writeable
         assert not any(ref is sys for ref in gc.get_referents(rows))
-        if sys.setting == "subset":  # reshapes, not copies
-            for name, arr in (("joint", rows.joint), ("cond", rows.cond),
-                              ("genhat", rows.values), ("gen_sel", rows.gen)):
-                assert arr.base is getattr(sys, name), name
-        else:
-            assert rows.joint is sys.joint and rows.cond is sys.cond
-            assert rows.values is rows.gen and rows.gen.base is sys.gen_table
+        # the record is the one stored layout: C-contiguous (row, w) arrays of
+        # their own, which the system's ``cond`` and ``joint`` return as they are
+        assert set(vars(sys)) == {"pz", "n", "learner", "loss", "rows"}
+        assert rows.joint is sys.joint and rows.cond is sys.cond
+        for arr in (rows.joint, rows.cond, rows.values, rows.gen):
+            assert arr.flags.c_contiguous and arr.base is None
+        assert (rows.values is rows.gen) == (sys.setting == "standard")
 
 
 def test_an_unpickled_system_lays_out_rows_of_its_own_arrays(systems):
     for sys in systems:
         view_of(sys).table  # the rows exist before the copy
         copy = pickle.loads(pickle.dumps(sys))
-        assert "rows" not in vars(copy)
-        if sys.setting == "subset":
-            assert copy.rows.joint.base is copy.joint and copy.rows.gen.base is copy.gen_sel
-        else:
-            assert copy.rows.joint is copy.joint
-        assert np.array_equal(copy.rows.mass, sys.rows.mass)
+        assert copy.rows is not sys.rows and copy.rows.joint is copy.joint
+        for name in ROW_FIELDS[:-1]:
+            got, want = getattr(copy.rows, name), getattr(sys.rows, name)
+            assert got.tobytes() == want.tobytes(), name
+            assert name == "starts" or not np.shares_memory(got, want), name
 
 
-def test_expected_gen_reads_the_rows_and_pw_builds_none(systems):
+def _reachable_arrays(obj, seen=None):
+    """Every numpy array reachable from ``obj`` through the fields (slots and
+    instance dicts) of package objects and through tuples, lists and dicts."""
+    seen = set() if seen is None else seen
+    if id(obj) in seen:
+        return
+    seen.add(id(obj))
+    if isinstance(obj, np.ndarray):
+        yield obj
+        return
+    if isinstance(obj, (tuple, list)):
+        children = list(obj)
+    elif isinstance(obj, dict):
+        children = list(obj.values())
+    elif type(obj).__module__.startswith("genbounds."):
+        names = [name for cls in type(obj).__mro__ for name in getattr(cls, "__slots__", ())]
+        children = [getattr(obj, name) for name in names if hasattr(obj, name)]
+        children += list(getattr(obj, "__dict__", {}).values())
+    else:
+        return
+    for child in children:
+        yield from _reachable_arrays(child, seen)
+
+
+def _bound_results(sys):
+    """Every registry result of ``sys`` over a delta, t and alpha grid; a
+    per-posterior or per-atom epsilon array as bytes (NaN where infeasible)."""
+    results = [BOUNDS[k].evaluate(sys, delta, t, alpha, "auto")
+               for k, entry in BOUNDS.items() if entry.setting == sys.setting
+               for delta in (0.3, 0.05) for t, alpha in ((2, 2.0), ("inf", 1.5))]
+    return [r.tobytes() if isinstance(r, np.ndarray) else r for r in results]
+
+
+def test_a_round_tripped_system_keeps_every_array_read_only_and_every_bound(systems):
+    custom = models.load_problem({
+        "setting": "standard", "instances": [0, 1], "n": 1,
+        "loss": {"hypotheses": [0, 1], "matrix": [[0, 1], [1, 0]], "range": [0, 1]},
+        "learner": {"kind": "custom-kernel", "rows": {
+            "0": {"outcomes": [0, 1], "probs": [0.9, 0.1]},
+            "1": {"outcomes": [0, 1], "probs": [0.2, 0.8]}}}})[1]
+    for sys in systems + [custom]:
+        copy = pickle.loads(pickle.dumps(sys))
+        arrays = list(_reachable_arrays(copy))
+        # the record's arrays, P_Z's, the loss values and the learner's log masses
+        assert len(arrays) >= 11
+        assert not [a for a in arrays if a.flags.writeable]
+        for name in ("pz", "learner", "loss"):
+            assert type(getattr(copy, name)) is type(getattr(sys, name))
+        assert _bound_results(copy) == _bound_results(sys)
+
+
+def test_expected_gen_reads_the_rows_of_an_unpickled_copy(systems):
     for sys in systems:
-        copy = pickle.loads(pickle.dumps(sys))  # no rows yet
-        if copy.setting == "standard":
-            assert copy.pw.outcomes == copy.w_labels and "rows" not in vars(copy)
+        copy = pickle.loads(pickle.dumps(sys))  # a record of its own
         assert models.expected_gen(copy) == models.expected_gen(sys)
-        assert "rows" in vars(copy)
+        assert models.expected_gen_hat(copy) == models.expected_gen_hat(sys)
 
 
 def test_each_row_is_the_row_of_its_labels(systems):
@@ -158,7 +213,7 @@ def test_every_vector_finds_its_type_row():
     loss = models.zero_one_loss(("a", "b", "c"))
     pz = FiniteDistribution.uniform(loss.instances)
     sys = models.assemble_standard(pz, 3, models.gibbs_kernel(loss, 3, 1.5), loss)
-    assert isinstance(sys.z_grid, TypeGrid)
+    assert isinstance(sys.rows.grids[0], TypeGrid)
     labels, order = sys.rows.labels, loss.instances.index
     seen = set()
     for vec in itertools.product(loss.instances, repeat=3):  # all 27 vectors
@@ -187,5 +242,4 @@ def test_the_holder_event_is_read_once_per_atom_in_row_order(systems):
             continue
         calls = []
         holder_event_bound(sys, lambda *atom: calls.append(atom) or len(calls) % 2, 2.0, 3.0, 1.5)
-        assert calls == [(w, zt, s) for zt in sys.zt_grid.vectors()
-                         for s in sys.s_grid.vectors() for w in sys.w_labels]
+        assert calls == [(w, zt, s) for zt, s in sys.rows.labels for w in sys.w_labels]

@@ -5,7 +5,7 @@ On a hand-made ragged grid (contexts of 1, 3 and 5 rows, one row of zero
 mass), every segment reduction equals its reference on the zero-mass
 padded (context, 5, w) array: the sum and the maximum, the segment
 ``logsumexp``, the alpha-MI and the leakage. The subset view reads the
-system's (z-tilde, s, w) arrays as rows without a copy, and the Holder
+system's row record, the one layout it stores, without a copy, and the Holder
 bound, now two nested means over the view's contexts, matches the form it
 had on the (z-tilde, s, w) grid to 1e-12."""
 import itertools
@@ -115,18 +115,20 @@ def subsets():
 def test_the_subset_view_reads_the_system_arrays_as_rows(subsets):
     for sys in subsets:
         view, width = view_of(sys), len(sys.w_labels)
-        for name, array in (("genhat", view.values), ("gen_sel", view.gen),
-                            ("cond", view.cond), ("joint", view.joint)):
-            assert array.base is getattr(sys, name), name  # a view, not a copy
-            assert array.shape == (sys.zt_grid.size * sys.s_grid.size, width)
-        assert np.array_equal(view.mass, (sys.p_ztilde[:, None] * sys.p_s[None, :]).ravel())
-        assert np.array_equal(view.starts, np.arange(sys.zt_grid.size) * sys.s_grid.size)
+        n_zt, n_s = (grid.size for grid in sys.rows.grids)
+        for name in ("values", "gen", "cond", "joint"):
+            array = getattr(view, name)
+            assert array is getattr(sys.rows, name), name  # the record's, not a copy
+            assert array.shape == (n_zt * n_s, width)
+        p_zt, p_s = (oracles.system_arrays(sys)[name] for name in ("p_zt", "p_s"))
+        assert np.array_equal(view.mass, (p_zt[:, None] * p_s[None, :]).ravel())
+        assert np.array_equal(view.starts, np.arange(n_zt) * n_s)
 
 
 def _events(sys, rng):
     """Predicates over (w, z-tilde, s): everything, nothing, the first
     hypothesis, a selector bit, and a seeded random set of atoms."""
-    atoms = list(itertools.product(sys.w_labels, sys.zt_grid.vectors(), sys.s_grid.vectors()))
+    atoms = list(itertools.product(sys.w_labels, *(grid.vectors() for grid in sys.rows.grids)))
     chosen = {atoms[i] for i in rng.choice(len(atoms), len(atoms) // 3 + 1, replace=False)}
     return (lambda w, zt, s: True, lambda w, zt, s: False,
             lambda w, zt, s: w == sys.w_labels[0], lambda w, zt, s: s[0] == 1,

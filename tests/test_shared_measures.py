@@ -123,9 +123,10 @@ def test_standard_density_is_within_2e_15_of_its_exact_value(pools):
         ctx.prec = 50
         for sys in pools["standard"]:
             iota = view_of(sys).iota
-            for zi, wi in zip(*np.nonzero(sys.joint > 0)):
-                exact = (Decimal(float(sys.cond[zi, wi])).ln()
-                         - Decimal(float(sys.pw_mass[wi])).ln())
+            arrays = oracles.system_arrays(sys)
+            for zi, wi in zip(*np.nonzero(arrays["joint"] > 0)):
+                exact = (Decimal(float(arrays["cond"][zi, wi])).ln()
+                         - Decimal(float(arrays["pw"][wi])).ln())
                 error = abs(Decimal(float(iota[zi, wi])) - exact)
                 assert error <= Decimal(2e-15) * max(1, abs(exact)), (zi, wi)
 
@@ -143,11 +144,10 @@ def _zero_mass_system(setting, learner):
 # its grid index, and a data point with an unknown label
 POINTWISE = {
     "standard": (bstd.pacb_bound, bstd.sd_density_bound, ((2,),), ((3,),),
-                 lambda sys: (sys.z_grid.code((2,)),)),
+                 lambda sys: (sys.rows.row((2,)),)),
     "subset": (bsub.cond_pacb_bound, bsub.cond_sd_density_bound, ((2, 0), (0,)),
                ((3, 0), (0,)),
-               lambda sys: (sys.zt_grid.code((2, 0)) * sys.s_grid.size
-                            + sys.s_grid.code((0,)),)),  # its flat row
+               lambda sys: (sys.rows.row((2, 0), (0,)),)),  # its flat row
 }
 
 
@@ -175,8 +175,8 @@ def test_pointwise_bounds_take_one_support_rule(setting):
 
 def test_a_zero_mass_posterior_off_the_marginal_has_an_infinite_kl():
     sys = _zero_mass_system("standard", {"kind": "erm"})  # only z = 2 picks w = 2
-    view, at = view_of(sys), sys.z_grid.code((2,))
-    assert sys.pw_mass[2] == 0.0 and view.kls[at] == math.inf
+    view, at = view_of(sys), sys.rows.row((2,))
+    assert oracles.system_arrays(sys)["pw"][2] == 0.0 and view.kls[at] == math.inf
     assert not bstd.pacb_bound(sys, (2,), 0.1).feasible
     # the moment bound weighs the positive-mass posteriors only
     kls = view.kls[view.mass > 0]

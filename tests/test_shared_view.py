@@ -167,7 +167,8 @@ def test_an_auxiliary_marginal_gets_its_own_view(monkeypatch):
     sys = load_fixture("inst_a")[1]
     default = bstd.sd_tail_bound(sys, 0.1)
     shared = view_of(sys)
-    aux = bstd.sd_tail_bound(sys, 0.1, q_w=sys.pw)  # equal to the default marginal
+    p_w = FiniteDistribution(sys.w_labels, sys.rows.log_masses[2])
+    aux = bstd.sd_tail_bound(sys, 0.1, q_w=p_w)  # equal to the default marginal
     assert len(builds) == 2
     assert view_of(sys) is shared and shared.q_w is None
     assert aux.epsilon == pytest.approx(default.epsilon, abs=1e-12)
@@ -178,7 +179,8 @@ def test_an_auxiliary_marginal_gets_its_own_view(monkeypatch):
 def _conditional_kernel(sys):
     """A kernel over the supersamples equal to P_{W|Z-tilde}."""
     return Kernel({zt: FiniteDistribution.from_probs(sys.w_labels, row)
-                   for zt, row in zip(sys.zt_grid.vectors(), sys.pw_given)})
+                   for zt, row in zip(sys.rows.grids[0].vectors(),
+                                      oracles.system_arrays(sys)["pw_given"])})
 
 
 def test_an_auxiliary_conditional_gets_its_own_view(monkeypatch):
@@ -219,9 +221,11 @@ def test_an_auxiliary_conditional_is_checked_on_the_joint_support_only():
                      0.0, 1.0)
     pz = FiniteDistribution.from_probs((0, 1, 2), (0.5, 0.5, 0.0))
     sys = SubsetSystem(pz, 1, gibbs_kernel(loss, 1, 2.0), loss)
+    arrays = oracles.system_arrays(sys)
     rows = {zt: (FiniteDistribution.from_probs(sys.w_labels, row) if mass > 0
                  else FiniteDistribution.point_mass(sys.w_labels, 0))
-            for zt, row, mass in zip(sys.zt_grid.vectors(), sys.pw_given, sys.p_ztilde)}
+            for zt, row, mass in zip(sys.rows.grids[0].vectors(), arrays["pw_given"],
+                                     arrays["p_zt"])}
     q = Kernel(rows)
     assert np.all(sys.cond > 0)
     assert cond_mutual_information(sys, q) == pytest.approx(

@@ -200,9 +200,9 @@ class TestPushforwards:
     def test_matches_the_loop_reference_bitwise(self, inst_a, inst_b, inst_c):
         rng = np.random.default_rng(7)
         for sys in [inst_a, inst_c] + [random_standard_system(rng) for _ in range(25)]:
-            self._assert_matches_loop(sys.gen_table.T, sys.joint)
+            self._assert_matches_loop(sys.rows.gen, sys.joint)
         for sys in [inst_b] + [random_subset_system(rng) for _ in range(25)]:
-            self._assert_matches_loop(sys.genhat, sys.joint)
+            self._assert_matches_loop(sys.rows.values, sys.joint)
 
     def test_rounded_groups_keep_the_first_atom_key(self):
         # -1e-17 and 1e-17 both round to a zero, whose sign the first atom sets;
@@ -416,6 +416,8 @@ class TestSuiteRunner:
         ({"n_instances": 0}, "n_instances"), ({"n_instances": -1}, "n_instances"),
         ({"sigma_scale": 1e-200}, "sigma_scale"), ({"sigma_scale": 1e200}, "sigma_scale"),
         ({"sigma_scale": 1e-100}, "sigma_scale"),
+        ({"n_instances": math.nan}, "n_instances"), ({"n_instances": 2.5}, "n_instances"),
+        ({"n_instances": True}, "n_instances"),
     ])
     def test_refuses_an_out_of_range_option(self, options, name):
         with pytest.raises(ValueError, match=name):
@@ -508,7 +510,7 @@ class TestSuiteReportsEachFailure:
         expected = []
         for name, sys in zip(self.STANDARD, self._standard_systems()):
             # mass of the atoms whose |gen| an epsilon of 0 does not bound
-            viol = sum(float(m) for v, m in zip(sys.gen_table.T.ravel(), sys.joint.ravel())
+            viol = sum(float(m) for v, m in zip(sys.rows.gen.ravel(), sys.joint.ravel())
                        if not abs(v) <= verify.COVERAGE_TOL)
             expected += [f"coverage {bound_id} {name} delta={d}: viol={viol:.6g}"
                          for d in self.DELTAS if viol > d + verify.COVERAGE_TOL

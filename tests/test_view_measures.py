@@ -53,7 +53,8 @@ def test_standard_measures_equal_their_own_table_formulas(pools):
         q_w = FiniteDistribution.from_probs(sys.w_labels,
                                             rng.dirichlet(np.ones(len(sys.w_labels))))
         tbl = information_density(sys)
-        assert maximal_leakage(sys) == _leakage(sys.pzn_mass, sys.cond, ONE_SEGMENT)
+        arrays = oracles.system_arrays(sys)
+        assert maximal_leakage(sys) == _leakage(arrays["pzn"], arrays["cond"], ONE_SEGMENT)
         assert max_information(sys) == float(tbl.iota.max())
         for aux in (None, q_w):
             aux_tbl = information_density(sys, aux)
@@ -62,8 +63,8 @@ def test_standard_measures_equal_their_own_table_formulas(pools):
                 assert system_renyi(sys, alpha, aux) == _renyi_formula(aux_tbl, alpha)
         for alpha in ALPHAS:
             want = (tbl.mean if abs(alpha - 1.0) <= 1e-6 else _alpha_mi(
-                np.zeros(1), _log(sys.pzn_mass), _log(sys.pw_mass), tbl.arrays[2], ONE_SEGMENT,
-                alpha))
+                np.zeros(1), _log(arrays["pzn"]), _log(arrays["pw"]), tbl.arrays[2],
+                ONE_SEGMENT, alpha))
             assert alpha_mi(sys, alpha) == want
 
 
@@ -71,11 +72,14 @@ def test_subset_measures_equal_their_own_table_formulas(pools):
     rng = np.random.default_rng(17)
     for sys in pools["subset"]:
         q = Kernel({zt: FiniteDistribution.from_probs(
-            sys.w_labels, rng.dirichlet(np.ones(len(sys.w_labels)))) for zt in sys.zt_grid.vectors()})
+            sys.w_labels, rng.dirichlet(np.ones(len(sys.w_labels))))
+            for zt in oracles.zvectors(sys.pz.outcomes, 2 * sys.n)})
         tbl = conditional_density(sys)
-        mass = (sys.p_ztilde[:, None] * sys.p_s[None, :]).reshape(-1)
-        rows = sys.cond.reshape(len(mass), -1)
-        starts = np.arange(sys.zt_grid.size) * sys.s_grid.size  # each supersample's first row
+        arrays = oracles.system_arrays(sys)
+        n_zt, n_s = len(arrays["p_zt"]), len(arrays["p_s"])
+        mass = (arrays["p_zt"][:, None] * arrays["p_s"][None, :]).reshape(-1)
+        rows = arrays["cond"].reshape(len(mass), -1)
+        starts = np.arange(n_zt) * n_s  # each supersample's first row
         assert cond_maximal_leakage(sys) == _leakage(mass, rows, starts)
         for aux in (None, q):
             aux_tbl = conditional_density(sys, aux)
@@ -88,8 +92,8 @@ def test_subset_measures_equal_their_own_table_formulas(pools):
                     cond_alpha_mi(sys, alpha)
                 continue
             assert cond_alpha_mi(sys, alpha) == (tbl.mean if alpha - 1.0 <= 1e-6 else _alpha_mi(
-                _log(sys.p_ztilde), np.tile(_log(sys.p_s), sys.zt_grid.size),
-                _log(sys.pw_given), tbl.arrays[2], starts, alpha))
+                _log(arrays["p_zt"]), np.tile(_log(arrays["p_s"]), n_zt),
+                _log(arrays["pw_given"]), tbl.arrays[2], starts, alpha))
 
 
 def _distribution_pairs(rng, count=300):
