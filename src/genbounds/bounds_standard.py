@@ -10,7 +10,7 @@ from __future__ import annotations
 from functools import cached_property
 from typing import Any
 
-from .engine import (BoundResult, _View, _check_delta, _check_gamma, _log_ratio,
+from .engine import (BoundResult, _View, _check_delta, _check_gamma, _log_ratio, _square,
                      _tail_bound_from_table, max_information, view_of)
 from .measures import T_INF, information_density
 from .models import StandardSystem
@@ -23,7 +23,7 @@ class _StandardView(_View):
     setting = "standard"
 
     def __init__(self, sys: StandardSystem, q_w: FiniteDistribution | None = None):
-        super().__init__(sys, sys.sigma ** 2, {"sigma": sys.sigma, "n": sys.n})
+        super().__init__(sys, _square(sys.sigma), {"sigma": sys.sigma, "n": sys.n})
         self.q_w = q_w
 
     table = cached_property(lambda self: information_density(self.sys, self.q_w))

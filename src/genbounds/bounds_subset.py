@@ -16,7 +16,7 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .engine import (BoundResult, _View, _check_delta, _check_gamma, _log_ratio,
+from .engine import (BoundResult, _View, _check_delta, _check_gamma, _log_ratio, _square,
                      _tail_bound_from_table, cond_alpha_mi, view_of)
 from .measures import ONE_SEGMENT, _leakage, _nested_mean, conditional_density
 from .models import LossTable, SubsetSystem, _data_grid
@@ -36,8 +36,8 @@ class RangeConstant:
 
 
 def range_constant(loss: LossTable) -> RangeConstant:
-    """(b - a)^2 for a loss bounded on [a, b]."""
-    return RangeConstant((loss.b - loss.a) ** 2, "bounded-range")
+    """(b - a)^2 for a loss bounded on [a, b]; inf where the square overflows."""
+    return RangeConstant(_square(loss.b - loss.a), "bounded-range")
 
 
 def delta_constant(delta_fn: Callable[[Any, Any], float], pz: FiniteDistribution,
@@ -56,8 +56,9 @@ def delta_constant(delta_fn: Callable[[Any, Any], float], pz: FiniteDistribution
                 if not value >= gap - 1e-12:  # NaN too
                     raise ValueError(f"Delta({z1!r}, {z2!r}) = {value!r} does not "
                                      "dominate the loss differences")
-    value = sum(pz.mass_of(z1) * pz.mass_of(z2) * delta_fn(z1, z2) ** 2
-                for z1 in pz.outcomes for z2 in pz.outcomes)
+    value = sum(pz.mass_of(z1) * pz.mass_of(z2) * _square(delta_fn(z1, z2))
+                for z1 in pz.outcomes for z2 in pz.outcomes
+                if pz.mass_of(z1) * pz.mass_of(z2) > 0)  # so 0 * inf adds 0, not NaN
     return RangeConstant(float(value), "delta-expectation")
 
 
@@ -190,15 +191,17 @@ def cond_alpha_mi_bound(sys: SubsetSystem, delta: float, alpha: float,
 def genhat_to_gen(eps_fn: Callable[[float], float], loss: LossTable, n: int,
                   delta: float) -> BoundResult:
     """Convert a bound on the test-minus-train gap into one on the ordinary
-    generalization error via the delta-dependent penalty term."""
+    generalization error via the delta-dependent penalty term; a penalty
+    that overflows makes the bound infeasible."""
     delta = _check_delta(delta)
-    penalty = math.sqrt((loss.b - loss.a) ** 2 / (2.0 * n) * _log_ratio(4.0, delta))
+    penalty = math.sqrt(range_constant(loss).value / (2.0 * n) * _log_ratio(4.0, delta))
     # the gap bound's level delta/2 rounds to 0 at the least subnormal delta
     base = float(eps_fn(delta / 2.0)) if delta / 2.0 > 0.0 else math.inf
-    if not math.isfinite(base):
+    reason = ("penalty overflows" if penalty == math.inf else
+              "underlying gap bound infeasible" if not math.isfinite(base) else "")
+    if reason:
         return BoundResult(math.inf, "single-draw", "data-independent",
-                           {"delta": delta, "n": n}, feasible=False,
-                           reason="underlying gap bound infeasible")
+                           {"delta": delta, "n": n}, feasible=False, reason=reason)
     return BoundResult(base + penalty, "single-draw", "data-independent",
                        {"delta": delta, "n": n, "penalty": penalty})
 

@@ -37,6 +37,11 @@ REPORT_COLUMNS = ("schema_version", "bound_id", "flavor", "scope", "epsilon",
                   "feasible", "delta", "t", "alpha", "gamma", "sigma", "C",
                   "n", "abs_expected_gen", "quantile")
 
+# the config keys each command reads; any other key is refused
+_REPORT_KEYS = ("problem", "deltas", "bounds", "t", "alpha")
+CONFIG_KEYS = {"report": _REPORT_KEYS, "sweep": _REPORT_KEYS + ("axis", "values"),
+               "verify": ("instances", "deltas", "sigma_scale")}
+
 DEFAULT_STANDARD_BOUNDS = vfy.panel_ids("standard")
 DEFAULT_SUBSET_BOUNDS = vfy.panel_ids("subset")
 
@@ -231,8 +236,9 @@ def _parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="JSON experiment config")
         if name == "verify":  # the seed of its random instances
             p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--out", default=None)
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
+        else:  # verify prints its summary as text
+            p.add_argument("--out", default=None)
+            p.add_argument("--format", choices=("csv", "json"), default="csv")
     return parser
 
 
@@ -249,6 +255,9 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         config = _load_config(args.config)
+        unknown = [key for key in config if key not in CONFIG_KEYS[args.command]]
+        if unknown:
+            raise ConfigError(f"config key {unknown[0]!r} is not read by {args.command}")
         if args.command == "report":
             return cmd_report(config, args.out, args.format)
         if args.command == "verify":

@@ -68,6 +68,15 @@ def _log_ratio(c: float, d: float) -> float:
     return math.log(ratio) if ratio < math.inf else math.log(c) - math.log(d)
 
 
+def _square(x: float) -> float:
+    """x ** 2 as a float, read as inf where the square overflows (a sigma,
+    range or Delta past the square root of the largest float)."""
+    try:
+        return float(x) ** 2
+    except OverflowError:
+        return math.inf
+
+
 def _moment_term(norm: float, delta: float, t: Any) -> float:
     """An L_t norm inflated by Markov's inequality at level delta/2 (none for
     t = inf); an inflation (delta/2)^(-1/t) that overflows is taken in logs."""

@@ -153,8 +153,8 @@ def density(p: FiniteDistribution, q: FiniteDistribution) -> DensityTable:
 
 def _density(sys: StandardSystem | SubsetSystem, log_q: np.ndarray | None) -> DensityTable:
     """The density of the joint on ``sys.rows``, for both settings: iota =
-    log P(w | row) - log Q(w | context) by the density rule, ``log_q`` one row
-    per context (None: the system's own P(w | context)). The base measure,
+    log P(w | row) - log Q(w | context) by the density rule, ``log_q`` a
+    (context, w) array (None: the system's own P(w | context)). The base measure,
     the row's log mass + log Q, must charge the joint's support. The table
     keeps the (log joint, log base, iota) rows; its outcomes, (w, data
     labels...) in row order, are built on first access from the rows, so
@@ -164,7 +164,7 @@ def _density(sys: StandardSystem | SubsetSystem, log_q: np.ndarray | None) -> De
     log_joint, iota = _logs(rows.joint, rows.cond)
     # each context's log Q on each of its rows, then the log base measure in place
     counts = np.diff(rows.starts, append=len(iota))
-    log_base = np.repeat(np.atleast_2d(own_q if log_q is None else log_q), counts, axis=0)
+    log_base = np.repeat(own_q if log_q is None else log_q, counts, axis=0)
     if np.any((log_joint > NEG_INF) & (log_base == NEG_INF)):
         raise AbsoluteContinuityViolation(
             "joint atom outside the support of the base measure")
@@ -185,7 +185,7 @@ def information_density(sys: StandardSystem,
     """Information density of (W, Z) under the system joint, optionally
     against an auxiliary hypothesis marginal Q_W, over the (zvec, w) grid."""
     return _density(sys, None if q_w is None else
-                    np.array([q_w.log_mass_of(w) for w in sys.w_labels]))
+                    np.array([[q_w.log_mass_of(w) for w in sys.w_labels]]))
 
 
 def conditional_density(sys: SubsetSystem, q_kernel=None) -> DensityTable:
@@ -255,7 +255,7 @@ def _nested_mean(x: np.ndarray, log_ctx: np.ndarray, log_data: np.ndarray,
                  log_q: np.ndarray, starts: np.ndarray, r1: float, r2: float) -> float:
     """log E_ctx[E_{Q(w|ctx)}[E_{row|ctx}[e^x]^r1]^r2] of the (row, w) array
     ``x``, from the log masses of each context and of each row given its
-    context, and log Q(w | context) (one row per context, or one for all)."""
+    context, and log Q(w | context), a (context, w) array."""
     inner = _segment_logsumexp(log_data[:, None] + x, starts)
     return float(logsumexp(log_ctx + r2 * logsumexp(log_q + r1 * inner, axis=-1)))
 

@@ -184,7 +184,7 @@ def identity_kernel(loss: LossTable) -> Kernel:
 # -- assembled systems ------------------------------------------------------
 
 ONE_SEGMENT = np.zeros(1, dtype=np.intp)  # the starts of a one-context grid
-ONE_SEGMENT.flags.writeable = False  # shared by every standard system
+ONE_SEGMENT.flags.writeable = False
 
 
 def _logs(*masses) -> tuple:
@@ -208,10 +208,10 @@ class Rows:
     ``cond`` (the posteriors), ``values`` (the value bounded) and ``gen`` are
     C-contiguous (row, w) arrays and ``mass`` is per row; ``starts`` is each
     context's first row, and ``log_masses`` are each context's log mass,
-    each row's log mass given its context, and log P(w | context). The codes
-    of ``grids``, in product order, number the rows and ``w_labels`` the w
-    axis; only ``row``, ``atom`` and ``labels`` read them. Contexts are
-    contiguous and non-empty; every array is made read-only."""
+    each row's log mass given its context, and the (context, w) log P(w |
+    context). The codes of ``grids``, in product order, number the rows and
+    ``w_labels`` the w axis; only ``row``, ``atom`` and ``labels`` read them.
+    Contexts are contiguous and non-empty; every array is made read-only."""
 
     grids: tuple
     w_labels: tuple
@@ -248,8 +248,8 @@ class Rows:
 
 @dataclass(frozen=True, eq=False)  # views are keyed weakly by identity
 class _System:
-    """The shell of both settings: the inputs, and the row record that each
-    setting's ``__post_init__`` builds from them, the one layout it stores.
+    """The shell of both settings: the inputs, and the row record that
+    ``_store`` builds from each setting's arrays, the one layout it stores.
     ``w_labels``, ``cond`` and ``joint`` read the record. A system pickles as
     its inputs: an unpickled copy builds a read-only record of its own."""
 
@@ -266,6 +266,27 @@ class _System:
     def __reduce__(self) -> tuple:
         return type(self), (self.pz, self.n, self.learner, self.loss)
 
+    def _store(self, grids: tuple, ctx_mass: np.ndarray, row_mass: np.ndarray,
+               cond: np.ndarray, z_grid, halves: tuple | None = None) -> None:
+        """Store the record of contexts of equal width, in row order: a row's
+        mass is ``ctx_mass`` times ``row_mass`` (in place), the joint that times
+        ``cond``, Q(w | context) the row-mass-weighted sum of the posteriors. A
+        row trains on its ``z_grid`` vector, tested on the population, or on
+        ``halves[0]``, tested on ``halves[1]``; gen and values (population and
+        test minus training loss) are made after the joint, for a lower peak RSS."""
+        contexts, width = len(ctx_mass), len(row_mass) // len(ctx_mass)
+        joint = row_mass[:, None] * cond  # the weighted posteriors, then the joint in place
+        q = joint.reshape(contexts, width, -1).sum(axis=1)
+        log_masses = _logs(ctx_mass, row_mass, q)
+        for by_ctx in (joint.reshape(contexts, width, -1), row_mass.reshape(contexts, width, 1)):
+            by_ctx *= ctx_mass[:, None, None]  # the joint, and row_mass becomes the mass
+        emp = self.loss.totals(z_grid) / self.n
+        train = emp if halves is None else emp[halves[0]]
+        gen = self.loss.population_losses(self.pz) - train
+        object.__setattr__(self, "rows", Rows(
+            grids, tuple(self.learner.output_outcomes), np.arange(contexts) * width, row_mass,
+            joint, cond, gen if halves is None else emp[halves[1]] - train, gen, log_masses))
+
 
 @dataclass(frozen=True, eq=False)
 class StandardSystem(_System):
@@ -274,7 +295,7 @@ class StandardSystem(_System):
     Its record has one context, of mass 1, whose rows are the codes of the
     data grid ``rows.grids[0]``, of the learner's grid kind: ``mass`` is
     P(z-vector), ``cond`` P(w | z-vector), ``values`` and ``gen`` the
-    generalization error at each atom, and the context's log Q is log P(w).
+    generalization error at each atom, and log Q, one row, is log P(w).
     For a learner on a ``TypeGrid`` a row is a type class, every vector of
     which has the same posterior, gen and density; its mass is the whole class's.
     """
@@ -282,15 +303,10 @@ class StandardSystem(_System):
     setting = "standard"
 
     def __post_init__(self):
-        w_labels = _check_system(self)
+        _check_system(self)
         grid = _data_grid(self.learner, self.pz.outcomes, self.n)
-        mass = np.exp(power_log_mass(self.pz.log_mass, grid))
-        cond = np.exp(self.learner.log_mass_on(grid))
-        joint = mass[:, None] * cond
-        gen = self.loss.population_losses(self.pz) - self.loss.totals(grid) / self.n
-        object.__setattr__(self, "rows", Rows(
-            (grid,), w_labels, ONE_SEGMENT, mass, joint, cond, gen, gen,
-            (np.zeros(1), *_logs(mass, joint.sum(axis=0)))))
+        self._store((grid,), np.ones(1), np.exp(power_log_mass(self.pz.log_mass, grid)),
+                    np.exp(self.learner.log_mass_on(grid)), grid)
 
     @property
     def sigma(self) -> float:
@@ -305,9 +321,8 @@ class StandardSystem(_System):
         return self.learner[zvec]
 
 
-def _check_system(sys) -> tuple:
-    """Checks common to both settings, the budget before any enumeration;
-    returns the hypothesis labels."""
+def _check_system(sys) -> None:
+    """Checks common to both settings, the budget before any enumeration."""
     if sys.n < 1:
         raise ValueError("n must be >= 1")
     w_labels = tuple(sys.learner.output_outcomes)
@@ -317,7 +332,6 @@ def _check_system(sys) -> tuple:
     grid = ProductGrid if sys.learner.grid is None else type(sys.learner.grid)
     check_budget(grid.count(k, sys.n) * n_w if sys.setting == "standard"
                  else _subset_atoms(k, sys.n, n_w))
-    return w_labels
 
 
 def _subset_atoms(k: int, n: int, n_w: int) -> int:
@@ -353,27 +367,13 @@ class SubsetSystem(_System):
     setting = "subset"
 
     def __post_init__(self):
-        w_labels = _check_system(self)
-        n = self.n
-        z_grid = ProductGrid(self.pz.outcomes, n)
-        zt_grid, s_grid = ProductGrid(self.pz.outcomes, 2 * n), ProductGrid((0, 1), n)
-        width = s_grid.size
-        sel, unsel = _halves(zt_grid, s_grid)
-        cond = np.exp(self.learner.log_mass_on(z_grid)[sel])
-        p_s = 0.5 ** n
-        p_zt = np.exp(power_log_mass(self.pz.log_mass, zt_grid))
-        mass = np.repeat(p_zt * p_s, width)
-        pw_given = cond[::width].copy()  # P_S is uniform: the mean of each context's rows
-        for s in range(1, width):
-            pw_given += cond[s::width]
-        pw_given /= width
-        emp = self.loss.totals(z_grid) / n
-        train = emp[sel]
-        object.__setattr__(self, "rows", Rows(
-            (zt_grid, s_grid), w_labels, np.arange(zt_grid.size) * width, mass,
-            mass[:, None] * cond, cond, emp[unsel] - train,
-            self.loss.population_losses(self.pz) - train,
-            _logs(p_zt, np.full(len(mass), p_s), pw_given)))
+        _check_system(self)
+        z_grid = ProductGrid(self.pz.outcomes, self.n)
+        zt_grid, s_grid = ProductGrid(self.pz.outcomes, 2 * self.n), ProductGrid((0, 1), self.n)
+        halves = _halves(zt_grid, s_grid)
+        self._store((zt_grid, s_grid), np.exp(power_log_mass(self.pz.log_mass, zt_grid)),
+                    np.full(zt_grid.size * s_grid.size, 0.5 ** self.n),
+                    np.exp(self.learner.log_mass_on(z_grid)[halves[0]]), z_grid, halves)
 
     def select(self, ztilde: tuple, s: tuple) -> tuple:
         """Training vector z(s): the ith sample is ztilde[i + s_i * n]."""

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import bounds_standard as bstd
 from . import bounds_subset as bsub
-from .engine import BoundResult, _View, view_of
+from .engine import BoundResult, _View, _square, view_of
 from .measures import density
 from .models import (
     LossTable,
@@ -125,11 +125,8 @@ def check_exp_inequality_standard(sys: StandardSystem,
     sigma finite and positive, with a finite, positive float square.
     """
     sigma = _positive("sigma", sys.sigma if sigma is None else float(sigma))
-    try:
-        variance = sigma ** 2
-    except OverflowError:  # refused as an infinite variance
-        variance = math.inf
-    return _exp_inequality(view_of(sys), "sigma ** 2", variance, lambda_grid)
+    # an overflowing square is refused as an infinite variance
+    return _exp_inequality(view_of(sys), "sigma ** 2", _square(sigma), lambda_grid)
 
 
 def check_exp_inequality_subset(sys: SubsetSystem,
@@ -373,13 +370,17 @@ _INT_MAX = int(np.finfo(float).max)
 
 
 def _count(name: str, value: Any, least: int) -> int:
-    """``value`` as an int, if integral and at least ``least``; else a
-    ValueError naming ``name``."""
+    """``value`` as an int, read as ``models._number`` reads an integer (a
+    bool is refused), if at least ``least``; else a ValueError naming ``name``."""
     if isinstance(value, int) and abs(value) > _INT_MAX:  # float(value) overflows
         raise ValueError(f"{name} must be an integer within the float range")
-    if not (value >= least and float(value).is_integer()):
-        raise ValueError(f"{name} must be an integer of at least {least}, got {value!r}")
-    return int(value)
+    try:
+        count = _number(name, value, _integral)
+        if count >= least:
+            return count
+    except ValueError:
+        pass
+    raise ValueError(f"{name} must be an integer of at least {least}, got {value!r}")
 
 
 def hoeffding_tail(sigma: float, n: int, eps: float) -> float:

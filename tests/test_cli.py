@@ -137,9 +137,10 @@ class TestErrorHandling:
     @pytest.mark.parametrize("command", ["report", "sweep"])
     @pytest.mark.parametrize("where", ["missing directory", "directory"])
     def test_an_unwritable_out_exits_2(self, tmp_path, capsys, command, where):
-        cfg = write_config(tmp_path, "cfg.json",
-                           {"problem": STANDARD_PROBLEM, "bounds": ["avg"],
-                            "axis": "delta", "values": [0.1]})
+        config = {"problem": STANDARD_PROBLEM, "bounds": ["avg"]}
+        if command == "sweep":
+            config.update(axis="delta", values=[0.1])
+        cfg = write_config(tmp_path, "cfg.json", config)
         out = str(tmp_path / "no" / "such" / "x.csv" if where != "directory" else tmp_path)
         assert main([command, "--config", cfg, "--out", out]) == 2
         captured = capsys.readouterr()
@@ -153,6 +154,44 @@ class TestErrorHandling:
         assert main([command, "--config", cfg, "--seed", "1"]) == 2
         captured = capsys.readouterr()
         assert "unrecognized arguments: --seed 1" in captured.err and captured.out == ""
+
+    @pytest.mark.parametrize("flag", [["--out", "x.json"], ["--format", "json"]])
+    def test_verify_takes_no_out_or_format(self, tmp_path, capsys, monkeypatch, flag):
+        monkeypatch.chdir(tmp_path)
+        cfg = write_config(tmp_path, "cfg.json", {"instances": 1})
+        assert main(["verify", "--config", cfg, *flag]) == 2
+        captured = capsys.readouterr()
+        assert f"unrecognized arguments: {' '.join(flag)}" in captured.err
+        assert captured.out == "" and not (tmp_path / "x.json").exists()
+
+    @pytest.mark.parametrize("command, config, key", [
+        ("report", {"problem": STANDARD_PROBLEM, "delta": [0.05], "bound": ["avg"]}, "delta"),
+        ("report", {"problem": STANDARD_PROBLEM, "axis": "delta", "values": [0.1]}, "axis"),
+        ("sweep", {"problem": STANDARD_PROBLEM, "axis": "delta", "values": [0.1],
+                   "bound": ["avg"]}, "bound"),
+        ("verify", {"instances": 1, "seed": 3}, "seed"),
+        ("verify", {"problem": STANDARD_PROBLEM, "instances": 1}, "problem"),
+    ])
+    def test_a_config_key_the_command_does_not_read_exits_2_naming_it(
+            self, tmp_path, capsys, command, config, key):
+        cfg = write_config(tmp_path, "cfg.json", config)
+        assert main([command, "--config", cfg]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: config key {key!r} is not read by {command}\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("problem", [
+        dict(STANDARD_PROBLEM, loss=dict(STANDARD_PROBLEM["loss"], sigma=1e200)),
+        dict(SUBSET_PROBLEM, loss=dict(SUBSET_PROBLEM["loss"], range=[-1e200, 1e200])),
+    ], ids=["sigma", "range"])
+    def test_a_square_past_the_float_range_gives_infeasible_bounds(self, tmp_path, capsys,
+                                                                    problem):
+        cfg = write_config(tmp_path, "cfg.json", {"problem": problem})
+        out = tmp_path / "report.csv"
+        assert main(["report", "--config", cfg, "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        rows = read_csv(out)
+        assert rows and all((r["feasible"], r["epsilon"]) == ("False", "inf") for r in rows)
 
     def test_unknown_subcommand(self):
         assert main(["frobnicate", "--config", "x"]) == 2

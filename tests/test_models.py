@@ -166,10 +166,10 @@ class TestLearnerKernels:
 
 class TestStandardAssembly:
     def test_inst_a_hypothesis_marginal(self, inst_a):
-        assert np.exp(inst_a.rows.log_masses[2]) == pytest.approx([0.75, 0.25], abs=1e-12)
+        assert np.exp(inst_a.rows.log_masses[2][0]) == pytest.approx([0.75, 0.25], abs=1e-12)
 
     def test_constant_learner_joint_is_product(self, inst_c):
-        outer = inst_c.rows.mass[:, None] * np.exp(inst_c.rows.log_masses[2])[None, :]
+        outer = inst_c.rows.mass[:, None] * np.exp(inst_c.rows.log_masses[2][0])[None, :]
         assert inst_c.joint == pytest.approx(outer, abs=1e-15)
 
     def test_atom_count(self, inst_a):

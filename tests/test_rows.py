@@ -20,7 +20,7 @@ import pytest
 import oracles
 from genbounds import (FiniteDistribution, Kernel, cmi_avg_bound, cond_alpha_mi,
                        cond_mutual_information, conditional_density, holder_event_bound,
-                       information_density, load_fixture, measures, models)
+                       information_density, load_fixture, load_problem, measures, models)
 from genbounds.bounds_subset import RangeConstant
 from genbounds.prob import TypeGrid
 from genbounds.engine import view_of
@@ -111,6 +111,54 @@ def test_the_row_log_mass_is_the_log_mass_of_the_system_arrays(systems):
                 want = (np.log(arrays["p_zt"])[:, None]
                         + np.log(arrays["p_s"])[None, :]).reshape(-1)
         assert row.tobytes() == want.tobytes()  # bit for bit, signed zeros included
+
+
+# (learner, setting, |Z|, |W|, n) of the benchmark's report and coverage problems
+BENCH_SHAPES = (("gibbs", "standard", 2, 4, 8), ("gibbs", "standard", 4, 4, 5),
+                ("gibbs", "standard", 3, 4, 7), ("gibbs", "standard", 4, 6, 6),
+                ("erm", "standard", 4, 8, 7), ("erm", "standard", 3, 12, 8),
+                ("gibbs", "subset", 2, 4, 4))
+
+
+def _bench_system(rng, learner, setting, n_z, n_w, n):
+    """A problem of a benchmark shape: Gibbs on a 2^-16 loss grid with a
+    uniform P_Z, or ERM on a 5-point grid with a random P_Z."""
+    doc = {"setting": setting, "instances": list(range(n_z)), "n": n}
+    if learner == "erm":
+        matrix = rng.integers(0, 5, size=(n_w, n_z)) / 4.0
+        doc.update(learner={"kind": "erm"}, pz=rng.dirichlet(np.full(n_z, 2.0)).tolist())
+    else:
+        matrix = rng.integers(0, 2 ** 16 + 1, size=(n_w, n_z)) / 2 ** 16
+        doc["learner"] = {"kind": "gibbs", "beta": float(rng.uniform(0.5, 4.0))}
+    doc["loss"] = {"hypotheses": list(range(n_w)), "matrix": matrix.tolist(), "range": [0, 1]}
+    return load_problem(doc)[1]
+
+
+def _log_q_by_setting(sys):
+    """log Q(w | context) by each setting's own formula, from the record:
+    the standard column sums of the joint (one context), and the subset mean
+    of each context's posteriors, added in selector order."""
+    rows = sys.rows
+    if sys.setting == "standard":
+        q = (rows.mass[:, None] * rows.cond).sum(axis=0)
+    else:
+        width = len(rows.mass) // len(rows.starts)
+        q = rows.cond[::width].copy()
+        for s in range(1, width):
+            q += rows.cond[s::width]
+        q /= width
+    with np.errstate(divide="ignore"):
+        return np.log(q)
+
+
+def test_log_q_is_one_row_per_context_in_both_settings(systems):
+    rng = np.random.default_rng(174)
+    bench = [_bench_system(rng, *shape) for shape in BENCH_SHAPES]
+    for sys in [*systems, *bench]:
+        rows = sys.rows
+        log_q = rows.log_masses[2]
+        assert log_q.shape == (len(rows.starts), len(rows.w_labels)), sys.setting
+        assert log_q.tobytes() == _log_q_by_setting(sys).tobytes(), sys.setting
 
 
 def test_the_rows_are_read_only_and_hold_no_system(systems):

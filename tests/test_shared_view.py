@@ -167,7 +167,7 @@ def test_an_auxiliary_marginal_gets_its_own_view(monkeypatch):
     sys = load_fixture("inst_a")[1]
     default = bstd.sd_tail_bound(sys, 0.1)
     shared = view_of(sys)
-    p_w = FiniteDistribution(sys.w_labels, sys.rows.log_masses[2])
+    p_w = FiniteDistribution(sys.w_labels, sys.rows.log_masses[2][0])
     aux = bstd.sd_tail_bound(sys, 0.1, q_w=p_w)  # equal to the default marginal
     assert len(builds) == 2
     assert view_of(sys) is shared and shared.q_w is None

@@ -322,7 +322,8 @@ class TestHoeffdingTail:
                                            ((0.5, 2.5, 0.5), "n"),
                                            ((0.5, math.nan, 0.5), "n"),
                                            ((0.5, 10 ** 400, 0.1), "n"),  # was an OverflowError
-                                           ((0.5, -10 ** 400, 0.1), "n")])
+                                           ((0.5, -10 ** 400, 0.1), "n"),
+                                           ((0.5, True, 0.1), "n")])  # was read as 1
     def test_a_nan_or_fractional_argument_is_refused_by_name(self, bad, name):
         with pytest.raises(ValueError, match=f"^{name} must"):
             hoeffding_tail(*bad)
@@ -389,6 +390,8 @@ class TestGaussianValidation:
         ((2, math.inf, 1.0), {}, "noise_var"),
         ((10 ** 400, 1.0, 1.0), {}, "n"),  # was an OverflowError
         ((2, 1.0, 1.0), {"samples": 10 ** 400}, "samples"),
+        ((True, 1.0, 1.0), {"samples": 10}, "n"),  # was read as 1
+        ((2, 1.0, 1.0), {"samples": True}, "samples"),
     ])
     def test_malformed_input_is_refused_by_name(self, args, kwargs, name):
         with pytest.raises(ValueError, match=f"^{name} must"):
