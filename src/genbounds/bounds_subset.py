@@ -19,7 +19,7 @@ import numpy as np
 from .engine import (BoundResult, _View, _check_delta, _check_gamma, _log_ratio, _square,
                      _tail_bound_from_table, cond_alpha_mi, view_of)
 from .measures import ONE_SEGMENT, _leakage, _nested_mean, conditional_density
-from .models import LossTable, SubsetSystem, _data_grid
+from .models import LossTable, SubsetSystem, _data_grid, _per_vector
 from .prob import NEG_INF, FiniteDistribution, power_log_mass
 
 
@@ -64,12 +64,16 @@ def delta_constant(delta_fn: Callable[[Any, Any], float], pz: FiniteDistribution
 
 class _SubsetView(_View):
     """The random-subset setting, with range constant ``c`` (default
-    (b - a)^2) and optionally an auxiliary conditional ``q_kernel``."""
+    (b - a)^2) and optionally an auxiliary conditional ``q_kernel``, a
+    function of z-tilde: its view is over the per-vector system, which it
+    keeps alive, since a view holds its system weakly."""
 
     setting = "subset"
 
     def __init__(self, sys: SubsetSystem, c: RangeConstant | None = None,
                  q_kernel=None):
+        if q_kernel is not None:
+            sys = self._vectors = _per_vector(sys)
         const = (c or range_constant(sys.loss)).value
         super().__init__(sys, const, {"C": const, "n": sys.n})
         self.q_kernel = q_kernel
@@ -86,7 +90,8 @@ def cond_pacb_bound(sys: SubsetSystem, ztilde: tuple, s: tuple, delta: float,
                     c: RangeConstant | None = None, q_kernel=None) -> BoundResult:
     """Conditional PAC-Bayesian bound at one (supersample, selector) atom."""
     view, delta = view_of(sys, c, q_kernel), _check_delta(delta)
-    return view.pointwise(view.kls[sys.rows.row(ztilde, s)], "pac-bayes", delta, (ztilde, s))
+    return view.pointwise(view.kls[view.sys.rows.row(ztilde, s)], "pac-bayes", delta,
+                          (ztilde, s))
 
 
 def cond_pacb_moment_bound(sys: SubsetSystem, delta: float, t: Any,
@@ -101,7 +106,7 @@ def cond_sd_density_bound(sys: SubsetSystem, w: Any, ztilde: tuple, s: tuple,
                           q_kernel=None) -> BoundResult:
     """Conditional single-draw bound at one (w, z-tilde, s) atom."""
     view, delta = view_of(sys, c, q_kernel), _check_delta(delta)
-    term = view.iota[sys.rows.atom(w, ztilde, s)]
+    term = view.iota[view.sys.rows.atom(w, ztilde, s)]
     return view.pointwise(term, "single-draw", delta, (w, ztilde, s))
 
 
@@ -150,8 +155,9 @@ def holder_event_bound(sys: SubsetSystem, event: Callable[[Any, tuple, tuple], b
                        tilde_alpha: float) -> float:
     """Exact evaluation of the two-factor Holder bound on P[E].
 
-    ``event`` is a predicate over (w, z-tilde, s) atoms. The three exponents
-    must exceed 1 and be finite; their conjugates are derived internally.
+    ``event`` is a predicate over (w, z-tilde, s) atoms, read at every atom
+    of the per-vector system. The three exponents must exceed 1 and be
+    finite; their conjugates are derived internally.
     """
     for name, val in (("alpha", alpha), ("alpha_prime", alpha_prime),
                       ("tilde_alpha", tilde_alpha)):
@@ -160,6 +166,7 @@ def holder_event_bound(sys: SubsetSystem, event: Callable[[Any, tuple, tuple], b
     gamma = alpha / (alpha - 1.0)
     gamma_prime = alpha_prime / (alpha_prime - 1.0)
     tilde_gamma = tilde_alpha / (tilde_alpha - 1.0)
+    sys = _per_vector(sys)
     view = view_of(sys)
     contexts = (*view.log_masses, view.starts)
     ind = np.array([[event(w, *data) for w in sys.rows.w_labels]

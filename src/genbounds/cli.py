@@ -26,6 +26,7 @@ from .models import (
     SubsetSystem,
     _integral,
     _number,
+    _real,
     expected_gen,
     load_problem,
 )
@@ -103,7 +104,7 @@ def _report_rows(system, config: Mapping[str, Any]) -> list[dict]:
             raise ConfigError(f"{bound_id!r} is not a data-independent "
                               f"{system.setting} bound id")
     t = _number("t", config.get("t", 2), normalize_order)
-    alpha = _number("alpha", config.get("alpha", 2.0))
+    alpha = _number("alpha", config.get("alpha", 2.0), _order)
     deltas = _deltas(config)
     abs_gen = abs(expected_gen(system))
     rows = []
@@ -180,11 +181,16 @@ def _subset_columns(system) -> dict:
             "cmi_w_selector": view_of(system).table.mean}
 
 
+def _order(value: Any) -> float:
+    """An order alpha as a float: a number, or the string "inf"."""
+    return math.inf if value == "inf" else _real(value)
+
+
 def _at(config: Mapping[str, Any], axis: str, value: Any) -> dict:
     """The config with the swept parameter (or problem entry) set to value."""
     if axis == "t":
         return dict(config, t=value)
-    value = _number("values", value, _integral if axis == "n" else float)
+    value = _number("values", value, {"n": _integral, "alpha": _order}.get(axis, _real))
     if axis == "delta":
         return dict(config, deltas=[value])
     if axis == "alpha":

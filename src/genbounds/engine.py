@@ -48,6 +48,8 @@ class BoundResult:
 
 
 def _check_delta(delta: float) -> float:
+    if isinstance(delta, str):
+        raise ValueError(f"delta must be a number, got {delta!r}")
     delta = float(delta)
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must lie in (0, 1), got {delta!r}")
@@ -56,7 +58,7 @@ def _check_delta(delta: float) -> float:
 
 def _check_gamma(gamma: Any) -> Any:
     """A tail bound's gamma, "auto" or a number; NaN is refused by name."""
-    if gamma != "auto" and math.isnan(float(gamma)):
+    if gamma != "auto" and (isinstance(gamma, str) or math.isnan(float(gamma))):
         raise ValueError(f"gamma must be a number or 'auto', got {gamma!r}")
     return gamma
 
@@ -340,7 +342,9 @@ def _tail_bound_from_table(tbl: DensityTable, rate: float, delta: float,
     grows, so auto mode's exact optimum is at an attained value: the table
     reads the tail at each once (one sort), and each delta then costs one
     O(V) pass over the radicands; the first least epsilon is evaluated as an
-    explicit gamma is.
+    explicit gamma is. Where none is feasible, the reason is the tail level
+    if no tail is below delta, else the radicand's fault there, as an
+    explicit gamma names it: negative, or NaN or overflowing.
     """
     def infeasible(params, reason: str) -> BoundResult:
         return BoundResult(math.inf, "single-draw", "data-independent", params,
@@ -361,9 +365,13 @@ def _tail_bound_from_table(tbl: DensityTable, rate: float, delta: float,
         log_term = np.where(np.isinf(ratio), math.log(2.0) - np.log(delta - tails),
                             np.log(ratio))
         radicand = rate * (values + log_term)
-    radicand[~((tails < delta) & (radicand >= 0.0) & (radicand < math.inf))] = math.inf
-    best = int(np.argmin(np.sqrt(radicand)))  # the first least epsilon
-    if radicand[best] == math.inf:
+    below = tails < delta
+    usable = below & (radicand >= 0.0) & (radicand < math.inf)
+    if not usable.any():  # no tail below delta, or no radicand of one is usable
         return infeasible(dict(extra_params, delta=delta, gamma="auto"),
-                          "no gamma meets the tail level delta")
+                          "no gamma meets the tail level delta" if not below.any() else
+                          "negative radicand" if np.all(radicand[below] < 0.0) else
+                          "radicand is NaN or overflows")
+    radicand[~usable] = math.inf
+    best = int(np.argmin(np.sqrt(radicand)))  # the first least epsilon
     return evaluate(float(values[best]), float(tails[best]))

@@ -21,7 +21,8 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .models import ONE_SEGMENT, StandardSystem, SubsetSystem, _logs  # noqa: F401 (re-exported)
+from .models import (ONE_SEGMENT, StandardSystem, SubsetSystem, _logs,  # noqa: F401 (re-exported)
+                     _per_vector)
 from .prob import NEG_INF, AbsoluteContinuityViolation, FiniteDistribution, logsumexp
 
 ALPHA_ONE_TOL = 1e-6
@@ -35,9 +36,12 @@ T_INF = MomentOrder.INF
 
 
 def normalize_order(t: Any) -> float | MomentOrder:
-    """Accept a positive real, math.inf, or the string 'inf' for t."""
+    """Accept a positive real, math.inf, or the string 'inf' (the only
+    string) for t."""
     if t is T_INF or t == "inf" or (isinstance(t, float) and math.isinf(t)):
         return T_INF
+    if isinstance(t, str):
+        raise ValueError(f"moment order must be positive, a number or 'inf', got {t!r}")
     t = float(t)
     if not t > 0:  # NaN too
         raise ValueError(f"moment order must be positive, got {t!r}")
@@ -191,8 +195,12 @@ def information_density(sys: StandardSystem,
 def conditional_density(sys: SubsetSystem, q_kernel=None) -> DensityTable:
     """Conditional information density of (W, S) given the supersample, over
     the flat ((ztilde, s), w) grid, against P_{W|Ztilde} (or the auxiliary
-    conditional): log(P(w,zt,s) / (P(w|zt) P(zt) P(s))) = log(P(w|z(s)) / P(w|zt))."""
-    return _density(sys, None if q_kernel is None else q_kernel.log_mass_on(sys.rows.grids[0])[
+    conditional, read on the per-vector system): log(P(w,zt,s) / (P(w|zt) P(zt)
+    P(s))) = log(P(w|z(s)) / P(w|zt))."""
+    if q_kernel is None:
+        return _density(sys, None)
+    sys = _per_vector(sys)
+    return _density(sys, q_kernel.log_mass_on(sys.rows.grids[0])[
         :, [q_kernel.output_outcomes.index(w) for w in sys.w_labels]])  # in w_labels order
 
 

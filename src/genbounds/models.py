@@ -20,8 +20,10 @@ from .prob import (
     FiniteDistribution,
     JointTable,
     Kernel,
+    OrbitGrid,
     ProductGrid,
     TypeGrid,
+    _probability,
     check_budget,
     logsumexp,
     power_log_mass,
@@ -209,9 +211,11 @@ class Rows:
     C-contiguous (row, w) arrays and ``mass`` is per row; ``starts`` is each
     context's first row, and ``log_masses`` are each context's log mass,
     each row's log mass given its context, and the (context, w) log P(w |
-    context). The codes of ``grids``, in product order, number the rows and
-    ``w_labels`` the w axis; only ``row``, ``atom`` and ``labels`` read them.
-    Contexts are contiguous and non-empty; every array is made read-only."""
+    context). ``grids`` are the data axes, whose codes check the labels;
+    in product order they number the rows, unless ``orbits``, an
+    ``OrbitGrid``, numbers them by orbit. ``w_labels`` number the w axis;
+    only ``row``, ``atom`` and ``labels`` read the numbering. Contexts are
+    contiguous and non-empty; every array is made read-only."""
 
     grids: tuple
     w_labels: tuple
@@ -222,6 +226,7 @@ class Rows:
     values: np.ndarray
     gen: np.ndarray
     log_masses: tuple
+    orbits: OrbitGrid | None = None
 
     def __post_init__(self):
         for arr in (self.starts, self.mass, self.joint, self.cond, self.values, self.gen,
@@ -234,7 +239,7 @@ class Rows:
         row = 0
         for grid, label in zip(self.grids, data, strict=True):
             row = row * grid.size + _lookup(grid.code, label)
-        return row
+        return row if self.orbits is None else self.orbits.row(*data)
 
     def atom(self, w: Any, *data) -> tuple[int, int]:
         """The (row, w) index of hypothesis ``w`` at the data labels."""
@@ -242,7 +247,10 @@ class Rows:
 
     @cached_property
     def labels(self) -> tuple:
-        """Each row's data labels, in row order (a type's sorted representative)."""
+        """Each row's data labels, in row order (a type's sorted
+        representative, or an orbit's, with s = 0^n)."""
+        if self.orbits is not None:
+            return self.orbits.vectors()
         return tuple(itertools.product(*(grid.vectors() for grid in self.grids)))
 
 
@@ -267,25 +275,34 @@ class _System:
         return type(self), (self.pz, self.n, self.learner, self.loss)
 
     def _store(self, grids: tuple, ctx_mass: np.ndarray, row_mass: np.ndarray,
-               cond: np.ndarray, z_grid, halves: tuple | None = None) -> None:
-        """Store the record of contexts of equal width, in row order: a row's
-        mass is ``ctx_mass`` times ``row_mass`` (in place), the joint that times
-        ``cond``, Q(w | context) the row-mass-weighted sum of the posteriors. A
-        row trains on its ``z_grid`` vector, tested on the population, or on
-        ``halves[0]``, tested on ``halves[1]``; gen and values (population and
-        test minus training loss) are made after the joint, for a lower peak RSS."""
-        contexts, width = len(ctx_mass), len(row_mass) // len(ctx_mass)
+               cond: np.ndarray, z_grid, halves: tuple | None = None,
+               orbits: OrbitGrid | None = None) -> None:
+        """Store the record of contexts of equal width in row order, or of
+        the ragged contexts of ``orbits``: a row's mass is its context's
+        ``ctx_mass`` times its ``row_mass`` (in place), the joint that times
+        ``cond``, Q(w | context) the row-mass-weighted sum of the context's
+        posteriors (``orbits.context_sums``, or a reshaped sum). A row trains
+        on its ``z_grid`` code, tested on the population, or on ``halves[0]``,
+        tested on ``halves[1]``; gen and values (population and test minus
+        training loss) are made after the joint, for a lower peak RSS."""
         joint = row_mass[:, None] * cond  # the weighted posteriors, then the joint in place
-        q = joint.reshape(contexts, width, -1).sum(axis=1)
+        if orbits is None:  # (context, row, ...) views of the rows
+            contexts, width = len(ctx_mass), len(row_mass) // len(ctx_mass)
+            by_ctx = (joint.reshape(contexts, width, -1), row_mass.reshape(contexts, width, 1))
+            q, scale = by_ctx[0].sum(axis=1), ctx_mass[:, None, None]
+            starts = np.arange(contexts) * width
+        else:
+            by_ctx, q = (joint, row_mass[:, None]), orbits.context_sums(joint)
+            scale, starts = ctx_mass[orbits.context][:, None], orbits.starts
         log_masses = _logs(ctx_mass, row_mass, q)
-        for by_ctx in (joint.reshape(contexts, width, -1), row_mass.reshape(contexts, width, 1)):
-            by_ctx *= ctx_mass[:, None, None]  # the joint, and row_mass becomes the mass
+        for arr in by_ctx:
+            arr *= scale  # the joint, and row_mass becomes the mass
         emp = self.loss.totals(z_grid) / self.n
         train = emp if halves is None else emp[halves[0]]
         gen = self.loss.population_losses(self.pz) - train
         object.__setattr__(self, "rows", Rows(
-            grids, tuple(self.learner.output_outcomes), np.arange(contexts) * width, row_mass,
-            joint, cond, gen if halves is None else emp[halves[1]] - train, gen, log_masses))
+            grids, tuple(self.learner.output_outcomes), starts, row_mass, joint, cond,
+            gen if halves is None else emp[halves[1]] - train, gen, log_masses, orbits))
 
 
 @dataclass(frozen=True, eq=False)
@@ -331,13 +348,21 @@ def _check_system(sys) -> None:
     k, n_w = len(sys.pz), len(w_labels)
     grid = ProductGrid if sys.learner.grid is None else type(sys.learner.grid)
     check_budget(grid.count(k, sys.n) * n_w if sys.setting == "standard"
-                 else _subset_atoms(k, sys.n, n_w))
+                 else _subset_atoms(k, sys.n, n_w, _on_orbits(sys.learner, sys.n)))
 
 
-def _subset_atoms(k: int, n: int, n_w: int) -> int:
-    """The atom count of a subset system's (z-tilde, s, w) joint over k
-    instances and n_w hypotheses, whatever the learner."""
-    return k ** (2 * n) * 2 ** n * n_w
+def _subset_atoms(k: int, n: int, n_w: int, orbits: bool) -> int:
+    """The atom count of a subset system over k instances and n_w
+    hypotheses: one per (z-tilde, s, w), k^(2n) 2^n n_w, or on the orbit
+    grid, one per (type of the n label pairs, w), C(n + k^2 - 1, k^2 - 1) n_w."""
+    return (TypeGrid.count(k * k, n) if orbits else k ** (2 * n) * 2 ** n) * n_w
+
+
+def _on_orbits(learner: Kernel, n: int) -> bool:
+    """Whether a subset system is on the orbit grid: a learner on a type
+    grid (the built-in ones) at n >= 2. At n = 1 orbits save at most half
+    the rows, so such a system keeps the per-vector grid, as custom learners do."""
+    return learner.grid is not None and n >= 2
 
 
 def _data_grid(learner: Kernel, labels: Sequence[Any], n: int) -> ProductGrid | TypeGrid:
@@ -357,23 +382,39 @@ class SubsetSystem(_System):
     """The random-subset setting: a 2n supersample, a Bernoulli(1/2) selector,
     and a learner acting on the selected half.
 
-    Its record has one context per supersample, of |S| rows: row
-    zt_code * |S| + s_code, on the grids ``rows.grids`` = (z-tilde grid,
-    s grid). ``cond`` is P(w | z(s)), ``values`` the test-minus-train gap,
+    Its record's data axes ``rows.grids`` are the z-tilde grid and the s
+    grid. ``cond`` is P(w | z(s)), ``values`` the test-minus-train gap,
     ``gen`` the ordinary generalization error on the selected half, and a
     context's log Q is log P(w | z-tilde), S marginalized out.
+
+    Per vector, a context is a supersample of |S| rows, row zt_code * |S| +
+    s_code, each of mass 2^-n given it. A learner on a type grid at n >= 2
+    (Gibbs, ERM, constant) sees (z-tilde, s) only through its (selected,
+    unselected) label pairs, so its system is on the orbit grid
+    ``rows.orbits`` (``prob.OrbitGrid``): a row is a type M of those pairs
+    and a context a type N of the unordered pairs, of mass multinomial(N)
+    prod P(a)^(2 N_aa) prod_{a<b} (2 P(a) P(b))^N_ab; a row's mass given
+    its context is its split weight, and its posterior the learner's row at
+    its selected type. ``_per_vector`` gives its per-vector system.
     """
 
     setting = "subset"
 
     def __post_init__(self):
         _check_system(self)
-        z_grid = ProductGrid(self.pz.outcomes, self.n)
-        zt_grid, s_grid = ProductGrid(self.pz.outcomes, 2 * self.n), ProductGrid((0, 1), self.n)
-        halves = _halves(zt_grid, s_grid)
-        self._store((zt_grid, s_grid), np.exp(power_log_mass(self.pz.log_mass, zt_grid)),
-                    np.full(zt_grid.size * s_grid.size, 0.5 ** self.n),
-                    np.exp(self.learner.log_mass_on(z_grid)[halves[0]]), z_grid, halves)
+        labels, n = self.pz.outcomes, self.n
+        grids = (ProductGrid(labels, 2 * n), ProductGrid((0, 1), n))
+        if _on_orbits(self.learner, n):
+            orbits = _orbit_grid(labels, repr(labels), n)
+            z_grid, halves = _data_grid(self.learner, labels, n), orbits.halves
+            ctx_mass = np.exp(orbits.context_log_mass(self.pz.log_mass))
+            row_mass = orbits.split.copy()
+        else:
+            orbits, z_grid, halves = None, ProductGrid(labels, n), _halves(*grids)
+            ctx_mass = np.exp(power_log_mass(self.pz.log_mass, grids[0]))
+            row_mass = np.full(grids[0].size * grids[1].size, 0.5 ** n)
+        self._store(grids, ctx_mass, row_mass,
+                    np.exp(self.learner.log_mass_on(z_grid)[halves[0]]), z_grid, halves, orbits)
 
     def select(self, ztilde: tuple, s: tuple) -> tuple:
         """Training vector z(s): the ith sample is ztilde[i + s_i * n]."""
@@ -394,6 +435,27 @@ def _halves(zt_grid: ProductGrid, s_grid: ProductGrid) -> tuple[np.ndarray, np.n
         sel = sel * k + zt[ctx, i + n * s_i]
         unsel = unsel * k + zt[ctx, i + n * (1 - s_i)]
     return sel, unsel
+
+
+@lru_cache(maxsize=32)  # a verify suite draws about five (labels, n) pairs at n >= 2
+def _orbit_grid(labels: tuple, spelled: str, n: int) -> OrbitGrid:
+    """The shared, read-only ``OrbitGrid`` over ``labels`` at length n,
+    keyed by the labels' repr too, as ``_type_grid`` is."""
+    return OrbitGrid(_type_grid(labels, n))
+
+
+def _per_vector(sys: SubsetSystem) -> SubsetSystem:
+    """``sys`` on the per-vector grid: itself, or an orbit system rebuilt
+    with its learner read at every z-vector, one row per (z-tilde, s), within
+    the per-vector budget. Inputs that need not be constant on an orbit (a
+    Holder event, an auxiliary conditional of z-tilde) are read on it."""
+    if sys.rows.orbits is None:
+        return sys
+    check_budget(_subset_atoms(len(sys.pz), sys.n, len(sys.w_labels), False))
+    grid, outputs = ProductGrid(sys.pz.outcomes, sys.n), sys.learner.output_outcomes
+    return SubsetSystem(sys.pz, sys.n, Kernel({
+        v: FiniteDistribution(outputs, row)
+        for v, row in zip(grid.vectors(), sys.learner.log_mass_on(grid))}), sys.loss)
 
 
 assemble_subset = SubsetSystem
@@ -433,16 +495,24 @@ def expected_gen_hat(sys: SubsetSystem) -> float:
 _FIXTURE_DIR = Path(__file__).parent / "fixtures"
 
 
+def _real(value: Any) -> float:
+    """A number as a float; a string is not a number."""
+    if isinstance(value, str):
+        raise TypeError(f"{value!r} is not a number")
+    return float(value)
+
+
 def _integral(value: Any) -> int:
     """An integral number as an int; a fractional value is refused."""
-    if not float(value).is_integer():
+    if not _real(value).is_integer():
         raise ValueError(f"{value!r} is not an integer")
     return int(value)
 
 
-def _number(key: str, value: Any, convert: Callable[[Any], Any] = float) -> Any:
+def _number(key: str, value: Any, convert: Callable[[Any], Any] = _real) -> Any:
     """``convert(value)`` for the number ``value`` of the field ``key``; a
-    bool, or a value of the wrong type or form, is a ValueError naming it."""
+    bool, or a value of the wrong type or form (a string, unless ``convert``
+    reads one), is a ValueError naming it."""
     try:
         if isinstance(value, bool):
             raise TypeError(f"{value!r} is not a number")
@@ -518,7 +588,7 @@ def _custom_kernel(rows: Any, instances: Sequence[Any]) -> Kernel:
         return tuple(by_text[tok] for tok in tokens)
 
     def row(doc: Mapping[str, Any]) -> FiniteDistribution:  # a probability may be a decimal string
-        probs = [_number("probs", p, lambda p: p) for p in doc["probs"]]
+        probs = [_number("probs", p, _probability) for p in doc["probs"]]
         return FiniteDistribution.from_json(dict(doc, probs=probs))
 
     return Kernel({zvec(key): row(doc) for key, doc in rows.items()})
@@ -535,7 +605,7 @@ def load_problem(path_or_doc: Any) -> tuple[str, StandardSystem | SubsetSystem]:
     if not instances:
         raise ValueError("field 'instances': no instance is listed")
     if "pz" in doc:  # a probability may be a decimal string
-        probs = [_number("pz", p, lambda p: p) for p in doc["pz"]]
+        probs = [_number("pz", p, _probability) for p in doc["pz"]]
         pz = FiniteDistribution.from_json({"outcomes": instances, "probs": probs})
     else:
         pz = FiniteDistribution.uniform(instances)
@@ -544,7 +614,10 @@ def load_problem(path_or_doc: Any) -> tuple[str, StandardSystem | SubsetSystem]:
         raise ValueError(f"field 'n': {n} is not at least 1")
     loss = _parse_loss(doc["loss"], instances)
     if setting == "subset":  # the joint is larger than the learner's grid: size it first
-        check_budget(_subset_atoms(len(instances), n, len(loss.hypotheses)))
+        learner = doc.get("learner")
+        kind = learner.get("kind") if isinstance(learner, Mapping) else None
+        check_budget(_subset_atoms(len(instances), n, len(loss.hypotheses),
+                                   kind != "custom-kernel" and n >= 2))
     system = StandardSystem if setting == "standard" else SubsetSystem
     learner = _parse_learner(_field("learner", doc["learner"], Mapping), loss, n)
     return setting, system(pz, n, learner, loss)

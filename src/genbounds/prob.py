@@ -121,7 +121,7 @@ class FiniteDistribution:
         by less than 1e-9 are renormalized; larger deviations are an error.
         """
         outcomes = [_canonical_label(o) for o in doc["outcomes"]]
-        probs = [float(Decimal(x)) if isinstance(x, str) else float(x) for x in doc["probs"]]
+        probs = [_probability(x) for x in doc["probs"]]
         total = sum(probs)
         if abs(total - 1.0) >= LOADER_NORMALIZE_ATOL:
             raise InvalidDistributionError(f"probabilities sum to {total!r}")
@@ -336,6 +336,87 @@ class TypeGrid:
         return acc
 
 
+class OrbitGrid:
+    """The orbits of the random-subset setting at length n over the labels
+    of ``z_grid``, a ``TypeGrid``: a (supersample, selector) pair is the n
+    (selected, unselected) label pairs, and an orbit is their type M, a code
+    of ``pairs``, the ``TypeGrid`` over the k^2 ordered label pairs. Its
+    context is the type N of the unordered pairs, a code of ``contexts``
+    (N_aa = M_aa, N_ab = M_ab + M_ba), the orbit of the supersample.
+
+    Rows are the pair types sorted by context, each context's in code
+    order; ``starts`` is each context's first row and ``context`` each
+    row's context. ``split`` is a row's mass given its context,
+    prod_{a<b} C(N_ab, M_ab) 2^-N_ab, correctly rounded from exact
+    integers, and ``halves`` the ``z_grid`` codes of its selected and
+    unselected halves, M's row and column sums. Its arrays are read-only, so
+    one grid serves every system over the same labels and n."""
+
+    __slots__ = ("n", "pairs", "contexts", "starts", "context", "split", "halves", "_order",
+                 "_rank", "_slot", "_widest", "_upper")
+
+    def __init__(self, z_grid: TypeGrid):
+        labels, n, k = z_grid.labels, z_grid.n, len(z_grid.labels)
+        self.n = n
+        self.pairs = TypeGrid([(a, b) for a in labels for b in labels], n)
+        size = self.pairs.size
+        self._upper = np.triu_indices(k)
+        a, b = self._upper
+        self.contexts = TypeGrid([(labels[i], labels[j]) for i, j in zip(a, b)], n)
+        m = self.pairs.counts.reshape(-1, k, k)
+        unordered = m[:, a, b] + np.where(a == b, 0, m[:, b, a])
+        context = self.contexts._codes(unordered)
+        self._order = np.argsort(context, kind="stable")  # the pair-type code of each row
+        self._rank = np.empty(size, dtype=np.int64)
+        self._rank[self._order] = np.arange(size)
+        self.context = context[self._order]
+        self.starts = np.searchsorted(self.context, np.arange(self.contexts.size))
+        self._slot = np.arange(size) - self.starts[self.context]
+        self._widest = int(self._slot.max()) + 1
+        m, unordered, off = m[self._order], unordered[self._order], a != b
+        ways = np.ones(size, dtype=object)  # prod C(N_ab, M_ab), as Python ints
+        for i, j, col in zip(a[off], b[off], np.flatnonzero(off)):
+            ways = ways * _comb(unordered[:, col], m[:, i, j])
+        flips = unordered[:, off].sum(axis=1).tolist()  # the pairs a selector can swap
+        self.split = np.fromiter((w / (1 << f) for w, f in zip(ways, flips)), float, size)
+        self.halves = (z_grid._codes(m.sum(axis=2)), z_grid._codes(m.sum(axis=1)))
+        for arr in (self.starts, self.context, self.split, *self.halves, self._order,
+                    self._rank, self._slot, *self._upper):
+            arr.flags.writeable = False
+
+    def context_log_mass(self, log_mass: np.ndarray) -> np.ndarray:
+        """The log mass of each context under iid draws of the labels'
+        ``log_mass``: log multinomial(N) + sum N_aa 2 log P(a) + sum_{a<b}
+        N_ab log(2 P(a) P(b)), the supersamples of the context."""
+        a, b = self._upper
+        return power_log_mass(log_mass[a] + log_mass[b] + np.where(a == b, 0.0, math.log(2.0)),
+                              self.contexts)
+
+    def context_sums(self, rows: np.ndarray) -> np.ndarray:
+        """The sum of the (row, ...) array ``rows`` over each context's rows,
+        in row order: the rows scattered into a zero-padded (context,
+        widest, ...) array, summed over its second axis."""
+        padded = np.zeros((self.contexts.size, self._widest) + rows.shape[1:])
+        padded[self.context, self._slot] = rows
+        return padded.sum(axis=1)
+
+    def row(self, ztilde: tuple, s: tuple) -> int:
+        """The row of a supersample and a selector, labels of the grid: the
+        orbit of their (selected, unselected) pairs z-tilde[i + s_i n],
+        z-tilde[i + (1 - s_i) n]."""
+        n = self.n
+        return int(self._rank[self.pairs.code(tuple(
+            (ztilde[i + b * n], ztilde[i + (1 - b) * n]) for i, b in enumerate(s)))])
+
+    def vectors(self) -> tuple:
+        """One (supersample, selector) per row, in row order: z-tilde = the
+        selected labels of the type's sorted representative, then the
+        unselected ones, and s = 0^n."""
+        zero = (0,) * self.n
+        return tuple((tuple(a for a, _ in pairs) + tuple(b for _, b in pairs), zero)
+                     for pairs in map(self.pairs.vector, self._order.tolist()))
+
+
 class Kernel:
     """A conditional distribution: input label -> distribution over the
     output labels, stored as one ``(rows, outputs)`` array of log masses.
@@ -435,6 +516,17 @@ class Kernel:
         if undefined.size:
             raise ValueError(f"kernel undefined on vector {grid.vector(int(undefined[0]))!r}")
         return self.log_mass[rows]
+
+
+def _probability(x: Any) -> float:
+    """A probability as JSON gives it: a number, or a decimal string such
+    as "0.25"; any other string is refused by name."""
+    if not isinstance(x, str):
+        return float(x)
+    try:
+        return float(Decimal(x))
+    except ArithmeticError:  # decimal.InvalidOperation
+        raise InvalidDistributionError(f"probability {x!r} is not a decimal number") from None
 
 
 def _canonical_label(label: Any) -> Any:

@@ -108,8 +108,8 @@ def _exp_inequality(view: _View, name: str, variance: float,
 
 
 def _positive(name: str, value: float) -> float:
-    """``value``, if finite and positive; else a ValueError naming ``name``."""
-    if not (math.isfinite(value) and value > 0.0):
+    """``value``, if a finite and positive number; else a ValueError naming ``name``."""
+    if isinstance(value, str) or not (math.isfinite(value) and value > 0.0):
         raise ValueError(f"{name} must be finite and positive, got {value!r}")
     return value
 
@@ -387,7 +387,7 @@ def hoeffding_tail(sigma: float, n: int, eps: float) -> float:
     """Two-sided Hoeffding tail 2 exp(-n eps^2 / (2 sigma^2)); sigma must be
     finite and positive, n an integer >= 1 and eps >= 0."""
     sigma, n = _positive("sigma", sigma), _count("n", n, 1)
-    if not eps >= 0:  # NaN too
+    if isinstance(eps, str) or not eps >= 0:  # NaN too
         raise ValueError(f"eps must be nonnegative, got {eps!r}")
     ratio = eps / sigma  # squaring the ratio, not eps and sigma, stays in the float range
     return 2.0 * math.exp(-n * ratio * ratio / 2.0)

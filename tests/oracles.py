@@ -418,12 +418,19 @@ def abs_quantile(dist, q):
     return _first_reaching(sorted(groups.items()), q)
 
 
-def _no_gamma(extra_params, delta):
+def _no_gamma(extra_params, delta, candidates):
+    """The infeasible auto-gamma result: the tail level if every candidate
+    misses it, else the radicand's fault at those that meet it, "negative
+    radicand" if that is every one's reason."""
     from genbounds.engine import BoundResult
 
+    faults = {c.reason for c in candidates} - {"tail mass at or above delta"}
+    reason = ("no gamma meets the tail level delta" if not faults else
+              "negative radicand" if faults == {"negative radicand"} else
+              "radicand is NaN or overflows")
     return BoundResult(math.inf, "single-draw", "data-independent",
                        dict(extra_params, delta=delta, gamma="auto"), feasible=False,
-                       reason="no gamma meets the tail level delta")
+                       reason=reason)
 
 
 def _first_least(candidates):
@@ -441,9 +448,9 @@ def tail_scan_strict(tbl, rate, delta, extra_params):
     strict minimum of epsilon kept."""
     from genbounds.engine import _tail_bound_from_table
 
-    best = _first_least(_tail_bound_from_table(tbl, rate, delta, v, extra_params)
-                        for v in tbl.distinct_values().tolist())
-    return best or _no_gamma(extra_params, delta)
+    candidates = [_tail_bound_from_table(tbl, rate, delta, v, extra_params)
+                  for v in tbl.distinct_values().tolist()]
+    return _first_least(candidates) or _no_gamma(extra_params, delta, candidates)
 
 
 _AT_LEAST: dict = {}  # (id(table), gamma) -> (table, P[iota >= gamma])
@@ -703,9 +710,9 @@ def product_twin(sys):
 
 
 def type_codes(sys, twin):
-    """The row of ``sys`` of each z-vector of ``twin``, in its row order,
-    one ``Rows.row`` call per vector."""
-    return np.array([sys.rows.row(v) for (v,) in twin.rows.labels], dtype=np.int64)
+    """The row of ``sys`` at each row's labels of ``twin`` (a z-vector, or a
+    supersample and a selector), in its row order, one ``Rows.row`` call per row."""
+    return np.array([sys.rows.row(*data) for data in twin.rows.labels], dtype=np.int64)
 
 
 # -- the exponential check as one logsumexp per lambda ----------------------

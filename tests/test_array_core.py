@@ -3,7 +3,9 @@ of ``oracles`` on seeded random shapes in both settings, each type of a
 type-grid learner compared at every vector of it: bit for bit wherever the
 arithmetic is that of the reference (product grids, and the rows and gen of
 dyadic losses), to 1e-12 where a type sums in another order. Gibbs rows at
-beta > 0 are judged, to 1e-12, against their 50-digit values."""
+beta > 0 are judged, to 1e-12, against their 50-digit values. A subset
+system on the orbit grid is judged through its per-vector system, which
+keeps those bits, and each (z-tilde, s) through ``Rows.row``, to 1e-12."""
 import itertools
 import math
 
@@ -14,6 +16,7 @@ import oracles
 from genbounds import (FiniteDistribution, Kernel, LossTable, StandardSystem,
                        SubsetSystem, constant_kernel, erm_kernel, gibbs_kernel,
                        identity_kernel)
+from genbounds.models import _per_vector
 from genbounds.prob import TypeGrid
 
 # (setting, learner, |Z|, |W|, n, seed). Odd seeds list P_Z's outcomes in
@@ -143,10 +146,36 @@ def test_assembly_matches_loop_reference(setting, kind, n_z, n_w, n, seed):
         sys = SubsetSystem(pz, n, kernel, loss)
         want = oracles.loop_subset_arrays(pz.outcomes, pz.log_mass, n, rows,
                                           loss.values, loss.instances)
+        vectors = _per_vector(sys)  # the per-vector record, bit for bit
+        assert (vectors is sys) == (n == 1 or not on_types)
         for name, array in want.items():
             exact = rows_exact or name not in ("cond", "joint", "log_q")
-            _assert_close(_record(sys)[name], array, name, exact)
+            _assert_close(_record(vectors)[name], array, name, exact)
+        if vectors is not sys:
+            _assert_orbits_match(sys, vectors, want)
     assert on_types == (kind != "custom")  # only custom kernels are label-form
+
+
+def _assert_orbits_match(sys, vectors, want):
+    """An orbit record against the per-vector reference ``want``, to 1e-12:
+    each (z-tilde, s) reads its orbit's posterior, gap and gen, and its
+    supersample's context Q; each orbit's mass and joint, and each context's
+    mass, are the total of their (z-tilde, s) rows."""
+    rows, codes = sys.rows, oracles.type_codes(sys, vectors)
+    context = np.searchsorted(rows.starts, codes, side="right") - 1
+    got = _record(sys)
+    for name in ("cond", "values", "gen"):
+        _assert_close(got[name][codes], want[name], name, False)
+    for name in ("mass", "joint"):
+        total = np.zeros_like(got[name])
+        np.add.at(total, codes, want[name])
+        _assert_close(got[name], total, name, False)
+    per_zt = context.reshape(len(want["log_q"]), -1)[:, 0]
+    assert np.all(context.reshape(len(per_zt), -1) == per_zt[:, None])
+    _assert_close(np.exp(got["log_q"])[per_zt], np.exp(want["log_q"]), "log_q", False)
+    ctx_mass = np.zeros_like(got["log_ctx"])
+    np.add.at(ctx_mass, per_zt, np.exp(want["log_ctx"]))
+    _assert_close(np.exp(got["log_ctx"]), ctx_mass, "log_ctx", False)
 
 
 def test_kernel_labels_are_built_on_demand():

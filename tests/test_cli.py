@@ -205,8 +205,9 @@ class TestErrorHandling:
         assert f"n = {n}" in capsys.readouterr().err
 
     def test_identity_subset_budget_refusal_comes_first(self, tmp_path):
-        # 2^80 supersamples times 2^40 selectors, sized before any learner
-        problem = dict(SUBSET_PROBLEM, n=40)
+        # C(253, 3) = 2,667,126 orbits of a built-in learner's n = 250
+        # label pairs times 2 hypotheses, sized before any learner
+        problem = dict(SUBSET_PROBLEM, n=250)
         cfg = write_config(tmp_path, "cfg.json", {"problem": problem})
         assert main(["report", "--config", cfg]) == 3
 

@@ -69,6 +69,12 @@ def test_a_variance_past_the_float_range_makes_every_bound_infeasible(setting, l
         assert not res.feasible and res.epsilon == math.inf, bound_id
     average = bstd.avg_mi_bound(sys) if setting == "standard" else bsub.cmi_avg_bound(sys)
     assert average.reason == "radicand is NaN or overflows"
+    # tails below delta exist, so the auto tail bound names the radicand as the moment bound does
+    tail, moment = ("sd_tail", "sd_moment") if setting == "standard" else (
+        "cond_tail", "cond_sd_moment")
+    for bound_id in (tail, moment):
+        res = BOUNDS[bound_id].evaluate(sys, 0.1, 2, 2.0, "auto")
+        assert res.reason == "radicand is NaN or overflows", bound_id
     if setting == "standard":  # the exponential check still refuses an infinite variance
         with pytest.raises(ValueError, match=r"^sigma \*\* 2 must be finite"):
             check_exp_inequality_standard(sys)

@@ -218,8 +218,10 @@ class TestSubsetAssembly:
         sys = assemble_subset(FiniteDistribution.bernoulli(0.5), 2,
                               constant_kernel(loss, 2), loss)
         rows = sys.rows
+        context = np.searchsorted(rows.starts, np.arange(len(rows.mass)), side="right") - 1
         for r, (zt, s) in enumerate(rows.labels):
-            pw_given = np.exp(rows.log_masses[2][rows.grids[0].code(zt)])
+            assert context[r] == np.searchsorted(rows.starts, rows.row(zt, s), side="right") - 1
+            pw_given = np.exp(rows.log_masses[2][context[r]])
             assert sys.cond[r] == pytest.approx(pw_given, abs=1e-15)
 
     def test_atom_count(self, inst_b):

@@ -7,27 +7,36 @@ system with its learner as a label-form kernel over every z-vector, one
 atom per vector, which is the enumeration the type grid replaces. Every
 bound, coverage, exponential-inequality value, pushforward and information
 measure of the two agrees to 1e-12 (the sums run in another order), on the
-fixtures, 40 random systems per setting and the benchmark's job shapes. A
-subset system keeps its product grids and is equal to its twin bit for bit.
+fixtures, 40 random systems per setting and the benchmark's job shapes.
 Per-vector arrays are compared at every vector through ``rows.row``.
+
+A subset system of such a learner at n >= 2 is on the orbit grid: one row
+per type of its n (selected, unselected) label pairs. It agrees with its
+twin to 1e-12 in every bound, coverage, exponential check, gap law,
+information measure and lookup, at every (z-tilde, s) of the twin. Every
+other subset system (n = 1, custom learners), and the per-vector system
+of an orbit system, is equal to its twin bit for bit.
 """
 import csv
 import io
 import json
 import math
+import time
 
 import numpy as np
 import pytest
 
 import oracles
 from genbounds import load_fixture, load_problem
+from genbounds.bounds_subset import leakage_ordering_check
 from genbounds.cli import main
 from genbounds.engine import view_of
-from genbounds import T_INF, alpha_mi, central_moment
-from genbounds.prob import TypeGrid
+from genbounds import T_INF, alpha_mi, central_moment, cond_alpha_mi
+from genbounds.models import _per_vector, expected_gen, expected_gen_hat
+from genbounds.prob import BudgetExceededError, TypeGrid
 from genbounds.verify import (BOUNDS, abs_quantile, check_exp_inequality_standard,
                               check_exp_inequality_subset, coverage, coverage_ids,
-                              exact_gen_distribution, exact_gen_hat_distribution,
+                              exact_gen_distribution, exact_gen_hat_distribution, quantile,
                               random_standard_system, random_subset_system)
 
 DELTAS = (0.3, 0.1, 0.05)
@@ -148,7 +157,9 @@ def test_information_measures_agree_with_the_twin(twins):
 
 
 def test_subset_systems_equal_their_twins(pools):
-    for sys in pools["subset"]:
+    """Per vector, bit for bit: each system, or an orbit system's per-vector system."""
+    for sys in map(_per_vector, pools["subset"]):
+        assert sys.rows.orbits is None
         twin = oracles.product_twin(sys)
         for name in ("mass", "joint", "cond", "values", "gen"):
             assert np.array_equal(getattr(sys.rows, name), getattr(twin.rows, name))
@@ -162,6 +173,44 @@ def test_subset_systems_equal_their_twins(pools):
         got, want = exact_gen_hat_distribution(sys), exact_gen_hat_distribution(twin)
         assert got.outcomes == want.outcomes
         assert np.array_equal(got.log_mass, want.log_mass)
+
+
+def test_orbit_systems_agree_with_their_twins(pools):
+    orbits = [sys for sys in pools["subset"] if sys.rows.orbits is not None]
+    assert len(orbits) >= 25  # every n >= 2 system of the pool, the bench shape too
+    for sys in orbits:
+        twin = oracles.product_twin(sys)
+        codes = oracles.type_codes(sys, twin)  # the orbit of every (z-tilde, s)
+        assert len(sys.rows.mass) < len(twin.rows.mass)
+        assert np.array_equal(np.unique(codes), np.arange(len(sys.rows.mass)))
+        for name in ("cond", "values", "gen"):
+            assert _close(getattr(sys.rows, name)[codes], getattr(twin.rows, name))
+        for got, want in zip(_results(sys), _results(twin)):
+            if isinstance(want, np.ndarray):  # one epsilon per posterior or atom
+                assert _close(got[codes], want)
+            else:
+                assert got.feasible == want.feasible and got.params.keys() == want.params.keys()
+                assert _close(got.epsilon, want.epsilon)
+        assert _close(_coverages(sys), _coverages(twin))
+        c = view_of(sys).variance
+        for scale in (1.0, 0.25):
+            assert _close(check_exp_inequality_subset(sys, c=c * scale),
+                          check_exp_inequality_subset(twin, c=c * scale))
+        got, want = exact_gen_hat_distribution(sys), exact_gen_hat_distribution(twin)
+        assert _close(got.outcomes, want.outcomes) and _close(got.mass, want.mass)
+        for delta in DELTAS:
+            for q in (quantile, abs_quantile):
+                assert _close(q(sys, 1.0 - delta), q(twin, 1.0 - delta))
+        view, twin_view = view_of(sys), view_of(twin)
+        assert _close(view.table.mean, twin_view.table.mean)  # CMI
+        assert _close(view.leakage, twin_view.leakage)
+        for alpha in ALPHAS:
+            assert _close(cond_alpha_mi(sys, alpha), cond_alpha_mi(twin, alpha))
+        got, want = leakage_ordering_check(sys), leakage_ordering_check(twin)
+        assert got["holds"] == want["holds"]
+        assert _close(got["induced_maximal_leakage"], want["induced_maximal_leakage"])
+        assert _close(expected_gen(sys), expected_gen(twin))
+        assert _close(expected_gen_hat(sys), expected_gen_hat(twin))
 
 
 def _north_star(n):
@@ -217,3 +266,57 @@ def test_north_star_report_at_n_80(tmp_path):
     cfg.write_text(json.dumps({"problem": _north_star(80), "deltas": list(DELTAS)}))
     assert main(["report", "--config", str(cfg), "--out", str(out)]) == 0
     assert _single_draw_rows_hold(out) > 0
+
+
+def _subset_star(n, n_z=2, n_w=4):
+    """A subset Gibbs problem with beta = 2 and losses on a 2^-16 grid."""
+    rng = np.random.default_rng(23)
+    return {"setting": "subset", "instances": list(range(n_z)), "n": n,
+            "loss": {"hypotheses": list(range(n_w)), "range": [0, 1],
+                     "matrix": (rng.integers(0, 2 ** 16 + 1, size=(n_w, n_z)) / 2 ** 16).tolist()},
+            "learner": {"kind": "gibbs", "beta": 2.0}}
+
+
+def test_subset_north_star_report_at_n_20(tmp_path):
+    """|Z| = 2, n = 20: 2^40 supersamples times 2^20 selectors per
+    hypothesis, but C(23, 3) = 1,771 orbits."""
+    assert load_problem(_subset_star(20))[1].joint.size == 1_771 * 4
+    cfg, out = tmp_path / "report.json", tmp_path / "report.csv"
+    cfg.write_text(json.dumps({"problem": _subset_star(20), "deltas": list(DELTAS)}))
+    start = time.perf_counter()
+    assert main(["report", "--config", str(cfg), "--out", str(out)]) == 0
+    assert time.perf_counter() - start < 1.0
+    assert _single_draw_rows_hold(out) > 0
+
+
+def test_subset_report_at_three_labels_and_n_8_is_within_the_budget(tmp_path):
+    """|Z| = 3, n = 8: about 1.1e10 (z-tilde, s) pairs, but C(16, 8) = 12,870 orbits."""
+    assert load_problem(_subset_star(8, n_z=3))[1].joint.size == 12_870 * 4
+    cfg, out = tmp_path / "report.json", tmp_path / "report.csv"
+    cfg.write_text(json.dumps({"problem": _subset_star(8, n_z=3), "deltas": list(DELTAS)}))
+    assert main(["report", "--config", str(cfg), "--out", str(out)]) == 0
+    assert _single_draw_rows_hold(out) > 0
+
+
+def _never(*args, **kwargs):
+    raise AssertionError("a grid was built")
+
+
+def test_a_subset_problem_over_the_budget_in_orbits_is_refused_before_any_grid(
+        monkeypatch, tmp_path):
+    """|Z| = 3, n = 30, |W| = 2: C(38, 8) * 2 = 97,806,984 orbit atoms."""
+    problem = _subset_star(30, n_z=3, n_w=2)
+    cfg = tmp_path / "report.json"
+    cfg.write_text(json.dumps({"problem": problem}))
+    monkeypatch.setattr(TypeGrid, "__init__", _never)
+    assert main(["report", "--config", str(cfg)]) == 3
+    with pytest.raises(BudgetExceededError, match="97806984 joint atoms"):
+        load_problem(problem)
+
+
+def test_a_subset_problem_within_the_budget_in_orbits_is_not_refused():
+    """|Z| = 2, n = 20: 2^60 * 4 atoms per vector, 1,771 * 4 in orbits."""
+    sys = load_problem(_subset_star(20))[1]
+    assert sys.rows.orbits is not None and len(sys.rows.mass) == 1_771
+    with pytest.raises(BudgetExceededError):  # its per-vector system is refused
+        _per_vector(sys)

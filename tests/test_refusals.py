@@ -141,3 +141,72 @@ def test_ess_sup_refuses_an_empty_support():
     dist = SimpleNamespace(outcomes=(0, 1), log_mass=np.full(2, -math.inf))
     with pytest.raises(ValueError, match="distribution has empty support"):
         ess_sup([1.0, 2.0], dist)
+
+
+def _with(doc, path, value):
+    """A copy of ``doc`` with the entry at the dotted ``path`` set to ``value``."""
+    *parents, key = path.split(".")
+    doc = target = dict(doc)
+    for parent in parents:
+        target[parent] = target = dict(target[parent])
+    target[key] = value
+    return doc
+
+
+GIBBS_PROBLEM = dict(STANDARD_PROBLEM, learner={"kind": "gibbs", "beta": 1.5})
+
+
+@pytest.mark.parametrize("command, config, field", [
+    ("report", {"problem": _with(STANDARD_PROBLEM, "n", "2")}, "n"),
+    ("report", {"problem": _with(GIBBS_PROBLEM, "learner.beta", "1.5")}, "beta"),
+    ("report", {"problem": _with(STANDARD_PROBLEM, "loss.range", ["0", 1])}, "range"),
+    ("report", {"problem": _with(STANDARD_PROBLEM, "loss.sigma", "1")}, "sigma"),
+    ("report", {"problem": _with(STANDARD_PROBLEM, "loss.matrix", [["0", 1], [1, 0]])},
+     "matrix"),
+    ("report", {"problem": _with(STANDARD_PROBLEM, "pz", ["one half", "0.5"])}, "pz"),
+    ("report", {"problem": STANDARD_PROBLEM, "deltas": ["0.1"]}, "deltas"),
+    ("report", {"problem": STANDARD_PROBLEM, "alpha": "2"}, "alpha"),
+    ("report", {"problem": STANDARD_PROBLEM, "t": "2"}, "t"),
+    ("sweep", {"problem": STANDARD_PROBLEM, "axis": "delta", "values": ["0.1"]}, "values"),
+    ("sweep", {"problem": GIBBS_PROBLEM, "axis": "n", "values": ["2"]}, "values"),
+    ("verify", {"instances": "1"}, "instances"),
+    ("verify", {"sigma_scale": "0.5"}, "sigma_scale"),
+])
+def test_a_string_where_a_number_is_read_exits_2_naming_the_field(
+        tmp_path, capsys, command, config, field):
+    cfg = write_config(tmp_path, "cfg.json", config)
+    assert cli.main([command, "--config", cfg]) == 2
+    assert f"field {field!r}: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("config", [
+    {"problem": STANDARD_PROBLEM, "t": "inf"},
+    {"problem": STANDARD_PROBLEM, "alpha": "inf", "bounds": ["sd_moment"]},
+    {"problem": _with(STANDARD_PROBLEM, "pz", ["0.25", "0.75"])},
+    {"problem": STANDARD_PROBLEM, "axis": "t", "values": ["inf", 2]},
+])
+def test_inf_orders_and_decimal_probabilities_stay_strings_that_are_read(tmp_path, config):
+    cfg = write_config(tmp_path, "cfg.json", config)
+    command = "sweep" if "axis" in config else "report"
+    assert cli.main([command, "--config", cfg, "--out", str(tmp_path / "out.csv")]) == 0
+
+
+def test_library_numbers_are_not_strings():
+    from genbounds.engine import _check_delta, _check_gamma
+    from genbounds.prob import load_distribution
+    from genbounds.verify import hoeffding_tail
+
+    for args, name in (((0.5, "2", 0.5), "n"), (("0.5", 2, 0.5), "sigma"),
+                       ((0.5, 2, "0.5"), "eps")):
+        with pytest.raises(ValueError, match=f"^{name} must"):
+            hoeffding_tail(*args)
+    with pytest.raises(ValueError, match="delta must be a number"):
+        _check_delta("0.1")
+    with pytest.raises(ValueError, match="gamma must be a number or 'auto'"):
+        _check_gamma("0.5")
+    with pytest.raises(ValueError, match="moment order must be positive"):
+        normalize_order("2")
+    assert normalize_order("inf") is normalize_order(math.inf)
+    with pytest.raises(InvalidDistributionError, match="probability 'x' is not a decimal"):
+        load_distribution({"outcomes": [0, 1], "probs": ["x", "0.5"]})
+    assert load_distribution({"outcomes": [0, 1], "probs": ["0.5", 0.5]}).mass_of(0) == 0.5

@@ -22,6 +22,7 @@ from genbounds import (FiniteDistribution, Kernel, cmi_avg_bound, cond_alpha_mi,
                        cond_mutual_information, conditional_density, holder_event_bound,
                        information_density, load_fixture, load_problem, measures, models)
 from genbounds.bounds_subset import RangeConstant
+from genbounds.models import _per_vector
 from genbounds.prob import TypeGrid
 from genbounds.engine import view_of
 from genbounds.verify import (BOUNDS, coverage, random_standard_system,
@@ -58,12 +59,18 @@ def test_a_system_lays_out_its_rows_once(systems):
 
 
 def test_every_view_reads_the_system_rows(systems):
+    """... or, with an auxiliary conditional of z-tilde, the rows of the
+    per-vector system, which the view keeps alive."""
     rng = np.random.default_rng(171)
     for sys in systems:
         views = [view_of(sys)] + _aux(sys, rng)[2]
         for view in views:
+            rows = view.sys.rows
+            assert view.sys is sys or (getattr(view, "q_kernel", None) is not None
+                                       and sys.rows.orbits is not None
+                                       and rows.orbits is None and view._vectors is view.sys)
             for name in ROW_FIELDS:
-                assert getattr(view, name) is getattr(sys.rows, name), (sys.setting, name)
+                assert getattr(view, name) is getattr(rows, name), (sys.setting, name)
 
 
 def test_the_density_table_reads_the_system_rows(monkeypatch, systems):
@@ -77,7 +84,12 @@ def test_the_density_table_reads_the_system_rows(monkeypatch, systems):
             seen.clear()
             density(sys, q)
             assert len(seen) == 1
-            assert seen[0][0] is sys.rows.joint and seen[0][1] is sys.rows.cond
+            joint, cond = seen[0]
+            if q is not None and sys.rows.orbits is not None:  # read on a per-vector system
+                vectors = _per_vector(sys).rows
+                assert np.array_equal(joint, vectors.joint) and np.array_equal(cond, vectors.cond)
+            else:
+                assert joint is sys.rows.joint and cond is sys.rows.cond
 
 
 def test_the_subset_log_masses_are_computed_once_per_system(monkeypatch):
@@ -85,22 +97,32 @@ def test_the_subset_log_masses_are_computed_once_per_system(monkeypatch):
     logs = models._logs
     monkeypatch.setattr(models, "_logs", lambda *m: calls.update(["logs"]) or logs(*m))
     rng = np.random.default_rng(173)
-    for make in (lambda: load_fixture("inst_b")[1], lambda: random_subset_system(rng)):
-        calls.clear()
-        sys = make()  # the record and its log masses are built here
+    made, on_orbits = (lambda: load_fixture("inst_b")[1], lambda: random_subset_system(rng),
+                       lambda: _per_vector(random_subset_system(rng))), []
+    for make in made:
+        sys = make()
         q = _aux(sys, rng)[1]
+        calls.clear()
+        sys = pickle.loads(pickle.dumps(sys))  # the record and its log masses are built here
         cond_mutual_information(sys)
-        cond_mutual_information(sys, q)
         cond_alpha_mi(sys, 2.0)
         cmi_avg_bound(sys, RangeConstant(2.0, "bounded-range"))
         coverage(sys, "cond_sd_moment", 0.1)
         conditional_density(sys)
-        holder_event_bound(sys, lambda w, zt, s: True, 2.0, 2.0, 2.0)
         assert calls == {"logs": 1}
+        # an auxiliary conditional and a Holder event are read per vector: an
+        # orbit system builds its per-vector system's record once per call
+        cond_mutual_information(sys, q)
+        holder_event_bound(sys, lambda w, zt, s: True, 2.0, 2.0, 2.0)
+        assert calls == {"logs": 1 if sys.rows.orbits is None else 3}
+        on_orbits.append(sys.rows.orbits is not None)
+    assert on_orbits == [False, True, False]
 
 
 def test_the_row_log_mass_is_the_log_mass_of_the_system_arrays(systems):
-    for sys in systems:
+    """Per vector, bit for bit (an orbit system through its per-vector
+    system, whose orbits ``test_orbits`` compares with their twins)."""
+    for sys in map(_per_vector, systems):
         log_ctx, log_data, _ = sys.rows.log_masses
         row = np.repeat(log_ctx, np.diff(sys.rows.starts, append=len(log_data))) + log_data
         arrays = oracles.system_arrays(sys)
@@ -136,11 +158,17 @@ def _bench_system(rng, learner, setting, n_z, n_w, n):
 
 def _log_q_by_setting(sys):
     """log Q(w | context) by each setting's own formula, from the record:
-    the standard column sums of the joint (one context), and the subset mean
-    of each context's posteriors, added in selector order."""
+    the standard column sums of the joint (one context), the per-vector
+    subset mean of each context's posteriors, added in selector order, and
+    on the orbit grid each context's posteriors weighted by their split
+    weights, added in row order."""
     rows = sys.rows
     if sys.setting == "standard":
         q = (rows.mass[:, None] * rows.cond).sum(axis=0)
+    elif rows.orbits is not None:
+        q = np.zeros((len(rows.starts), len(rows.w_labels)))
+        for r, context in enumerate(rows.orbits.context):
+            q[context] += rows.orbits.split[r] * rows.cond[r]
     else:
         width = len(rows.mass) // len(rows.starts)
         q = rows.cond[::width].copy()
@@ -272,15 +300,18 @@ def test_every_vector_finds_its_type_row():
 
 
 def test_the_table_outcomes_are_the_atoms_in_row_order(systems):
+    """... the rows' labels: per vector the product of the data grids, on
+    the orbit grid one representative per orbit, and with an auxiliary
+    conditional those of the per-vector system."""
     rng = np.random.default_rng(174)
     for sys in systems:
         density, aux, _ = _aux(sys, rng)
         for q in (None, aux):
             table = density(sys, q)
-            axes = [g.vectors() for g in sys.rows.grids] + [sys.w_labels]
+            labels = (sys if q is None else _per_vector(sys)).rows.labels
             keep = (table.arrays[0] > -np.inf).ravel()
-            want = tuple((labels[-1],) + labels[:-1] for labels, k
-                         in zip(itertools.product(*axes), keep) if k)
+            want = tuple((w, *data) for (data, w), k
+                         in zip(itertools.product(labels, sys.w_labels), keep) if k)
             assert table.outcomes == want
 
 
@@ -290,4 +321,5 @@ def test_the_holder_event_is_read_once_per_atom_in_row_order(systems):
             continue
         calls = []
         holder_event_bound(sys, lambda *atom: calls.append(atom) or len(calls) % 2, 2.0, 3.0, 1.5)
-        assert calls == [(w, zt, s) for zt, s in sys.rows.labels for w in sys.w_labels]
+        assert calls == [(w, zt, s) for zt, s in itertools.product(
+            *(g.vectors() for g in sys.rows.grids)) for w in sys.w_labels]  # per vector

@@ -5,9 +5,10 @@ On a hand-made ragged grid (contexts of 1, 3 and 5 rows, one row of zero
 mass), every segment reduction equals its reference on the zero-mass
 padded (context, 5, w) array: the sum and the maximum, the segment
 ``logsumexp``, the alpha-MI and the leakage. The subset view reads the
-system's row record, the one layout it stores, without a copy, and the Holder
-bound, now two nested means over the view's contexts, matches the form it
-had on the (z-tilde, s, w) grid to 1e-12."""
+system's row record, the one layout it stores, without a copy (per vector,
+|S| rows per supersample; on the orbit grid, its ragged contexts), and the
+Holder bound, now two nested means over the view's contexts, matches the
+form it had on the (z-tilde, s, w) grid to 1e-12."""
 import itertools
 import math
 
@@ -19,6 +20,7 @@ from genbounds import bounds_subset as bsub
 from genbounds import load_fixture
 from genbounds.engine import view_of
 from genbounds.measures import _alpha_mi, _leakage, _segment_logsumexp
+from genbounds.models import _per_vector
 from genbounds.prob import logsumexp
 from genbounds.verify import random_subset_system
 
@@ -113,7 +115,11 @@ def subsets():
 
 
 def test_the_subset_view_reads_the_system_arrays_as_rows(subsets):
-    for sys in subsets:
+    for orbits in subsets:
+        # an orbit system reads its ragged contexts from its orbit grid
+        assert view_of(orbits).starts is (orbits.rows.starts if orbits.rows.orbits is None
+                                          else orbits.rows.orbits.starts)
+        sys = _per_vector(orbits)  # the per-vector layout
         view, width = view_of(sys), len(sys.w_labels)
         n_zt, n_s = (grid.size for grid in sys.rows.grids)
         for name in ("values", "gen", "cond", "joint"):

@@ -19,6 +19,7 @@ from genbounds import bounds_standard as bstd
 from genbounds import bounds_subset as bsub
 from genbounds import engine
 from genbounds.engine import view_of
+from genbounds.models import _per_vector
 from genbounds import DensityTable, alpha_mi, cond_alpha_mi
 from genbounds.verify import (coverage, coverage_ids, random_standard_system,
                               random_subset_system)
@@ -41,7 +42,9 @@ def pools():
     for _ in range(40):
         standard.append(random_standard_system(rng))
         subset.append(random_subset_system(rng))
-    return {"standard": standard, "subset": subset}
+    # the subset references are per-vector formulas: each system's per-vector
+    # system (test_orbits compares the orbit systems with their twins)
+    return {"standard": standard, "subset": [_per_vector(sys) for sys in subset]}
 
 
 def _random_marginal(sys, rng):

@@ -107,13 +107,32 @@ def test_hand_made_tables(name):
 
 
 def test_no_gamma_meets_delta():
-    """Every candidate has a negative radicand, so no gamma is feasible."""
+    """The one candidate whose tail is below delta has a negative radicand,
+    so no gamma is feasible, and the reason names the radicand."""
     tbl = _table(np.log([0.6, 0.4]), [-40.0, -30.0])
     got = _tail_bound_from_table(tbl, 1.0, 0.1, "auto", {})
     assert got == tail_scan_strict(tbl, 1.0, 0.1, {})
     assert not got.feasible
-    assert got.reason == "no gamma meets the tail level delta"
+    assert got.reason == "negative radicand"
     assert got.params["gamma"] == "auto"
+
+
+def test_no_tail_below_delta_names_the_tail_level():
+    """The largest value's strict tail is 0, so only a level of 0 (which
+    the bounds refuse before the scan) leaves no tail below it."""
+    tbl = _table(np.log([0.5, 0.5]), [1.0, 2.0])
+    got = _tail_bound_from_table(tbl, 1.0, 0.0, "auto", {})
+    assert got == tail_scan_strict(tbl, 1.0, 0.0, {})
+    assert got.reason == "no gamma meets the tail level delta"
+
+
+@pytest.mark.parametrize("rate", [math.inf, math.nan])
+def test_an_unusable_rate_names_the_radicand(rate):
+    """Tails below delta exist, but every radicand is infinite or NaN."""
+    tbl = _table(np.log([0.6, 0.4]), [0.0, 1.0])
+    got = _tail_bound_from_table(tbl, rate, 0.1, "auto", {})
+    assert got == tail_scan_strict(tbl, rate, 0.1, {})
+    assert got.reason == "radicand is NaN or overflows"
 
 
 def test_strict_tails_match_a_masked_sum(pool):

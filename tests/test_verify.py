@@ -15,6 +15,7 @@ from genbounds import cli, verify
 from genbounds import bounds_standard as bstd
 from genbounds import bounds_subset as bsub
 from genbounds.engine import BoundResult, view_of
+from genbounds.models import _per_vector
 from genbounds import (
     FiniteDistribution,
     assemble_standard,
@@ -130,7 +131,8 @@ class TestExpInequality:
         """Beyond the per-lambda loop's peak, a pass holds one block of terms
         and the one block-sized temporary of ``logsumexp``: not the three
         copies of building the terms and reducing them out of place."""
-        sys = _bench_problem(np.random.default_rng(0), "gibbs", "subset", 3, 4, 3)
+        # the per-vector system: 3^6 supersamples times 2^3 selectors times 4
+        sys = _per_vector(_bench_problem(np.random.default_rng(0), "gibbs", "subset", 3, 4, 3))
         view = view_of(sys)
         support = int(np.count_nonzero(view.iota > -math.inf))
         assert support == 23328

@@ -20,6 +20,7 @@ from genbounds import (FiniteDistribution, Kernel, alpha_mi, cond_alpha_mi,
                        max_information, maximal_leakage, mutual_information, renyi_divergence,
                        system_renyi)
 from genbounds.measures import ONE_SEGMENT, _alpha_mi, _leakage, _renyi
+from genbounds.models import _per_vector
 from genbounds.prob import AbsoluteContinuityViolation
 from genbounds.verify import random_standard_system, random_subset_system
 
@@ -34,7 +35,9 @@ def pools():
     for _ in range(40):
         standard.append(random_standard_system(rng))
         subset.append(random_subset_system(rng))
-    return {"standard": standard, "subset": subset}
+    # the subset formulas are per-vector ones: each system's per-vector
+    # system (test_orbits compares the orbit systems with their twins)
+    return {"standard": standard, "subset": [_per_vector(sys) for sys in subset]}
 
 
 def _log(x):
