@@ -21,6 +21,7 @@ import csv
 import io
 import json
 import math
+import re
 import time
 
 import numpy as np
@@ -320,3 +321,15 @@ def test_a_subset_problem_within_the_budget_in_orbits_is_not_refused():
     assert sys.rows.orbits is not None and len(sys.rows.mass) == 1_771
     with pytest.raises(BudgetExceededError):  # its per-vector system is refused
         _per_vector(sys)
+
+
+@pytest.mark.parametrize("ztilde, s, unknown", [
+    ((0, 1, 9, 0), (0, 1), (0, 1, 9, 0)), ((0, 1, 1, 0), (0, 2), (0, 2)),
+    ((0, 1, 1), (0, 1), (0, 1, 1)), ((0, 1, 1, 0), (0,), (0,))])
+def test_an_unknown_label_of_an_orbit_system_is_a_key_error_naming_it(ztilde, s, unknown):
+    sys = load_problem(_subset_star(2))[1]
+    assert sys.rows.orbits is not None
+    with pytest.raises(KeyError, match=re.escape(f"{unknown!r} is not an outcome")):
+        sys.rows.row(ztilde, s)
+    # the orbit of a pair sequence, whichever half each pair is written in
+    assert sys.rows.row((0, 1, 1, 0), (0, 1)) == sys.rows.row((0, 0, 1, 1), (0, 0))
