@@ -215,7 +215,7 @@ class Rows:
     in product order they number the rows, unless ``orbits``, an
     ``OrbitGrid``, numbers them by orbit. ``w_labels`` number the w axis;
     only ``row``, ``atom`` and ``labels`` read the numbering. Contexts are
-    contiguous and non-empty; every array is made read-only."""
+    contiguous, non-empty and of any width; every array is read-only."""
 
     grids: tuple
     w_labels: tuple
@@ -274,29 +274,25 @@ class _System:
     def __reduce__(self) -> tuple:
         return type(self), (self.pz, self.n, self.learner, self.loss)
 
-    def _store(self, grids: tuple, ctx_mass: np.ndarray, row_mass: np.ndarray,
-               cond: np.ndarray, z_grid, halves: tuple | None = None,
+    def _store(self, grids: tuple, starts: np.ndarray, ctx_mass: np.ndarray,
+               row_mass: np.ndarray, cond: np.ndarray, z_grid, halves: tuple | None = None,
                orbits: OrbitGrid | None = None) -> None:
-        """Store the record of contexts of equal width in row order, or of
-        the ragged contexts of ``orbits``: a row's mass is its context's
-        ``ctx_mass`` times its ``row_mass`` (in place), the joint that times
-        ``cond``, Q(w | context) the row-mass-weighted sum of the context's
-        posteriors (``orbits.context_sums``, or a reshaped sum). A row trains
-        on its ``z_grid`` code, tested on the population, or on ``halves[0]``,
-        tested on ``halves[1]``; gen and values (population and test minus
-        training loss) are made after the joint, for a lower peak RSS."""
+        """Store the record of the contexts that start at ``starts``: a row's
+        mass is its context's ``ctx_mass`` times its ``row_mass`` (in place),
+        the joint that times ``cond``, Q(w | context) the row-mass-weighted
+        sum of the context's posteriors, added in row order by ``np.add.at``
+        (``np.add.reduceat`` adds pairwise). A row trains on its ``z_grid``
+        code, tested on the population, or on ``halves[0]``, tested on
+        ``halves[1]``; gen and values (population and test minus training
+        loss) are made after the joint, for a lower peak RSS."""
+        context = np.bincount(starts[1:], minlength=len(row_mass)).cumsum()  # each row's context
         joint = row_mass[:, None] * cond  # the weighted posteriors, then the joint in place
-        if orbits is None:  # (context, row, ...) views of the rows
-            contexts, width = len(ctx_mass), len(row_mass) // len(ctx_mass)
-            by_ctx = (joint.reshape(contexts, width, -1), row_mass.reshape(contexts, width, 1))
-            q, scale = by_ctx[0].sum(axis=1), ctx_mass[:, None, None]
-            starts = np.arange(contexts) * width
-        else:
-            by_ctx, q = (joint, row_mass[:, None]), orbits.context_sums(joint)
-            scale, starts = ctx_mass[orbits.context][:, None], orbits.starts
+        q = np.zeros((len(starts), joint.shape[1]))
+        np.add.at(q, context, joint)  # row by row, in row order
         log_masses = _logs(ctx_mass, row_mass, q)
-        for arr in by_ctx:
-            arr *= scale  # the joint, and row_mass becomes the mass
+        scale = ctx_mass[context]
+        joint *= scale[:, None]
+        row_mass *= scale  # row_mass becomes the mass
         emp = self.loss.totals(z_grid) / self.n
         train = emp if halves is None else emp[halves[0]]
         gen = self.loss.population_losses(self.pz) - train
@@ -322,7 +318,8 @@ class StandardSystem(_System):
     def __post_init__(self):
         _check_system(self)
         grid = _data_grid(self.learner, self.pz.outcomes, self.n)
-        self._store((grid,), np.ones(1), np.exp(power_log_mass(self.pz.log_mass, grid)),
+        self._store((grid,), ONE_SEGMENT, np.ones(1),
+                    np.exp(power_log_mass(self.pz.log_mass, grid)),
                     np.exp(self.learner.log_mass_on(grid)), grid)
 
     @property
@@ -348,21 +345,24 @@ def _check_system(sys) -> None:
     k, n_w = len(sys.pz), len(w_labels)
     grid = ProductGrid if sys.learner.grid is None else type(sys.learner.grid)
     check_budget(grid.count(k, sys.n) * n_w if sys.setting == "standard"
-                 else _subset_atoms(k, sys.n, n_w, _on_orbits(sys.learner, sys.n)))
+                 else _subset_atoms(k, sys.n, n_w, sys.learner.grid is not None))
 
 
-def _subset_atoms(k: int, n: int, n_w: int, orbits: bool) -> int:
+def _subset_atoms(k: int, n: int, n_w: int, on_types: bool) -> int:
     """The atom count of a subset system over k instances and n_w
-    hypotheses: one per (z-tilde, s, w), k^(2n) 2^n n_w, or on the orbit
-    grid, one per (type of the n label pairs, w), C(n + k^2 - 1, k^2 - 1) n_w."""
-    return (TypeGrid.count(k * k, n) if orbits else k ** (2 * n) * 2 ** n) * n_w
+    hypotheses, its learner ``on_types`` or not: one per (z-tilde, s, w),
+    k^(2n) 2^n n_w, or on the orbit grid, one per (type of the n label
+    pairs, w), C(n + k^2 - 1, k^2 - 1) n_w."""
+    return (TypeGrid.count(k * k, n) if _on_orbits(on_types, n) else k ** (2 * n) * 2 ** n) * n_w
 
 
-def _on_orbits(learner: Kernel, n: int) -> bool:
-    """Whether a subset system is on the orbit grid: a learner on a type
-    grid (the built-in ones) at n >= 2. At n = 1 orbits save at most half
-    the rows, so such a system keeps the per-vector grid, as custom learners do."""
-    return learner.grid is not None and n >= 2
+def _on_orbits(on_types: bool, n: int) -> bool:
+    """Whether a subset system is on the orbit grid, the one rule of its
+    build and of every count of its atoms: its learner is on a type grid
+    (``on_types``, the built-in ones) and n >= 2. At n = 1 orbits save at
+    most half the rows, so such a system keeps the per-vector grid, as
+    custom learners do."""
+    return on_types and n >= 2
 
 
 def _data_grid(learner: Kernel, labels: Sequence[Any], n: int) -> ProductGrid | TypeGrid:
@@ -404,16 +404,17 @@ class SubsetSystem(_System):
         _check_system(self)
         labels, n = self.pz.outcomes, self.n
         grids = (ProductGrid(labels, 2 * n), ProductGrid((0, 1), n))
-        if _on_orbits(self.learner, n):
+        if _on_orbits(self.learner.grid is not None, n):
             orbits = _orbit_grid(labels, repr(labels), n)
             z_grid, halves = _data_grid(self.learner, labels, n), orbits.halves
-            ctx_mass = np.exp(orbits.context_log_mass(self.pz.log_mass))
+            starts, ctx_mass = orbits.starts, np.exp(orbits.context_log_mass(self.pz.log_mass))
             row_mass = orbits.split.copy()
         else:
             orbits, z_grid, halves = None, ProductGrid(labels, n), _halves(*grids)
+            starts = np.arange(grids[0].size) * grids[1].size
             ctx_mass = np.exp(power_log_mass(self.pz.log_mass, grids[0]))
             row_mass = np.full(grids[0].size * grids[1].size, 0.5 ** n)
-        self._store(grids, ctx_mass, row_mass,
+        self._store(grids, starts, ctx_mass, row_mass,
                     np.exp(self.learner.log_mass_on(z_grid)[halves[0]]), z_grid, halves, orbits)
 
     def select(self, ztilde: tuple, s: tuple) -> tuple:
@@ -535,7 +536,7 @@ def _parse_loss(doc: Mapping[str, Any], instances: Sequence[Any]) -> LossTable:
     a, b = (_number("range", x) for x in _field("range", doc["range"], list, 2))
     matrix = np.asarray(doc["matrix"], dtype=object)
     return LossTable(
-        hypotheses=tuple(doc["hypotheses"]),
+        hypotheses=tuple(_field("hypotheses", doc["hypotheses"], list)),
         instances=tuple(instances),
         values=np.array([_number("matrix", x) for x in matrix.ravel()]).reshape(matrix.shape),
         a=a,
@@ -552,8 +553,8 @@ def _parse_learner(doc: Mapping[str, Any], loss: LossTable, n: int) -> Kernel:
         return erm_kernel(loss, n, doc.get("tie", "lowest-index"))
     if kind == "constant":
         weights = doc.get("weights")
-        return constant_kernel(loss, n, weights if weights is None
-                               else [_number("weights", w) for w in weights])
+        return constant_kernel(loss, n, weights if weights is None else [
+            _number("weights", w) for w in _field("weights", weights, list, len(loss.hypotheses))])
     if kind == "identity":
         if n != 1:
             raise ValueError(f"the identity learner needs n = 1, not n = {n}")
@@ -605,19 +606,20 @@ def load_problem(path_or_doc: Any) -> tuple[str, StandardSystem | SubsetSystem]:
     if not instances:
         raise ValueError("field 'instances': no instance is listed")
     if "pz" in doc:  # a probability may be a decimal string
-        probs = [_number("pz", p, _probability) for p in doc["pz"]]
+        probs = [_number("pz", p, _probability)
+                 for p in _field("pz", doc["pz"], list, len(instances))]
         pz = FiniteDistribution.from_json({"outcomes": instances, "probs": probs})
     else:
         pz = FiniteDistribution.uniform(instances)
     n = _number("n", doc["n"], _integral)
     if n < 1:
         raise ValueError(f"field 'n': {n} is not at least 1")
-    loss = _parse_loss(doc["loss"], instances)
+    loss = _parse_loss(_field("loss", doc["loss"], Mapping), instances)
     if setting == "subset":  # the joint is larger than the learner's grid: size it first
         learner = doc.get("learner")
         kind = learner.get("kind") if isinstance(learner, Mapping) else None
         check_budget(_subset_atoms(len(instances), n, len(loss.hypotheses),
-                                   kind != "custom-kernel" and n >= 2))
+                                   kind != "custom-kernel"))
     system = StandardSystem if setting == "standard" else SubsetSystem
     learner = _parse_learner(_field("learner", doc["learner"], Mapping), loss, n)
     return setting, system(pz, n, learner, loss)

@@ -345,15 +345,15 @@ class OrbitGrid:
     (N_aa = M_aa, N_ab = M_ab + M_ba), the orbit of the supersample.
 
     Rows are the pair types sorted by context, each context's in code
-    order; ``starts`` is each context's first row and ``context`` each
-    row's context. ``split`` is a row's mass given its context,
-    prod_{a<b} C(N_ab, M_ab) 2^-N_ab, correctly rounded from exact
-    integers, and ``halves`` the ``z_grid`` codes of its selected and
-    unselected halves, M's row and column sums. Its arrays are read-only, so
-    one grid serves every system over the same labels and n."""
+    order; ``starts`` is each context's first row (all that a record reads
+    of these unequal widths) and ``context`` each row's context. ``split``
+    is a row's mass given its context, prod_{a<b} C(N_ab, M_ab) 2^-N_ab,
+    correctly rounded from exact integers, and ``halves`` the ``z_grid``
+    codes of its selected and unselected halves, M's row and column sums.
+    Its arrays are read-only: one grid serves every system over the same labels and n."""
 
     __slots__ = ("n", "pairs", "contexts", "starts", "context", "split", "halves", "_order",
-                 "_rank", "_slot", "_widest", "_upper")
+                 "_rank", "_upper")
 
     def __init__(self, z_grid: TypeGrid):
         labels, n, k = z_grid.labels, z_grid.n, len(z_grid.labels)
@@ -371,8 +371,6 @@ class OrbitGrid:
         self._rank[self._order] = np.arange(size)
         self.context = context[self._order]
         self.starts = np.searchsorted(self.context, np.arange(self.contexts.size))
-        self._slot = np.arange(size) - self.starts[self.context]
-        self._widest = int(self._slot.max()) + 1
         m, unordered, off = m[self._order], unordered[self._order], a != b
         ways = np.ones(size, dtype=object)  # prod C(N_ab, M_ab), as Python ints
         for i, j, col in zip(a[off], b[off], np.flatnonzero(off)):
@@ -381,7 +379,7 @@ class OrbitGrid:
         self.split = np.fromiter((w / (1 << f) for w, f in zip(ways, flips)), float, size)
         self.halves = (z_grid._codes(m.sum(axis=2)), z_grid._codes(m.sum(axis=1)))
         for arr in (self.starts, self.context, self.split, *self.halves, self._order,
-                    self._rank, self._slot, *self._upper):
+                    self._rank, *self._upper):
             arr.flags.writeable = False
 
     def context_log_mass(self, log_mass: np.ndarray) -> np.ndarray:
@@ -391,14 +389,6 @@ class OrbitGrid:
         a, b = self._upper
         return power_log_mass(log_mass[a] + log_mass[b] + np.where(a == b, 0.0, math.log(2.0)),
                               self.contexts)
-
-    def context_sums(self, rows: np.ndarray) -> np.ndarray:
-        """The sum of the (row, ...) array ``rows`` over each context's rows,
-        in row order: the rows scattered into a zero-padded (context,
-        widest, ...) array, summed over its second axis."""
-        padded = np.zeros((self.contexts.size, self._widest) + rows.shape[1:])
-        padded[self.context, self._slot] = rows
-        return padded.sum(axis=1)
 
     def row(self, ztilde: tuple, s: tuple) -> int:
         """The row of a supersample and a selector, labels of the grid: the

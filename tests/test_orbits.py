@@ -19,6 +19,7 @@ of an orbit system, is equal to its twin bit for bit.
 """
 import csv
 import io
+import itertools
 import json
 import math
 import re
@@ -28,7 +29,7 @@ import numpy as np
 import pytest
 
 import oracles
-from genbounds import load_fixture, load_problem
+from genbounds import load_fixture, load_problem, models
 from genbounds.bounds_subset import leakage_ordering_check
 from genbounds.cli import main
 from genbounds.engine import view_of
@@ -321,6 +322,35 @@ def test_a_subset_problem_within_the_budget_in_orbits_is_not_refused():
     assert sys.rows.orbits is not None and len(sys.rows.mass) == 1_771
     with pytest.raises(BudgetExceededError):  # its per-vector system is refused
         _per_vector(sys)
+
+
+def _learner_doc(kind, n):
+    """A learner of ``kind`` with hypotheses (0, 1) on length-n vectors over (0, 1)."""
+    if kind == "gibbs":
+        return {"kind": kind, "beta": 1.5}
+    if kind != "custom-kernel":
+        return {"kind": kind}
+    row = {"outcomes": [0, 1], "probs": [0.25, 0.75]}
+    return {"kind": kind,
+            "rows": {",".join(map(str, v)): row for v in itertools.product((0, 1), repeat=n)}}
+
+
+@pytest.mark.parametrize("kind, n", [(kind, n) for kind in ("gibbs", "erm", "constant",
+                                                             "custom-kernel")
+                                     for n in (1, 2, 3)] + [("identity", 1)])
+def test_the_subset_budget_pre_check_counts_the_atoms_the_system_builds(monkeypatch, kind, n):
+    """``load_problem`` sizes a subset system before its learner is built,
+    by the rule that places the system on orbits or per vector."""
+    seen = []
+    monkeypatch.setattr(models, "check_budget", lambda count: seen.append(count))
+    parse = models._parse_learner
+    monkeypatch.setattr(models, "_parse_learner", lambda *a: seen.append("learner") or parse(*a))
+    sys = load_problem({"setting": "subset", "instances": [0, 1], "n": n,
+                        "loss": {"hypotheses": [0, 1], "matrix": [[0, 1], [1, 0]],
+                                 "range": [0, 1]},
+                        "learner": _learner_doc(kind, n)})[1]
+    assert seen.index("learner") == 1 and seen[0] == sys.cond.size
+    assert (sys.rows.orbits is not None) == (kind != "custom-kernel" and n >= 2)
 
 
 @pytest.mark.parametrize("ztilde, s, unknown", [

@@ -179,6 +179,25 @@ def test_a_string_where_a_number_is_read_exits_2_naming_the_field(
     assert f"field {field!r}: " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("path, value, field", [
+    ("loss", 5, "loss"),
+    ("loss.hypotheses", 5, "hypotheses"),
+    ("learner", {"kind": "constant", "weights": 1.0}, "weights"),
+    ("learner", {"kind": "constant", "weights": [0.2, 0.3, 0.5]}, "weights"),
+    ("pz", [0.2, 0.3, 0.5], "pz"),
+])
+@pytest.mark.parametrize("setting", ["standard", "subset"])
+def test_a_malformed_problem_field_exits_2_naming_it(tmp_path, capsys, setting, path, value,
+                                                     field):
+    """A loss or list of the wrong type, or a ``pz`` or ``weights`` list of
+    another length than its labels, is refused by name, not by the error
+    that reading it as a loss or a distribution would raise."""
+    problem = _with(dict(STANDARD_PROBLEM, setting=setting), path, value)
+    cfg = write_config(tmp_path, "cfg.json", {"problem": problem})
+    assert cli.main(["report", "--config", cfg]) == 2
+    assert f"field {field!r}: expected " in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("config", [
     {"problem": STANDARD_PROBLEM, "t": "inf"},
     {"problem": STANDARD_PROBLEM, "alpha": "inf", "bounds": ["sd_moment"]},

@@ -156,17 +156,39 @@ def _bench_system(rng, learner, setting, n_z, n_w, n):
     return load_problem(doc)[1]
 
 
+def _one_hypothesis_systems(rng):
+    """|W| = 1 systems with a context of at least 8 rows in each layout:
+    standard constant-learner systems on the types of 5 labels at n = 4 and
+    5 (70 and 126 rows, whose masses a pairwise sum adds to another last
+    bit), a per-vector subset system over a custom kernel at n = 3 (8
+    selectors a supersample) and an orbit system at |Z| = 2, n = 8 (up to
+    9 orbits a context)."""
+    one = {"hypotheses": [0], "range": [0, 1]}
+    standard = [load_problem({
+        "setting": "standard", "instances": list(range(5)), "n": n,
+        "pz": [0.05, 0.15, 0.2, 0.25, 0.35], "loss": dict(one, matrix=[[0.5] * 5]),
+        "learner": {"kind": "constant"}})[1] for n in (4, 5)]
+    rows = {",".join(map(str, v)): {"outcomes": [0], "probs": [1]}
+            for v in itertools.product((0, 1), repeat=3)}
+    per_vector = load_problem({
+        "setting": "subset", "instances": [0, 1], "n": 3, "pz": [0.3, 0.7],
+        "loss": dict(one, matrix=[[0.25, 0.5]]),
+        "learner": {"kind": "custom-kernel", "rows": rows}})[1]
+    return standard + [per_vector, _bench_system(rng, "gibbs", "subset", 2, 1, 8)]
+
+
 def _log_q_by_setting(sys):
-    """log Q(w | context) by each setting's own formula, from the record:
-    the standard column sums of the joint (one context), the per-vector
-    subset mean of each context's posteriors, added in selector order, and
-    on the orbit grid each context's posteriors weighted by their split
-    weights, added in row order."""
+    """log Q(w | context) by each setting's own formula, from the record,
+    each context's rows added in row order: the standard weighted
+    posteriors (one context), the per-vector subset mean of each context's
+    posteriors, and on the orbit grid each context's posteriors weighted
+    by their split weights."""
     rows = sys.rows
+    q = np.zeros((len(rows.starts), len(rows.w_labels)))
     if sys.setting == "standard":
-        q = (rows.mass[:, None] * rows.cond).sum(axis=0)
+        for r in range(len(rows.mass)):
+            q[0] += rows.mass[r] * rows.cond[r]
     elif rows.orbits is not None:
-        q = np.zeros((len(rows.starts), len(rows.w_labels)))
         for r, context in enumerate(rows.orbits.context):
             q[context] += rows.orbits.split[r] * rows.cond[r]
     else:
@@ -182,7 +204,11 @@ def _log_q_by_setting(sys):
 def test_log_q_is_one_row_per_context_in_both_settings(systems):
     rng = np.random.default_rng(174)
     bench = [_bench_system(rng, *shape) for shape in BENCH_SHAPES]
-    for sys in [*systems, *bench]:
+    one = _one_hypothesis_systems(rng)
+    assert [sys.rows.orbits is not None for sys in one] == [False, False, False, True]
+    for sys in one:  # a context of at least 8 rows, where numpy's pairwise sum would start
+        assert np.diff(sys.rows.starts, append=len(sys.rows.mass)).max() >= 8
+    for sys in [*systems, *bench, *one]:
         rows = sys.rows
         log_q = rows.log_masses[2]
         assert log_q.shape == (len(rows.starts), len(rows.w_labels)), sys.setting
