@@ -138,6 +138,9 @@ class _View:
     alpha-MI per alpha, and the |value| arrays of ``coverage``
     per ``covers`` kind; and the law of the bounded value, sorted, with the
     cumulative masses of ``verify.quantile`` and ``verify.abs_quantile``.
+    The verification suite evaluates each (bound, delta) of a system once,
+    compares all of a bound's results with that one |value| array, and
+    hands the same results to its gap identity.
     The table keeps its own per-table terms: its mean, its one sort of iota,
     and the tail masses at its distinct values that the auto-gamma tail
     bound reads at every delta.

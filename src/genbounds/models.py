@@ -18,6 +18,7 @@ import numpy as np
 from .prob import (
     NEG_INF,
     FiniteDistribution,
+    InvalidDistributionError,
     JointTable,
     Kernel,
     OrbitGrid,
@@ -52,6 +53,14 @@ class LossTable:
         object.__setattr__(self, "values", vals)
         object.__setattr__(self, "hypotheses", tuple(self.hypotheses))
         object.__setattr__(self, "instances", tuple(self.instances))
+        for key in ("hypotheses", "instances"):  # a label must name one row or column
+            labels = getattr(self, key)
+            try:
+                distinct = len(set(labels)) == len(labels)
+            except TypeError:  # an unhashable label (a JSON list): compared as index() finds it
+                distinct = all(labels.index(x) == i for i, x in enumerate(labels))
+            if not distinct:
+                raise ValueError(f"field {key!r}: duplicate labels in {list(labels)!r}")
         if vals.shape != (len(self.hypotheses), len(self.instances)):
             raise ValueError("loss matrix shape mismatch")
         if not (np.all(np.isfinite(vals)) and math.isfinite(self.a)
@@ -167,8 +176,8 @@ def constant_kernel(loss: LossTable, n: int,
     """A learner that ignores the data entirely (uniform over W by default)."""
     if weights is None:
         row = FiniteDistribution.uniform(loss.hypotheses)
-    else:
-        row = FiniteDistribution.from_probs(loss.hypotheses, weights)
+    else:  # taken as given, not renormalised
+        row = _named("weights", FiniteDistribution.from_probs, loss.hypotheses, weights)
     grid = _learner_grid(loss, n)
     return Kernel.on_grid(np.broadcast_to(row.log_mass, (grid.size, len(row))),
                           loss.hypotheses, grid)
@@ -522,6 +531,15 @@ def _number(key: str, value: Any, convert: Callable[[Any], Any] = _real) -> Any:
         raise ValueError(f"field {key!r}: {exc}") from None
 
 
+def _named(key: str, build: Callable[..., FiniteDistribution], *args) -> FiniteDistribution:
+    """``build(*args)``, the distribution given by the field ``key``; a
+    refusal of its masses is re-raised naming the field."""
+    try:
+        return build(*args)
+    except InvalidDistributionError as exc:
+        raise InvalidDistributionError(f"field {key!r}: {exc}") from None
+
+
 def _field(key: str, value: Any, kind: type, length: int | None = None) -> Any:
     """``value`` if it is a ``kind`` (a list may be a tuple) of ``length``
     items; anything else is a ValueError naming the field ``key``."""
@@ -605,16 +623,17 @@ def load_problem(path_or_doc: Any) -> tuple[str, StandardSystem | SubsetSystem]:
                  for o in _field("instances", doc["instances"], list)]
     if not instances:
         raise ValueError("field 'instances': no instance is listed")
+    # before P_Z, so that the loss table names a repeated instance label
+    loss = _parse_loss(_field("loss", doc["loss"], Mapping), instances)
     if "pz" in doc:  # a probability may be a decimal string
         probs = [_number("pz", p, _probability)
                  for p in _field("pz", doc["pz"], list, len(instances))]
-        pz = FiniteDistribution.from_json({"outcomes": instances, "probs": probs})
+        pz = _named("pz", FiniteDistribution.from_json, {"outcomes": instances, "probs": probs})
     else:
         pz = FiniteDistribution.uniform(instances)
     n = _number("n", doc["n"], _integral)
     if n < 1:
         raise ValueError(f"field 'n': {n} is not at least 1")
-    loss = _parse_loss(_field("loss", doc["loss"], Mapping), instances)
     if setting == "subset":  # the joint is larger than the learner's grid: size it first
         learner = doc.get("learner")
         kind = learner.get("kind") if isinstance(learner, Mapping) else None

@@ -198,6 +198,60 @@ def test_a_malformed_problem_field_exits_2_naming_it(tmp_path, capsys, setting, 
     assert f"field {field!r}: expected " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("path, value, field", [
+    ("loss.hypotheses", [0, 0], "hypotheses"), ("loss.hypotheses", [[0], [0]], "hypotheses"),
+    ("instances", [0, 0], "instances")])
+@pytest.mark.parametrize("setting", ["standard", "subset"])
+def test_duplicate_loss_labels_exit_2_naming_the_field(tmp_path, capsys, setting, path, value,
+                                                       field):
+    """A repeated label would name two rows or columns, of which an atom
+    lookup finds only the first; a JSON list label is compared as the
+    lookup compares it."""
+    problem = _with(dict(STANDARD_PROBLEM, setting=setting), path, value)
+    cfg = write_config(tmp_path, "cfg.json", {"problem": problem})
+    assert cli.main(["report", "--config", cfg]) == 2
+    assert f"field {field!r}: duplicate labels" in capsys.readouterr().err
+
+
+def test_distinct_list_hypotheses_still_report(tmp_path):
+    problem = _with(STANDARD_PROBLEM, "loss.hypotheses", [[0], [1]])
+    cfg = write_config(tmp_path, "cfg.json", {"problem": problem})
+    assert cli.main(["report", "--config", cfg, "--out", str(tmp_path / "out.csv")]) == 0
+
+
+@pytest.mark.parametrize("hypotheses, instances, field", [
+    ((0, 0), (0, 1), "hypotheses"), ((0, 1), ("a", "a"), "instances"),
+    (([0], [0]), (0, 1), "hypotheses")])
+def test_a_loss_table_refuses_duplicate_labels_by_field(hypotheses, instances, field):
+    with pytest.raises(ValueError, match=f"^field {field!r}: duplicate labels"):
+        LossTable(hypotheses, instances, np.zeros((2, 2)), 0.0, 1.0)
+
+
+@pytest.mark.parametrize("weights, total", [([0.5, 0.6], "1.1"), ([0.25, 0.25], "0.5")])
+@pytest.mark.parametrize("setting", ["standard", "subset"])
+def test_constant_weights_off_one_exit_2_naming_the_field(tmp_path, capsys, setting, weights,
+                                                          total):
+    problem = dict(STANDARD_PROBLEM, setting=setting,
+                   learner={"kind": "constant", "weights": weights})
+    cfg = write_config(tmp_path, "cfg.json", {"problem": problem})
+    assert cli.main(["report", "--config", cfg]) == 2
+    assert f"field 'weights': masses sum to {total}, not 1" in capsys.readouterr().err
+
+
+def test_constant_weights_within_tolerance_are_taken_as_given():
+    weights = [0.5, 0.5 + 1e-13]  # off 1 by less than the mass tolerance: not renormalised
+    _, sys = load_problem(dict(STANDARD_PROBLEM,
+                               learner={"kind": "constant", "weights": weights}))
+    assert (sys.learner.log_mass == np.log(weights)).all()
+
+
+def test_pz_off_one_exits_2_naming_the_field(tmp_path, capsys):
+    cfg = write_config(tmp_path, "cfg.json", {"problem": _with(STANDARD_PROBLEM, "pz",
+                                                               [0.5, 0.6])})
+    assert cli.main(["report", "--config", cfg]) == 2
+    assert "field 'pz': probabilities sum to 1.1" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("config", [
     {"problem": STANDARD_PROBLEM, "t": "inf"},
     {"problem": STANDARD_PROBLEM, "alpha": "inf", "bounds": ["sd_moment"]},
