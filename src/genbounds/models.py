@@ -359,19 +359,10 @@ def _check_system(sys) -> None:
 
 def _subset_atoms(k: int, n: int, n_w: int, on_types: bool) -> int:
     """The atom count of a subset system over k instances and n_w
-    hypotheses, its learner ``on_types`` or not: one per (z-tilde, s, w),
-    k^(2n) 2^n n_w, or on the orbit grid, one per (type of the n label
-    pairs, w), C(n + k^2 - 1, k^2 - 1) n_w."""
-    return (TypeGrid.count(k * k, n) if _on_orbits(on_types, n) else k ** (2 * n) * 2 ** n) * n_w
-
-
-def _on_orbits(on_types: bool, n: int) -> bool:
-    """Whether a subset system is on the orbit grid, the one rule of its
-    build and of every count of its atoms: its learner is on a type grid
-    (``on_types``, the built-in ones) and n >= 2. At n = 1 orbits save at
-    most half the rows, so such a system keeps the per-vector grid, as
-    custom learners do."""
-    return on_types and n >= 2
+    hypotheses: on the orbit grid, where its learner is ``on_types`` (the
+    built-in ones), one per (type of the n label pairs, w),
+    C(n + k^2 - 1, k^2 - 1) n_w, else one per (z-tilde, s, w), k^(2n) 2^n n_w."""
+    return (TypeGrid.count(k * k, n) if on_types else k ** (2 * n) * 2 ** n) * n_w
 
 
 def _data_grid(learner: Kernel, labels: Sequence[Any], n: int) -> ProductGrid | TypeGrid:
@@ -397,8 +388,9 @@ class SubsetSystem(_System):
     context's log Q is log P(w | z-tilde), S marginalized out.
 
     Per vector, a context is a supersample of |S| rows, row zt_code * |S| +
-    s_code, each of mass 2^-n given it. A learner on a type grid at n >= 2
-    (Gibbs, ERM, constant) sees (z-tilde, s) only through its (selected,
+    s_code, each of mass 2^-n given it: the layout of a label-form
+    (``custom-kernel``) learner. A learner on a type grid (Gibbs, ERM,
+    constant, identity) sees (z-tilde, s) only through its (selected,
     unselected) label pairs, so its system is on the orbit grid
     ``rows.orbits`` (``prob.OrbitGrid``): a row is a type M of those pairs
     and a context a type N of the unordered pairs, of mass multinomial(N)
@@ -413,7 +405,7 @@ class SubsetSystem(_System):
         _check_system(self)
         labels, n = self.pz.outcomes, self.n
         grids = (ProductGrid(labels, 2 * n), ProductGrid((0, 1), n))
-        if _on_orbits(self.learner.grid is not None, n):
+        if self.learner.grid is not None:
             orbits = _orbit_grid(labels, repr(labels), n)
             z_grid, halves = _data_grid(self.learner, labels, n), orbits.halves
             starts, ctx_mass = orbits.starts, np.exp(orbits.context_log_mass(self.pz.log_mass))
@@ -447,7 +439,7 @@ def _halves(zt_grid: ProductGrid, s_grid: ProductGrid) -> tuple[np.ndarray, np.n
     return sel, unsel
 
 
-@lru_cache(maxsize=32)  # a verify suite draws about five (labels, n) pairs at n >= 2
+@lru_cache(maxsize=32)  # a verify suite draws at most six (labels, n) pairs
 def _orbit_grid(labels: tuple, spelled: str, n: int) -> OrbitGrid:
     """The shared, read-only ``OrbitGrid`` over ``labels`` at length n,
     keyed by the labels' repr too, as ``_type_grid`` is."""
@@ -606,11 +598,21 @@ def _custom_kernel(rows: Any, instances: Sequence[Any]) -> Kernel:
             raise ValueError(f"unknown instance label {unknown[0]!r}")
         return tuple(by_text[tok] for tok in tokens)
 
-    def row(doc: Mapping[str, Any]) -> FiniteDistribution:  # a probability may be a decimal string
-        probs = [_number("probs", p, _probability) for p in doc["probs"]]
-        return FiniteDistribution.from_json(dict(doc, probs=probs))
+    def row(key: str, doc: Any) -> FiniteDistribution:  # a probability may be a decimal string
+        """The row at ``key``; a malformed one is refused naming ``rows`` and the key."""
+        try:
+            if not isinstance(doc, Mapping):
+                raise ValueError(f"expected an object, got {doc!r}")
+            for entry in ("outcomes", "probs"):
+                if entry not in doc:
+                    raise ValueError(f"no {entry!r} entry")
+                _field(entry, doc[entry], list)
+            probs = [_number("probs", p, _probability) for p in doc["probs"]]
+            return FiniteDistribution.from_json(dict(doc, probs=probs))
+        except ValueError as exc:
+            raise type(exc)(f"field 'rows', row {key!r}: {exc}") from None
 
-    return Kernel({zvec(key): row(doc) for key, doc in rows.items()})
+    return Kernel({zvec(key): row(key, doc) for key, doc in rows.items()})
 
 
 def load_problem(path_or_doc: Any) -> tuple[str, StandardSystem | SubsetSystem]:

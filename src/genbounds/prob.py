@@ -238,12 +238,13 @@ class TypeGrid:
     types): code c stands for every vector in which label d occurs
     ``counts[c, d]`` times, and its log multiplicity is the log of their
     number, a multinomial coefficient computed as a Python int and logged
-    once. Codes follow the ``ProductGrid`` order of each type's sorted
-    representative (the first label's count descending, then the next...),
-    and ``vector``/``vectors`` give that representative. Its arrays are
-    read-only, so one grid can serve every kernel over the same labels and n."""
+    once, on first read. Codes follow the ``ProductGrid`` order of each
+    type's sorted representative (the first label's count descending, then
+    the next...), and ``vector``/``vectors`` give that representative. Its
+    arrays are read-only, so one grid can serve every kernel over the same
+    labels and n."""
 
-    __slots__ = ("labels", "n", "size", "counts", "log_multiplicity", "_position",
+    __slots__ = ("labels", "n", "size", "counts", "_log_multiplicity", "_position",
                  "_before")
 
     def __init__(self, labels: Sequence[Any], n: int):
@@ -265,17 +266,26 @@ class TypeGrid:
         edges = np.empty((self.size, k + 1), dtype=np.int64)
         edges[:, 0], edges[:, 1:k], edges[:, k] = -1, bars, n + k - 1
         self.counts = edges[:, 1:] - edges[:, :-1] - 1
-        # the multinomial coefficient as a product of binomials, in Python ints
-        mult, total = np.ones(self.size, dtype=object), np.cumsum(self.counts, axis=1)
-        for d in range(1, k):
-            mult = mult * _comb(total[:, d], self.counts[:, d])
-        self.log_multiplicity = np.fromiter(map(math.log, mult), float, self.size)
+        self._log_multiplicity = None
         # _before[d, r]: the types that share a type's counts before label d
         # and count d more often, where it leaves r after d: C(r + k - d - 2, k - d - 1)
         self._before = np.array([[math.comb(r + k - d - 2, k - d - 1) for r in range(n + 1)]
                                  for d in range(k - 1)], dtype=np.int64)
-        for arr in (self.counts, self.log_multiplicity, self._before):
+        for arr in (self.counts, self._before):
             arr.flags.writeable = False
+
+    @property
+    def log_multiplicity(self) -> np.ndarray:
+        """The log of each type's number of vectors, read-only: the
+        multinomial coefficient as a product of binomials, in Python ints,
+        computed on first read (an orbit grid never reads its pair grid's)."""
+        if self._log_multiplicity is None:
+            mult, total = np.ones(self.size, dtype=object), np.cumsum(self.counts, axis=1)
+            for d in range(1, len(self.labels)):
+                mult = mult * _comb(total[:, d], self.counts[:, d])
+            self._log_multiplicity = np.fromiter(map(math.log, mult), float, self.size)
+            self._log_multiplicity.flags.writeable = False
+        return self._log_multiplicity
 
     def __reduce__(self) -> tuple:  # rebuilt on unpickling, so its arrays are read-only
         return type(self), (self.labels, self.n)

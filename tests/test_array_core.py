@@ -40,6 +40,7 @@ CASES = [
     ("subset", "constant-weighted", 3, 2, 1, 15),
     ("subset", "identity", 3, 3, 1, 16),
     ("subset", "custom", 2, 3, 2, 17),
+    ("subset", "custom", 3, 2, 1, 18),  # n = 1 per vector, as every custom learner
 ]
 
 
@@ -147,7 +148,7 @@ def test_assembly_matches_loop_reference(setting, kind, n_z, n_w, n, seed):
         want = oracles.loop_subset_arrays(pz.outcomes, pz.log_mass, n, rows,
                                           loss.values, loss.instances)
         vectors = _per_vector(sys)  # the per-vector record, bit for bit
-        assert (vectors is sys) == (n == 1 or not on_types)
+        assert (vectors is sys) == (not on_types)
         for name, array in want.items():
             exact = rows_exact or name not in ("cond", "joint", "log_q")
             _assert_close(_record(vectors)[name], array, name, exact)

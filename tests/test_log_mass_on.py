@@ -1,17 +1,21 @@
 """``Kernel.log_mass_on``, the one way any grid reads a learner: on the
 kernel's own grid, on product and type grids over its labels in another
 order, and on grids it does not define, which it refuses by naming the
-first vector. The identity learner sits on a ``TypeGrid`` of length 1,
-and its systems equal their per-vector twins bit for bit."""
+first vector. The identity learner sits on a ``TypeGrid`` of length 1:
+its standard systems equal their per-vector twins bit for bit, and its
+subset systems, on the orbit grid, agree with them to 1e-12 at every
+(z-tilde, s), through a per-vector system equal to the twin bit for bit."""
 import re
 
 import numpy as np
 import pytest
 
 import oracles
+from test_array_core import _assert_orbits_match, _record
 from genbounds import (FiniteDistribution, InvalidDistributionError, Kernel, LossTable,
                        StandardSystem, SubsetSystem, conditional_density, gibbs_kernel,
                        identity_kernel, load_fixture)
+from genbounds.models import _per_vector
 from genbounds.prob import ProductGrid, TypeGrid
 
 LABELS = ("a", "b", "c")
@@ -83,6 +87,11 @@ def test_identity_systems_equal_their_product_twins(sys):
     assert isinstance(sys.learner.grid, TypeGrid) and sys.learner.grid.n == 1
     twin = oracles.product_twin(sys)
     assert twin.learner.grid is None
+    if sys.setting == "subset":  # on orbits; its per-vector system is a label-form one
+        assert sys.rows.orbits is not None
+        _assert_orbits_match(sys, twin, _record(twin))
+        sys = _per_vector(sys)
+        assert sys.learner.grid is None and sys.rows.orbits is None
     arrays = [(name, getattr(sys.rows, name), getattr(twin.rows, name))
               for name in ("starts", "mass", "joint", "cond", "values", "gen")]
     arrays += [("log_masses", *pair) for pair in zip(sys.rows.log_masses,

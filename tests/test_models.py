@@ -210,8 +210,9 @@ class TestStandardAssembly:
 
 class TestSubsetAssembly:
     def test_inst_b_posterior_given_distinct_supersample(self, inst_b):
-        zi = inst_b.rows.grids[0].code((0, 1))
-        assert np.exp(inst_b.rows.log_masses[2][zi]) == pytest.approx([0.5, 0.5], abs=1e-15)
+        rows = inst_b.rows
+        context = np.searchsorted(rows.starts, rows.row((0, 1), (0,)), side="right") - 1
+        assert np.exp(rows.log_masses[2][context]) == pytest.approx([0.5, 0.5], abs=1e-15)
 
     def test_s_ignoring_learner_posterior_constant_in_s(self):
         loss = zero_one_loss([0, 1])
@@ -225,7 +226,10 @@ class TestSubsetAssembly:
             assert sys.cond[r] == pytest.approx(pw_given, abs=1e-15)
 
     def test_atom_count(self, inst_b):
-        assert inst_b.joint.size == 2 * 2 ** 2 * 2
+        # on orbits, one atom per (ordered label pair, w): (selected, unselected)
+        # is (0, 0), (0, 1), (1, 0) or (1, 1); per vector, one per (z-tilde, s, w)
+        assert inst_b.joint.size == 2 ** 2 * 2
+        assert models._per_vector(inst_b).joint.size == 2 * 2 ** 2 * 2
 
     def test_selector_convention(self, inst_b):
         assert inst_b.select((0, 1), (0,)) == (0,)

@@ -6,10 +6,12 @@ The exponential check reduces each block of lambda rows with one
 scale of a suite and on explicit grids, whatever the block size.
 ``prob.logsumexp`` through the ndarray reductions equals its wrapper form
 (``oracles.logsumexp_wrappers``) on every edge case. A built-in learner's
-``TypeGrid`` is one shared, read-only object per (labels, n). The call
-counts here are deterministic guards of that work, not timings.
+``TypeGrid`` is one shared, read-only object per (labels, n), whose
+multiplicities are computed only when read. The call counts here are
+deterministic guards of that work, not timings.
 """
 import math
+import pickle
 from collections import Counter
 
 import numpy as np
@@ -21,6 +23,7 @@ from genbounds import bounds_subset as bsub
 from genbounds.engine import view_of
 from genbounds.models import LossTable, erm_kernel, gibbs_kernel
 from genbounds.prob import ProductGrid, TypeGrid, logsumexp
+from test_orbits import _results, _subset_star
 from test_orbits import pools  # noqa: F401  (fixtures, 40 random per setting, bench shapes)
 
 SCALES = (1.0, 0.5, 0.25)
@@ -136,7 +139,10 @@ def test_a_shared_grid_is_read_only():
             arr[...] = 0
 
 
-@pytest.mark.parametrize("labels, n", [((0, 1), 1), ((0, 1, 2), 3), (("a", "b", "c", "d"), 5)])
+SHAPES = [((0, 1), 1), ((0, 1, 2), 3), (("a", "b", "c", "d"), 5)]
+
+
+@pytest.mark.parametrize("labels, n", SHAPES)
 def test_a_shared_grid_reads_as_a_fresh_one(labels, n):
     shared, fresh = models._type_grid(labels, n), TypeGrid(labels, n)
     for name in ("counts", "log_multiplicity", "_before"):
@@ -147,6 +153,31 @@ def test_a_shared_grid_reads_as_a_fresh_one(labels, n):
         assert np.array_equal(shared.codes_on(grid), fresh.codes_on(grid))
     per_label = np.random.default_rng(7).normal(size=(len(labels), 3))
     assert shared.sums(per_label).tobytes() == fresh.sums(per_label).tobytes()
+
+
+@pytest.mark.parametrize("labels, n", SHAPES)
+def test_a_lazy_log_multiplicity_is_the_eager_product_of_binomials(labels, n):
+    grid = TypeGrid(labels, n)
+    assert grid._log_multiplicity is None
+    eager = [math.log(math.prod(math.comb(sum(c[:d + 1]), c[d]) for d in range(1, len(c))))
+             for c in grid.counts.tolist()]
+    assert grid.log_multiplicity.tobytes() == np.array(eager).tobytes()
+    assert grid.log_multiplicity is grid.log_multiplicity  # computed once
+    with pytest.raises(AttributeError):
+        grid.log_multiplicity = np.zeros(grid.size)
+    copy = pickle.loads(pickle.dumps(grid))  # pickled by its inputs
+    assert copy._log_multiplicity is None
+    assert copy.log_multiplicity.tobytes() == grid.log_multiplicity.tobytes()
+
+
+def test_an_orbit_system_leaves_its_pair_grids_multiplicities_uncomputed():
+    models._orbit_grid.cache_clear()
+    for n in (1, 2, 5):
+        sys = models.load_problem(_subset_star(n, n_z=3, n_w=2))[1]
+        _results(sys)  # every bound of the registry
+        orbits = sys.rows.orbits
+        assert orbits.pairs._log_multiplicity is None
+        assert orbits.contexts._log_multiplicity is not None  # the context masses read it
 
 
 def test_a_suite_builds_one_type_grid_per_labels_and_length(monkeypatch):

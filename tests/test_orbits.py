@@ -10,12 +10,12 @@ measure of the two agrees to 1e-12 (the sums run in another order), on the
 fixtures, 40 random systems per setting and the benchmark's job shapes.
 Per-vector arrays are compared at every vector through ``rows.row``.
 
-A subset system of such a learner at n >= 2 is on the orbit grid: one row
-per type of its n (selected, unselected) label pairs. It agrees with its
-twin to 1e-12 in every bound, coverage, exponential check, gap law,
-information measure and lookup, at every (z-tilde, s) of the twin. Every
-other subset system (n = 1, custom learners), and the per-vector system
-of an orbit system, is equal to its twin bit for bit.
+A subset system of such a learner (the identity learner too) is on the
+orbit grid at every n: one row per type of its n (selected, unselected)
+label pairs. It agrees with its twin to 1e-12 in every bound, coverage,
+exponential check, gap law, information measure and lookup, at every
+(z-tilde, s) of the twin. Every other subset system (custom learners), and
+the per-vector system of an orbit system, is equal to its twin bit for bit.
 """
 import csv
 import io
@@ -179,7 +179,8 @@ def test_subset_systems_equal_their_twins(pools):
 
 def test_orbit_systems_agree_with_their_twins(pools):
     orbits = [sys for sys in pools["subset"] if sys.rows.orbits is not None]
-    assert len(orbits) >= 25  # every n >= 2 system of the pool, the bench shape too
+    assert len(orbits) == len(pools["subset"])  # every system of the pool, at every n
+    assert sum(sys.n == 1 for sys in orbits) >= 7  # inst_b and six random draws at n = 1
     for sys in orbits:
         twin = oracles.product_twin(sys)
         codes = oracles.type_codes(sys, twin)  # the orbit of every (z-tilde, s)
@@ -205,7 +206,13 @@ def test_orbit_systems_agree_with_their_twins(pools):
                 assert _close(q(sys, 1.0 - delta), q(twin, 1.0 - delta))
         view, twin_view = view_of(sys), view_of(twin)
         assert _close(view.table.mean, twin_view.table.mean)  # CMI
+        for t in (1, 2, 3, T_INF):
+            assert _close(central_moment(view.table, t), central_moment(twin_view.table, t))
+        assert _close(view.kls[codes], twin_view.kls)
+        assert _close(view.iota[codes], twin_view.iota)
         assert _close(view.leakage, twin_view.leakage)
+        for alpha in (0.5,) + ALPHAS:
+            assert _close(view.renyi(alpha), twin_view.renyi(alpha))
         for alpha in ALPHAS:
             assert _close(cond_alpha_mi(sys, alpha), cond_alpha_mi(twin, alpha))
         got, want = leakage_ordering_check(sys), leakage_ordering_check(twin)
@@ -350,7 +357,7 @@ def test_the_subset_budget_pre_check_counts_the_atoms_the_system_builds(monkeypa
                                  "range": [0, 1]},
                         "learner": _learner_doc(kind, n)})[1]
     assert seen.index("learner") == 1 and seen[0] == sys.cond.size
-    assert (sys.rows.orbits is not None) == (kind != "custom-kernel" and n >= 2)
+    assert (sys.rows.orbits is not None) == (kind != "custom-kernel")
 
 
 @pytest.mark.parametrize("ztilde, s, unknown", [

@@ -11,7 +11,7 @@ from genbounds import (BoundResult, FiniteDistribution, JointTable, Kernel, Loss
                        marginalize, models, renyi_divergence, zero_one_loss)
 from genbounds.measures import DensityTable, _renyi, density, normalize_order
 from genbounds.prob import InvalidDistributionError, ProductGrid, TypeGrid
-from test_cli import STANDARD_PROBLEM, write_config
+from test_cli import STANDARD_PROBLEM, SUBSET_PROBLEM, write_config
 
 
 def test_a_config_without_a_problem_exits_2_naming_it(tmp_path, capsys):
@@ -87,6 +87,28 @@ def test_custom_kernel_rows_must_be_a_mapping():
     doc = dict(STANDARD_PROBLEM, n=1, learner={"kind": "custom-kernel", "rows": [[0.5, 0.5]]})
     with pytest.raises(ValueError, match="custom-kernel rows must map"):
         load_problem(doc)
+
+
+GOOD_ROW = {"outcomes": [0, 1], "probs": [0.5, 0.5]}
+
+
+@pytest.mark.parametrize("row, message", [
+    ([0.5, 0.5], "expected an object, got [0.5, 0.5]"),
+    ({"probs": [0.5, 0.5]}, "no 'outcomes' entry"),
+    ({"outcomes": [0, 1]}, "no 'probs' entry"),
+    ({"outcomes": [0, 1], "probs": 0.5}, "field 'probs': expected a list, got 0.5"),
+    ({"outcomes": 5, "probs": [0.5, 0.5]}, "field 'outcomes': expected a list, got 5"),
+    ({"outcomes": [0, 1], "probs": [0.5, 0.6]}, "probabilities sum to 1.1"),
+])
+def test_a_malformed_custom_kernel_row_exits_2_naming_rows_and_its_key(
+        tmp_path, capsys, row, message):
+    """The subset problem at |Z| = 2, n = 1 over a custom kernel, whose
+    system is per vector; row "1" is malformed."""
+    learner = {"kind": "custom-kernel", "rows": {"0": GOOD_ROW, "1": row}}
+    cfg = write_config(tmp_path, "cfg.json", {"problem": dict(SUBSET_PROBLEM, learner=learner)})
+    assert cli.main(["report", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert f"field 'rows', row '1': {message}" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("grid", [ProductGrid, TypeGrid])

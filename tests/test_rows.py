@@ -116,7 +116,7 @@ def test_the_subset_log_masses_are_computed_once_per_system(monkeypatch):
         holder_event_bound(sys, lambda w, zt, s: True, 2.0, 2.0, 2.0)
         assert calls == {"logs": 1 if sys.rows.orbits is None else 3}
         on_orbits.append(sys.rows.orbits is not None)
-    assert on_orbits == [False, True, False]
+    assert on_orbits == [True, True, False]  # a label-form learner's system is per vector
 
 
 def test_the_row_log_mass_is_the_log_mass_of_the_system_arrays(systems):
