@@ -18,8 +18,9 @@ import numpy as np
 
 from .engine import (BoundResult, _View, _check_delta, _check_gamma, _log_ratio, _square,
                      _tail_bound_from_table, cond_alpha_mi, view_of)
-from .measures import ONE_SEGMENT, _leakage, _nested_mean, conditional_density
-from .models import LossTable, SubsetSystem, _data_grid, _per_vector
+from .measures import (ONE_SEGMENT, _leakage, _nested_mean, _posterior_kls, _support_ratio,
+                       conditional_density)
+from .models import LossTable, SubsetSystem, _data_grid, _logs, _per_vector
 from .prob import NEG_INF, FiniteDistribution, power_log_mass
 
 
@@ -79,6 +80,18 @@ class _SubsetView(_View):
         self.q_kernel = q_kernel
 
     table = cached_property(lambda self: conditional_density(self.sys, self.q_kernel))
+
+    @cached_property
+    def mi_w_supersample(self) -> float:
+        """I(W; Z-tilde), the supersample information set against the CMI:
+        sum p(zt) KL(P_{W|zt} || P_W) on the one-context (zt, w) grid, p(zt)
+        the sum of its rows' masses."""
+        p_zt = np.add.reduceat(self.mass, self.starts)
+        log_pw_given = self.log_masses[2]
+        pw_given = np.exp(log_pw_given)
+        p_w = np.add.reduceat(p_zt[:, None] * pw_given, ONE_SEGMENT)
+        kls = _posterior_kls(pw_given, _support_ratio(log_pw_given.copy(), *_logs(p_w)))
+        return float(np.multiply(p_zt, kls, out=np.zeros_like(kls), where=p_zt > 0).sum())
 
 
 def cmi_avg_bound(sys: SubsetSystem, c: RangeConstant | None = None) -> BoundResult:

@@ -16,20 +16,10 @@ import sys as _sys
 from pathlib import Path
 from typing import Any, Mapping
 
-import numpy as np
-
 from . import verify as vfy
 from .engine import view_of
-from .measures import (ONE_SEGMENT, T_INF, _logs, _posterior_kls, _support_ratio,
-                       normalize_order)
-from .models import (
-    SubsetSystem,
-    _integral,
-    _number,
-    _real,
-    expected_gen,
-    load_problem,
-)
+from .measures import T_INF, normalize_order
+from .models import _integral, _number, _real, expected_gen, load_problem
 from .prob import BudgetExceededError, InvalidDistributionError, read_json
 
 SCHEMA_VERSION = 1
@@ -42,9 +32,6 @@ REPORT_COLUMNS = ("schema_version", "bound_id", "flavor", "scope", "epsilon",
 _REPORT_KEYS = ("problem", "deltas", "bounds", "t", "alpha")
 CONFIG_KEYS = {"report": _REPORT_KEYS, "sweep": _REPORT_KEYS + ("axis", "values"),
                "verify": ("instances", "deltas", "sigma_scale")}
-
-DEFAULT_STANDARD_BOUNDS = vfy.panel_ids("standard")
-DEFAULT_SUBSET_BOUNDS = vfy.panel_ids("subset")
 
 
 class ConfigError(ValueError):
@@ -166,19 +153,10 @@ SWEEP_AXES = ("delta", "t", "alpha", "beta", "n")
 def _subset_columns(system) -> dict:
     """Tightness-comparison columns for subset problems: the mutual
     information between W and the supersample vs the conditional one."""
-    if not isinstance(system, SubsetSystem):
+    if system.setting != "subset":
         return {"mi_w_supersample": "", "cmi_w_selector": ""}
-    # I(W; Ztilde) = sum p(zt) KL(P_{W|zt} || P_W) on the one-context (zt, w) grid,
-    # p(zt) the sum of its rows' masses
-    rows = system.rows
-    p_zt = np.add.reduceat(rows.mass, rows.starts)
-    log_pw_given = rows.log_masses[2]
-    pw_given = np.exp(log_pw_given)
-    p_w = np.add.reduceat(p_zt[:, None] * pw_given, ONE_SEGMENT)
-    kls = _posterior_kls(pw_given, _support_ratio(log_pw_given.copy(), *_logs(p_w)))
-    mi_wzt = float(np.multiply(p_zt, kls, out=np.zeros_like(kls), where=p_zt > 0).sum())
-    return {"mi_w_supersample": mi_wzt,
-            "cmi_w_selector": view_of(system).table.mean}
+    view = view_of(system)
+    return {"mi_w_supersample": view.mi_w_supersample, "cmi_w_selector": view.table.mean}
 
 
 def _order(value: Any) -> float:

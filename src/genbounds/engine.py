@@ -210,25 +210,15 @@ class _View:
     def pacb_moment(self, delta: float, t: Any) -> BoundResult:
         delta = _check_delta(delta)
         t = normalize_order(t)
-        norm = self.memoised(("kl_norm", t), lambda: self._kl_norm(t))
+
+        def kl_norm() -> float:  # of the positive-mass posteriors; |KL| guards a -1e-16
+            pos = self.mass > 0
+            return _log_norm(np.abs(self.kls[pos]), np.log(self.mass[pos]), t)
+
+        norm = self.memoised(("kl_norm", t), kl_norm)
         return self.sqrt_bound(_moment_term(norm, delta, t) + _log_ratio(2.0, delta),
                                "pac-bayes", "data-independent",
                                self.params(delta=delta, t=t))
-
-    def _kl_norm(self, t: Any) -> float:
-        """L_t norm of the positive-mass posteriors' KL; |KL| guards a -1e-16.
-        It is taken in logs where a nonzero term underflows or the sum overflows."""
-        kls, pos = self.kls, self.mass > 0
-        if t is T_INF:
-            return float(kls[pos].max())
-        terms = np.abs(kls)  # one buffer: |KL|^t, then mass |KL|^t
-        with np.errstate(over="ignore"):
-            np.multiply(self.mass, np.power(terms, t, out=terms), out=terms, where=pos)
-            terms[~pos] = 0.0
-            total = float(np.sum(terms))
-        if total < math.inf and not np.any(pos & (kls != 0) & (terms < np.finfo(float).tiny)):
-            return total ** (1.0 / t)
-        return _log_norm(np.abs(kls[pos]), np.log(self.mass[pos]), t)
 
     def sd_moment(self, delta: float, t: Any, relaxed: bool = False) -> BoundResult:
         """Single-draw bound from central moments of the density; ``relaxed``

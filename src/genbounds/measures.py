@@ -286,15 +286,16 @@ def _leakage(mass: np.ndarray, cond: np.ndarray, starts: np.ndarray) -> float:
 def central_moment(tbl: DensityTable, t: Any) -> float:
     """t-th root of the t-th absolute central moment of iota; T_INF gives the
     essential supremum of the deviation."""
-    t = normalize_order(t)
-    dev = np.abs(tbl.iota - tbl.mean)
-    return float(dev.max()) if t is T_INF else _log_norm(dev, tbl.log_p, t)
+    return _log_norm(np.abs(tbl.iota - tbl.mean), tbl.log_p, normalize_order(t))
 
 
-def _log_norm(abs_x: np.ndarray, log_p: np.ndarray, t: float) -> float:
+def _log_norm(abs_x: np.ndarray, log_p: np.ndarray, t: float | MomentOrder) -> float:
     """(sum p |x|^t)^(1/t) from |x| and the finite log p, summed in log space in
     the buffer ``abs_x`` (log 0 = -inf), so no term underflows or overflows;
-    where t log|x| overflows, |x| is first taken relative to its maximum."""
+    where t log|x| overflows, |x| is first taken relative to its maximum.
+    T_INF gives the maximum of |x|."""
+    if t is T_INF:
+        return float(abs_x.max())
     with np.errstate(divide="ignore"):
         terms = np.log(abs_x, out=abs_x)
     top = float(terms.max())

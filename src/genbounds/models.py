@@ -570,18 +570,22 @@ def _parse_learner(doc: Mapping[str, Any], loss: LossTable, n: int) -> Kernel:
             raise ValueError(f"the identity learner needs n = 1, not n = {n}")
         return identity_kernel(loss)
     if kind == "custom-kernel":
-        return _custom_kernel(doc["rows"], loss.instances)
+        return _custom_kernel(doc["rows"], loss, n)
     raise ValueError(f"unknown learner kind {kind!r}")
 
 
-def _custom_kernel(rows: Any, instances: Sequence[Any]) -> Kernel:
-    """A kernel from rows keyed by z-vectors written as their labels' text
-    joined by ','; instance labels that this syntax cannot express are
-    refused."""
+def _custom_kernel(rows: Any, loss: LossTable, n: int) -> Kernel:
+    """A kernel from rows keyed by z-vectors of length n, written as their
+    labels' text joined by ','. Each z-vector has exactly one row, and each
+    row lists the loss's hypotheses in order; the budget on z-vectors x
+    hypotheses is checked before any row is read. Instance labels that this
+    syntax cannot express are refused."""
     if not isinstance(rows, Mapping):
         raise ValueError("custom-kernel rows must map z-vector keys to distributions")
+    n_vectors = ProductGrid.count(len(loss.instances), n)
+    check_budget(n_vectors * len(loss.hypotheses))
     by_text = {}
-    for lab in instances:
+    for lab in loss.instances:
         text = str(lab)
         if "," in text:
             raise ValueError(f"instance label {lab!r} cannot be written in a "
@@ -591,16 +595,15 @@ def _custom_kernel(rows: Any, instances: Sequence[Any]) -> Kernel:
                              f"written {text!r} in custom-kernel keys")
         by_text[text] = lab
 
-    def zvec(key: str) -> tuple:
-        tokens = key.split(",")
-        unknown = [tok for tok in tokens if tok not in by_text]
-        if unknown:
-            raise ValueError(f"unknown instance label {unknown[0]!r}")
-        return tuple(by_text[tok] for tok in tokens)
-
-    def row(key: str, doc: Any) -> FiniteDistribution:  # a probability may be a decimal string
-        """The row at ``key``; a malformed one is refused naming ``rows`` and the key."""
+    def row(key: str, doc: Any) -> tuple:  # a probability may be a decimal string
+        """(z-vector, row) at ``key``; a malformed one is refused naming ``rows`` and the key."""
         try:
+            tokens = key.split(",")
+            unknown = [tok for tok in tokens if tok not in by_text]
+            if unknown:
+                raise ValueError(f"unknown instance label {unknown[0]!r}")
+            if len(tokens) != n:
+                raise ValueError(f"{len(tokens)} instance labels, not n = {n}")
             if not isinstance(doc, Mapping):
                 raise ValueError(f"expected an object, got {doc!r}")
             for entry in ("outcomes", "probs"):
@@ -608,11 +611,20 @@ def _custom_kernel(rows: Any, instances: Sequence[Any]) -> Kernel:
                     raise ValueError(f"no {entry!r} entry")
                 _field(entry, doc[entry], list)
             probs = [_number("probs", p, _probability) for p in doc["probs"]]
-            return FiniteDistribution.from_json(dict(doc, probs=probs))
+            dist = FiniteDistribution.from_json(dict(doc, probs=probs))
+            if dist.outcomes != loss.hypotheses:
+                raise ValueError(f"outcomes {list(dist.outcomes)!r} are not the loss "
+                                 f"hypotheses {list(loss.hypotheses)!r} in order")
+            return tuple(by_text[tok] for tok in tokens), dist
         except ValueError as exc:
             raise type(exc)(f"field 'rows', row {key!r}: {exc}") from None
 
-    return Kernel({zvec(key): row(key, doc) for key, doc in rows.items()})
+    kernel = dict(row(key, doc) for key, doc in rows.items())
+    if len(kernel) < n_vectors:  # the first missing one, after at most len(kernel) + 1 vectors
+        missing = next(v for v in itertools.product(loss.instances, repeat=n) if v not in kernel)
+        raise ValueError(f"field 'rows': no row for z-vector {missing!r}, "
+                         f"key {','.join(map(str, missing))!r}")
+    return Kernel(kernel)
 
 
 def load_problem(path_or_doc: Any) -> tuple[str, StandardSystem | SubsetSystem]:

@@ -618,6 +618,29 @@ def _mi_w_supersample_50_digits(system):
                          for w, q in enumerate(row) if p > 0 and q > 0))
 
 
+def test_the_sweep_reads_its_information_columns_from_the_subset_view():
+    """``cli`` computes no information quantity: it imports no numpy and no
+    private ``measures`` name, and both subset columns are terms of the
+    system's default view."""
+    import ast
+
+    from genbounds.engine import view_of
+
+    tree = ast.parse(Path(cli.__file__).read_text())
+    imported = {(node.module or "", alias.name) for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    plain = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+             for alias in node.names}
+    assert "numpy" not in plain
+    assert not [name for module, name in imported
+                if module == "measures" and name.startswith("_")]
+    system = load_fixture("inst_b")[1]
+    view = view_of(system)
+    assert cli._subset_columns(system) == {"mi_w_supersample": view.mi_w_supersample,
+                                           "cmi_w_selector": view.table.mean}
+    assert cli._subset_columns(system)["mi_w_supersample"] is view.mi_w_supersample
+
+
 def test_subset_columns_read_the_one_context_grid():
     import numpy as np
     from genbounds.verify import random_subset_system

@@ -14,12 +14,12 @@ import numpy as np
 import pytest
 
 import oracles
-from genbounds import FiniteDistribution, Kernel, cli, engine, load_fixture
+from genbounds import FiniteDistribution, Kernel, cli, engine, load_fixture, measures
 from genbounds import bounds_standard as bstd
 from genbounds import bounds_subset as bsub
 from genbounds import verify
 from genbounds.engine import view_of
-from genbounds.measures import T_INF, normalize_order
+from genbounds.measures import T_INF, _log_norm, normalize_order
 from genbounds.models import expected_gen_hat, expected_gen_subset
 from genbounds.verify import BOUNDS, random_standard_system, random_subset_system
 
@@ -63,6 +63,27 @@ def test_one_central_moment_per_order(monkeypatch, name):
         bstd.chain_report(sys, 0.1)
     assert counts and set(counts.values()) == {1}
     assert {t for _, t in counts} == {1.0, 2.0, 3.0, T_INF}
+
+
+@pytest.mark.parametrize("name", ["inst_a", "inst_b", "inst_c"])
+def test_both_moment_norms_are_one_log_norm_call_at_every_order(monkeypatch, name):
+    # the posterior-KL norm and the central moment share measures._log_norm,
+    # t = inf included: one call each per order, whatever the number of deltas
+    counts, log_norm = Counter(), measures._log_norm
+
+    def counted(abs_x, log_p, t):
+        counts.update([t])
+        return log_norm(abs_x, log_p, t)
+
+    for owner in (engine, measures):
+        monkeypatch.setattr(owner, "_log_norm", counted)
+    sys = _fresh(name)
+    pacb, sd = ((bstd.pacb_moment_bound, bstd.sd_moment_bound) if sys.setting == "standard"
+                else (bsub.cond_pacb_moment_bound, bsub.cond_sd_moment_bound))
+    for t in (1, 2.0, 3, "inf"):
+        for delta in DELTAS:
+            assert pacb(sys, delta, t).feasible and sd(sys, delta, t).feasible
+    assert counts == {1.0: 2, 2.0: 2, 3.0: 2, T_INF: 2}
 
 
 @pytest.mark.parametrize("setting", ["standard", "subset"])
@@ -194,7 +215,8 @@ def test_fractional_order_kl_norm_of_rounded_negative_kls():
         view = view_of(sys)
         res = bsub.cond_pacb_moment_bound(sys, 0.1, 1.5)
         assert res.feasible and math.isfinite(res.epsilon)
-        norm = float(np.sum(view.mass * np.abs(view.kls) ** 1.5)) ** (1 / 1.5)
+        pos = view.mass > 0
+        norm = _log_norm(np.abs(view.kls[pos]), np.log(view.mass[pos]), 1.5)
         assert view._memo["kl_norm", 1.5] == norm
 
 
@@ -212,10 +234,11 @@ def _decimal_norm(x, mass, t):
     return top * (total.ln() / t).exp()
 
 
-@pytest.mark.parametrize("t", [1e3, 1e5, 1e308])
+@pytest.mark.parametrize("t", [1, 1.5, 2, 3, 1e3, 1e5, 1e308])
 def test_large_order_moment_bounds_equal_a_decimal_reference(t):
-    # at t = 1e5 the linear KL sum underflowed to 0 on inst_b and overflowed
-    # on inst_a; at t = 1e308 t log|iota - mean| overflowed
+    # both norms are one log-space sum at every order: at t = 1e5 a linear
+    # KL sum underflows to 0 on inst_b and overflows on inst_a, and at
+    # t = 1e308 t log|iota - mean| overflows
     rng = np.random.default_rng(12)
     systems = [_fresh("inst_a"), _fresh("inst_b")]
     for _ in range(10):

@@ -111,6 +111,65 @@ def test_a_malformed_custom_kernel_row_exits_2_naming_rows_and_its_key(
     assert f"field 'rows', row '1': {message}" in err and "Traceback" not in err
 
 
+REVERSED_ROW = {"outcomes": [1, 0], "probs": [0.5, 0.5]}
+
+
+@pytest.mark.parametrize("problem", [STANDARD_PROBLEM, SUBSET_PROBLEM], ids=["standard", "subset"])
+@pytest.mark.parametrize("rows, message", [
+    ({"0": GOOD_ROW, "1": GOOD_ROW, "0,1": GOOD_ROW}, "row '0,1': 2 instance labels, not n = 1"),
+    ({"0": GOOD_ROW, "1": GOOD_ROW, "2": GOOD_ROW}, "row '2': unknown instance label '2'"),
+    ({"0": GOOD_ROW, "1": REVERSED_ROW},
+     "row '1': outcomes [1, 0] are not the loss hypotheses [0, 1] in order"),
+    ({"0": REVERSED_ROW, "1": REVERSED_ROW},
+     "row '0': outcomes [1, 0] are not the loss hypotheses [0, 1] in order"),
+    ({"0": GOOD_ROW}, "no row for z-vector (1,), key '1'"),
+    ({"1": GOOD_ROW}, "no row for z-vector (0,), key '0'"),
+], ids=["key-length", "unknown-label", "orders-differ", "all-reversed", "missing-1",
+        "missing-0"])
+def test_custom_kernel_keys_and_outcomes_are_refused_at_load_naming_rows(
+        tmp_path, capsys, problem, rows, message):
+    """Each z-vector of length n has exactly one row, and every row lists
+    the hypotheses in the loss's order; at n = 1 in both settings."""
+    learner = {"kind": "custom-kernel", "rows": rows}
+    doc = dict(problem, n=1, learner=learner)
+    cfg = write_config(tmp_path, "cfg.json", {"problem": doc})
+    assert cli.main(["report", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert f"field 'rows'{',' if message.startswith('row') else ':'} {message}" in err
+    assert "Traceback" not in err
+
+
+def test_the_first_missing_z_vector_is_found_without_listing_every_vector(monkeypatch):
+    """The search for a missing row reads at most one vector more than the
+    document has rows, in product order."""
+    read = []
+    product = models.itertools.product
+
+    def counted(*args, **kwargs):
+        for vec in product(*args, **kwargs):
+            read.append(vec)
+            yield vec
+
+    monkeypatch.setattr(models.itertools, "product", counted)
+    rows = {"0,0,0": GOOD_ROW, "0,0,1": GOOD_ROW}
+    doc = dict(STANDARD_PROBLEM, n=3, learner={"kind": "custom-kernel", "rows": rows})
+    with pytest.raises(ValueError, match=r"field 'rows': no row for z-vector \(0, 1, 0\)"):
+        load_problem(doc)
+    assert read == [(0, 0, 0), (0, 0, 1), (0, 1, 0)]
+
+
+@pytest.mark.parametrize("problem", [STANDARD_PROBLEM, SUBSET_PROBLEM], ids=["standard", "subset"])
+def test_an_over_budget_custom_kernel_with_missing_rows_exits_3(tmp_path, capsys, problem):
+    """2^23 z-vectors x 2 hypotheses pass the budget in neither setting; the
+    budget is checked before a row is read, so the missing rows go unnamed."""
+    rows = {",".join(["0"] * 23): GOOD_ROW}
+    doc = dict(problem, n=23, learner={"kind": "custom-kernel", "rows": rows})
+    cfg = write_config(tmp_path, "cfg.json", {"problem": doc})
+    assert cli.main(["report", "--config", cfg]) == 3
+    err = capsys.readouterr().err
+    assert "exceed the enumeration budget" in err and "rows" not in err
+
+
 @pytest.mark.parametrize("grid", [ProductGrid, TypeGrid])
 def test_a_grid_refuses_a_negative_length(grid):
     with pytest.raises(ValueError, match="vector length must be nonnegative"):

@@ -13,10 +13,10 @@ from test_cli import STANDARD_PROBLEM, SUBSET_PROBLEM, read_csv, write_config
 
 
 def test_default_panels_and_coverage_ids_follow_the_registry():
-    assert cli.DEFAULT_STANDARD_BOUNDS == (
+    assert verify.panel_ids("standard") == (
         "avg", "pacb_moment", "sd_moment", "sd_leakage", "sd_renyi", "sd_tail",
         "tail_relax_moment", "tail_relax_leakage")
-    assert cli.DEFAULT_SUBSET_BOUNDS == (
+    assert verify.panel_ids("subset") == (
         "cmi", "cond_pacb_moment", "cond_sd_moment", "cond_sd_leakage",
         "cond_sd_renyi", "cond_tail", "cond_tail_relax_moment",
         "cond_tail_relax_leakage", "cond_alpha_mi", "genhat_to_gen")
