@@ -225,23 +225,6 @@ def renyi_divergence(p: FiniteDistribution, q: FiniteDistribution,
 # -- one formula per quantity, over a flat (row, w) grid ---------------------
 
 
-def _segment_logsumexp(a: np.ndarray, starts: np.ndarray) -> np.ndarray:
-    """``prob.logsumexp`` over the rows of each context of the (row, w) array
-    ``a``: each context's m maximal terms give log(m) exactly, log1p the rest."""
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        a_max = np.maximum.reduceat(a, starts)
-        s = a - np.repeat(a_max, np.diff(starts, append=len(a)), axis=0)
-        top = s == 0.0  # a == its context's maximum, where that is finite
-        m = np.add.reduceat(top, starts, dtype=float)
-        s[top] = NEG_INF
-        s = np.add.reduceat(np.exp(s, out=s), starts)
-        out = np.log1p(s / m) + np.log(m) + a_max
-        edge = ~np.isfinite(out)  # no finite maximum: sum directly
-        if edge.any():
-            out = np.where(edge, np.log(np.add.reduceat(np.exp(a), starts)), out)
-    return out
-
-
 def _posterior_kls(cond: np.ndarray, iota: np.ndarray) -> np.ndarray:
     """KL(P(. | row) || Q(. | context)) at every row of the posteriors
     ``cond``: sum_w cond iota over the support, +inf where the posterior
@@ -262,9 +245,9 @@ def _renyi(log_arrays, alpha: float) -> float:
 def _nested_mean(x: np.ndarray, log_ctx: np.ndarray, log_data: np.ndarray,
                  log_q: np.ndarray, starts: np.ndarray, r1: float, r2: float) -> float:
     """log E_ctx[E_{Q(w|ctx)}[E_{row|ctx}[e^x]^r1]^r2] of the (row, w) array
-    ``x``, from the log masses of each context and of each row given its
-    context, and log Q(w | context), a (context, w) array."""
-    inner = _segment_logsumexp(log_data[:, None] + x, starts)
+    ``x`` (E_{row|ctx} one ``logsumexp`` at ``starts``), from the log masses of
+    each context and of each row given it, and log Q(w | context), a (context, w) array."""
+    inner = logsumexp(log_data[:, None] + x, starts=starts)
     return float(logsumexp(log_ctx + r2 * logsumexp(log_q + r1 * inner, axis=-1)))
 
 

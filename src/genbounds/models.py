@@ -134,23 +134,18 @@ def gibbs_kernel(loss: LossTable, n: int, beta: float) -> Kernel:
     """P(w | z-vector) proportional to exp(-beta * n * empirical loss).
 
     beta = 0 gives the uniform learner; beta -> inf approaches ERM with a
-    uniform split over tied minimizers. A row whose best logit overflows is
-    taken relative to its best total, so it reaches that limit (or, below 0,
-    the anti-ERM one).
+    uniform split over tied minimizers. Each row's logits are taken relative
+    to its best total (the least for beta > 0, else the greatest), so its
+    largest logit is 0; a row whose other logits overflow reaches the ERM
+    limit (or, below 0, the anti-ERM one).
     """
     if not math.isfinite(beta):
         raise ValueError("beta must be finite")
     grid = _learner_grid(loss, n)
     totals = loss.totals(grid)
-    with np.errstate(over="ignore"):
-        logits = -beta * totals
-        top = logits.max(axis=1, keepdims=True)
-        if not np.isfinite(top).all():
-            over = ~np.isfinite(top[:, 0])  # the rows whose best logit overflows
-            best = (totals.min if beta > 0 else totals.max)(axis=1, keepdims=True)
-            logits[over] = -beta * (totals[over] - best[over])
-            top[over] = 0.0  # their best logit is now 0
-    logits -= top  # each row's largest logit is 0
+    best = (totals.min if beta > 0 else totals.max)(axis=1, keepdims=True)
+    with np.errstate(over="ignore"):  # a logit far below 0 goes to -inf
+        logits = -beta * (totals - best)
     return Kernel.on_grid(logits - logsumexp(logits, axis=1)[:, None],
                           loss.hypotheses, grid)
 
@@ -598,6 +593,8 @@ def _custom_kernel(rows: Any, loss: LossTable, n: int) -> Kernel:
     def row(key: str, doc: Any) -> tuple:  # a probability may be a decimal string
         """(z-vector, row) at ``key``; a malformed one is refused naming ``rows`` and the key."""
         try:
+            if not isinstance(key, str):
+                raise ValueError("a key is a string, the z-vector's labels joined by ','")
             tokens = key.split(",")
             unknown = [tok for tok in tokens if tok not in by_text]
             if unknown:

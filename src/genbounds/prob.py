@@ -36,28 +36,37 @@ class BudgetExceededError(RuntimeError):
     """The requested system exceeds the exact-enumeration atom budget."""
 
 
-def logsumexp(a: Any, axis: int | None = None) -> Any:
-    """log(sum(exp(a))) along ``axis`` (all axes by default).
+def logsumexp(a: Any, axis: int | None = None, starts: Any = None) -> Any:
+    """log(sum(exp(a))) along ``axis`` (all axes by default), or over the rows
+    of each context of a flat (row, w) array, the contexts starting at ``starts``.
 
     Every maximal term is taken out of the sum, whose m copies contribute
     log(m) exactly: log1p(s / m) + log(m) + max, as scipy.special.logsumexp
-    computes it. An all -inf (or empty) reduction gives -inf.
+    computes it. An all -inf (or empty) reduction gives -inf. Each reduction
+    is one ``ufunc.reduce`` along ``axis``, or one ``ufunc.reduceat`` at
+    ``starts``, which sum in different orders.
     """
     a = np.atleast_1d(np.asarray(a, dtype=float))
     if a.size == 0:
         return NEG_INF
+    if starts is None:
+        reduce = lambda f, x, **kw: f.reduce(x, axis=axis, keepdims=True, **kw)
+    else:
+        reduce = lambda f, x, **kw: f.reduceat(x, starts, **kw)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        a_max = a.max(axis=axis, keepdims=True)
-        top = a == a_max
-        m = top.sum(axis=axis, keepdims=True, dtype=float)
+        a_max = reduce(np.maximum, a)
+        wide = a_max if starts is None else np.repeat(  # each term's maximum
+            a_max, np.diff(starts, append=len(a)), axis=0)
+        top = a == wide
+        m = reduce(np.add, top, dtype=float)
         s = np.where(top, NEG_INF, a)  # one float copy of a, then reused in place
-        s -= a_max
-        s = np.exp(s, out=s).sum(axis=axis, keepdims=True)
+        s -= wide
+        s = reduce(np.add, np.exp(s, out=s))
         out = np.log1p(s / m) + np.log(m) + a_max
         edge = ~np.isfinite(out)  # infinite or NaN maximum: sum directly
         if edge.any():
-            out = np.where(edge, np.log(np.exp(a).sum(axis=axis, keepdims=True)), out)
-    return out.squeeze(axis=axis)[()]
+            out = np.where(edge, np.log(reduce(np.add, np.exp(a))), out)
+    return out if starts is not None else out.squeeze(axis=axis)[()]
 
 
 def _to_log_mass(probs: Sequence[Any]) -> np.ndarray:

@@ -24,6 +24,7 @@ from .models import (
     SubsetSystem,
     _integral,
     _number,
+    expected_gen,
     gibbs_kernel,
     load_fixture,
 )
@@ -474,8 +475,8 @@ def _coverage_panel(sys, deltas: Sequence[float], keep: Sequence[str]) -> tuple:
 def run_verification_suite(seed: int = 0, n_instances: int = 50,
                            deltas: Sequence[float] = (0.3, 0.1, 0.05),
                            sigma_scale: float = 1.0) -> dict:
-    """Run the exponential-inequality, coverage, chain, ordering, and
-    gap-identity suites; returns pass/fail with a failure list.
+    """Run the exponential-inequality, average-bound, coverage, chain,
+    ordering, and gap-identity suites; returns pass/fail with a failure list.
 
     ``sigma_scale`` (finite, > 0) rescales the sub-Gaussian parameter in the
     exponential checks (values below 1 inject a deliberate fault).
@@ -522,6 +523,14 @@ def run_verification_suite(seed: int = 0, n_instances: int = 50,
             found.append(f"exp-inequality {name}: worst={worst:.6g}")
         if not order_holds(sys):
             found.append(f"{order_name} violated on {name}")
+        gen = abs(expected_gen(sys))
+        for bound_id, entry in BOUNDS.items():  # each average bound, where feasible
+            if entry.setting == sys.setting and entry.covers is None:
+                checks += 1
+                res = entry.evaluate(sys, None, 2, 2.0, "auto")
+                if res.feasible and not gen <= res.epsilon + COVERAGE_TOL:
+                    found.append(f"average {bound_id} {name}: |E[gen]|={gen:.6g} "
+                                 f"> eps={res.epsilon:.6g}")
         viols, (relaxed, direct) = _coverage_panel(sys, deltas, pair)
         rate = view_of(sys).rate
         for j, delta in enumerate(deltas):

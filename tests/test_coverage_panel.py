@@ -119,7 +119,8 @@ def test_an_infeasible_panel_violates_with_probability_one(cls):
 @pytest.mark.parametrize("deltas", [DELTAS, (0.2,)])
 def test_each_suite_system_evaluates_each_bound_once_per_delta(monkeypatch, deltas):
     """The gap identity reads the panel's results: each system evaluates
-    exactly len(coverage ids) x len(deltas) registry entries."""
+    exactly len(coverage ids) x len(deltas) registry entries, and each
+    average bound of its setting once, at no delta."""
     calls = []
 
     def counted(bound_id, evaluate):
@@ -136,8 +137,11 @@ def test_each_suite_system_evaluates_each_bound_once_per_delta(monkeypatch, delt
     for _, group in itertools.groupby(calls, key=lambda c: id(c[0])):
         group = list(group)
         systems += 1
-        ids = coverage_ids(group[0][0].setting)
-        assert len(group) == len(ids) * len(deltas)
+        setting = group[0][0].setting
+        ids = coverage_ids(setting)
+        averages = [k for k, b in BOUNDS.items() if b.setting == setting and b.covers is None]
+        assert len(averages) == 1
+        assert len(group) == len(ids) * len(deltas) + len(averages)
         assert Counter((k, d) for _, k, d in group) == {
-            (k, d): 1 for k in ids for d in deltas}
+            **{(k, d): 1 for k in ids for d in deltas}, **{(k, None): 1 for k in averages}}
     assert systems == 3 + 2 * 3

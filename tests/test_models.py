@@ -135,13 +135,15 @@ class TestLearnerKernels:
         assert k[(0, 1, 2)].mass == pytest.approx((1 / 3,) * 3, abs=1e-15)
 
     def test_gibbs_rows_that_do_not_overflow_keep_their_bits(self, rng):
-        # only rows whose best logit overflows leave the shift-by-largest-logit form
+        # one formula for every row: logits taken from the row's best total
         values = rng.uniform(size=(4, 3))
         loss = LossTable(tuple(range(4)), (0, 1, 2), values, 0.0, 1.0)
         for n, beta in ((3, 2.0), (4, -7.5), (2, 1e300), (2, -1e300)):
             k = gibbs_kernel(loss, n, beta)
-            logits = -beta * loss.totals(k.grid)
-            logits -= logits.max(axis=1, keepdims=True)
+            totals = loss.totals(k.grid)
+            best = totals.min(axis=1) if beta > 0 else totals.max(axis=1)
+            logits = -beta * (totals - best[:, None])
+            assert np.array_equal(logits.max(axis=1), np.zeros(len(logits)))
             assert np.array_equal(k.log_mass, logits - logsumexp(logits, axis=1)[:, None])
 
     def test_erm_tie_rules(self):

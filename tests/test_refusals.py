@@ -139,6 +139,15 @@ def test_custom_kernel_keys_and_outcomes_are_refused_at_load_naming_rows(
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("problem", [STANDARD_PROBLEM, SUBSET_PROBLEM], ids=["standard", "subset"])
+def test_a_custom_kernel_key_that_is_not_a_string_is_refused_naming_rows(problem):
+    """A problem object (not JSON text) may key its rows by ints; the first
+    such key is refused by name, not split."""
+    doc = dict(problem, n=1, learner={"kind": "custom-kernel", "rows": {0: GOOD_ROW, 1: GOOD_ROW}})
+    with pytest.raises(ValueError, match="^field 'rows', row 0: a key is a string"):
+        load_problem(doc)
+
+
 def test_the_first_missing_z_vector_is_found_without_listing_every_vector(monkeypatch):
     """The search for a missing row reads at most one vector more than the
     document has rows, in product order."""

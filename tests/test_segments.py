@@ -19,7 +19,7 @@ import oracles
 from genbounds import bounds_subset as bsub
 from genbounds import load_fixture
 from genbounds.engine import view_of
-from genbounds.measures import _alpha_mi, _leakage, _segment_logsumexp
+from genbounds.measures import _alpha_mi, _leakage
 from genbounds.models import _per_vector
 from genbounds.prob import logsumexp
 from genbounds.verify import random_subset_system
@@ -76,14 +76,37 @@ def test_segment_logsumexp_equals_the_padded_logsumexp(grid):
     ctx, data, _, _, iota, _ = grid
     with np.errstate(divide="ignore"):
         terms = np.log(data)[:, None] + 2.0 * iota
-    got = _segment_logsumexp(terms, STARTS)
+    got = logsumexp(terms, starts=STARTS)
     want = logsumexp(_pad(terms, -math.inf), axis=1)
     assert np.array_equal(got == -math.inf, want == -math.inf)
     assert _close(got[want > -math.inf], want[want > -math.inf])
     ties = np.zeros((9, 1))  # every term maximal: log(m) exactly
-    assert np.array_equal(_segment_logsumexp(ties, STARTS)[:, 0], np.log(SIZES))
+    assert np.array_equal(logsumexp(ties, starts=STARTS)[:, 0], np.log(SIZES))
     empty = np.full((9, 1), -math.inf)
-    assert np.all(_segment_logsumexp(empty, STARTS) == -math.inf)
+    assert np.all(logsumexp(empty, starts=STARTS) == -math.inf)
+
+
+def test_segment_logsumexp_is_exact_at_its_edges():
+    """Ragged contexts of 1 and of 9 or more rows, column by column: m tied
+    maximal terms give log(m) exactly (their value added), an all -inf
+    context -inf, a +inf term +inf and a NaN term NaN."""
+    widths = np.array([1, 9, 12, 1, 10])
+    starts = np.append(0, np.cumsum(widths)[:-1])
+    ties = np.array([1, 9, 5, 1, 3])  # the maximal terms of each context
+    a = np.full((widths.sum(), 5), -math.inf)
+    a[:, 0] = 0.0  # every term maximal
+    for start, width, m in zip(starts, widths, ties):
+        a[start:start + m, 1] = 2.5  # m ties, the rest -inf
+    a[:, 3] = a[:, 4] = np.random.default_rng(7).normal(size=widths.sum())
+    a[starts + widths // 2, 3] = math.inf
+    a[starts + widths - 1, 4] = math.nan
+    got = logsumexp(a, starts=starts)  # column 2 stays all -inf
+    assert got.shape == (len(widths), 5)
+    assert np.array_equal(got[:, 0], np.log(widths))
+    assert np.array_equal(got[:, 1], np.log(ties) + 2.5)
+    assert np.all(got[:, 2] == -math.inf)
+    assert np.all(got[:, 3] == math.inf)
+    assert np.all(np.isnan(got[:, 4]))
 
 
 def test_alpha_mi_equals_the_padded_formula(grid):

@@ -15,7 +15,7 @@ from genbounds import cli, verify
 from genbounds import bounds_standard as bstd
 from genbounds import bounds_subset as bsub
 from genbounds.engine import BoundResult, view_of
-from genbounds.models import _per_vector
+from genbounds.models import _per_vector, expected_gen
 from genbounds import (
     FiniteDistribution,
     assemble_standard,
@@ -467,11 +467,11 @@ class TestSuiteRunner:
 
 
 class TestSuiteReportsEachFailure:
-    """The suite's ordering, gap-identity and coverage failure branches, each
-    reached by replacing a name that the suite or the registry looks up at
-    call time: every failure is listed with its system and delta, the suite
-    fails with its check count unchanged, and ``verify`` prints each as a
-    FAIL line and exits 1."""
+    """The suite's ordering, gap-identity, coverage and average-bound failure
+    branches, each reached by replacing a name that the suite or the
+    registry looks up at call time: every failure is listed with its system
+    (and delta), the suite fails with its check count unchanged, and
+    ``verify`` prints each as a FAIL line and exits 1."""
 
     STANDARD = ("standard[0]", "standard[1]", "standard[2]")
     SUBSET = ("subset[0]", "subset[1]")
@@ -484,13 +484,15 @@ class TestSuiteReportsEachFailure:
         return rep
 
     @staticmethod
-    def _standard_systems():
-        """The standard systems of the seed-0, one-instance suite, in order."""
+    def _systems():
+        """The systems of the seed-0, one-instance suite, standard ones first,
+        in the order of their names."""
         from genbounds import load_fixture
 
         rng = np.random.default_rng(0)
-        drawn = random_standard_system(rng)
-        return [load_fixture("inst_a")[1], load_fixture("inst_c")[1], drawn]
+        drawn = random_standard_system(rng), random_subset_system(rng)
+        inst_a, inst_c, inst_b = (load_fixture(n)[1] for n in ("inst_a", "inst_c", "inst_b"))
+        return [inst_a, inst_c, drawn[0], inst_b, drawn[1]]
 
     def _orderings(self, monkeypatch):
         monkeypatch.setattr(bstd, "chain_report", lambda sys, delta: {"holds": False})
@@ -513,7 +515,7 @@ class TestSuiteReportsEachFailure:
         monkeypatch.setattr(bstd, "sd_leakage_bound", lambda sys, delta, relaxed=False:
                             BoundResult(0.0, "single-draw", "data-independent"))
         expected = []
-        for name, sys in zip(self.STANDARD, self._standard_systems()):
+        for name, sys in zip(self.STANDARD, self._systems()):
             # mass of the atoms whose |gen| an epsilon of 0 does not bound
             viol = sum(float(m) for v, m in zip(sys.rows.gen.ravel(), sys.joint.ravel())
                        if not abs(v) <= verify.COVERAGE_TOL)
@@ -522,7 +524,27 @@ class TestSuiteReportsEachFailure:
                          for bound_id in ("sd_leakage", "tail_relax_leakage")]
         return expected
 
-    @pytest.mark.parametrize("inject", ["_orderings", "_gap_identity", "_coverage"])
+    def _average(self, monkeypatch):
+        # each average bound's epsilon scaled by 1e-6: every system's |E[gen]|
+        # exceeds it but inst_c's (standard[1]), where both are 0
+        def scaled(bound):
+            def evaluate(sys, *args):
+                res = bound(sys, *args)
+                return dataclasses.replace(res, epsilon=res.epsilon * 1e-6)
+            return evaluate
+
+        expected = []
+        for name, sys in zip(self.STANDARD + self.SUBSET, self._systems()):
+            eps = 1e-6 * (bstd.avg_mi_bound(sys) if sys.setting == "standard"
+                          else bsub.cmi_avg_bound(sys)).epsilon
+            bound_id, gen = "avg" if sys.setting == "standard" else "cmi", abs(expected_gen(sys))
+            if gen > eps + verify.COVERAGE_TOL:
+                expected.append(f"average {bound_id} {name}: |E[gen]|={gen:.6g} > eps={eps:.6g}")
+        monkeypatch.setattr(bstd, "avg_mi_bound", scaled(bstd.avg_mi_bound))
+        monkeypatch.setattr(bsub, "cmi_avg_bound", scaled(bsub.cmi_avg_bound))
+        return expected
+
+    @pytest.mark.parametrize("inject", ["_orderings", "_gap_identity", "_coverage", "_average"])
     def test_lists_each_failure(self, monkeypatch, capsys, tmp_path, clean, inject):
         expected = getattr(self, inject)(monkeypatch)
         assert expected
